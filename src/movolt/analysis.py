@@ -9,6 +9,7 @@ bounds, and the polynomial decay exponents at a hard spectral edge.
 """
 
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,28 +17,8 @@ from .spectrum import MP_KIND
 
 BISECTION_ITERS = 200
 ROOT_TOL = 1e-10
-# discrete measures: smallest positive atom above this counts as a gap
+# smallest positive eigenvalue at or below this counts as a hard edge
 EDGE_ATOM_TOL = 1e-12
-
-_POLY_EXPONENTS = {"sgd": (-1.5, -0.5), "shb": (-1.5, -0.5),
-                   "sdahb": (-1.5, -0.5), "sdana": (-3.0, -1.0)}
-
-
-def _continuous(params, n=None):
-    """(gamma1, gamma2, theta) of the kernel; SHB needs n to be mapped onto
-    its dimension-adjusted twin."""
-    p = params.params
-    if params.name == "sgd":
-        return 0.0, p["gamma"], 0.0
-    if params.name == "shb":
-        if n is None:
-            raise ValueError("SHB analysis needs n (finite-n kernel scaling)")
-        return n * p["gamma"], 0.0, n * p["theta"]
-    if params.name == "sdahb":
-        return p["gamma"], 0.0, p["theta"]
-    if params.name == "sdana":
-        return p["gamma1"], p["gamma2"], p["theta"]
-    raise ValueError("no closed-form analysis for %r" % (params.name,))
 
 
 def positive_edges(measure):
@@ -50,44 +31,20 @@ def positive_edges(measure):
             float(pos.max()) if pos.size else 0.0)
 
 
-def kernel_norm(params, measure):
-    """||I|| = int_0^inf I(tau) dtau in closed form.
+# ----------------------------------------------------------------------
+# Closed forms per kernel family, in the continuous parameters
+# (gamma1, gamma2, theta)
+# ----------------------------------------------------------------------
 
-    SGD: gamma*m/2.  SHB/SDAHB: gamma*m/(2 theta) (the n-scalings cancel).
-    SDANA: gamma1*(1-p)/(2*gamma2) + gamma2*m/2.
-    """
-    m = measure.trace_moment()
-    p = params.params
-    if params.name == "sgd":
-        return 0.5 * p["gamma"] * m
-    if params.name in ("shb", "sdahb"):
-        if p["theta"] <= 0:
-            raise ValueError("kernel norm needs theta > 0")
-        return p["gamma"] * m / (2.0 * p["theta"])
-    if params.name == "sdana":
-        if p["gamma2"] <= 0:
-            raise ValueError("SDANA kernel norm needs gamma2 > 0")
-        bulk = 1.0 - measure.zero_mass
-        return p["gamma1"] * bulk / (2.0 * p["gamma2"]) + 0.5 * p["gamma2"] * m
-    raise ValueError("no closed-form norm for %r" % (params.name,))
-
-
-def limiting_loss(norm, zero_mass, R_tilde):
-    """Plateau value R_tilde * mu({0}) / (2 (1 - ||I||)); needs ||I|| < 1."""
-    if norm >= 1.0:
-        raise ValueError("kernel norm %.4f >= 1: not convergent" % norm)
-    return R_tilde * zero_mass / (2.0 * (1.0 - norm))
-
-
-def _laplace_sgd(x, gamma, measure):
+def _laplace_sgd(x, gamma1, gamma2, theta, measure):
     lam = measure.points
-    den = 2.0 * gamma * lam - x
+    den = 2.0 * gamma2 * lam - x
     if np.any(den <= 0.0):
         return np.inf
-    return float(np.sum(measure.weights * gamma**2 * lam**2 / den))
+    return float(np.sum(measure.weights * gamma2**2 * lam**2 / den))
 
 
-def _laplace_sdahb(x, gamma1, theta, measure):
+def _laplace_heavy_ball(x, gamma1, gamma2, theta, measure):
     lam = measure.points
     first = theta - x
     second = x**2 - 2.0 * theta * x + 4.0 * gamma1 * lam
@@ -97,7 +54,7 @@ def _laplace_sdahb(x, gamma1, theta, measure):
                         / (first * second)))
 
 
-def _laplace_sdana(x, gamma1, gamma2, measure):
+def _laplace_sdana(x, gamma1, gamma2, theta, measure):
     lam = measure.points
     shifted = gamma2 * lam - x
     omega = 4.0 * gamma1 - gamma2**2 * lam
@@ -109,30 +66,87 @@ def _laplace_sdana(x, gamma1, gamma2, measure):
     return float(np.sum(measure.weights * lam**2 * num / (quad * shifted)))
 
 
+def _sdana_rate(g1, g2, theta, lam):
+    if 4.0 * g1 - g2**2 * lam >= 0.0:
+        return g2 * lam
+    return g2 * lam - np.sqrt(g2**2 * lam**2 - 4.0 * g1 * lam)
+
+
+def _gd_upper_bound(lam, m):
+    return 4.0 * lam / m
+
+
+class Family(NamedTuple):
+    """The closed forms of one kernel family.  norm and laplace take
+    (g1, g2, theta, measure) after the tilt x; the rates and the lower
+    bound (g1, g2, theta, lam_min); the upper bound (lam_min, m)."""
+
+    norm: Callable            # ||I|| = int_0^inf I(tau) dtau
+    laplace: Callable         # F(x) = int e^{x tau} I(tau) dtau
+    forcing_rate: Callable    # decay of the slowest forcing mode
+    lower_bound: Callable
+    upper_bound: Callable
+    poly_exponents: tuple     # hard-edge (loss, distance) decay exponents
+    cap: Callable = None      # top of the Malthusian root search, if not
+                              # the forcing rate
+
+
+SGD = Family(
+    norm=lambda g1, g2, theta, mu: 0.5 * g2 * mu.trace_moment(),
+    laplace=_laplace_sgd,
+    forcing_rate=lambda g1, g2, theta, lam: 2.0 * g2 * lam,
+    lower_bound=lambda g1, g2, theta, lam: g2 * lam,
+    upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
+
+HEAVY_BALL = Family(
+    norm=lambda g1, g2, theta, mu: g1 * mu.trace_moment() / (2.0 * theta),
+    laplace=_laplace_heavy_ball,
+    forcing_rate=lambda g1, g2, theta, lam: (
+        theta - np.sqrt(max(theta**2 - 4.0 * g1 * lam, 0.0))),
+    lower_bound=lambda g1, g2, theta, lam: (
+        g1 * lam * theta / (2.0 * g1 * lam + theta**2)),
+    upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
+
+SDANA = Family(
+    norm=lambda g1, g2, theta, mu: (g1 * (1.0 - mu.zero_mass) / (2.0 * g2)
+                                    + 0.5 * g2 * mu.trace_moment()),
+    laplace=_laplace_sdana, forcing_rate=_sdana_rate,
+    cap=lambda g1, g2, theta, lam: g2 * lam,
+    lower_bound=lambda g1, g2, theta, lam: (
+        3.0 * g1 * g2 * lam / (2.0 * g2**2 * lam + 4.0 * g1)),
+    upper_bound=lambda lam, m: min(lam / m, 0.5), poly_exponents=(-3.0, -1.0))
+
+
+def _closed_form(params, n):
+    """(family, gamma1, gamma2, theta) of params; SHB needs n.  Raises for
+    a record without a continuous form (custom), hence without a family."""
+    g1, g2, sched = params.continuous(n)
+    return params.algo.family, g1, g2, sched.theta
+
+
+# ----------------------------------------------------------------------
+# Analysis of (algorithm, measure)
+# ----------------------------------------------------------------------
+
+def kernel_norm(params, measure):
+    """||I|| = int_0^inf I(tau) dtau in closed form.  SHB's n-scalings
+    cancel in it (gamma*m/(2 theta) either way), so it is read at n = 1."""
+    fam, g1, g2, theta = _closed_form(params, 1)
+    return fam.norm(g1, g2, theta, measure)
+
+
+def limiting_loss(norm, zero_mass, R_tilde):
+    """Plateau value R_tilde * mu({0}) / (2 (1 - ||I||)); needs ||I|| < 1."""
+    if norm >= 1.0:
+        raise ValueError("kernel norm %.4f >= 1: not convergent" % norm)
+    return R_tilde * zero_mass / (2.0 * (1.0 - norm))
+
+
 def laplace_transform(params, measure, x, n=None):
     """Tilted kernel mass F(x) = int e^{x tau} I(tau) dtau; +inf once x
     crosses a decay rate of the kernel.  F(0) = ||I||."""
-    g1, g2, theta = _continuous(params, n)
-    name = "sgd" if params.name == "sgd" else params.name
-    if name == "sgd":
-        return _laplace_sgd(x, g2, measure)
-    if name in ("shb", "sdahb"):
-        return _laplace_sdahb(x, g1, theta, measure)
-    if name == "sdana":
-        return _laplace_sdana(x, g1, g2, measure)
-    raise ValueError("no Laplace transform for %r" % (params.name,))
-
-
-def _malthusian_cap(params, measure, n=None):
-    g1, g2, theta = _continuous(params, n)
-    lam_min, _ = positive_edges(measure)
-    if params.name == "sgd":
-        return 2.0 * g2 * lam_min
-    if params.name in ("shb", "sdahb"):
-        return theta - np.sqrt(max(theta**2 - 4.0 * g1 * lam_min, 0.0))
-    if params.name == "sdana":
-        return g2 * lam_min
-    raise ValueError("no Malthusian cap for %r" % (params.name,))
+    fam, g1, g2, theta = _closed_form(params, n)
+    return fam.laplace(x, g1, g2, theta, measure)
 
 
 def malthusian_exponent(params, measure, n=None):
@@ -149,10 +163,11 @@ def _malthusian(params, measure, n=None):
     lam_min, _ = positive_edges(measure)
     if lam_min <= 0.0:
         return None, "absent: spectrum touches zero (no exponential regime)"
-    cap = _malthusian_cap(params, measure, n)
+    fam, g1, g2, theta = _closed_form(params, n)
+    cap = (fam.cap or fam.forcing_rate)(g1, g2, theta, lam_min)
     if cap <= 0.0:
         return None, "absent: kernel decay cap is zero"
-    F = lambda x: laplace_transform(params, measure, x, n=n)
+    F = lambda x: fam.laplace(x, g1, g2, theta, measure)
     f0 = F(0.0)
     if f0 >= 1.0:
         return None, "absent: kernel norm %.4f >= 1 (not convergent)" % f0
@@ -175,18 +190,8 @@ def _malthusian(params, measure, n=None):
 def forcing_rate(params, measure, n=None):
     """Exponential decay rate of the slowest forcing component (the mode at
     the smallest positive eigenvalue)."""
-    g1, g2, theta = _continuous(params, n)
-    lam_min, _ = positive_edges(measure)
-    if params.name == "sgd":
-        return 2.0 * g2 * lam_min
-    if params.name in ("shb", "sdahb"):
-        return theta - np.sqrt(max(theta**2 - 4.0 * g1 * lam_min, 0.0))
-    if params.name == "sdana":
-        omega = 4.0 * g1 - g2**2 * lam_min
-        if omega >= 0.0:
-            return g2 * lam_min
-        return g2 * lam_min - np.sqrt(g2**2 * lam_min**2 - 4.0 * g1 * lam_min)
-    raise ValueError("no forcing rate for %r" % (params.name,))
+    fam, g1, g2, theta = _closed_form(params, n)
+    return fam.forcing_rate(g1, g2, theta, positive_edges(measure)[0])
 
 
 def effective_rate(params, measure, n=None):
@@ -199,38 +204,22 @@ def effective_rate(params, measure, n=None):
 
 
 def rate_lower_bound(params, measure, n=None):
-    """Closed lower bound on the convergence rate (gap regime).
-
-    SGD: gamma*lam_min.  SHB/SDAHB: gamma1*lam_min*theta /
-    (2*gamma1*lam_min + theta^2).  SDANA: 3*gamma1*gamma2*lam_min /
-    (2*gamma2^2*lam_min + 4*gamma1).
-    """
-    g1, g2, theta = _continuous(params, n)
-    lam_min, _ = positive_edges(measure)
-    if params.name == "sgd":
-        return g2 * lam_min
-    if params.name in ("shb", "sdahb"):
-        return g1 * lam_min * theta / (2.0 * g1 * lam_min + theta**2)
-    if params.name == "sdana":
-        return 3.0 * g1 * g2 * lam_min / (2.0 * g2**2 * lam_min + 4.0 * g1)
-    raise ValueError("no rate bound for %r" % (params.name,))
+    """Closed lower bound on the convergence rate (gap regime)."""
+    fam, g1, g2, theta = _closed_form(params, n)
+    return fam.lower_bound(g1, g2, theta, positive_edges(measure)[0])
 
 
 def rate_upper_bound(params, measure, n=None):
+    """Closed upper bound on the convergence rate; free of n, like the norm."""
+    fam = _closed_form(params, 1)[0]
     lam_min, _ = positive_edges(measure)
-    m = measure.trace_moment()
-    if params.name == "sdana":
-        return min(lam_min / m, 0.5)
-    if params.name in ("sgd", "shb", "sdahb"):
-        return 4.0 * lam_min / m
-    raise ValueError("no rate bound for %r" % (params.name,))
+    return fam.upper_bound(lam_min, measure.trace_moment())
 
 
 def classify(measure):
-    """'hard_edge' when the positive support reaches 0 (MP at r=1), else
-    'strongly_convex' (positive spectral gap, possibly plus a zero atom)."""
-    if measure.kind == MP_KIND:
-        return "hard_edge" if measure.r == 1.0 else "strongly_convex"
+    """'hard_edge' when the positive support reaches 0 (lambda_min within
+    EDGE_ATOM_TOL; MP at r=1), else 'strongly_convex' (positive spectral
+    gap, possibly plus a zero atom)."""
     lam_min, _ = positive_edges(measure)
     return "strongly_convex" if lam_min > EDGE_ATOM_TOL else "hard_edge"
 
@@ -266,7 +255,7 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
     malthusian, note = _malthusian(params, measure, n)
     kind = classify(measure)
     if kind == "hard_edge" and measure.kind == MP_KIND:
-        exponents = _POLY_EXPONENTS.get(params.name)
+        exponents = params.algo.family.poly_exponents
     else:
         exponents = None
     eff = malthusian if malthusian is not None else (

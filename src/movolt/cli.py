@@ -33,7 +33,7 @@ _OUT_DEFAULTS = {"simulate": "simulate.csv", "predict": "predict.csv",
 
 
 def _add_common(p):
-    p.add_argument("--algo", choices=["sgd", "shb", "sdahb", "sdana"])
+    p.add_argument("--algo", choices=list(momentum.ALGORITHMS))
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=float, help="aspect ratio d/n for MP measures")
@@ -139,32 +139,12 @@ def _build_measure(cfg):
 
 
 def _build_params(cfg, measure):
-    """Algorithm parameters: explicit flags fill in, defaults cover the rest."""
-    algo = _require(cfg, "algo", "choose sgd, shb, sdahb or sdana")
-    if algo == "sgd":
-        if cfg.get("gamma") is not None:
-            return momentum.sgd(cfg["gamma"])
-        return momentum.defaults("sgd", measure)
-    if algo == "shb":
-        if cfg.get("gamma") is None or cfg.get("theta") is None:
-            raise ValueError("shb has no default parameters; "
-                             "pass --gamma and --theta")
-        return momentum.shb(cfg["gamma"], cfg["theta"])
-    if algo == "sdahb":
-        if cfg.get("gamma") is not None and cfg.get("theta") is not None:
-            return momentum.sdahb(cfg["gamma"], cfg["theta"])
-        if cfg.get("gamma") is None and cfg.get("theta") is None:
-            return momentum.defaults("sdahb", measure)
-        theta = cfg["theta"] if cfg.get("theta") is not None else 2.0
-        m = measure.trace_moment()
-        gamma = cfg["gamma"] if cfg.get("gamma") is not None else theta / m
-        return momentum.sdahb(gamma, theta)
-    # sdana
-    base = momentum.defaults("sdana", measure).params
-    g1 = cfg["gamma1"] if cfg.get("gamma1") is not None else base["gamma1"]
-    g2 = cfg["gamma2"] if cfg.get("gamma2") is not None else base["gamma2"]
-    th = cfg["theta"] if cfg.get("theta") is not None else base["theta"]
-    return momentum.sdana(g1, g2, th)
+    """Algorithm parameters: explicit flags fill in, the default row covers
+    the rest."""
+    name = _require(cfg, "algo", "choose " + ", ".join(momentum.ALGORITHMS))
+    given = {k: cfg[k] for k in momentum.algorithm(name).names
+             if cfg.get(k) is not None}
+    return momentum.defaults(name, measure, **given)
 
 
 def _echo(cfg, extra):
@@ -174,12 +154,10 @@ def _echo(cfg, extra):
     return meta
 
 
-def _write_meta(out, meta):
-    side = volterra.sidecar_path(out)
-    with open(side, "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True, default=_jsonable)
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=_jsonable)
         fh.write("\n")
-    return side
 
 
 def _jsonable(obj):
@@ -209,9 +187,10 @@ def cmd_simulate(cfg):
     meta = _echo(cfg, {"command": "simulate", "params": params.describe(),
                        "n_seeds": cfg["seeds"], "diverged": agg.diverged,
                        "rows": len(agg.times)})
-    _write_meta(out, meta)
+    _write_json(volterra.sidecar_path(out), meta)
     if cfg.get("svg"):
-        _write_svg(_svg_target(out), [_series_of(agg)], band=agg)
+        _write_svg(_svg_target(out), [("ensemble mean", agg.times, agg.mean)],
+                   band=agg)
     print("simulate: %d rows -> %s" % (len(agg.times), out))
     return 0
 
@@ -246,9 +225,7 @@ def cmd_analyze(cfg):
     out = cfg.get("out") or _OUT_DEFAULTS["analyze"]
     payload = {"report": report.to_dict(),
                **_echo(cfg, {"command": "analyze"})}
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+    _write_json(out, payload)
     print(report.to_json())
     return 0
 
@@ -266,7 +243,7 @@ def cmd_compare(cfg):
                            R=cfg["R"], R_tilde=cfg["Rtilde"], h=cfg["h"],
                            mode=cfg.get("mode"), n=n)
     psi = _join_nearest(agg.times, sol)
-    mean = agg.central()
+    mean = agg.mean
     dev = np.abs(mean - psi)
     stats = {"sup_abs_dev": float(dev.max()) if dev.size else float("nan"),
              "mean_abs_dev": float(dev.mean()) if dev.size else float("nan"),
@@ -274,14 +251,12 @@ def cmd_compare(cfg):
     out = cfg.get("out") or _OUT_DEFAULTS["compare"]
     with open(out, "w", newline="") as fh:
         fh.write("t,mean,q10,q90,psi\n")
-        q10 = agg.q10 if agg.q10 is not None else mean
-        q90 = agg.q90 if agg.q90 is not None else mean
-        for row in zip(agg.times, mean, q10, q90, psi):
+        for row in zip(agg.times, mean, agg.q10, agg.q90, psi):
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
     meta = _echo(cfg, {"command": "compare", "params": params.describe(),
                        "stats": stats, "kernel_norm": sol.kernel_norm,
                        "diverged": agg.diverged})
-    _write_meta(out, meta)
+    _write_json(volterra.sidecar_path(out), meta)
     if cfg.get("svg"):
         _write_svg(_svg_target(out),
                    [("ensemble mean", agg.times, mean),
@@ -301,9 +276,7 @@ def cmd_spectrum(cfg):
                            "atoms": int(len(measure.points))},
                **_echo(cfg, {"command": "spectrum"})}
     out = cfg.get("out") or _OUT_DEFAULTS["spectrum"]
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+    _write_json(out, payload)
     print("spectrum: m=%.6g p=%.6g support=[%.6g, %.6g] -> %s"
           % (payload["summary"]["trace_moment"], measure.zero_mass, lo, hi,
              out))
@@ -322,10 +295,6 @@ def _join_nearest(times, sol):
         raise ValueError("trajectory and prediction grids are misaligned "
                          "beyond half a step")
     return sol.psi[idx]
-
-
-def _series_of(agg):
-    return ("ensemble mean", agg.times, agg.central())
 
 
 def _svg_target(out):

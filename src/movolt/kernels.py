@@ -29,14 +29,6 @@ import numpy as np
 # series branch threshold for the turning point omega ~ 0
 OMEGA_EPS = 1e-8
 
-VALID_MODES = {
-    "sgd": ("closed_form",),
-    "shb": ("closed_form",),
-    "sdahb": ("closed_form",),
-    "general_sdahb": ("closed_form",),
-    "sdana": ("ode_exact", "convolution_approx"),
-}
-
 
 def snc(omega, x):
     """sin(x*sqrt(omega))/sqrt(omega), continued across omega <= 0."""
@@ -84,16 +76,11 @@ def osc(omega, x):
 
 @dataclass
 class OscillatorParams:
-    """Frequency/decay/phase data of a kernel's oscillatory part."""
+    """Frequency/phase data of a kernel's oscillatory part."""
 
     omega: float
-    rho: float = 0.0
     cos_phase: float = 1.0
     sin_phase: float = 0.0
-
-    @property
-    def phase(self):
-        return float(np.arctan2(self.sin_phase, self.cos_phase))
 
 
 def sdana_oscillator(lam, gamma1, gamma2):
@@ -113,14 +100,8 @@ def sdana_oscillator(lam, gamma1, gamma2):
         sin_phase = u * gamma2 * np.sqrt(lam) * np.sqrt(omega) / (2.0 * gamma1**2)
     else:
         sin_phase = np.nan
-    return OscillatorParams(omega=float(omega), rho=float(gamma2 * lam),
-                            cos_phase=float(cos_phase), sin_phase=float(sin_phase))
-
-
-def sdahb_oscillator(lam, gamma1, gamma2, theta):
-    """rho = lam*g2 - theta and omega = 4*lam*g1 - rho^2 (g2=0: 4*lam*g1 - theta^2)."""
-    rho = lam * gamma2 - theta
-    return OscillatorParams(omega=float(4.0 * lam * gamma1 - rho * rho), rho=float(rho))
+    return OscillatorParams(omega=float(omega), cos_phase=float(cos_phase),
+                            sin_phase=float(sin_phase))
 
 
 @dataclass
@@ -140,35 +121,14 @@ class KernelSpec:
     mode: str
 
     def __post_init__(self):
-        if self.algo not in VALID_MODES:
-            raise ValueError("unknown algo %r" % (self.algo,))
-        if self.mode not in VALID_MODES[self.algo]:
+        from .momentum import algorithm  # the table imports this module
+        record = algorithm(self.algo)
+        if self.mode not in record.modes:
             raise ValueError("mode %r unavailable for %s (allowed: %s)"
-                             % (self.mode, self.algo, VALID_MODES[self.algo]))
-        if self.phi_kind not in ("const", "power"):
-            raise ValueError("phi_kind must be 'const' or 'power'")
-
-    def params_dict(self):
-        return {"algo": self.algo, "gamma1": self.gamma1, "gamma2": self.gamma2,
-                "theta": self.theta, "phi_kind": self.phi_kind, "mode": self.mode}
-
-
-def sgd_spec(gamma, mode="closed_form"):
-    return KernelSpec("sgd", 0.0, float(gamma), 0.0, "const", mode)
-
-
-def shb_spec(gamma, theta, n, mode="closed_form"):
-    # SHB(gamma, theta) is the dimension-adjusted heavy ball run at
-    # (n*gamma, n*theta); the continuous-time kernel needs n explicitly.
-    return KernelSpec("shb", float(n * gamma), 0.0, float(n * theta), "const", mode)
-
-
-def sdahb_spec(gamma, theta, mode="closed_form"):
-    return KernelSpec("sdahb", float(gamma), 0.0, float(theta), "const", mode)
-
-
-def sdana_spec(gamma1, gamma2, theta, mode="ode_exact"):
-    return KernelSpec("sdana", float(gamma1), float(gamma2), float(theta), "power", mode)
+                             % (self.mode, self.algo, record.modes))
+        if self.phi_kind != record.phi_kind:
+            raise ValueError("phi_kind of %s is %r"
+                             % (self.algo, record.phi_kind))
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +143,6 @@ def _ic_profile(omega, decay, c0, c1, c2, x):
     assembly) so no intermediate overflows for large x.
     """
     x = np.asarray(x, dtype=float)
-    if omega > OMEGA_EPS:
-        bracket = c0 + c1 * snc(omega, x) + c2 * osc(omega, x)
-        return np.exp(-decay * x) * bracket
     if omega < -OMEGA_EPS:
         s = np.sqrt(-omega)
         p0 = c0 + c2 / omega          # c0 - c2/s^2
@@ -254,14 +211,6 @@ def general_sdahb_kernel(lam, gamma1, gamma2, theta, tau):
     return out if out.ndim else float(out)
 
 
-def sdahb_forcing(lam, gamma1, theta, t):
-    return general_sdahb_forcing(lam, gamma1, 0.0, theta, t)
-
-
-def sdahb_kernel(lam, gamma1, theta, tau):
-    return general_sdahb_kernel(lam, gamma1, 0.0, theta, tau)
-
-
 # ----------------------------------------------------------------------
 # SDANA: third-order ODE in the conjugated variable (RK4, fixed step)
 # ----------------------------------------------------------------------
@@ -272,11 +221,19 @@ def default_ode_step(gamma2, lam_max):
 
 
 class _Schedule:
-    """Phi(t) = phi'/phi and its derivatives for the two phi families."""
+    """The momentum law of one phi family: Phi(t) = phi'/phi and its
+    derivatives in continuous time, and the per-step decrement Delta(k) of
+    the discrete recursion ('const': theta; 'power': theta/(k+n))."""
 
     def __init__(self, kind, theta):
         self.kind = kind
         self.theta = theta
+
+    def delta(self, k, n):
+        k = np.asarray(k, dtype=float)
+        if self.kind == "const":
+            return np.full_like(k, self.theta)
+        return self.theta / (k + n)
 
     def phi(self, t):
         if self.kind == "const":
@@ -507,8 +464,8 @@ class SdanaExactKernel:
     """
 
     def __init__(self, spec, lams, weights, h=None):
-        if spec.algo != "sdana" or spec.mode != "ode_exact":
-            raise ValueError("SdanaExactKernel needs an sdana/ode_exact spec")
+        if spec.mode != "ode_exact":
+            raise ValueError("SdanaExactKernel needs an ode_exact spec")
         self.spec = spec
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)

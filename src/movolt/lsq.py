@@ -39,12 +39,9 @@ class LsqProblem:
         if self.x0.shape != (self.d,):
             raise ValueError("x0 must have length d")
 
-    def row(self, i):
-        return self.A[i]
-
     def esm(self):
         """Empirical spectral measure of H = A A^T (n eigenvalues sigma_j^2)."""
-        sigma = self._singular_values()
+        sigma = self._svd_parts()[1]
         eigs = np.zeros(self.n)
         k = min(self.n, self.d)
         eigs[:k] = sigma[:k] ** 2
@@ -56,9 +53,6 @@ class LsqProblem:
             # ESM need it
             self._svd = np.linalg.svd(self.A, full_matrices=True)
         return self._svd
-
-    def _singular_values(self):
-        return self._svd_parts()[1]
 
 
 def generate_gaussian(n, d, R, R_tilde, seed):

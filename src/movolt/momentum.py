@@ -15,9 +15,12 @@ average over rows is the full gradient); the runner divides it back out —
 g_k above is stochastic_grad(problem, x, i)/n.
 """
 
+import math
+from typing import Callable, NamedTuple
+
 import numpy as np
 
-from . import kernels
+from . import analysis, kernels
 from .lsq import DIVERGENCE_THRESHOLD, generate_gaussian, loss
 
 SAMPLES_PER_EPOCH = 20
@@ -27,140 +30,144 @@ _RUN_STREAM = 0x5eed
 _PATH_STREAM = 0xd1f
 
 
-class MomentumSchedule:
-    """Momentum decrement Delta(k); kinds: none (SGD, Delta=1), constant,
-    dim_constant (theta/n), dim_power (theta/(k+n))."""
+class Algorithm(NamedTuple):
+    """Everything movolt knows about one method.  p is the parameter dict
+    and n the problem size; schedules are kernels._Schedule (delta(k, n)
+    gives the discrete Delta(k), Phi(t) the continuous law)."""
 
-    def __init__(self, kind, theta=0.0):
-        if kind not in ("none", "constant", "dim_constant", "dim_power"):
-            raise ValueError("unknown schedule kind %r" % (kind,))
-        self.kind = kind
-        self.theta = float(theta)
+    name: str
+    names: tuple              # parameter names, in constructor order
+    discrete: Callable        # (p, n) -> (Gamma1, Gamma2, Delta schedule)
+    continuous: Callable = None   # (p, n) -> (gamma1, gamma2, theta)
+    phi_kind: str = "const"   # law of phi: e^{theta t} or (1+t)^theta
+    defaults: Callable = None     # (m, given p) -> default parameter row
+    modes: tuple = ("closed_form",)   # valid solve modes, the default first
+    family: analysis.Family = None    # closed-form analysis
+    positive: bool = True     # parameters must be > 0, not only finite
 
-    def delta(self, k, n):
-        k = np.asarray(k, dtype=float)
-        if self.kind == "none":
-            return np.ones_like(k)
-        if self.kind == "constant":
-            return np.full_like(k, self.theta)
-        if self.kind == "dim_constant":
-            return np.full_like(k, self.theta / n)
-        return self.theta / (k + n)
+
+def _shb_continuous(p, n):
+    # SHB(gamma, theta) is SDAHB run at (n*gamma, n*theta)
+    if n is None:
+        raise ValueError("SHB continuous-time parameters need n")
+    return n * p["gamma"], 0.0, n * p["theta"]
+
+
+ALGORITHMS = {a.name: a for a in (
+    Algorithm("sgd", ("gamma",),
+              lambda p, n: (0.0, p["gamma"], kernels._Schedule("const", 1.0)),
+              lambda p, n: (0.0, p["gamma"], 0.0),
+              defaults=lambda m, p: {"gamma": 1.0 / m},
+              family=analysis.SGD),
+    Algorithm("shb", ("gamma", "theta"),
+              lambda p, n: (p["gamma"], 0.0,
+                            kernels._Schedule("const", p["theta"])),
+              _shb_continuous, family=analysis.HEAVY_BALL),
+    Algorithm("sdahb", ("gamma", "theta"),
+              lambda p, n: (p["gamma"] / n, 0.0,
+                            kernels._Schedule("const", p["theta"] / n)),
+              lambda p, n: (p["gamma"], 0.0, p["theta"]),
+              defaults=lambda m, p: {"theta": 2.0,
+                                     "gamma": p.get("theta", 2.0) / m},
+              family=analysis.HEAVY_BALL),
+    Algorithm("sdana", ("gamma1", "gamma2", "theta"),
+              lambda p, n: (p["gamma1"] / n, p["gamma2"],
+                            kernels._Schedule("power", p["theta"])),
+              lambda p, n: (p["gamma1"], p["gamma2"], p["theta"]),
+              phi_kind="power",
+              defaults=lambda m, p: {"gamma1": 1.0 / (4.0 * m),
+                                     "gamma2": 1.0 / m, "theta": 4.0},
+              modes=("ode_exact", "convolution_approx"),
+              family=analysis.SDANA),
+)}
 
 
 class AlgoParams:
-    """Algorithm name, named continuous parameters, and the Gamma laws.
+    """An algorithm's record bound to its parameter values, validated."""
 
-    The raw step sizes of the named rows depend on n (e.g. Gamma1 =
-    gamma1/n for SDANA), so they are exposed as functions of n and bound
-    by run() from the problem size.  'custom' carries literal Gamma1/Gamma2.
-    """
+    def __init__(self, algo, params):
+        self.algo = algo
+        self.name = algo.name
+        if set(params) != set(algo.names):
+            raise ValueError("%s takes %s, got %s" % (
+                algo.name, ", ".join(algo.names), ", ".join(sorted(params))))
+        self.params = {k: float(params[k]) for k in algo.names}
+        for key, val in self.params.items():
+            if not math.isfinite(val) or (algo.positive and val <= 0.0):
+                raise ValueError("%s: %s must be %s, got %r" % (
+                    algo.name, key, "finite and positive" if algo.positive
+                    else "finite", val))
 
-    def __init__(self, name, schedule, params):
-        self.name = name
-        self.schedule = schedule
-        self.params = dict(params)
-
-    def gamma1_raw(self, n):
-        p = self.params
-        if self.name == "sgd":
-            return 0.0
-        if self.name == "shb":
-            return p["gamma"]
-        if self.name == "sdahb":
-            return p["gamma"] / n
-        if self.name == "sdana":
-            return p["gamma1"] / n
-        return p["Gamma1"]
-
-    def gamma2_raw(self, n):
-        p = self.params
-        if self.name == "sgd":
-            return p["gamma"]
-        if self.name in ("shb", "sdahb"):
-            return 0.0
-        if self.name == "sdana":
-            return p["gamma2"]
-        return p["Gamma2"]
+    def discrete(self, n):
+        """(Gamma1, Gamma2, schedule) of the recursion at problem size n."""
+        return self.algo.discrete(self.params, n)
 
     def continuous(self, n=None):
         """(gamma1, gamma2, schedule) of the associated diffusion/kernels."""
-        p = self.params
-        if self.name == "sgd":
-            return 0.0, p["gamma"], kernels._Schedule("const", 0.0)
-        if self.name == "shb":
-            if n is None:
-                raise ValueError("SHB continuous-time parameters need n")
-            return n * p["gamma"], 0.0, kernels._Schedule("const", n * p["theta"])
-        if self.name == "sdahb":
-            return p["gamma"], 0.0, kernels._Schedule("const", p["theta"])
-        if self.name == "sdana":
-            return p["gamma1"], p["gamma2"], kernels._Schedule("power", p["theta"])
-        raise ValueError("no continuous-time form for %r" % (self.name,))
+        if self.algo.continuous is None:
+            raise ValueError("no continuous-time form for %r" % (self.name,))
+        g1, g2, theta = self.algo.continuous(self.params, n)
+        return g1, g2, kernels._Schedule(self.algo.phi_kind, theta)
 
     def kernel_spec(self, n=None, mode=None):
-        if self.name == "sgd":
-            return kernels.sgd_spec(self.params["gamma"])
-        if self.name == "shb":
-            if n is None:
-                raise ValueError("SHB kernel spec needs n")
-            return kernels.shb_spec(self.params["gamma"], self.params["theta"], n)
-        if self.name == "sdahb":
-            return kernels.sdahb_spec(self.params["gamma"], self.params["theta"])
-        if self.name == "sdana":
-            return kernels.sdana_spec(self.params["gamma1"], self.params["gamma2"],
-                                      self.params["theta"],
-                                      mode=mode or "ode_exact")
-        raise ValueError("no kernel spec for %r" % (self.name,))
+        # a single-mode record has constant phi, where every route is exact
+        modes = self.algo.modes
+        mode = mode if mode and len(modes) > 1 else modes[0]
+        g1, g2, sched = self.continuous(n)
+        return kernels.KernelSpec(self.name, float(g1), float(g2),
+                                  float(sched.theta), sched.kind, mode)
 
     def describe(self):
         return {"name": self.name, **self.params}
 
 
 def sgd(gamma):
-    return AlgoParams("sgd", MomentumSchedule("none"), {"gamma": float(gamma)})
+    return AlgoParams(ALGORITHMS["sgd"], {"gamma": gamma})
 
 
 def shb(gamma, theta):
-    return AlgoParams("shb", MomentumSchedule("constant", theta),
-                      {"gamma": float(gamma), "theta": float(theta)})
+    return AlgoParams(ALGORITHMS["shb"], {"gamma": gamma, "theta": theta})
 
 
 def sdahb(gamma, theta):
-    return AlgoParams("sdahb", MomentumSchedule("dim_constant", theta),
-                      {"gamma": float(gamma), "theta": float(theta)})
+    return AlgoParams(ALGORITHMS["sdahb"], {"gamma": gamma, "theta": theta})
 
 
 def sdana(gamma1, gamma2, theta):
-    return AlgoParams("sdana", MomentumSchedule("dim_power", theta),
-                      {"gamma1": float(gamma1), "gamma2": float(gamma2),
-                       "theta": float(theta)})
+    return AlgoParams(ALGORITHMS["sdana"],
+                      {"gamma1": gamma1, "gamma2": gamma2, "theta": theta})
 
 
 def custom(gamma1_raw, gamma2_raw, schedule):
-    return AlgoParams("custom", schedule,
-                      {"Gamma1": float(gamma1_raw), "Gamma2": float(gamma2_raw)})
+    """Literal Gamma1/Gamma2 and a Delta schedule (kernels._Schedule); a
+    one-off record outside the table, with no continuous form."""
+    algo = Algorithm("custom", ("Gamma1", "Gamma2"),
+                     lambda p, n: (p["Gamma1"], p["Gamma2"], schedule),
+                     positive=False)
+    return AlgoParams(algo, {"Gamma1": gamma1_raw, "Gamma2": gamma2_raw})
 
 
-def defaults(name, measure):
-    """Default parameter row for the given spectral measure.
+def algorithm(name):
+    """The table's record for name."""
+    if name not in ALGORITHMS:
+        raise ValueError("unknown algorithm %r; choose %s"
+                         % (name, ", ".join(ALGORITHMS)))
+    return ALGORITHMS[name]
 
-    m is the normalized trace of the measure.  SGD: gamma=1/m.
-    SDAHB: theta=2, gamma=theta/m.  SDANA: gamma1=1/(4m), gamma2=1/m,
-    theta=4.  SHB has no default row.
-    """
-    m = measure.trace_moment()
-    if m <= 0:
-        raise ValueError("measure has zero trace moment")
-    if name == "sgd":
-        return sgd(1.0 / m)
-    if name == "sdahb":
-        return sdahb(2.0 / m, 2.0)
-    if name == "sdana":
-        return sdana(1.0 / (4.0 * m), 1.0 / m, 4.0)
-    if name == "shb":
-        raise ValueError("no default parameters for shb; pass gamma and theta")
-    raise ValueError("unknown algorithm %r" % (name,))
+
+def defaults(name, measure, **given):
+    """The named algorithm at the given parameters, the others from its
+    record's default row at the measure's trace moment m."""
+    algo = algorithm(name)
+    if set(algo.names) - set(given):
+        if algo.defaults is None:
+            raise ValueError("no default parameters for %s; pass %s"
+                             % (name, " and ".join(algo.names)))
+        m = measure.trace_moment()
+        if m <= 0:
+            raise ValueError("measure has zero trace moment")
+        given = {**algo.defaults(m, given), **given}
+    return AlgoParams(algo, given)
 
 
 class Trajectory:
@@ -224,14 +231,14 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
     on (seed, run-tag), independent of the problem's own generator.
     """
     n, d = problem.n, problem.d
-    total_raw = epochs * n
-    if total_raw < 1:
+    if not math.isfinite(epochs):
+        raise ValueError("epochs (--epochs) must be finite, got %r" % epochs)
+    if epochs * n < 1:
         raise ValueError("epochs*n must be at least 1")
     ks = _sample_steps(n, epochs, samples_per_epoch)
     total = int(ks[-1])
-    g1 = params.gamma1_raw(n)
-    g2 = params.gamma2_raw(n)
-    deltas = params.schedule.delta(np.arange(1, total + 1), n)
+    g1, g2, sched = params.discrete(n)
+    deltas = sched.delta(np.arange(1, total + 1), n)
     if deltas.size and (deltas.min() < 0.0 or deltas.max() > 1.0):
         raise ValueError("momentum schedule leaves [0,1] for n=%d" % n)
     rng = np.random.default_rng([_RUN_STREAM, seed])
@@ -302,10 +309,6 @@ def aggregate(runs):
     prefix and poisons the flag rather than being dropped silently."""
     diverged = any(r.diverged for r in runs)
     m = min(len(r.times) for r in runs)
-    if m == 0:
-        return Trajectory(np.array([]), mean=np.array([]), q10=np.array([]),
-                          q90=np.array([]), diverged=diverged,
-                          meta=dict(runs[0].meta, n_seeds=len(runs)))
     times = runs[0].times[:m]
     mat = np.stack([r.values[:m] for r in runs])
     meta = dict(runs[0].meta, n_seeds=len(runs))

@@ -166,16 +166,3 @@ def esm_from_eigenvalues(eigenvalues):
     vals, counts = np.unique(positive, return_counts=True)
     return SpectralMeasure(DISCRETE_KIND, vals, counts / n, zero_mass)
 
-
-# Free-function forms of the measure operations.
-
-def integrate(measure, g, include_zero=True):
-    return measure.integrate(g, include_zero=include_zero)
-
-
-def trace_moment(measure):
-    return measure.trace_moment()
-
-
-def zero_mass(measure):
-    return measure.zero_mass

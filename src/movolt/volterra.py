@@ -25,15 +25,16 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 200
 
 _MODE_ALIASES = {"closed": "closed_form", "ode": "ode_exact",
-                 "conv": "convolution_approx",
-                 "closed_form": "closed_form", "ode_exact": "ode_exact",
-                 "convolution_approx": "convolution_approx"}
+                 "conv": "convolution_approx"}
 
 
 def time_grid(T, h=DEFAULT_H):
     """Uniform grid 0, h, 2h, ..., ending at (the nearest multiple of h to) T."""
-    if h <= 0:
-        raise ValueError("grid step h must be positive")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError("grid step h (--h) must be finite and positive, "
+                         "got %r" % (h,))
+    if not np.isfinite(T):
+        raise ValueError("horizon T (--T) must be finite, got %r" % (T,))
     steps = int(round(T / h))
     if steps < 1:
         raise ValueError("horizon T must cover at least one step")
@@ -68,8 +69,11 @@ class VolterraSolution:
                 fh.write("%.17g,%.17g,%.17g\n" % row)
 
     def sidecar(self):
+        """Metadata for the JSON sidecar; non-finite diagnostics are null."""
+        diag = {k: v if isinstance(v, str) or v is None or np.isfinite(v)
+                else None for k, v in self.diagnostics.items()}
         obj = {"h": self.h, "method": self.method,
-               "kernel_norm": self.kernel_norm}
+               "kernel_norm": self.kernel_norm, "diagnostics": diag}
         obj.update(self.meta)
         return obj
 
@@ -97,7 +101,7 @@ class VolterraSolution:
         return VolterraSolution(data[:, 0], data[:, 1], data[:, 2],
                                 kernel_norm=meta.get("kernel_norm"),
                                 method=meta.get("method", "marching"),
-                                meta=meta)
+                                diagnostics=meta.get("diagnostics"), meta=meta)
 
 
 def sidecar_path(csv_path):
@@ -197,8 +201,9 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     Marching: one forward pass, exact for the trapezoid discretization.
     Picard: fixed-point iteration of the same discrete system, retained as
     an independent validation oracle (requires the iteration to contract;
-    stops at sup-change < 1e-10).  With refine (default) the solve is
-    repeated on the half-step grid and Richardson extrapolation removes
+    stops at sup-change < PICARD_TOL * max(1, sup|F|)).  With refine
+    (default) the solve is repeated on the half-step grid and Richardson
+    extrapolation removes
     the O(h^2) term, raising the order to ~4; the coarse/fine gap is
     reported as an error estimate.  The half-step samples of F and I are
     cubically interpolated unless exact ones are passed as
@@ -221,9 +226,7 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
         fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h, method)
         on_grid = fine_psi[::2]
         diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
-        diagnostics["residual"] = fine_diag["residual"]
-        if "picard_iters" in fine_diag:
-            diagnostics["picard_iters"] = fine_diag["picard_iters"]
+        diagnostics.update(fine_diag)
         psi = (4.0 * on_grid - psi) / 3.0
     psi = _finalize_psi(psi, "convolution solve")
     return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
@@ -238,11 +241,7 @@ def _solve_conv_core(F, I_vals, h, method):
     if method == "marching":
         psi = _march_convolution(F, I_vals, h, denom)
     elif method == "picard":
-        psi, iters, delta = _picard_convolution(F, I_vals, h)
-        diagnostics["picard_iters"] = iters
-        if delta > PICARD_TOL:
-            raise NumericalError("Picard iteration did not converge "
-                                 "(last sup-change %.3g)" % delta)
+        psi, diagnostics["picard_iters"] = _picard_convolution(F, I_vals, h)
     else:
         raise ValueError("unknown solver method %r" % (method,))
     if not np.all(np.isfinite(psi)):
@@ -276,15 +275,19 @@ def _march_convolution(F, I_vals, h, denom):
 
 
 def _picard_convolution(F, I_vals, h):
+    # relative to the forcing once it exceeds 1 (the phi-conjugated SDANA
+    # forcing grows like t^theta); a contracting kernel keeps psi on F's
+    # scale, a non-contracting one outgrows it and stays unconverged
+    tol = PICARD_TOL * max(1.0, float(np.max(np.abs(F))))
     psi = F.copy()
-    delta = np.inf
     for it in range(1, PICARD_MAX_ITERS + 1):
         nxt = F + _trapezoid_convolve(I_vals, psi, h)
         delta = float(np.max(np.abs(nxt - psi)))
         psi = nxt
-        if delta < PICARD_TOL:
-            return psi, it, delta
-    return psi, PICARD_MAX_ITERS, delta
+        if delta < tol:
+            return psi, it
+    raise NumericalError("Picard iteration did not converge "
+                         "(last sup-change %.3g)" % delta)
 
 
 def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
@@ -381,10 +384,10 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     the disagreement in the diagnostics.
     """
     if mode is not None:
-        if mode not in _MODE_ALIASES:
+        mode = _MODE_ALIASES.get(mode, mode)
+        if mode not in _MODE_ALIASES.values():
             raise ValueError("unknown solve mode %r; pick closed, ode or conv"
                              % (mode,))
-        mode = _MODE_ALIASES[mode]
     spec = params.kernel_spec(n=n, mode=mode)
     grid = time_grid(T, h)
     # assemble on the half-step grid so the refinement pass sees exact
@@ -406,23 +409,19 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     if spec.mode == "ode_exact":
         kern = kernels.SdanaExactKernel(spec, measure.points, measure.weights)
         sol = solve_general(F, kern, grid, fine_forcing=F_half)
-    elif spec.mode == "convolution_approx":
+    else:
+        # the SDANA approximation is solved in the phi-conjugated variable;
+        # the closed forms already are in the physical one
+        conj = spec.mode == "convolution_approx"
+        phi = (1.0 + grid) ** spec.theta if conj else 1.0
+        phi_half = (1.0 + half) ** spec.theta if conj else 1.0
         I_half = build_convolution_kernel(measure, spec, half)
-        phi = (1.0 + grid) ** spec.theta
-        phi_half = (1.0 + half) ** spec.theta
-        conj_fine = (phi_half * F_half, I_half) if F_half is not None else None
-        sol = solve_convolution(phi * F, I_half[::2], grid, fine=conj_fine)
+        fine = (phi_half * F_half, I_half) if F_half is not None else None
+        sol = solve_convolution(phi * F, I_half[::2], grid, fine=fine)
         sol = VolterraSolution(grid, F, sol.psi / phi, method=sol.method,
                                diagnostics=sol.diagnostics)
         if validate:
-            _validate_picard(sol, phi * F, I_half[::2], grid, deconjugate=phi,
-                             fine=conj_fine)
-    else:
-        I_half = build_convolution_kernel(measure, spec, half)
-        fine = (F_half, I_half) if F_half is not None else None
-        sol = solve_convolution(F, I_half[::2], grid, fine=fine)
-        if validate:
-            _validate_picard(sol, F, I_half[::2], grid, fine=fine)
+            _validate_picard(sol, phi * F, I_half[::2], grid, phi, fine)
     sol.kernel_norm = norm
     sol.meta = {"algo": params.name, "params": params.describe(),
                 "measure": json.loads(measure.to_json()), "h": h,
@@ -431,12 +430,12 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     return sol
 
 
-def _validate_picard(sol, F, I_vals, grid, deconjugate=None, fine=None):
+def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):
     """Cross-check the marching solution against Picard; non-contraction is
     reported, not fatal (marching needs no smallness assumption)."""
     try:
         alt = solve_convolution(F, I_vals, grid, method="picard", fine=fine)
-        alt_psi = alt.psi / deconjugate if deconjugate is not None else alt.psi
+        alt_psi = alt.psi / deconjugate
         sol.diagnostics["picard_iters"] = alt.diagnostics["picard_iters"]
         sol.diagnostics["picard_delta"] = float(
             np.max(np.abs(alt_psi - sol.psi)))

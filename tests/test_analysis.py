@@ -78,7 +78,7 @@ def test_kernel_norm_sdana_matches_numeric_integration(mp2):
 
 
 def test_kernel_norm_rejects_custom_and_bad_gamma2(mp2):
-    sched = momentum.MomentumSchedule("constant", 0.5)
+    sched = kernels._Schedule("const", 0.5)
     with pytest.raises(ValueError):
         analysis.kernel_norm(momentum.custom(0.1, 0.1, sched), mp2)
     with pytest.raises(ValueError):
@@ -120,7 +120,8 @@ def test_laplace_sdahb_matches_scipy_quad(x):
     lam, g1, theta = 1.1, 0.9, 2.3
     mu = atom(lam)
     want, err = scipy.integrate.quad(
-        lambda t: np.exp(x * t) * kernels.sdahb_kernel(lam, g1, theta, t),
+        lambda t: np.exp(x * t) * kernels.general_sdahb_kernel(
+            lam, g1, 0.0, theta, t),
         0.0, 200.0, limit=400)
     assert err < 1e-8
     got = analysis.laplace_transform(momentum.sdahb(g1, theta), mu, x)
@@ -254,6 +255,13 @@ def test_classify_mp():
     assert analysis.classify(spectrum.mp_measure(1.0)) == "hard_edge"
     assert analysis.classify(spectrum.mp_measure(2.0)) == "strongly_convex"
     assert analysis.classify(spectrum.mp_measure(0.5)) == "strongly_convex"
+
+
+def test_classify_mp_near_square_is_hard_edge():
+    # lambda_min = (1 - r^(-1/2))^2 ~ 2.5e-19 at r = 1 - 1e-9: no usable gap
+    assert analysis.classify(spectrum.mp_measure(0.999999999)) == "hard_edge"
+    assert analysis.classify(spectrum.mp_measure(1.0)) == "hard_edge"
+    assert analysis.classify(spectrum.mp_measure(2.0)) == "strongly_convex"
 
 
 def test_classify_discrete():

@@ -309,3 +309,39 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["spectrum", "--measure", "mp", "--r", "1.0"]) == 0
     assert os.path.exists("spectrum.json")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["analyze", "--algo", "sgd", "--gamma", "-1"], "gamma"),
+    (["predict", "--algo", "sgd", "--gamma", "nan"], "gamma"),
+    (["analyze", "--algo", "sdana", "--gamma2", "inf"], "gamma2"),
+    (["predict", "--algo", "sgd", "--h", "nan"], "--h"),
+    (["predict", "--algo", "sgd", "--T", "nan"], "--T"),
+    (["simulate", "--algo", "sgd", "--n", "16", "--d", "8",
+      "--epochs", "nan"], "--epochs"),
+])
+def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
+    # no report, no curve: exit 1 with a message naming the culprit
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert named in err and "must be" in err
+    assert not out.exists()
+
+
+def test_predict_sidecar_carries_solver_diagnostics(tmp_path):
+    out = tmp_path / "psi.csv"
+    assert run_cli(["predict", "--algo", "sgd", "--r", "2.0", "--T", "5",
+                    "--out", str(out)]) == 0
+    diag = volterra.VolterraSolution.read(str(out)).diagnostics
+    assert 0.0 < diag["refinement_gap"] < 1e-2
+    assert 0.0 <= diag["residual"] < 1e-9
+    assert diag["picard_iters"] >= 1
+    assert diag["picard_delta"] < 1e-7 and "picard_note" not in diag
+    # the exact SDANA solve has no residual: null in the JSON, not NaN
+    out = tmp_path / "sdana.csv"
+    assert run_cli(["predict", "--algo", "sdana", "--r", "2.0", "--T", "1",
+                    "--out", str(out)]) == 0
+    assert "NaN" not in out.with_suffix(".json").read_text()
+    diag = volterra.VolterraSolution.read(str(out)).diagnostics
+    assert diag["residual"] is None and diag["refinement_gap"] >= 0.0

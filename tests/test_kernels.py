@@ -21,7 +21,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from movolt import kernels
+from movolt import kernels, momentum
 
 
 def _response(lam, gamma1, gamma2, Phi, t_eval, u0, w0, t0=0.0):
@@ -134,7 +134,7 @@ def test_exact_kernel_state_matches_dense_evaluation():
     lam = np.array([0.6, 1.9])
     wts = np.array([0.5, 0.5])
     h = 0.005
-    spec = kernels.sdana_spec(0.25, 1.0, 4.0)
+    spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     K = kernels.SdanaExactKernel(spec, lam, wts, h)
     s, t1 = 0.4, 2.2
     # advance the initial-condition block from s to t1 and aggregate
@@ -196,17 +196,18 @@ def test_sdana_oscillator_phase_identity():
 def test_forcing_matrix_rows_match_scalar_functions():
     lams = np.array([0.3, 1.0, 2.7])
     grid = np.linspace(0.0, 4.0, 41)
-    spec = kernels.sdahb_spec(0.8, 1.5)
+    spec = momentum.sdahb(0.8, 1.5).kernel_spec()
     M = kernels.forcing_matrix(spec, lams, grid)
     for i, lam in enumerate(lams):
-        assert np.allclose(M[i], kernels.sdahb_forcing(lam, 0.8, 1.5, grid),
-                           rtol=1e-12)
+        assert np.allclose(
+            M[i], kernels.general_sdahb_forcing(lam, 0.8, 0.0, 1.5, grid),
+            rtol=1e-12)
 
 
 def test_kernel_matrix_rows_match_scalar_functions():
     lams = np.array([0.3, 1.0, 2.7])
     taus = np.linspace(0.0, 4.0, 41)
-    spec = kernels.sgd_spec(0.9)
+    spec = momentum.sgd(0.9).kernel_spec()
     M = kernels.kernel_matrix(spec, lams, taus)
     for i, lam in enumerate(lams):
         assert np.allclose(M[i], kernels.sgd_kernel(lam, 0.9, taus), rtol=1e-12)
@@ -215,7 +216,7 @@ def test_kernel_matrix_rows_match_scalar_functions():
 def test_power_forcing_matrix_matches_per_node_ode():
     lams = np.array([0.4, 1.6])
     grid = np.linspace(0.0, 3.0, 31)
-    spec = kernels.sdana_spec(0.25, 1.0, 4.0)
+    spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     M = kernels.forcing_matrix(spec, lams, grid)
     for i, lam in enumerate(lams):
         want = oracle_forcing(lam, 0.25, 1.0, lambda t: 4.0 / (1.0 + t), grid)

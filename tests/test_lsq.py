@@ -159,7 +159,3 @@ def test_spectral_identity_property(n, d, seed):
     assert sp.loss(sp.init_coords) == pytest.approx(
         lsq.loss(p, p.x0), rel=1e-8, abs=1e-12)
 
-
-def test_row_access():
-    p = lsq.generate_gaussian(9, 4, 1.0, 1.0, seed=0)
-    assert np.array_equal(p.row(3), p.A[3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from movolt import lsq, momentum, spectrum
+from movolt import kernels, lsq, momentum, spectrum
 
 
 def test_sgd_single_sample_is_plain_gradient_descent():
@@ -36,14 +36,14 @@ def test_recursion_matches_hand_loop_all_algorithms():
         n = p.n
         total = int(np.rint(np.arange(1, 3 * 20 + 1) * n / 20).max())
         idx = np.random.default_rng([0x5eed, 5]).integers(0, n, size=total)
-        g1, g2 = params.gamma1_raw(n), params.gamma2_raw(n)
+        g1, g2, sched = params.discrete(n)
         x = p.x0.copy()
         y = np.zeros(p.d)
         got = {}
         for k in range(1, total + 1):
             row = p.A[idx[k - 1]]
             g = (row @ x - p.b[idx[k - 1]]) * row
-            y = (1.0 - params.schedule.delta(k, n)) * y + g1 * g
+            y = (1.0 - sched.delta(k, n)) * y + g1 * g
             x = x - g2 * g - y
             res = p.A @ x - p.b
             got[k] = 0.5 * float(res @ res)
@@ -80,11 +80,11 @@ def test_defaults_table(mp1):
 def test_schedule_values():
     n = 100
     ks = np.array([1, 10, 50])
-    assert np.all(momentum.MomentumSchedule("none").delta(ks, n) == 1.0)
-    assert np.all(momentum.MomentumSchedule("constant", 0.3).delta(ks, n) == 0.3)
-    assert np.all(momentum.MomentumSchedule("dim_constant", 3.0).delta(ks, n)
-                  == 0.03)
-    got = momentum.MomentumSchedule("dim_power", 4.0).delta(ks, n)
+    delta = lambda params: params.discrete(n)[2].delta(ks, n)
+    assert np.all(delta(momentum.sgd(0.5)) == 1.0)
+    assert np.all(delta(momentum.shb(0.1, 0.3)) == 0.3)
+    assert np.all(delta(momentum.sdahb(1.0, 3.0)) == 0.03)
+    got = delta(momentum.sdana(0.25, 1.0, 4.0))
     assert np.allclose(got, 4.0 / (ks + n))
 
 
@@ -238,7 +238,6 @@ def test_homogenized_tracks_discrete_sgd_loosely():
 
 
 def test_custom_params_raw_laws():
-    sched = momentum.MomentumSchedule("constant", 0.5)
+    sched = kernels._Schedule("const", 0.5)
     c = momentum.custom(0.125, 0.25, sched)
-    assert c.gamma1_raw(999) == 0.125
-    assert c.gamma2_raw(999) == 0.25
+    assert c.discrete(999)[:2] == (0.125, 0.25)

@@ -230,6 +230,15 @@ def test_predict_validates_with_picard(mp2):
     assert sol.diagnostics["picard_delta"] < 1e-7
 
 
+def test_predict_sdana_conv_picard_settles_on_conjugated_scale(mp1):
+    # the phi-conjugated forcing grows like t^4, so its round-off floor sits
+    # above an absolute 1e-10; the relative test lets Picard settle
+    sol = volterra.predict(mp1, momentum.defaults("sdana", mp1), T=60.0,
+                           mode="conv", validate=True)
+    assert "picard_note" not in sol.diagnostics
+    assert sol.diagnostics["picard_delta"] < 1e-9
+
+
 def test_predict_hard_edge_decays_slowly(mp1):
     # square aspect: loss follows a power law, still far from zero at T
     sol = volterra.predict(mp1, momentum.sgd(1.0), T=100.0, R_tilde=0.0)

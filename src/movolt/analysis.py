@@ -31,6 +31,13 @@ def positive_edges(measure):
             float(pos.max()) if pos.size else 0.0)
 
 
+def _gap(measure):
+    """lambda_min as the rate formulas read it: 0 at a hard edge (within
+    EDGE_ATOM_TOL), where every decay rate and bound is 0."""
+    lam_min, _ = positive_edges(measure)
+    return lam_min if lam_min > EDGE_ATOM_TOL else 0.0
+
+
 # ----------------------------------------------------------------------
 # Closed forms per kernel family, in the continuous parameters
 # (gamma1, gamma2, theta)
@@ -160,7 +167,7 @@ def malthusian_exponent(params, measure, n=None):
 
 
 def _malthusian(params, measure, n=None):
-    lam_min, _ = positive_edges(measure)
+    lam_min = _gap(measure)
     if lam_min <= 0.0:
         return None, "absent: spectrum touches zero (no exponential regime)"
     fam, g1, g2, theta = _closed_form(params, n)
@@ -189,9 +196,9 @@ def _malthusian(params, measure, n=None):
 
 def forcing_rate(params, measure, n=None):
     """Exponential decay rate of the slowest forcing component (the mode at
-    the smallest positive eigenvalue)."""
+    the smallest positive eigenvalue); 0 at a hard edge."""
     fam, g1, g2, theta = _closed_form(params, n)
-    return fam.forcing_rate(g1, g2, theta, positive_edges(measure)[0])
+    return fam.forcing_rate(g1, g2, theta, _gap(measure))
 
 
 def effective_rate(params, measure, n=None):
@@ -206,22 +213,20 @@ def effective_rate(params, measure, n=None):
 def rate_lower_bound(params, measure, n=None):
     """Closed lower bound on the convergence rate (gap regime)."""
     fam, g1, g2, theta = _closed_form(params, n)
-    return fam.lower_bound(g1, g2, theta, positive_edges(measure)[0])
+    return fam.lower_bound(g1, g2, theta, _gap(measure))
 
 
 def rate_upper_bound(params, measure, n=None):
     """Closed upper bound on the convergence rate; free of n, like the norm."""
     fam = _closed_form(params, 1)[0]
-    lam_min, _ = positive_edges(measure)
-    return fam.upper_bound(lam_min, measure.trace_moment())
+    return fam.upper_bound(_gap(measure), measure.trace_moment())
 
 
 def classify(measure):
     """'hard_edge' when the positive support reaches 0 (lambda_min within
     EDGE_ATOM_TOL; MP at r=1), else 'strongly_convex' (positive spectral
     gap, possibly plus a zero atom)."""
-    lam_min, _ = positive_edges(measure)
-    return "strongly_convex" if lam_min > EDGE_ATOM_TOL else "hard_edge"
+    return "strongly_convex" if _gap(measure) > 0.0 else "hard_edge"
 
 
 class AnalysisReport:
@@ -258,8 +263,8 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
         exponents = params.algo.family.poly_exponents
     else:
         exponents = None
-    eff = malthusian if malthusian is not None else (
-        forcing_rate(params, measure, n=n) if lam_min > 0 else 0.0)
+    eff = (malthusian if malthusian is not None
+           else forcing_rate(params, measure, n=n))
     return AnalysisReport(
         algo=params.name, params=params.describe(), m=m, p=measure.zero_mass,
         lam_min=lam_min, lam_max=lam_max, kernel_norm=norm,

@@ -18,10 +18,19 @@ import numpy as np
 from . import __version__, analysis, lsq, momentum, spectrum, volterra
 from .errors import NumericalError
 
-# every tunable knob; config files use these names (dashes tolerated)
-_CONFIG_KEYS = ("algo", "n", "d", "r", "R", "Rtilde", "epochs", "seeds",
-                "seed", "gamma", "gamma1", "gamma2", "theta", "measure",
-                "nodes", "h", "T", "mode", "data", "target_col", "out", "svg")
+# every tunable knob with the JSON values a config file may give it;
+# config files use these names (dashes tolerated)
+_TEXT = ((str,), "a string")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_CONFIG_KEYS = {"algo": _TEXT, "n": _INT, "d": _INT, "r": _NUMBER,
+                "R": _NUMBER, "Rtilde": _NUMBER, "epochs": _NUMBER,
+                "seeds": _INT, "seed": _INT, "gamma": _NUMBER,
+                "gamma1": _NUMBER, "gamma2": _NUMBER, "theta": _NUMBER,
+                "measure": _TEXT, "nodes": _INT, "h": _NUMBER, "T": _NUMBER,
+                "mode": _TEXT, "data": _TEXT,
+                "target_col": ((str, int), "a column name or index"),
+                "out": _TEXT, "svg": ((bool,), "true or false")}
 
 _DEFAULTS = {"R": 1.0, "Rtilde": 1.0, "epochs": 10.0, "seeds": 5, "seed": 0,
              "measure": "mp", "nodes": spectrum.DEFAULT_NODES,
@@ -95,6 +104,13 @@ def resolve_config(args):
             norm = key.replace("-", "_")
             if norm not in _CONFIG_KEYS:
                 raise ValueError("unknown config key %r" % (key,))
+            types, what = _CONFIG_KEYS[norm]
+            # JSON true/false are ints to Python; only the switches take them
+            wrong = (not isinstance(val, types)
+                     or isinstance(val, bool) != (bool in types))
+            if val is not None and wrong:
+                raise ValueError("config key %r must be %s, got %r"
+                                 % (key, what, val))
             cfg[norm] = val
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
@@ -112,8 +128,12 @@ def _require(cfg, key, why):
 def _aspect_ratio(cfg):
     if cfg.get("r") is not None:
         return float(cfg["r"])
-    if cfg.get("n") and cfg.get("d"):
-        return cfg["d"] / cfg["n"]
+    n, d = cfg.get("n"), cfg.get("d")
+    if n is not None and d is not None:
+        if n <= 0 or d <= 0:
+            raise ValueError("problem sizes --n and --d must be positive, "
+                             "got %r and %r" % (n, d))
+        return d / n
     return 1.0
 
 

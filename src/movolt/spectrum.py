@@ -123,8 +123,9 @@ def mp_measure(r, nodes=DEFAULT_NODES):
     center and half-width of the bulk.  For r < 1 an atom of mass 1 - r
     sits at zero.  Raises if the node count cannot meet the mass budget.
     """
-    if r <= 0:
-        raise ValueError("aspect ratio r must be positive")
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError("aspect ratio r (--r) must be finite and positive, "
+                         "got %r" % (r,))
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     lam_minus, lam_plus = mp_edges(r)

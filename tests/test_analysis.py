@@ -264,6 +264,21 @@ def test_classify_mp_near_square_is_hard_edge():
     assert analysis.classify(spectrum.mp_measure(2.0)) == "strongly_convex"
 
 
+def test_rate_report_near_square_reads_as_hard_edge_throughout():
+    # lambda_min ~ 2.5e-19 is a hard edge for classify, so the rates must
+    # be the hard edge's too, not an exponential rate of 5e-19
+    params = momentum.sgd(1.0)
+    near = analysis.rate_report(params, spectrum.mp_measure(0.999999999))
+    edge = analysis.rate_report(params, spectrum.mp_measure(1.0))
+    assert near.classification == edge.classification == "hard_edge"
+    assert near.predicted_poly_exponents == edge.predicted_poly_exponents
+    assert near.malthusian is None and "touches zero" in near.malthusian_note
+    for field in ("effective_rate", "rate_lower_bound", "rate_upper_bound"):
+        assert getattr(near, field) == getattr(edge, field) == 0.0
+    assert analysis.effective_rate(params,
+                                   spectrum.mp_measure(0.999999999)) == 0.0
+
+
 def test_classify_discrete():
     assert analysis.classify(atom(0.5)) == "strongly_convex"
     near_zero = spectrum.SpectralMeasure("discrete", [1e-15, 1.0],

@@ -255,6 +255,21 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
     assert "stepsize" in err
 
 
+@pytest.mark.parametrize("entry", [{"n": "64"}, {"seeds": 2.5},
+                                   {"r": "2"}, {"gamma": True},
+                                   {"svg": 1}, {"algo": 3}])
+def test_config_wrong_value_type_is_usage_error(entry, tmp_path, capsys):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"algo": "sgd", "n": 64, "d": 32, **entry}))
+    out = tmp_path / "runs.csv"
+    code, _, err = run_cli(["simulate", "--config", str(cfg), "--epochs",
+                            "1", "--seeds", "1", "--out", str(out)], capsys)
+    key = next(iter(entry))
+    assert code == 1
+    assert "config key %r must be" % key in err
+    assert not out.exists()
+
+
 def test_config_invalid_json_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text("{not json")
@@ -319,6 +334,10 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     (["predict", "--algo", "sgd", "--T", "nan"], "--T"),
     (["simulate", "--algo", "sgd", "--n", "16", "--d", "8",
       "--epochs", "nan"], "--epochs"),
+    (["predict", "--algo", "sgd", "--r", "nan"], "--r"),
+    (["predict", "--algo", "sgd", "--r", "inf"], "--r"),
+    (["analyze", "--algo", "sdana", "--r=-inf"], "--r"),
+    (["simulate", "--algo", "sgd", "--n=-4", "--d", "8"], "--n"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit

@@ -101,6 +101,12 @@ def test_invalid_mass_rejected():
         spectrum.SpectralMeasure("discrete", [1.0], [0.3], 0.2)
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+def test_mp_rejects_nonfinite_or_nonpositive_ratio(r):
+    with pytest.raises(ValueError, match=r"\(--r\) must be finite"):
+        spectrum.mp_measure(r)
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         spectrum.SpectralMeasure("discrete", [1.0, 2.0], [1.2, -0.2], 0.0)

@@ -8,6 +8,7 @@ transform by hand):
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,60 @@ from movolt.errors import NumericalError
 def grid_and_ones(T=8.0, h=0.05):
     grid = volterra.time_grid(T, h)
     return grid, np.ones_like(grid)
+
+
+# ------------------------------------------------------------- oracles
+
+def march_oracle(F, I_vals, h, denom):
+    """Direct O(N^2) trapezoid march: the discrete system, summed in order."""
+    psi = np.empty(len(F))
+    psi[0] = F[0]
+    for i in range(1, len(F)):
+        acc = 0.5 * I_vals[i] * psi[0]
+        if i > 1:
+            acc += I_vals[i - 1:0:-1] @ psi[1:i]
+        psi[i] = (F[i] + h * acc) / denom
+    return psi
+
+
+def trapezoid_convolve_oracle(I_vals, psi, h):
+    """Direct O(N^2) trapezoid sum of (I * psi)(t_i) by np.convolve."""
+    full = np.convolve(I_vals, psi)[: len(psi)]
+    return h * (full - 0.5 * I_vals[0] * psi - 0.5 * I_vals * psi[0])
+
+
+B = volterra._MARCH_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 1,
+                               1000, 4097])
+@pytest.mark.parametrize("signed", [False, True])
+def test_fft_sums_match_direct_oracles(n, signed):
+    # same discrete system, other order of summation: equal to rounding
+    rng = np.random.default_rng(n + 7919 * signed)
+    h = 0.05
+    I = rng.standard_normal(n) if signed else rng.random(n)
+    I *= 0.9 / (h * np.abs(I).sum())  # h * sum|I| < 1: psi stays O(1)
+    F = 1.0 + rng.random(n)
+    denom = 1.0 - 0.5 * h * I[0]
+    want = march_oracle(F, I, h, denom)
+    scale = np.max(np.abs(want))
+    got = volterra._march_convolution(F, I, h, denom)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    I_hat = np.fft.rfft(I, volterra._fft_size(2 * n - 1))
+    conv = volterra._trapezoid_convolve(I, want, h, I_hat)
+    assert np.max(np.abs(conv - trapezoid_convolve_oracle(I, want, h))) \
+        <= 1e-13 * scale
+
+
+def test_picard_fixed_point_is_the_march_oracle():
+    grid, F = grid_and_ones(T=20.0)
+    I = 0.5 * np.exp(-grid) * np.cos(3.0 * grid)
+    h = 0.05
+    want = march_oracle(F, I, h, 1.0 - 0.5 * h * I[0])
+    sol = volterra.solve_convolution(F, I, grid, method="picard",
+                                     refine=False)
+    assert np.max(np.abs(sol.psi - want)) < 1e-10
 
 
 # ------------------------------------------------------- closed forms
@@ -141,6 +196,39 @@ def test_supercritical_kernel_overflow_is_numerical_error():
     I = np.full_like(grid, 2.0)  # psi ~ e^{2t} overflows at t=400
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         volterra.solve_convolution(F, I, grid)
+
+
+def test_march_overflow_names_the_step():
+    grid = volterra.time_grid(400.0, 0.05)
+    I = np.full_like(grid, 2.0)  # psi ~ e^{2t} passes 1.8e308 near t=355
+    with pytest.raises(NumericalError, match="non-finite") as info:
+        volterra.solve_convolution(np.ones_like(grid), I, grid)
+    step = int(re.search(r"grid step (\d+)", str(info.value)).group(1))
+    assert 340.0 < grid[step] < 360.0
+
+
+def test_march_nan_forcing_names_the_step():
+    grid, F = grid_and_ones(T=20.0)
+    F[300] = np.nan
+    with pytest.raises(NumericalError, match=r"grid step 300 \(t = t0 \+ 15"):
+        volterra.solve_convolution(F, 0.5 * np.exp(-grid), grid, refine=False)
+
+
+def test_picard_nonfinite_iterate_fails_fast():
+    grid = volterra.time_grid(400.0, 0.05)
+    I = np.full_like(grid, 20.0)  # iterates grow like (20 t)^k / k!
+    with pytest.raises(NumericalError, match="is not finite") as info:
+        volterra.solve_convolution(np.ones_like(grid), I, grid,
+                                   method="picard", refine=False)
+    it = int(re.search(r"Picard iterate (\d+)", str(info.value)).group(1))
+    assert it < volterra.PICARD_MAX_ITERS
+
+
+def test_leaked_runtime_warning_fails_the_suite():
+    # pyproject's filterwarnings turns a RuntimeWarning into an error, so
+    # an overflow or NaN that a solver lets through cannot pass silently
+    with pytest.raises(RuntimeWarning):
+        np.log(np.zeros(1))
 
 
 def test_picard_divergence_reported():

@@ -422,6 +422,11 @@ def main(argv=None):
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print("numerical failure: out of memory (%s); reduce the grid, the "
+              "node count or the problem size" % (str(exc) or "no detail"),
+              file=sys.stderr)
+        return 2
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -75,36 +75,6 @@ def osc(omega, x):
 
 
 @dataclass
-class OscillatorParams:
-    """Frequency/phase data of a kernel's oscillatory part."""
-
-    omega: float
-    cos_phase: float = 1.0
-    sin_phase: float = 0.0
-
-
-def sdana_oscillator(lam, gamma1, gamma2):
-    """omega = 4*g1 - g2^2*lam and the phase of the idealized SDANA kernel.
-
-    cos(theta) = ((omega - 2 g1)^2 - 2 g1^2) / (2 g1^2)
-    sin(theta) = (omega - 2 g1) * g2 * sqrt(lam) * sqrt(omega) / (2 g1^2)
-
-    which satisfy cos^2 + sin^2 = 1 identically on 0 <= omega <= 4*g1
-    (sqrt(4*g1 - omega) = g2*sqrt(lam)).  For omega < 0 the sine is
-    imaginary; callers use the hyperbolic branch directly.
-    """
-    omega = 4.0 * gamma1 - gamma2**2 * lam
-    u = omega - 2.0 * gamma1
-    cos_phase = (u * u - 2.0 * gamma1**2) / (2.0 * gamma1**2)
-    if omega >= 0.0:
-        sin_phase = u * gamma2 * np.sqrt(lam) * np.sqrt(omega) / (2.0 * gamma1**2)
-    else:
-        sin_phase = np.nan
-    return OscillatorParams(omega=float(omega), cos_phase=float(cos_phase),
-                            sin_phase=float(sin_phase))
-
-
-@dataclass
 class KernelSpec:
     """Continuous-time kernel parameters plus the evaluation mode.
 
@@ -185,32 +155,6 @@ def _const_phi_kernel(lam, gamma1, gamma2, theta, tau):
     return lam * lam * _ic_profile(omega, 2.0 * theta + rho, k0, c1, c2, tau)
 
 
-def sgd_forcing(lam, gamma, t):
-    """G^(lam)(t) = (1/2) exp(-2*gamma*lam*t)."""
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * np.exp(-2.0 * gamma * lam * t)
-    return out if out.ndim else float(out)
-
-
-def sgd_kernel(lam, gamma, tau):
-    """K^(lam)(tau) = gamma^2 lam^2 exp(-2*gamma*lam*tau)."""
-    tau = np.asarray(tau, dtype=float)
-    out = gamma**2 * lam**2 * np.exp(-2.0 * gamma * lam * tau)
-    return out if out.ndim else float(out)
-
-
-def general_sdahb_forcing(lam, gamma1, gamma2, theta, t):
-    out = _const_phi_forcing(float(lam), float(gamma1), float(gamma2), float(theta),
-                             np.asarray(t, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def general_sdahb_kernel(lam, gamma1, gamma2, theta, tau):
-    out = _const_phi_kernel(float(lam), float(gamma1), float(gamma2), float(theta),
-                            np.asarray(tau, dtype=float))
-    return out if out.ndim else float(out)
-
-
 # ----------------------------------------------------------------------
 # SDANA: third-order ODE in the conjugated variable (RK4, fixed step)
 # ----------------------------------------------------------------------
@@ -261,8 +205,10 @@ class _Schedule:
         return b0, b1, b2
 
 
-def _rk4_segment(u, t0, t1, nsub, rhs):
-    """Advance u (shape (..., 3)) from t0 to t1 in nsub classic RK4 steps."""
+def _rk4_segment(u, t0, t1, h_max, rhs):
+    """Advance u (shape (..., 3)) from t0 to t1 in classic RK4 steps of at
+    most h_max: max(1, ceil((t1 - t0)/h_max)) equal substeps."""
+    nsub = max(1, int(np.ceil((t1 - t0) / h_max - 1e-12)))
     h = (t1 - t0) / nsub
     t = t0
     for _ in range(nsub):
@@ -276,6 +222,8 @@ def _rk4_segment(u, t0, t1, nsub, rhs):
 
 
 def _make_rhs(lam, gamma1, gamma2, sched):
+    """u' for conjugated states u of shape (..., n_lam, 3): any leading
+    stack axes share the per-node coefficients."""
     lam = np.asarray(lam, dtype=float)
 
     def rhs(t, u):
@@ -327,43 +275,9 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
     out = np.empty((lam.size if lam.ndim else 1, len(grid)))
     out[:, 0] = np.atleast_1d(u[..., 0])
     for i in range(1, len(grid)):
-        dt = grid[i] - grid[i - 1]
-        nsub = max(1, int(np.ceil(dt / h - 1e-12)))
-        u = _rk4_segment(u, grid[i - 1], grid[i], nsub, rhs)
+        u = _rk4_segment(u, grid[i - 1], grid[i], h, rhs)
         out[:, i] = np.atleast_1d(u[..., 0])
     return out
-
-
-def sdana_forcing_ode(lam, gamma1, gamma2, theta, grid, h=None):
-    """G^(lam) on the grid (grid[0] must be 0), via RK4 on the conjugated ODE."""
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] != 0.0:
-        raise ValueError("forcing grid must start at t=0")
-    if lam == 0.0:
-        return np.full(len(grid), 0.5)
-    if h is None:
-        h = default_ode_step(gamma2, lam)
-    sched = _Schedule("power", theta)
-    lam_a = np.asarray([float(lam)])
-    ic = forcing_ic(lam_a, gamma1, gamma2)
-    vals = _ode_on_grid(lam_a, gamma1, gamma2, sched, grid, ic, h)
-    return 0.5 * vals[0]
-
-
-def sdana_kernel_ode(lam, gamma1, gamma2, theta, s, grid, h=None):
-    """K_s^(lam)(t) on a grid starting at t=s, via the same ODE."""
-    grid = np.asarray(grid, dtype=float)
-    if abs(grid[0] - s) > 1e-12:
-        raise ValueError("kernel grid must start at t=s")
-    if lam == 0.0:
-        return np.zeros(len(grid))
-    if h is None:
-        h = default_ode_step(gamma2, lam)
-    sched = _Schedule("power", theta)
-    lam_a = np.asarray([float(lam)])
-    ic = kernel_ic(lam_a, gamma1, gamma2, sched.Phi(s))
-    vals = _ode_on_grid(lam_a, gamma1, gamma2, sched, grid, ic, h)
-    return lam * lam * vals[0]
 
 
 # ----------------------------------------------------------------------
@@ -390,15 +304,19 @@ def sdana_kernel_conv(lam, gamma1, gamma2, theta, tau):
     g1, g2 = float(gamma1), float(gamma2)
     omega = 4.0 * g1 - g2**2 * lam
     sig = np.sqrt(lam)
+    # the phase: cos = ((omega - 2 g1)^2 - 2 g1^2) / (2 g1^2) and
+    # sin = (omega - 2 g1) g2 sqrt(lam) sqrt(omega) / (2 g1^2); on
+    # 0 <= omega <= 4 g1, sqrt(4 g1 - omega) = g2 sqrt(lam) gives
+    # cos^2 + sin^2 = 1
+    u = omega - 2.0 * g1
+    cos_phase = (u * u - 2.0 * g1**2) / (2.0 * g1**2)
     if omega > OMEGA_EPS:
-        p = sdana_oscillator(lam, g1, g2)
+        sin_phase = u * g2 * sig * np.sqrt(omega) / (2.0 * g1**2)
         z = sig * np.sqrt(omega) * tau
-        body = 1.0 - p.cos_phase * np.cos(z) + p.sin_phase * np.sin(z)
+        body = 1.0 - cos_phase * np.cos(z) + sin_phase * np.sin(z)
         out = 2.0 * g1**2 * lam * np.exp(-lam * g2 * tau) * body / omega
     elif omega < -OMEGA_EPS:
-        u = omega - 2.0 * g1
         s = np.sqrt(-omega)
-        cos_phase = (u * u - 2.0 * g1**2) / (2.0 * g1**2)
         # sin(phase) = u*g2*sig*i*s/(2 g1^2); sin(phase)*sin(z) is real:
         hyp = u * g2 * sig * s / (2.0 * g1**2)
         # exp(-lam g2 tau) * cosh/sinh(sig s tau) assembled per exponential
@@ -485,24 +403,10 @@ class SdanaExactKernel:
                          self.sched.Phi(s))
 
     def advance(self, state, t0, t1):
-        """RK4-advance a (n_lam, 3) or (n_lam, 3, k) stack of conjugated states."""
+        """RK4-advance conjugated states of shape (..., n_lam, 3)."""
         if t1 <= t0:
             return state
-        nsub = max(1, int(np.ceil((t1 - t0) / self.h - 1e-12)))
-        if state.ndim == 3:
-            rhs = self._rhs_stacked
-        else:
-            rhs = self._rhs
-        return _rk4_segment(state, t0, t1, nsub, rhs)
-
-    def _rhs_stacked(self, t, u):
-        b0, b1, b2 = self.sched.coeffs(t, self.lams, self.spec.gamma1, self.spec.gamma2)
-        du = np.empty_like(u)
-        du[:, 0, :] = u[:, 1, :]
-        du[:, 1, :] = u[:, 2, :]
-        du[:, 2, :] = -(b0[:, None] * u[:, 0, :] + b1[:, None] * u[:, 1, :]
-                        + b2[:, None] * u[:, 2, :])
-        return du
+        return _rk4_segment(state, t0, t1, self.h, self._rhs)
 
     def aggregate(self, state_component):
         """sum_i w_i lam_i^2 * q_i given the q components (n_lam,)."""

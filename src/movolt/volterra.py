@@ -233,19 +233,35 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     h = _uniform_step(grid)
     psi, diagnostics = _solve_conv_core(F, I_vals, h, method)
     if refine and len(grid) >= 4:
-        if fine is not None:
-            F_half, I_half = (np.asarray(a, dtype=float) for a in fine)
-            if len(F_half) != 2 * len(grid) - 1 or len(I_half) != len(F_half):
-                raise ValueError("fine arrays must have length 2n-1")
-        else:
-            F_half, I_half = _cubic_refine(F), _cubic_refine(I_vals)
-        fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h, method)
-        on_grid = fine_psi[::2]
-        diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
-        diagnostics.update(fine_diag)
-        psi = (4.0 * on_grid - psi) / 3.0
+        def half_pass(F_half, I_half):
+            fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h,
+                                                   method)
+            diagnostics.update(fine_diag)
+            return fine_psi
+
+        psi = _richardson(psi, (F, I_vals), fine, half_pass, diagnostics)
     psi = _finalize_psi(psi, "convolution solve")
     return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
+
+
+def _richardson(psi, samples, fine, half_pass, diagnostics):
+    """Repeat a solve on the half-step grid and extrapolate away its O(h^2)
+    term: (4 psi_half - psi) / 3 on the coarse nodes.
+
+    samples are the coarse inputs; their half-step values are fine (each of
+    length 2n - 1) when given, else cubically interpolated.  half_pass maps
+    the half-step inputs to psi there.  The coarse/half-step gap is recorded
+    as refinement_gap.
+    """
+    if fine is None:
+        half = [_cubic_refine(a) for a in samples]
+    else:
+        half = [np.asarray(a, dtype=float) for a in fine]
+        if any(len(a) != 2 * len(psi) - 1 for a in half):
+            raise ValueError("half-step samples must have length 2n-1")
+    on_grid = half_pass(*half)[::2]
+    diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
+    return (4.0 * on_grid - psi) / 3.0
 
 
 def _solve_conv_core(F, I_vals, h, method):
@@ -309,11 +325,7 @@ def _march_convolution(F, I_vals, h, denom):
             w[i] = psi[i]
         finite = np.isfinite(psi[lo:hi])
         if not finite.all():
-            bad = lo + int(np.argmin(finite))
-            raise NumericalError(
-                "Volterra solution went non-finite at grid step %d (t = t0 + "
-                "%.6g); the kernel mass exceeds the convergent regime on this "
-                "horizon" % (bad, bad * h))
+            raise _nonfinite_at(lo + int(np.argmin(finite)), h)
 
     def solve(lo, hi):
         if hi - lo <= _MARCH_BLOCK:
@@ -339,6 +351,14 @@ def _march_convolution(F, I_vals, h, denom):
     return psi
 
 
+def _nonfinite_at(step, h):
+    """The error both marchers raise at the first non-finite value."""
+    return NumericalError(
+        "Volterra solution went non-finite at grid step %d (t = t0 + %.6g); "
+        "the kernel mass exceeds the convergent regime on this horizon"
+        % (step, step * h))
+
+
 def _picard_convolution(F, I_vals, h, I_hat):
     # relative to the forcing once it exceeds 1 (the phi-conjugated SDANA
     # forcing grows like t^theta); a contracting kernel keeps psi on F's
@@ -361,60 +381,31 @@ def _picard_convolution(F, I_vals, h, I_hat):
 def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
     """Solve psi(t) = F(t) + int_0^t K_s(t) psi(s) ds by trapezoid marching.
 
-    kernel is either a callable K(s, t) (dense path, any two-time kernel)
-    or a separable-state object exposing ic/advance/aggregate/diag (the
-    exact SDANA kernel), which costs one ODE state per spectral node
-    instead of one solve per (s, t) pair.  refine repeats the march on the
-    half-step grid (kernel evaluated exactly, forcing upsampled unless
-    exact half-step values are passed) and Richardson-extrapolates,
-    matching solve_convolution's accuracy.
+    kernel is a separable-state object exposing ic/advance/aggregate/diag
+    (the exact SDANA kernel): K_s(t) is the aggregate of per-node states
+    started at ic(s) and carried from s to t by advance, so the march keeps
+    one ODE state per spectral node instead of one solve per (s, t) pair.
+    refine repeats the march on the half-step grid (kernel evaluated
+    exactly, forcing upsampled unless exact half-step values are passed)
+    and Richardson-extrapolates, matching solve_convolution's accuracy.
     """
     F = np.asarray(F, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if len(F) != len(grid):
         raise ValueError("F and grid must share a length")
     h = _uniform_step(grid)
-    psi = _march_general(F, kernel, grid, h)
+    psi = _march_separable(F, kernel, grid, h)
     diagnostics = {"residual": float("nan")}
     if refine and len(grid) >= 4:
         fine_grid = grid[0] + 0.5 * h * np.arange(2 * len(grid) - 1)
-        F_half = (np.asarray(fine_forcing, dtype=float)
-                  if fine_forcing is not None else _cubic_refine(F))
-        if len(F_half) != len(fine_grid):
-            raise ValueError("fine forcing must have length 2n-1")
-        fine_psi = _march_general(F_half, kernel, fine_grid, 0.5 * h)
-        on_grid = fine_psi[::2]
-        diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
-        psi = (4.0 * on_grid - psi) / 3.0
+        fine = None if fine_forcing is None else (fine_forcing,)
+        psi = _richardson(
+            psi, (F,), fine,
+            lambda F_half: _march_separable(F_half, kernel, fine_grid, 0.5 * h),
+            diagnostics)
     psi = _finalize_psi(psi, "general solve")
     return VolterraSolution(grid, F, psi, method="marching",
                             diagnostics=diagnostics)
-
-
-def _march_general(F, kernel, grid, h):
-    if hasattr(kernel, "advance"):
-        psi = _march_separable(F, kernel, grid, h)
-    else:
-        psi = _march_dense(F, kernel, grid, h)
-    if not np.all(np.isfinite(psi)):
-        raise NumericalError("Volterra solution overflowed in general solve")
-    return psi
-
-
-def _march_dense(F, K, grid, h):
-    n = len(grid)
-    psi = np.empty(n)
-    psi[0] = F[0]
-    for i in range(1, n):
-        t = grid[i]
-        denom = 1.0 - 0.5 * h * K(t, t)
-        if denom <= 0.0:
-            raise NumericalError("marching singularity at t=%.3f" % t)
-        acc = 0.5 * K(grid[0], t) * psi[0]
-        for j in range(1, i):
-            acc += K(grid[j], t) * psi[j]
-        psi[i] = (F[i] + h * acc) / denom
-    return psi
 
 
 def _march_separable(F, K, grid, h):
@@ -425,22 +416,26 @@ def _march_separable(F, K, grid, h):
     if denom <= 0.0:
         raise NumericalError("marching singularity: kernel diagonal too "
                              "large for this grid step")
-    # state[..., 0]: half-weighted s=0 node; state[..., 1]: running
-    # h-weighted sum over interior nodes (linearity of the state ODE lets
-    # one stacked state carry the whole integral)
-    state = np.zeros(K.ic(0.0).shape + (2,))
-    state[..., 0] = K.ic(grid[0]) * psi[0]
-    for i in range(1, n):
-        state = K.advance(state, grid[i - 1], grid[i])
-        integral = h * (0.5 * K.aggregate(state[:, 0, 0])
-                        + K.aggregate(state[:, 0, 1]))
-        psi[i] = (F[i] + integral) / denom
-        state[..., 1] += K.ic(grid[i]) * psi[i]
+    # state[0]: half-weighted s=0 node; state[1]: running h-weighted sum
+    # over interior nodes (linearity of the state ODE lets one stacked
+    # state carry the whole integral)
+    state = np.zeros((2,) + K.ic(0.0).shape)
+    state[0] = K.ic(grid[0]) * psi[0]
+    # an overflow shows up as a non-finite psi, which raises at its step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n):
+            state = K.advance(state, grid[i - 1], grid[i])
+            integral = h * (0.5 * K.aggregate(state[0, :, 0])
+                            + K.aggregate(state[1, :, 0]))
+            psi[i] = (F[i] + integral) / denom
+            if not np.isfinite(psi[i]):
+                raise _nonfinite_at(i, h)
+            state[1] += K.ic(grid[i]) * psi[i]
     return psi
 
 
 def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
-            n=None, forcing=None, spectral=None, validate=False):
+            n=None, spectral=None, validate=False):
     """End-to-end deterministic loss prediction for an algorithm on a measure.
 
     mode selects the SDANA route: 'ode' (exact two-time kernel) or 'conv'
@@ -463,15 +458,9 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     half = time_grid(T, 0.5 * h)
     if spectral is not None:
         F_half = build_forcing_from_spectral(spectral, spec, half)
-    elif forcing is not None:
-        F_half = None
-        F = np.asarray(forcing, dtype=float)
-        if len(F) != len(grid):
-            raise ValueError("forcing length does not match the grid")
     else:
         F_half = build_forcing(measure, spec, R, R_tilde, half)
-    if F_half is not None:
-        F = F_half[::2]
+    F = F_half[::2]
     norm = analysis.kernel_norm(params, measure)
 
     if spec.mode == "ode_exact":
@@ -484,7 +473,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         phi = (1.0 + grid) ** spec.theta if conj else 1.0
         phi_half = (1.0 + half) ** spec.theta if conj else 1.0
         I_half = build_convolution_kernel(measure, spec, half)
-        fine = (phi_half * F_half, I_half) if F_half is not None else None
+        fine = (phi_half * F_half, I_half)
         sol = solve_convolution(phi * F, I_half[::2], grid, fine=fine)
         sol = VolterraSolution(grid, F, sol.psi / phi, method=sol.method,
                                diagnostics=sol.diagnostics)
@@ -510,9 +499,3 @@ def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):
     except NumericalError as exc:
         sol.diagnostics["picard_delta"] = None
         sol.diagnostics["picard_note"] = str(exc)
-
-
-def limit_value(measure, params, R_tilde):
-    """Predicted plateau R_tilde * mu({0}) / (2 (1 - ||I||))."""
-    norm = analysis.kernel_norm(params, measure)
-    return analysis.limiting_loss(norm, measure.zero_mass, R_tilde)

@@ -183,8 +183,9 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             g = float(rng.uniform(0.05, 2.0))
             worst_closed = max(
                 worst_closed,
-                abs(kernels.sgd_forcing(lam, g, 0.0) - 0.5),
-                abs(kernels.sgd_kernel(lam, g, 0.0) - g * g * lam * lam))
+                abs(kernels._const_phi_forcing(lam, 0.0, g, 0.0, 0.0) - 0.5),
+                abs(kernels._const_phi_kernel(lam, 0.0, g, 0.0, 0.0)
+                    - g * g * lam * lam))
         elif algo in ("shb", "sdahb"):
             # both land on the same constant-friction closed form once
             # mapped to continuous parameters, so draw those directly
@@ -192,21 +193,21 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             th = float(rng.uniform(0.1, 4.0))
             worst_closed = max(
                 worst_closed,
-                abs(kernels.general_sdahb_forcing(lam, g1, 0.0, th, 0.0)
+                abs(kernels._const_phi_forcing(lam, g1, 0.0, th, 0.0)
                     - 0.5),
-                abs(kernels.general_sdahb_kernel(lam, g1, 0.0, th, 0.0)))
+                abs(kernels._const_phi_kernel(lam, g1, 0.0, th, 0.0)))
         else:
             g1 = float(rng.uniform(0.05, 1.0))
             g2 = float(rng.uniform(0.1, 2.0))
             th = float(rng.uniform(0.5, 6.0))
             s = float(rng.uniform(0.0, 3.0))
-            F = kernels.sdana_forcing_ode(lam, g1, g2, th,
-                                          np.array([0.0]))
-            K = kernels.sdana_kernel_ode(lam, g1, g2, th, s,
-                                         np.array([s]))
+            spec = momentum.sdana(g1, g2, th).kernel_spec()
+            F = kernels.forcing_matrix(spec, [lam], np.array([0.0]))
+            K = kernels.SdanaExactKernel(spec, [lam], [1.0])
+            born = K.advance(K.ic(s), s, s)
             worst_ode = max(worst_ode,
-                            abs(float(F[0]) - 0.5),
-                            abs(float(K[0]) - g2 * g2 * lam * lam))
+                            abs(float(F[0, 0]) - 0.5),
+                            abs(K.aggregate(born[:, 0]) - g2 * g2 * lam * lam))
     # fourth-order integrator: halving the step cuts the error ~16x
     lam, g1, g2, th = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)

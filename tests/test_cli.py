@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from movolt import cli, momentum, spectrum, volterra
+from movolt import cli, kernels, momentum, spectrum, volterra
 
 
 def run_cli(argv, capsys=None):
@@ -111,6 +111,21 @@ def test_predict_supercritical_exits_2(tmp_path, capsys):
          "--T", "30", "--out", str(out)], capsys)
     assert code == 2
     assert "numerical failure" in err
+
+
+def test_predict_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # a huge --nodes asks forcing assembly for more memory than there is;
+    # the allocation failure is stood in for, not provoked
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 150. GiB for an array")
+    monkeypatch.setattr(kernels, "forcing_matrix", no_memory)
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(
+        ["predict", "--algo", "sgd", "--T", "5", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("numerical failure: out of memory")
+    assert "150. GiB" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,15 @@ def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
 
 def test_sgd_forcing_closed_form():
     t = np.linspace(0.0, 5.0, 40)
-    got = kernels.sgd_forcing(1.3, 0.7, t)
+    spec = momentum.sgd(0.7).kernel_spec()
+    got = kernels.forcing_matrix(spec, [1.3], t)[0]
     assert np.allclose(got, 0.5 * np.exp(-2 * 0.7 * 1.3 * t), rtol=1e-14)
 
 
 def test_sgd_kernel_closed_form():
     tau = np.linspace(0.0, 5.0, 40)
-    got = kernels.sgd_kernel(1.3, 0.7, tau)
+    spec = momentum.sgd(0.7).kernel_spec()
+    got = kernels.kernel_matrix(spec, [1.3], tau)[0]
     assert np.allclose(got, 0.7**2 * 1.3**2 * np.exp(-2 * 0.7 * 1.3 * tau),
                        rtol=1e-14)
 
@@ -62,7 +64,8 @@ def test_sgd_matches_oracle():
     lam, gamma = 2.1, 0.4
     grid = np.linspace(0.0, 6.0, 61)
     want = oracle_forcing(lam, 0.0, gamma, lambda t: 0.0, grid)
-    assert np.allclose(kernels.sgd_forcing(lam, gamma, grid), want, atol=1e-10)
+    got = kernels.forcing_matrix(momentum.sgd(gamma).kernel_spec(), [lam], grid)
+    assert np.allclose(got[0], want, atol=1e-10)
 
 
 # ------------------------------------------------- constant schedules
@@ -76,7 +79,7 @@ def test_sgd_matches_oracle():
 def test_const_schedule_forcing_matches_ode_oracle(lam, g1, g2, theta):
     grid = np.linspace(0.0, 8.0, 81)
     want = oracle_forcing(lam, g1, g2, lambda t: theta, grid)
-    got = kernels.general_sdahb_forcing(lam, g1, g2, theta, grid)
+    got = kernels._const_phi_forcing(lam, g1, g2, theta, grid)
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -88,14 +91,14 @@ def test_const_schedule_forcing_matches_ode_oracle(lam, g1, g2, theta):
 def test_const_schedule_kernel_matches_ode_oracle(lam, g1, g2, theta):
     tau = np.linspace(0.0, 8.0, 81)
     want = oracle_kernel(lam, g1, g2, lambda t: theta, 0.0, tau)
-    got = kernels.general_sdahb_kernel(lam, g1, g2, theta, tau)
+    got = kernels._const_phi_kernel(lam, g1, g2, theta, tau)
     assert np.allclose(got, want, atol=1e-9)
 
 
 def test_kernel_value_at_zero_lag():
     # K(0) = gamma2^2 * lam^2: the instantaneous noise-to-loss gain
     for lam, g2 in [(1.0, 0.5), (3.0, 0.2)]:
-        got = kernels.general_sdahb_kernel(lam, 0.3, g2, 1.0, 0.0)
+        got = float(kernels._const_phi_kernel(lam, 0.3, g2, 1.0, 0.0))
         assert got == pytest.approx(g2**2 * lam**2, rel=1e-12)
 
 
@@ -105,8 +108,9 @@ def test_sdana_forcing_ode_matches_oracle():
     lam, g1, g2, theta = 1.7, 0.25, 1.0, 4.0
     grid = np.linspace(0.0, 6.0, 61)
     want = oracle_forcing(lam, g1, g2, lambda t: theta / (1.0 + t), grid)
-    got = kernels.sdana_forcing_ode(lam, g1, g2, theta, grid)
-    assert np.allclose(np.ravel(got), want, atol=1e-7)
+    spec = momentum.sdana(g1, g2, theta).kernel_spec()
+    got = kernels.forcing_matrix(spec, [lam], grid)[0]
+    assert np.allclose(got, want, atol=1e-7)
 
 
 def test_sdana_two_time_kernel_matches_oracle():
@@ -114,8 +118,15 @@ def test_sdana_two_time_kernel_matches_oracle():
     s = 1.5
     grid = np.linspace(s, s + 5.0, 51)
     want = oracle_kernel(lam, g1, g2, lambda t: theta / (1.0 + t), s, grid)
-    got = kernels.sdana_kernel_ode(lam, g1, g2, theta, s, grid)
-    assert np.allclose(np.ravel(got), want, atol=1e-7)
+    # a one-node exact kernel: the state born at s, advanced along the grid
+    K = kernels.SdanaExactKernel(momentum.sdana(g1, g2, theta).kernel_spec(),
+                                 [lam], [1.0])
+    cur = K.ic(s)
+    got = [K.aggregate(cur[:, 0])]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        cur = K.advance(cur, t0, t1)
+        got.append(K.aggregate(cur[:, 0]))
+    assert np.allclose(got, want, atol=1e-7)
 
 
 def test_sdana_conv_kernel_is_late_time_limit():
@@ -142,9 +153,9 @@ def test_exact_kernel_state_matches_dense_evaluation():
     steps = int(round((t1 - s) / h))
     for j in range(steps):
         cur = K.advance(cur, s + j * h, s + (j + 1) * h)
-    dense = sum(w * np.ravel(kernels.sdana_kernel_ode(
-        l, 0.25, 1.0, 4.0, s, np.array([s, t1]), h=h))[-1]
-        for l, w in zip(lam, wts))
+    dense = sum(w * oracle_kernel(l, 0.25, 1.0, lambda t: 4.0 / (1.0 + t),
+                                  s, np.array([s, t1]))[-1]
+                for l, w in zip(lam, wts))
     assert K.aggregate(cur[:, 0]) == pytest.approx(dense, rel=1e-7)
 
 
@@ -183,12 +194,18 @@ def test_snc_osc_derivative_identity(omega, x):
         kernels.snc(omega, x + eps - 0.5 * span), rel=2e-4, abs=2e-4)
 
 
-def test_sdana_oscillator_phase_identity():
-    # cos^2 + sin^2 = 1 on the oscillatory branch
-    for lam in (0.1, 0.5, 0.9):
-        p = kernels.sdana_oscillator(lam, 0.25, 1.0)
-        assert p.omega > 0
-        assert p.cos_phase**2 + p.sin_phase**2 == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("lam", [0.1, 0.5, 0.9,     # oscillatory, omega > 0
+                                 1.0 - 1e-9, 1.0,   # turning point
+                                 1.5, 3.7])         # hyperbolic, omega < 0
+def test_sdana_conv_kernel_birth_identities(lam):
+    # at tau = 0 the stationary kernel starts from the two-time kernel's
+    # initial data (kernel_ic): K(0) = g2^2 lam^2, K'(0) = 2 g2 lam^2 (g1 - g2^2 lam)
+    g1, g2, eps = 0.25, 1.0, 1e-5
+    K = lambda tau: kernels.sdana_kernel_conv(lam, g1, g2, 4.0, tau)
+    assert K(0.0) == pytest.approx(g2**2 * lam**2, rel=1e-8)
+    slope = (K(eps) - K(-eps)) / (2.0 * eps)
+    assert slope == pytest.approx(2.0 * g2 * lam**2 * (g1 - g2**2 * lam),
+                                  rel=1e-8)
 
 
 # --------------------------------------------------- matrix builders
@@ -200,7 +217,7 @@ def test_forcing_matrix_rows_match_scalar_functions():
     M = kernels.forcing_matrix(spec, lams, grid)
     for i, lam in enumerate(lams):
         assert np.allclose(
-            M[i], kernels.general_sdahb_forcing(lam, 0.8, 0.0, 1.5, grid),
+            M[i], kernels._const_phi_forcing(lam, 0.8, 0.0, 1.5, grid),
             rtol=1e-12)
 
 
@@ -210,7 +227,8 @@ def test_kernel_matrix_rows_match_scalar_functions():
     spec = momentum.sgd(0.9).kernel_spec()
     M = kernels.kernel_matrix(spec, lams, taus)
     for i, lam in enumerate(lams):
-        assert np.allclose(M[i], kernels.sgd_kernel(lam, 0.9, taus), rtol=1e-12)
+        want = 0.9**2 * lam**2 * np.exp(-2 * 0.9 * lam * taus)
+        assert np.allclose(M[i], want, rtol=1e-12)
 
 
 def test_power_forcing_matrix_matches_per_node_ode():

@@ -43,6 +43,23 @@ def trapezoid_convolve_oracle(I_vals, psi, h):
     return h * (full - 0.5 * I_vals[0] * psi - 0.5 * I_vals * psi[0])
 
 
+class HalfExpKernel:
+    """K_s(t) = exp(-(t - s))/2 in the separable-state form solve_general
+    takes: one node whose state decays like the kernel."""
+
+    def ic(self, s):
+        return np.array([[1.0, 0.0, 0.0]])
+
+    def advance(self, state, t0, t1):
+        return state * np.exp(-(t1 - t0))
+
+    def aggregate(self, q):
+        return 0.5 * float(np.sum(q))
+
+    def diag(self):
+        return 0.5
+
+
 B = volterra._MARCH_BLOCK
 
 
@@ -146,15 +163,13 @@ def test_general_solver_reduces_to_convolution():
     grid, F = grid_and_ones(T=5.0)
     I = 0.5 * np.exp(-grid)
     conv = volterra.solve_convolution(F, I, grid, refine=False)
-    K = lambda s, t: 0.5 * np.exp(-(t - s))
-    gen = volterra.solve_general(F, K, grid, refine=False)
+    gen = volterra.solve_general(F, HalfExpKernel(), grid, refine=False)
     assert np.max(np.abs(conv.psi - gen.psi)) < 1e-10
 
 
 def test_general_solver_closed_form_refined():
     grid, F = grid_and_ones(T=5.0)
-    K = lambda s, t: 0.5 * np.exp(-(t - s))
-    gen = volterra.solve_general(F, K, grid)
+    gen = volterra.solve_general(F, HalfExpKernel(), grid)
     assert np.max(np.abs(gen.psi - (2.0 - np.exp(-0.5 * grid)))) < 1e-6
 
 
@@ -212,6 +227,24 @@ def test_march_nan_forcing_names_the_step():
     F[300] = np.nan
     with pytest.raises(NumericalError, match=r"grid step 300 \(t = t0 \+ 15"):
         volterra.solve_convolution(F, 0.5 * np.exp(-grid), grid, refine=False)
+
+
+def test_separable_march_nan_forcing_names_the_step():
+    grid, F = grid_and_ones(T=20.0)
+    F[300] = np.nan
+    with pytest.raises(NumericalError, match=r"grid step 300 \(t = t0 \+ 15"):
+        volterra.solve_general(F, HalfExpKernel(), grid, refine=False)
+
+
+def test_separable_march_overflow_fails_fast():
+    # gamma1 = 200 is far past the SDANA threshold: the exact-kernel march
+    # overflows early and must stop there, with no RuntimeWarning leaking
+    # from the RK4 states
+    mu = spectrum.mp_measure(1.0)
+    with pytest.raises(NumericalError, match="non-finite") as info:
+        volterra.predict(mu, momentum.sdana(200.0, 1.0, 4.0), T=60.0)
+    step = int(re.search(r"grid step (\d+)", str(info.value)).group(1))
+    assert step * volterra.DEFAULT_H < 60.0
 
 
 def test_picard_nonfinite_iterate_fails_fast():
@@ -272,7 +305,8 @@ def test_predict_sgd_curve_and_limit(mp2):
     assert sol.psi[0] == pytest.approx(0.5 * (mp2.trace_moment() + 1.0),
                                        rel=1e-12)
     # no zero atom at r=2: the noise is fully annealed away
-    assert volterra.limit_value(mp2, params, R_tilde=1.0) == 0.0
+    assert analysis.limiting_loss(analysis.kernel_norm(params, mp2),
+                                  mp2.zero_mass, 1.0) == 0.0
     assert sol.psi[-1] < 1e-4
     assert sol.kernel_norm == pytest.approx(
         analysis.kernel_norm(params, mp2), rel=1e-12)
@@ -282,7 +316,8 @@ def test_predict_reaches_positive_limit_with_zero_atom():
     mu = spectrum.mp_measure(0.5)  # zero atom p = 1/2
     params = momentum.sgd(0.7)
     sol = volterra.predict(mu, params, T=80.0, R=1.0, R_tilde=1.0)
-    want = volterra.limit_value(mu, params, R_tilde=1.0)
+    want = analysis.limiting_loss(analysis.kernel_norm(params, mu),
+                                  mu.zero_mass, 1.0)
     assert want == pytest.approx(0.5 / (2.0 * (1.0 - sol.kernel_norm)), rel=1e-9)
     assert sol.psi[-1] == pytest.approx(want, rel=1e-3)
 
@@ -399,13 +434,6 @@ def test_build_forcing_from_spectral_matches_initial_loss():
     spec = momentum.sgd(0.7).kernel_spec()
     F = volterra.build_forcing_from_spectral(sp, spec, grid)
     assert F[0] == pytest.approx(lsq.loss(p, p.x0), rel=1e-12)
-
-
-def test_limit_value_consistency(mp2):
-    params = momentum.sgd(0.7)
-    want = analysis.limiting_loss(analysis.kernel_norm(params, mp2),
-                                  mp2.zero_mass, 1.0)
-    assert volterra.limit_value(mp2, params, 1.0) == pytest.approx(want)
 
 
 def test_sidecar_path_naming():

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
+
 # series branch threshold for the turning point omega ~ 0
 OMEGA_EPS = 1e-8
 
@@ -205,34 +207,72 @@ class _Schedule:
         return b0, b1, b2
 
 
+def node_ode_step(gamma2, lams):
+    """default_ode_step at the largest of the nodes lams (0 when empty)."""
+    lams = np.asarray(lams, dtype=float)
+    return default_ode_step(gamma2, lams.max() if lams.size else 0.0)
+
+
+def rk4_substeps(dt, h_max):
+    """RK4 substeps for intervals of length dt (a scalar or an array):
+    max(1, ceil(dt/h_max))."""
+    return np.maximum(1, np.ceil(np.asarray(dt) / h_max - 1e-12)).astype(int)
+
+
+# substeps whose stage coefficients are evaluated as one block: bounds the
+# (3*chunk, n_lam) coefficient arrays however fine the ODE step
+_RK4_CHUNK = 64
+
+
 def _rk4_segment(u, t0, t1, h_max, rhs):
     """Advance u (shape (..., 3)) from t0 to t1 in classic RK4 steps of at
-    most h_max: max(1, ceil((t1 - t0)/h_max)) equal substeps."""
-    nsub = max(1, int(np.ceil((t1 - t0) / h_max - 1e-12)))
+    most h_max: rk4_substeps(t1 - t0, h_max) equal substeps.
+
+    rhs(times) evaluates the coefficients at a block of stage times at once
+    and returns f(j, u), the derivative at times[j].
+    """
+    nsub = int(rk4_substeps(t1 - t0, h_max))
     h = (t1 - t0) / nsub
     t = t0
-    for _ in range(nsub):
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    for start in range(0, nsub, _RK4_CHUNK):
+        m = min(_RK4_CHUNK, nsub - start)
+        # stage times t, t + h/2, t + h, accumulated exactly as a stepping loop
+        times = np.empty(3 * m)
+        for k in range(m):
+            times[3 * k:3 * k + 3] = (t, t + 0.5 * h, t + h)
+            t += h
+        f = rhs(times)
+        for j in range(0, 3 * m, 3):
+            k1 = f(j, u)
+            k2 = f(j + 1, u + 0.5 * h * k1)
+            k3 = f(j + 1, u + 0.5 * h * k2)
+            k4 = f(j + 2, u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return u
 
 
 def _make_rhs(lam, gamma1, gamma2, sched):
-    """u' for conjugated states u of shape (..., n_lam, 3): any leading
-    stack axes share the per-node coefficients."""
+    """rhs(times) -> f(j, u): u' at times[j] for conjugated states u of
+    shape (..., n_lam, 3); any leading stack axes share the per-node
+    coefficients, which are evaluated once per call of rhs."""
     lam = np.asarray(lam, dtype=float)
 
-    def rhs(t, u):
-        b0, b1, b2 = sched.coeffs(t, lam, gamma1, gamma2)
-        du = np.empty_like(u)
-        du[..., 0] = u[..., 1]
-        du[..., 1] = u[..., 2]
-        du[..., 2] = -(b0 * u[..., 0] + b1 * u[..., 1] + b2 * u[..., 2])
-        return du
+    def rhs(times):
+        shape = (len(times),) + lam.shape
+        t = np.reshape(times, (-1,) + (1,) * lam.ndim)
+        # a const schedule gives coefficients constant in t
+        b0, b1, b2 = (np.broadcast_to(b, shape)
+                      for b in sched.coeffs(t, lam, gamma1, gamma2))
+
+        def f(j, u):
+            du = np.empty_like(u)
+            du[..., 0] = u[..., 1]
+            du[..., 1] = u[..., 2]
+            du[..., 2] = -(b0[j] * u[..., 0] + b1[j] * u[..., 1]
+                           + b2[j] * u[..., 2])
+            return du
+
+        return f
 
     return rhs
 
@@ -267,16 +307,24 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
     """Integrate the conjugated system, returning component 0 on the grid.
 
     lam is an array (vectorized over quadrature nodes); grid[0] is the
-    start time and ic the conjugated state there.
+    start time and ic the conjugated state there.  The first non-finite
+    grid value raises NumericalError naming its time.
     """
     lam = np.asarray(lam, dtype=float)
     rhs = _make_rhs(lam, gamma1, gamma2, sched)
     u = np.array(ic, dtype=float)
     out = np.empty((lam.size if lam.ndim else 1, len(grid)))
     out[:, 0] = np.atleast_1d(u[..., 0])
-    for i in range(1, len(grid)):
-        u = _rk4_segment(u, grid[i - 1], grid[i], h, rhs)
-        out[:, i] = np.atleast_1d(u[..., 0])
+    # an overflow shows up as a non-finite column, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, len(grid)):
+            u = _rk4_segment(u, grid[i - 1], grid[i], h, rhs)
+            out[:, i] = np.atleast_1d(u[..., 0])
+            if not np.all(np.isfinite(out[:, i])):
+                raise NumericalError(
+                    "forcing integration went non-finite at t = %.6g; the "
+                    "explicit RK4 step %.3g is unstable for gamma1 = %g, "
+                    "gamma2 = %g" % (grid[i], h, gamma1, gamma2))
     return out
 
 
@@ -284,7 +332,7 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
 # SDANA idealized convolution kernel
 # ----------------------------------------------------------------------
 
-def sdana_kernel_conv(lam, gamma1, gamma2, theta, tau):
+def sdana_kernel_conv(lam, gamma1, gamma2, tau):
     """Per-lambda integrand of the idealized convolution kernel:
 
     2*g1^2*lam * exp(-lam*g2*tau) * (1 - cos(phase + sqrt(lam*omega)*tau)) / omega
@@ -293,8 +341,8 @@ def sdana_kernel_conv(lam, gamma1, gamma2, theta, tau):
     omega < 0 branch is evaluated as a sum of decaying exponentials; the
     turning point |omega| < 1e-8 uses the limit
     (sqrt(lam)*tau - 2/sqrt(g1))^2 / 2 for the oscillation factor.
-    theta does not enter (it is absorbed by the phi-conjugation of the
-    convolution equation); it is accepted for signature uniformity.
+    theta does not enter: it is absorbed by the phi-conjugation of the
+    convolution equation.
     """
     tau = np.asarray(tau, dtype=float)
     lam = float(lam)
@@ -347,13 +395,13 @@ def forcing_matrix(spec, lams, grid, h=None):
         return out
     # SDANA: one vectorized RK4 pass across all nodes
     if h is None:
-        h = default_ode_step(spec.gamma2, lams.max() if lams.size else 0.0)
+        h = node_ode_step(spec.gamma2, lams)
     sched = _Schedule("power", spec.theta)
     ic = forcing_ic(lams, spec.gamma1, spec.gamma2)
     return 0.5 * _ode_on_grid(lams, spec.gamma1, spec.gamma2, sched, grid, ic, h)
 
 
-def kernel_matrix(spec, lams, taus, h=None):
+def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau) matrix.
 
     For SDANA this is the idealized convolution integrand (the exact
@@ -366,7 +414,7 @@ def kernel_matrix(spec, lams, taus, h=None):
         if spec.phi_kind == "const":
             out[i] = _const_phi_kernel(lam, spec.gamma1, spec.gamma2, spec.theta, taus)
         else:
-            out[i] = sdana_kernel_conv(lam, spec.gamma1, spec.gamma2, spec.theta, taus)
+            out[i] = sdana_kernel_conv(lam, spec.gamma1, spec.gamma2, taus)
     return out
 
 
@@ -388,8 +436,7 @@ class SdanaExactKernel:
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.sched = _Schedule("power", spec.theta)
-        self.h = h if h is not None else default_ode_step(
-            spec.gamma2, self.lams.max() if self.lams.size else 0.0)
+        self.h = h if h is not None else node_ode_step(spec.gamma2, self.lams)
         self._rhs = _make_rhs(self.lams, spec.gamma1, spec.gamma2, self.sched)
         # lam^2-weighted aggregation vector: K agg = sum_i w_i lam_i^2 q_i
         self.agg = self.weights * self.lams**2

@@ -27,6 +27,10 @@ PICARD_MAX_ITERS = 200
 # stretches take their history from FFT products
 _MARCH_BLOCK = 128
 
+# RK4 substeps an SDANA prediction may take before it is refused (about
+# 300x the T = 100 prediction on the MP r = 1 measure)
+_RK4_WORK_LIMIT = 10**7
+
 _MODE_ALIASES = {"closed": "closed_form", "ode": "ode_exact",
                  "conv": "convolution_approx"}
 
@@ -145,11 +149,11 @@ def build_forcing_from_spectral(spectral, spec, grid, h=None):
     return F
 
 
-def build_convolution_kernel(measure, spec, grid, h=None):
+def build_convolution_kernel(measure, spec, grid):
     """I(tau) = int K^(lam)(tau) dmu(lam) on the tau grid (zero atom drops
     out since K scales with lam^2)."""
     grid = np.asarray(grid, dtype=float)
-    mat = kernels.kernel_matrix(spec, measure.points, grid, h=h)
+    mat = kernels.kernel_matrix(spec, measure.points, grid)
     return measure.weights @ mat
 
 
@@ -394,18 +398,27 @@ def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
     if len(F) != len(grid):
         raise ValueError("F and grid must share a length")
     h = _uniform_step(grid)
+    grids = _march_grids(grid, refine)
     psi = _march_separable(F, kernel, grid, h)
     diagnostics = {"residual": float("nan")}
-    if refine and len(grid) >= 4:
-        fine_grid = grid[0] + 0.5 * h * np.arange(2 * len(grid) - 1)
+    if len(grids) > 1:
         fine = None if fine_forcing is None else (fine_forcing,)
         psi = _richardson(
             psi, (F,), fine,
-            lambda F_half: _march_separable(F_half, kernel, fine_grid, 0.5 * h),
+            lambda F_half: _march_separable(F_half, kernel, grids[1], 0.5 * h),
             diagnostics)
     psi = _finalize_psi(psi, "general solve")
     return VolterraSolution(grid, F, psi, method="marching",
                             diagnostics=diagnostics)
+
+
+def _march_grids(grid, refine):
+    """The grids solve_general marches on: the given one and, when it
+    refines, the half-step grid."""
+    if not (refine and len(grid) >= 4):
+        return [grid]
+    h = _uniform_step(grid)
+    return [grid, grid[0] + 0.5 * h * np.arange(2 * len(grid) - 1)]
 
 
 def _march_separable(F, K, grid, h):
@@ -416,21 +429,18 @@ def _march_separable(F, K, grid, h):
     if denom <= 0.0:
         raise NumericalError("marching singularity: kernel diagonal too "
                              "large for this grid step")
-    # state[0]: half-weighted s=0 node; state[1]: running h-weighted sum
-    # over interior nodes (linearity of the state ODE lets one stacked
-    # state carry the whole integral)
-    state = np.zeros((2,) + K.ic(0.0).shape)
-    state[0] = K.ic(grid[0]) * psi[0]
+    # the state ODE is linear, so one state carries the whole trapezoid
+    # sum: state = ic(s_0) psi_0 / 2 + sum_{0<j<i} ic(s_j) psi_j, advanced
+    # to t_i; the half weight at j = i sits in denom
+    state = 0.5 * K.ic(grid[0]) * psi[0]
     # an overflow shows up as a non-finite psi, which raises at its step
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n):
             state = K.advance(state, grid[i - 1], grid[i])
-            integral = h * (0.5 * K.aggregate(state[0, :, 0])
-                            + K.aggregate(state[1, :, 0]))
-            psi[i] = (F[i] + integral) / denom
+            psi[i] = (F[i] + h * K.aggregate(state[..., 0])) / denom
             if not np.isfinite(psi[i]):
                 raise _nonfinite_at(i, h)
-            state[1] += K.ic(grid[i]) * psi[i]
+            state += K.ic(grid[i]) * psi[i]
     return psi
 
 
@@ -444,7 +454,9 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     onto its dimension-adjusted parameters.  A spectral problem may be
     passed to replace the theoretical forcing with the realized one.
     validate reruns the convolution solve by Picard iteration and records
-    the disagreement in the diagnostics.
+    the disagreement in the diagnostics.  An SDANA job estimated at more
+    than _RK4_WORK_LIMIT RK4 substeps raises NumericalError before any
+    integration.
     """
     if mode is not None:
         mode = _MODE_ALIASES.get(mode, mode)
@@ -456,6 +468,10 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     # assemble on the half-step grid so the refinement pass sees exact
     # values rather than interpolated ones
     half = time_grid(T, 0.5 * h)
+    kern = None
+    if spec.mode == "ode_exact":
+        kern = kernels.SdanaExactKernel(spec, measure.points, measure.weights)
+    _check_rk4_work(spec, measure, spectral, kern, grid, half)
     if spectral is not None:
         F_half = build_forcing_from_spectral(spectral, spec, half)
     else:
@@ -463,8 +479,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     F = F_half[::2]
     norm = analysis.kernel_norm(params, measure)
 
-    if spec.mode == "ode_exact":
-        kern = kernels.SdanaExactKernel(spec, measure.points, measure.weights)
+    if kern is not None:
         sol = solve_general(F, kern, grid, fine_forcing=F_half)
     else:
         # the SDANA approximation is solved in the phi-conjugated variable;
@@ -485,6 +500,31 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
                 "method": sol.method, "kernel_norm": norm,
                 "R": R, "R_tilde": R_tilde, "mode": spec.mode}
     return sol
+
+
+def _check_rk4_work(spec, measure, spectral, kern, grid, half):
+    """Refuse an SDANA prediction, before integrating, whose RK4 substeps
+    exceed _RK4_WORK_LIMIT: the forcing on the half-step grid at the step
+    forcing_matrix takes for its nodes, plus every grid solve_general
+    marches the exact kernel kern on, at kern.h."""
+    if spec.phi_kind != "power":
+        return
+    lams = measure.points
+    if spectral is not None:
+        # build_forcing_from_spectral integrates the live nodes only
+        lams = spectral.sigma**2
+        lams = lams[lams > 0.0]
+    passes = [(half, kernels.node_ode_step(spec.gamma2, lams))] if len(lams) else []
+    if kern is not None:
+        passes += [(g, kern.h) for g in _march_grids(grid, True)]
+    work = sum(int(kernels.rk4_substeps(np.diff(g), h_ode).sum())
+               for g, h_ode in passes)
+    if work > _RK4_WORK_LIMIT:
+        raise NumericalError(
+            "SDANA RK4 work out of reach: an estimated %d RK4 substeps at "
+            "ODE step %.3g exceed the limit of %d; reduce the horizon T, "
+            "gamma2 or the largest eigenvalue"
+            % (work, min(h_ode for _, h_ode in passes), _RK4_WORK_LIMIT))
 
 
 def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):

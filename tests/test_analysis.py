@@ -135,7 +135,7 @@ def test_laplace_sdana_matches_scipy_quad(x):
     mu = atom(lam)
     want, err = scipy.integrate.quad(
         lambda t: np.exp(x * t) * np.ravel(
-            kernels.sdana_kernel_conv(lam, g1, g2, theta, t))[0],
+            kernels.sdana_kernel_conv(lam, g1, g2, t))[0],
         0.0, 300.0, limit=400)
     assert err < 1e-8
     got = analysis.laplace_transform(momentum.sdana(g1, g2, theta), mu, x)

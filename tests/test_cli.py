@@ -5,7 +5,9 @@ and file outputs are exercised exactly as a shell user would see them.
 """
 
 import json
+import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +128,26 @@ def test_predict_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("numerical failure: out of memory")
     assert "150. GiB" in err
     assert "Traceback" not in err
+
+
+def test_predict_refuses_rk4_work_out_of_reach(tmp_path, capsys):
+    # r = 1e-6 puts lambda_max near 1e6, so the SDANA ODE step is ~1e-7:
+    # about 3e7 RK4 substeps, refused before any integration starts
+    out = tmp_path / "psi.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["predict", "--algo", "sdana", "--r", "1e-6",
+                            "--T", "1", "--out", str(out)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert "RK4 work out of reach" in err
+    lam_max = spectrum.mp_measure(1e-6).points.max()
+    h_ode = kernels.default_ode_step(1.0, lam_max)
+    # forcing on the half-step grid, then the coarse and half-step passes
+    sub = lambda dt: max(1, math.ceil(dt / h_ode - 1e-12))
+    count = 40 * sub(0.025) + 20 * sub(0.05) + 40 * sub(0.025)
+    assert count > 10**7
+    assert "estimated %d RK4 substeps" % count in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from movolt import kernels, momentum
+from movolt import kernels, momentum, volterra
 
 
 def _response(lam, gamma1, gamma2, Phi, t_eval, u0, w0, t0=0.0):
@@ -136,7 +136,7 @@ def test_sdana_conv_kernel_is_late_time_limit():
     s = 60.0
     tau = np.linspace(0.0, 3.0, 31)
     want = oracle_kernel(lam, g1, g2, lambda t: theta / (1.0 + t), s, s + tau)
-    got = kernels.sdana_kernel_conv(lam, g1, g2, theta, tau)
+    got = kernels.sdana_kernel_conv(lam, g1, g2, tau)
     assert np.allclose(np.ravel(got), want, rtol=0.15, atol=5e-3)
 
 
@@ -201,7 +201,7 @@ def test_sdana_conv_kernel_birth_identities(lam):
     # at tau = 0 the stationary kernel starts from the two-time kernel's
     # initial data (kernel_ic): K(0) = g2^2 lam^2, K'(0) = 2 g2 lam^2 (g1 - g2^2 lam)
     g1, g2, eps = 0.25, 1.0, 1e-5
-    K = lambda tau: kernels.sdana_kernel_conv(lam, g1, g2, 4.0, tau)
+    K = lambda tau: kernels.sdana_kernel_conv(lam, g1, g2, tau)
     assert K(0.0) == pytest.approx(g2**2 * lam**2, rel=1e-8)
     slope = (K(eps) - K(-eps)) / (2.0 * eps)
     assert slope == pytest.approx(2.0 * g2 * lam**2 * (g1 - g2**2 * lam),
@@ -255,3 +255,120 @@ def test_rk4_step_order():
                                          h)[0]
         errs.append(np.max(np.abs(got - exact)))
     assert errs[0] / errs[1] > 12.0
+
+
+def test_rk4_step_order_power_schedule():
+    # the hoisted stage coefficients vary along the interval for the power
+    # schedule; halving the step still shrinks the error ~16x (scipy oracle)
+    lam, g1, g2 = 1.7, 0.25, 1.0
+    grid = np.linspace(0.0, 2.0, 51)
+    sched = kernels._Schedule("power", 4.0)
+    want = oracle_forcing(lam, g1, g2, lambda t: 4.0 / (1.0 + t), grid)
+    errs = []
+    for h in (0.04, 0.02):
+        got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,
+                                         kernels.forcing_ic(np.array([lam]), g1, g2),
+                                         h)[0]
+        errs.append(np.max(np.abs(got - want)))
+    assert errs[0] / errs[1] >= 12.0
+
+
+def rk4_per_stage_oracle(u, t0, t1, h_max, lam, g1, g2, sched):
+    """The RK4 loop with the coefficients evaluated at every stage."""
+    def rhs(t, u):
+        b0, b1, b2 = sched.coeffs(t, lam, g1, g2)
+        return np.stack([u[..., 1], u[..., 2],
+                         -(b0 * u[..., 0] + b1 * u[..., 1] + b2 * u[..., 2])],
+                        axis=-1)
+    nsub = kernels.rk4_substeps(t1 - t0, h_max)
+    h = (t1 - t0) / nsub
+    t = t0
+    for _ in range(nsub):
+        k1 = rhs(t, u)
+        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(t + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return u
+
+
+@pytest.mark.parametrize("kind", ["power", "const"])
+def test_hoisted_rk4_equals_per_stage_loop(kind):
+    # one coefficient evaluation per interval does the same arithmetic as
+    # evaluating at each stage: equal bit for bit
+    lam = np.array([0.05, 0.7, 1.9, 3.6])
+    g1, g2 = 0.25, 1.0
+    sched = kernels._Schedule(kind, 4.0 if kind == "power" else 0.4)
+    grid = np.linspace(0.0, 3.0, 61) + 0.137
+    ic = kernels.forcing_ic(lam, g1, g2)
+    got = kernels._ode_on_grid(lam, g1, g2, sched, grid, ic, 0.007)
+    u = ic
+    for i in range(1, len(grid)):
+        u = rk4_per_stage_oracle(u, grid[i - 1], grid[i], 0.007, lam, g1, g2,
+                                 sched)
+        assert got[:, i].tobytes() == u[:, 0].tobytes()
+
+
+def test_rk4_segment_bounds_the_coefficient_block():
+    # a fine ODE step must not grow the coefficient arrays: each block covers
+    # at most _RK4_CHUNK substeps, and the chunked stage times stay the
+    # stepping loop's, bit for bit
+    lam = np.array([0.3, 2.2])
+    g1, g2 = 0.25, 1.0
+    sched = kernels._Schedule("power", 4.0)
+    rhs = kernels._make_rhs(lam, g1, g2, sched)
+    blocks = []
+
+    def recording(times):
+        blocks.append(len(times))
+        return rhs(times)
+
+    u0 = kernels.forcing_ic(lam, g1, g2)
+    got = kernels._rk4_segment(u0, 0.3, 0.45, 1e-3, recording)
+    nsub = int(kernels.rk4_substeps(0.15, 1e-3))
+    assert nsub > 2 * kernels._RK4_CHUNK
+    assert sum(blocks) == 3 * nsub
+    assert max(blocks) == 3 * kernels._RK4_CHUNK
+    want = rk4_per_stage_oracle(u0, 0.3, 0.45, 1e-3, lam, g1, g2, sched)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_exact_kernel_advance_broadcasts_over_stack():
+    # the per-interval coefficient rows are shared by leading stack axes:
+    # a (2, n_lam, 3) stack advances exactly as each row does alone
+    spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
+    K = kernels.SdanaExactKernel(spec, [0.3, 1.1, 2.9], [0.2, 0.5, 0.3])
+    rows = np.stack([K.ic(0.2), -0.7 * K.ic(0.9)])
+    got = K.advance(rows, 0.2, 0.27)
+    for i in range(2):
+        assert got[i].tobytes() == K.advance(rows[i], 0.2, 0.27).tobytes()
+
+
+def test_one_state_march_is_the_trapezoid_sum():
+    # the separable march carries one state per node; it must solve the
+    # trapezoid system psi_i = F_i + h sum_j w_j K(s_j, t_i) psi_j, with
+    # K(s_j, t_i) taken from the scipy oracle on a 2-node kernel
+    lams, wts = np.array([0.6, 1.9]), np.array([0.4, 0.6])
+    g1, g2, theta = 0.25, 1.0, 4.0
+    Phi = lambda t: theta / (1.0 + t)
+    spec = momentum.sdana(g1, g2, theta).kernel_spec()
+    K = kernels.SdanaExactKernel(spec, lams, wts, h=0.005)
+    grid = np.linspace(0.0, 2.0, 21)
+    h = grid[1] - grid[0]
+    F = 1.0 + 0.3 * np.cos(grid)
+    got = volterra.solve_general(F, K, grid, refine=False).psi
+    n = len(grid)
+    Kst = np.zeros((n, n))  # Kst[j, i] = K(s_j, t_i), i >= j
+    for j in range(n):
+        for lam, w in zip(lams, wts):
+            if j == n - 1:
+                Kst[j, j] += w * lam**2 * g2**2
+            else:
+                Kst[j, j:] += w * oracle_kernel(lam, g1, g2, Phi, grid[j], grid[j:])
+    want = np.empty(n)
+    want[0] = F[0]
+    for i in range(1, n):
+        acc = 0.5 * Kst[0, i] * want[0] + Kst[1:i, i] @ want[1:i]
+        want[i] = (F[i] + h * acc) / (1.0 - 0.5 * h * Kst[i, i])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-7)

@@ -247,6 +247,52 @@ def test_separable_march_overflow_fails_fast():
     assert step * volterra.DEFAULT_H < 60.0
 
 
+def test_sdana_forcing_integration_fails_fast():
+    # gamma1 = 1e6 makes the explicit RK4 step of the forcing ODE unstable:
+    # the forcing integration must stop at the first non-finite value and
+    # say so, with no RuntimeWarning leaking
+    with pytest.raises(NumericalError, match=r"forcing integration went "
+                       r"non-finite at t = ") as info:
+        volterra.predict(spectrum.mp_measure(1.0),
+                         momentum.sdana(1e6, 1.0, 4.0), T=5.0)
+    t = float(re.search(r"at t = ([0-9.e+-]+);", str(info.value)).group(1))
+    assert 0.0 < t < 5.0
+
+
+@pytest.mark.parametrize("mode, T, shape", [
+    ("ode", 1.0, None), ("ode", 0.2, None), ("ode", 1.0, (48, 8)),
+    ("ode", 1.0, (12, 24)), ("conv", 1.0, None)])
+def test_rk4_work_estimate_is_the_work_done(monkeypatch, mode, T, shape):
+    # the refusal's estimate must count the RK4 substeps predict then takes:
+    # the forcing at its own nodes' step, the exact kernel's passes at kern.h
+    # (T = 0.2 is too short for the half-step pass).  gamma2 = 1.5 puts the
+    # ODE steps of lambda_max = 8 and of the first realized spectrum below
+    # their 0.01 cap, so each step follows its own nodes
+    from movolt import kernels, lsq
+    measure = spectrum.esm_from_eigenvalues([0.4] * 20 + [1.3] * 10 + [8.0])
+    spectral = None
+    if shape is not None:
+        # realized spectra above and below the measure's lambda_max
+        spectral = lsq.to_spectral(lsq.generate_gaussian(*shape, 1.0, 1.0, 3))
+    params = momentum.sdana(0.25, 1.5, 4.0)
+    monkeypatch.setattr(volterra, "_RK4_WORK_LIMIT", 0)
+    with pytest.raises(NumericalError, match="RK4 work out of reach") as info:
+        volterra.predict(measure, params, T=T, h=0.1, mode=mode,
+                         spectral=spectral)
+    estimate = int(re.search(r"estimated (\d+) RK4", str(info.value)).group(1))
+    monkeypatch.setattr(volterra, "_RK4_WORK_LIMIT", 10**7)
+    done = []
+    segment = kernels._rk4_segment
+
+    def counting(u, t0, t1, h_max, rhs):
+        done.append(int(kernels.rk4_substeps(t1 - t0, h_max)))
+        return segment(u, t0, t1, h_max, rhs)
+
+    monkeypatch.setattr(kernels, "_rk4_segment", counting)
+    volterra.predict(measure, params, T=T, h=0.1, mode=mode, spectral=spectral)
+    assert estimate == sum(done) > 0
+
+
 def test_picard_nonfinite_iterate_fails_fast():
     grid = volterra.time_grid(400.0, 0.05)
     I = np.full_like(grid, 20.0)  # iterates grow like (20 t)^k / k!

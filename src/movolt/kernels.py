@@ -3,8 +3,9 @@
 Every algorithm here is a stochastic momentum method whose expected loss
 obeys a Volterra equation.  Each eigenvalue lam of the Hessian spectrum
 contributes a forcing profile G^(lam)(t) with G(0) = 1/2 and a kernel
-K_s^(lam)(t) with K_s(s) = lam^2 * Gamma2^2, both solving the same
-third-order linear ODE
+K_s^(lam)(t) with K_s(s) = lam^2 * Gamma2^2.  Both solve one third-order
+linear ODE and differ only in their initial data (forcing_ic at t = 0,
+kernel_ic at t = s):
 
     J''' + b2(t) J'' + b1(t) J' + b0(t) J = 0
 
@@ -15,11 +16,14 @@ Phi = phi'/phi:
     b1 = Phi' + 2 Phi^2 + 8 g2 lam Phi + 4 g1 lam + 2 g2^2 lam^2
     b0 = 2 g2 lam Phi' + 4 lam (Phi + g2 lam) (g1 + g2 Phi)
 
-For constant Phi = theta the ODE has constant coefficients and closed
-forms (covers SGD with theta=0, SHB, SDAHB and the mixed g1/g2 variant);
-SDANA uses Phi(t) = theta/(1+t) and is integrated by fixed-step RK4.
-Evaluating in the conjugated variable keeps states O(1): there is no
-phi(t)^2 ~ t^(2 theta) growth anywhere.
+The ODE has two evaluators.  For constant Phi its characteristic cubic
+factors as (z + d)((z + d)^2 + omega) with d = Phi + g2 lam and
+omega = 4 g1 lam - (g2 lam - Phi)^2, and _closed_form solves it from any
+initial state: SGD (Phi = 0), SHB, SDAHB and the mixed g1/g2 variant
+(Phi = theta), and SDANA's late-time convolution kernel (Phi = 0).
+SDANA's power schedule Phi(t) = theta/(1+t) is integrated by fixed-step
+RK4 from the same initial data.  Evaluating in the conjugated variable
+keeps states O(1): there is no phi(t)^2 ~ t^(2 theta) growth anywhere.
 """
 
 from dataclasses import dataclass
@@ -30,50 +34,6 @@ from .errors import NumericalError
 
 # series branch threshold for the turning point omega ~ 0
 OMEGA_EPS = 1e-8
-
-
-def snc(omega, x):
-    """sin(x*sqrt(omega))/sqrt(omega), continued across omega <= 0."""
-    omega = np.asarray(omega, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.empty(np.broadcast(omega, x).shape)
-    om, xx = np.broadcast_arrays(omega, x)
-    pos = om > OMEGA_EPS
-    neg = om < -OMEGA_EPS
-    mid = ~(pos | neg)
-    if pos.any():
-        s = np.sqrt(om[pos])
-        out[pos] = np.sin(xx[pos] * s) / s
-    if neg.any():
-        s = np.sqrt(-om[neg])
-        out[neg] = np.sinh(xx[neg] * s) / s
-    if mid.any():
-        x2 = xx[mid] ** 2
-        out[mid] = xx[mid] * (1.0 - om[mid] * x2 / 6.0 + om[mid] ** 2 * x2**2 / 120.0)
-    return out if out.ndim else float(out)
-
-
-def osc(omega, x):
-    """(1 - cos(x*sqrt(omega)))/omega, continued across omega <= 0.
-
-    For omega < 0 this is (1 - cosh(x*sqrt(-omega)))/omega >= 0; near zero
-    the series x^2/2 - omega*x^4/24 + omega^2*x^6/720 is used.
-    """
-    omega = np.asarray(omega, dtype=float)
-    x = np.asarray(x, dtype=float)
-    out = np.empty(np.broadcast(omega, x).shape)
-    om, xx = np.broadcast_arrays(omega, x)
-    pos = om > OMEGA_EPS
-    neg = om < -OMEGA_EPS
-    mid = ~(pos | neg)
-    if pos.any():
-        out[pos] = (1.0 - np.cos(xx[pos] * np.sqrt(om[pos]))) / om[pos]
-    if neg.any():
-        out[neg] = (1.0 - np.cosh(xx[neg] * np.sqrt(-om[neg]))) / om[neg]
-    if mid.any():
-        x2 = xx[mid] ** 2
-        out[mid] = x2 / 2.0 - om[mid] * x2**2 / 24.0 + om[mid] ** 2 * x2**3 / 720.0
-    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -104,57 +64,45 @@ class KernelSpec:
 
 
 # ----------------------------------------------------------------------
-# Closed forms for constant Phi = theta (SGD: theta = 0)
+# Closed form for constant Phi
 # ----------------------------------------------------------------------
 
 def _ic_profile(omega, decay, c0, c1, c2, x):
-    """exp(-decay*x) * [c0 + c1*snc(omega,x) + c2*osc(omega,x)], stably.
-
-    c1, c2 are the rho-shifted IC combinations already.  For omega < 0 the
-    bracket's hyperbolic growth is folded into the decay (three-exponential
-    assembly) so no intermediate overflows for large x.
+    """exp(-decay*x) * [c0 + c1*snc + c2*osc] for a scalar omega, where
+    snc = sin(x sqrt(omega))/sqrt(omega) and osc = (1 - cos(x sqrt(omega)))/omega
+    are continued across omega <= 0 and take their series near 0.  Written
+    so that nothing cancels for small x sqrt|omega| or overflows for large x.
     """
     x = np.asarray(x, dtype=float)
     if omega < -OMEGA_EPS:
+        # omega = -s^2: the growth folds into slow = exp(-(decay - s) x)/2,
+        # and with e = expm1(-s x)
+        # exp(-decay x) (1, snc, osc) = slow (2 (1 + e), -e (2 + e)/s, -e^2/omega)
         s = np.sqrt(-omega)
-        p0 = c0 + c2 / omega          # c0 - c2/s^2
-        pc = -c2 / omega              # cosh coefficient
-        ps = c1 / s                   # sinh coefficient
-        return (p0 * np.exp(-decay * x)
-                + 0.5 * (pc + ps) * np.exp(-(decay - s) * x)
-                + 0.5 * (pc - ps) * np.exp(-(decay + s) * x))
-    bracket = c0 + c1 * snc(omega, x) + c2 * osc(omega, x)
-    return np.exp(-decay * x) * bracket
+        e = np.expm1(-s * x)
+        a1 = c1 / s
+        return 0.5 * np.exp(-(decay - s) * x) * (
+            2.0 * c0 + e * (2.0 * (c0 - a1) - e * (a1 + c2 / omega)))
+    if omega > OMEGA_EPS:
+        s = np.sqrt(omega)
+        snc = np.sin(x * s) / s
+        osc = 2.0 * np.sin(0.5 * x * s) ** 2 / omega  # 1 - cos, uncancelled
+    else:
+        x2 = x**2
+        snc = x * (1.0 - omega * x2 / 6.0 + omega**2 * x2**2 / 120.0)
+        osc = x2 / 2.0 - omega * x2**2 / 24.0 + omega**2 * x2**3 / 720.0
+    return np.exp(-decay * x) * (c0 + c1 * snc + c2 * osc)
 
 
-def _const_phi_forcing(lam, gamma1, gamma2, theta, t):
-    """G^(lam)(t) = J0(t)/(2 phi^2), phi = e^(theta t), from the ICs
-    J0(0)=1, J0'(0)=2*theta-2*g2*lam, J0''(0)=(2*theta-2*g2*lam)^2-2*g1*lam."""
-    if lam == 0.0:
-        return np.full_like(np.asarray(t, dtype=float), 0.5)
-    rho = gamma2 * lam - theta
-    omega = 4.0 * gamma1 * lam - rho * rho
-    k0 = 1.0
-    k1 = 2.0 * theta - 2.0 * gamma2 * lam          # = -2*rho - ... = -2*(rho)
-    k2 = k1 * k1 - 2.0 * gamma1 * lam
-    c1 = k1 + rho * k0
-    c2 = k2 + 2.0 * rho * k1 + rho * rho * k0
-    return 0.5 * _ic_profile(omega, 2.0 * theta + rho, k0, c1, c2, t)
-
-
-def _const_phi_kernel(lam, gamma1, gamma2, theta, tau):
-    """K^(lam)(tau) from the diagonal ICs K(s,s)=g2^2 etc., constant Phi."""
-    if lam == 0.0:
-        return np.zeros_like(np.asarray(tau, dtype=float))
-    rho = gamma2 * lam - theta
-    omega = 4.0 * gamma1 * lam - rho * rho
-    k0 = gamma2**2
-    k1 = 2.0 * gamma2 * gamma1 - 2.0 * gamma2**2 * rho
-    k2 = (2.0 * gamma1 * (gamma1 + 3.0 * gamma2 * theta - 4.0 * gamma2**2 * lam)
-          + 4.0 * gamma2**2 * rho * rho)
-    c1 = k1 + rho * k0
-    c2 = k2 + 2.0 * rho * k1 + rho * rho * k0
-    return lam * lam * _ic_profile(omega, 2.0 * theta + rho, k0, c1, c2, tau)
+def _closed_form(ic, lam, gamma1, gamma2, Phi, x):
+    """Component 0 of the conjugated ODE at constant Phi, a lag x after the
+    state ic = (u0, u1, u2): with d = Phi + g2*lam, v = e^(d x) u solves
+    v''' + omega v' = 0, so v = v(0) + v'(0) snc + v''(0) osc."""
+    d = Phi + gamma2 * lam
+    omega = 4.0 * gamma1 * lam - (gamma2 * lam - Phi) ** 2
+    u0, u1, u2 = ic
+    return _ic_profile(omega, d, u0, u1 + d * u0,
+                       u2 + 2.0 * d * u1 + d * d * u0, x)
 
 
 # ----------------------------------------------------------------------
@@ -329,92 +277,45 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
 
 
 # ----------------------------------------------------------------------
-# SDANA idealized convolution kernel
-# ----------------------------------------------------------------------
-
-def sdana_kernel_conv(lam, gamma1, gamma2, tau):
-    """Per-lambda integrand of the idealized convolution kernel:
-
-    2*g1^2*lam * exp(-lam*g2*tau) * (1 - cos(phase + sqrt(lam*omega)*tau)) / omega
-
-    with omega = 4*g1 - g2^2*lam and the exact algebraic phase.  The
-    omega < 0 branch is evaluated as a sum of decaying exponentials; the
-    turning point |omega| < 1e-8 uses the limit
-    (sqrt(lam)*tau - 2/sqrt(g1))^2 / 2 for the oscillation factor.
-    theta does not enter: it is absorbed by the phi-conjugation of the
-    convolution equation.
-    """
-    tau = np.asarray(tau, dtype=float)
-    lam = float(lam)
-    if lam == 0.0:
-        out = np.zeros_like(tau)
-        return out if out.ndim else float(out)
-    g1, g2 = float(gamma1), float(gamma2)
-    omega = 4.0 * g1 - g2**2 * lam
-    sig = np.sqrt(lam)
-    # the phase: cos = ((omega - 2 g1)^2 - 2 g1^2) / (2 g1^2) and
-    # sin = (omega - 2 g1) g2 sqrt(lam) sqrt(omega) / (2 g1^2); on
-    # 0 <= omega <= 4 g1, sqrt(4 g1 - omega) = g2 sqrt(lam) gives
-    # cos^2 + sin^2 = 1
-    u = omega - 2.0 * g1
-    cos_phase = (u * u - 2.0 * g1**2) / (2.0 * g1**2)
-    if omega > OMEGA_EPS:
-        sin_phase = u * g2 * sig * np.sqrt(omega) / (2.0 * g1**2)
-        z = sig * np.sqrt(omega) * tau
-        body = 1.0 - cos_phase * np.cos(z) + sin_phase * np.sin(z)
-        out = 2.0 * g1**2 * lam * np.exp(-lam * g2 * tau) * body / omega
-    elif omega < -OMEGA_EPS:
-        s = np.sqrt(-omega)
-        # sin(phase) = u*g2*sig*i*s/(2 g1^2); sin(phase)*sin(z) is real:
-        hyp = u * g2 * sig * s / (2.0 * g1**2)
-        # exp(-lam g2 tau) * cosh/sinh(sig s tau) assembled per exponential
-        d_slow = np.exp(-(lam * g2 - sig * s) * tau)
-        d_fast = np.exp(-(lam * g2 + sig * s) * tau)
-        body = (np.exp(-lam * g2 * tau)
-                - 0.5 * (cos_phase + hyp) * d_slow
-                - 0.5 * (cos_phase - hyp) * d_fast)
-        out = 2.0 * g1**2 * lam * body / omega
-    else:
-        body = 0.5 * (sig * tau - 2.0 / np.sqrt(g1)) ** 2
-        out = 2.0 * g1**2 * lam * np.exp(-lam * g2 * tau) * body
-    return out if out.ndim else float(out)
-
-
-# ----------------------------------------------------------------------
 # Measure-vectorized evaluation (used by the volterra module)
 # ----------------------------------------------------------------------
 
 def forcing_matrix(spec, lams, grid, h=None):
-    """G^(lam_i)(t_j) as an (n_lam, n_t) matrix."""
+    """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half the ODE's solution
+    from forcing_ic, in closed form for constant Phi = theta, else by RK4
+    at ODE step h (default node_ode_step)."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
+    ic = forcing_ic(lams, spec.gamma1, spec.gamma2)
     if spec.phi_kind == "const":
         out = np.empty((lams.size, grid.size))
         for i, lam in enumerate(lams):
-            out[i] = _const_phi_forcing(lam, spec.gamma1, spec.gamma2, spec.theta, grid)
+            out[i] = 0.5 * _closed_form(ic[i], lam, spec.gamma1, spec.gamma2,
+                                        spec.theta, grid)
         return out
     # SDANA: one vectorized RK4 pass across all nodes
     if h is None:
         h = node_ode_step(spec.gamma2, lams)
     sched = _Schedule("power", spec.theta)
-    ic = forcing_ic(lams, spec.gamma1, spec.gamma2)
     return 0.5 * _ode_on_grid(lams, spec.gamma1, spec.gamma2, sched, grid, ic, h)
 
 
 def kernel_matrix(spec, lams, taus):
-    """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau) matrix.
+    """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
+    matrix: lam^2 times the ODE's closed-form solution from kernel_ic.
 
-    For SDANA this is the idealized convolution integrand (the exact
-    kernel is two-time and handled by SdanaExactKernel instead).
+    Phi = theta for constant schedules.  For SDANA this is the idealized
+    convolution kernel, the late-time limit Phi = 0 (the exact kernel is
+    two-time and handled by SdanaExactKernel instead).
     """
     lams = np.asarray(lams, dtype=float)
     taus = np.asarray(taus, dtype=float)
+    Phi = spec.theta if spec.phi_kind == "const" else 0.0
+    ic = kernel_ic(lams, spec.gamma1, spec.gamma2, Phi)
     out = np.empty((lams.size, taus.size))
     for i, lam in enumerate(lams):
-        if spec.phi_kind == "const":
-            out[i] = _const_phi_kernel(lam, spec.gamma1, spec.gamma2, spec.theta, taus)
-        else:
-            out[i] = sdana_kernel_conv(lam, spec.gamma1, spec.gamma2, taus)
+        out[i] = lam * lam * _closed_form(ic[i], lam, spec.gamma1, spec.gamma2,
+                                          Phi, taus)
     return out
 
 

@@ -187,9 +187,6 @@ class Trajectory:
     def is_ensemble(self):
         return self.mean is not None
 
-    def central(self):
-        return self.mean if self.is_ensemble else self.values
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             if self.is_ensemble:

@@ -116,14 +116,14 @@ def sidecar_path(csv_path):
     return (root if ext.lower() == ".csv" else csv_path) + ".json"
 
 
-def build_forcing(measure, spec, R, R_tilde, grid, h=None):
+def build_forcing(measure, spec, R, R_tilde, grid):
     """F(t) = int (R*lam + R_tilde) G^(lam)(t) dmu(lam) on the grid.
 
     The atom at lam = 0 contributes the constant R_tilde*mu({0})/2, since
     the gradient never moves mass there and G(0, t) = 1/2.
     """
     grid = np.asarray(grid, dtype=float)
-    mat = kernels.forcing_matrix(spec, measure.points, grid, h=h)
+    mat = kernels.forcing_matrix(spec, measure.points, grid)
     coef = measure.weights * (R * measure.points + R_tilde)
     F = coef @ mat
     if measure.zero_mass > 0.0:
@@ -131,7 +131,7 @@ def build_forcing(measure, spec, R, R_tilde, grid, h=None):
     return F
 
 
-def build_forcing_from_spectral(spectral, spec, grid, h=None):
+def build_forcing_from_spectral(spectral, spec, grid):
     """Forcing from the realized spectral coordinates of one problem:
 
         F(t) = sum_j (sigma_j nu0_j - etahat_j)^2 G^(sigma_j^2)(t)
@@ -145,7 +145,7 @@ def build_forcing_from_spectral(spectral, spec, grid, h=None):
     live = lam > 0.0
     F = np.full(grid.shape, 0.5 * c[~live].sum())
     if np.any(live):
-        F = F + c[live] @ kernels.forcing_matrix(spec, lam[live], grid, h=h)
+        F = F + c[live] @ kernels.forcing_matrix(spec, lam[live], grid)
     return F
 
 
@@ -268,11 +268,19 @@ def _richardson(psi, samples, fine, half_pass, diagnostics):
     return (4.0 * on_grid - psi) / 3.0
 
 
-def _solve_conv_core(F, I_vals, h, method):
-    denom = 1.0 - 0.5 * h * I_vals[0]
+def _march_divisor(h, K0):
+    """1 - (h/2) K0, the trapezoid march's divisor at grid step h and
+    on-diagonal kernel value K0; raises NumericalError unless positive."""
+    denom = 1.0 - 0.5 * h * K0
     if denom <= 0.0:
-        raise NumericalError("marching singularity: 1 - (h/2) I(0) <= 0; "
-                             "reduce the grid step")
+        raise NumericalError("marching singularity: 1 - (h/2) K(0) <= 0 at "
+                             "h = %.6g, K(0) = %.6g; reduce the grid step --h "
+                             "below 2/K(0) = %.6g" % (h, K0, 2.0 / K0))
+    return denom
+
+
+def _solve_conv_core(F, I_vals, h, method):
+    denom = _march_divisor(h, I_vals[0])
     diagnostics = {}
     I_hat = np.fft.rfft(I_vals, _fft_size(2 * len(I_vals) - 1))
     if method == "marching":
@@ -425,10 +433,7 @@ def _march_separable(F, K, grid, h):
     n = len(grid)
     psi = np.empty(n)
     psi[0] = F[0]
-    denom = 1.0 - 0.5 * h * K.diag()
-    if denom <= 0.0:
-        raise NumericalError("marching singularity: kernel diagonal too "
-                             "large for this grid step")
+    denom = _march_divisor(h, K.diag())
     # the state ODE is linear, so one state carries the whole trapezoid
     # sum: state = ic(s_0) psi_0 / 2 + sum_{0<j<i} ic(s_j) psi_j, advanced
     # to t_i; the half weight at j = i sits in denom
@@ -455,8 +460,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     passed to replace the theoretical forcing with the realized one.
     validate reruns the convolution solve by Picard iteration and records
     the disagreement in the diagnostics.  An SDANA job estimated at more
-    than _RK4_WORK_LIMIT RK4 substeps raises NumericalError before any
-    integration.
+    than _RK4_WORK_LIMIT RK4 substeps, and a grid step at which the march
+    is singular, raise NumericalError before any integration.
     """
     if mode is not None:
         mode = _MODE_ALIASES.get(mode, mode)
@@ -472,6 +477,9 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     if spec.mode == "ode_exact":
         kern = kernels.SdanaExactKernel(spec, measure.points, measure.weights)
     _check_rk4_work(spec, measure, spectral, kern, grid, half)
+    # refuse a singular march before the forcing: every route's on-diagonal
+    # kernel value is K_t(t) = g2^2 int lam^2 dmu
+    _march_divisor(h, spec.gamma2**2 * measure.integrate(np.square))
     if spectral is not None:
         F_half = build_forcing_from_spectral(spectral, spec, half)
     else:
@@ -485,8 +493,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         # the SDANA approximation is solved in the phi-conjugated variable;
         # the closed forms already are in the physical one
         conj = spec.mode == "convolution_approx"
-        phi = (1.0 + grid) ** spec.theta if conj else 1.0
-        phi_half = (1.0 + half) ** spec.theta if conj else 1.0
+        weight = kernels._Schedule("power", spec.theta).phi
+        phi, phi_half = (weight(grid), weight(half)) if conj else (1.0, 1.0)
         I_half = build_convolution_kernel(measure, spec, half)
         fine = (phi_half * F_half, I_half)
         sol = solve_convolution(phi * F, I_half[::2], grid, fine=fine)

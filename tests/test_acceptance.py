@@ -183,8 +183,11 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             g = float(rng.uniform(0.05, 2.0))
             worst_closed = max(
                 worst_closed,
-                abs(kernels._const_phi_forcing(lam, 0.0, g, 0.0, 0.0) - 0.5),
-                abs(kernels._const_phi_kernel(lam, 0.0, g, 0.0, 0.0)
+                abs(0.5 * kernels._closed_form(
+                    kernels.forcing_ic(lam, 0.0, g), lam, 0.0, g, 0.0, 0.0)
+                    - 0.5),
+                abs(lam * lam * kernels._closed_form(
+                    kernels.kernel_ic(lam, 0.0, g, 0.0), lam, 0.0, g, 0.0, 0.0)
                     - g * g * lam * lam))
         elif algo in ("shb", "sdahb"):
             # both land on the same constant-friction closed form once
@@ -193,9 +196,12 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             th = float(rng.uniform(0.1, 4.0))
             worst_closed = max(
                 worst_closed,
-                abs(kernels._const_phi_forcing(lam, g1, 0.0, th, 0.0)
+                abs(0.5 * kernels._closed_form(
+                    kernels.forcing_ic(lam, g1, 0.0), lam, g1, 0.0, th, 0.0)
                     - 0.5),
-                abs(kernels._const_phi_kernel(lam, g1, 0.0, th, 0.0)))
+                abs(lam * lam * kernels._closed_form(
+                    kernels.kernel_ic(lam, g1, 0.0, th), lam, g1, 0.0, th,
+                    0.0)))
         else:
             g1 = float(rng.uniform(0.05, 1.0))
             g2 = float(rng.uniform(0.1, 2.0))
@@ -212,7 +218,8 @@ def test_criterion_08_kernel_identities_and_rk4_order():
     lam, g1, g2, th = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)
     sched = kernels._Schedule("const", th)
-    exact = kernels._const_phi_forcing(lam, g1, g2, th, grid)
+    exact = 0.5 * kernels._closed_form(kernels.forcing_ic(lam, g1, g2),
+                                       lam, g1, g2, th, grid)
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(

@@ -120,9 +120,10 @@ def test_laplace_sgd_matches_scipy_quad(x):
 def test_laplace_sdahb_matches_scipy_quad(x):
     lam, g1, theta = 1.1, 0.9, 2.3
     mu = atom(lam)
+    spec = momentum.sdahb(g1, theta).kernel_spec()
     want, err = scipy.integrate.quad(
-        lambda t: np.exp(x * t) * float(kernels._const_phi_kernel(
-            lam, g1, 0.0, theta, t)),
+        lambda t: np.exp(x * t) * float(kernels.kernel_matrix(
+            spec, [lam], [t])[0, 0]),
         0.0, 200.0, limit=400)
     assert err < 1e-8
     got = analysis.laplace_transform(momentum.sdahb(g1, theta), mu, x)
@@ -133,9 +134,10 @@ def test_laplace_sdahb_matches_scipy_quad(x):
 def test_laplace_sdana_matches_scipy_quad(x):
     lam, g1, g2, theta = 0.9, 0.25, 1.0, 4.0
     mu = atom(lam)
+    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="convolution_approx")
     want, err = scipy.integrate.quad(
-        lambda t: np.exp(x * t) * np.ravel(
-            kernels.sdana_kernel_conv(lam, g1, g2, t))[0],
+        lambda t: np.exp(x * t) * float(kernels.kernel_matrix(
+            spec, [lam], [t])[0, 0]),
         0.0, 300.0, limit=400)
     assert err < 1e-8
     got = analysis.laplace_transform(momentum.sdana(g1, g2, theta), mu, x)

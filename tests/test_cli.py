@@ -150,6 +150,26 @@ def test_predict_refuses_rk4_work_out_of_reach(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["ode", "conv"])
+def test_predict_refuses_singular_march_before_forcing(tmp_path, capsys, mode):
+    # r = 1e-5 puts K(0) = g2^2 int lam^2 dmu near 1e5, so the march's
+    # divisor 1 - (h/2) K(0) at the default h is negative: refused before
+    # the forcing's RK4, which alone takes seconds here
+    out = tmp_path / "psi.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(["predict", "--algo", "sdana", "--r", "1e-5",
+                            "--T", "0.1", "--mode", mode, "--out", str(out)],
+                           capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "marching singularity" in err
+    mu = spectrum.mp_measure(1e-5)
+    g2 = momentum.defaults("sdana", mu).kernel_spec().gamma2
+    k0 = g2**2 * mu.integrate(np.square)
+    assert "--h below 2/K(0) = %.6g" % (2.0 / k0) in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

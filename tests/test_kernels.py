@@ -43,6 +43,18 @@ def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
     return lam ** 2 * u ** 2
 
 
+def closed_forcing(lam, gamma1, gamma2, theta, grid):
+    """The constant-Phi forcing, from forcing_ic."""
+    ic = kernels.forcing_ic(lam, gamma1, gamma2)
+    return 0.5 * kernels._closed_form(ic, lam, gamma1, gamma2, theta, grid)
+
+
+def closed_kernel(lam, gamma1, gamma2, theta, tau):
+    """The constant-Phi kernel, from kernel_ic."""
+    ic = kernels.kernel_ic(lam, gamma1, gamma2, theta)
+    return lam**2 * kernels._closed_form(ic, lam, gamma1, gamma2, theta, tau)
+
+
 # ---------------------------------------------------------------- sgd
 
 def test_sgd_forcing_closed_form():
@@ -79,7 +91,7 @@ def test_sgd_matches_oracle():
 def test_const_schedule_forcing_matches_ode_oracle(lam, g1, g2, theta):
     grid = np.linspace(0.0, 8.0, 81)
     want = oracle_forcing(lam, g1, g2, lambda t: theta, grid)
-    got = kernels._const_phi_forcing(lam, g1, g2, theta, grid)
+    got = closed_forcing(lam, g1, g2, theta, grid)
     assert np.allclose(got, want, atol=1e-9)
 
 
@@ -91,14 +103,14 @@ def test_const_schedule_forcing_matches_ode_oracle(lam, g1, g2, theta):
 def test_const_schedule_kernel_matches_ode_oracle(lam, g1, g2, theta):
     tau = np.linspace(0.0, 8.0, 81)
     want = oracle_kernel(lam, g1, g2, lambda t: theta, 0.0, tau)
-    got = kernels._const_phi_kernel(lam, g1, g2, theta, tau)
+    got = closed_kernel(lam, g1, g2, theta, tau)
     assert np.allclose(got, want, atol=1e-9)
 
 
 def test_kernel_value_at_zero_lag():
     # K(0) = gamma2^2 * lam^2: the instantaneous noise-to-loss gain
     for lam, g2 in [(1.0, 0.5), (3.0, 0.2)]:
-        got = float(kernels._const_phi_kernel(lam, 0.3, g2, 1.0, 0.0))
+        got = float(closed_kernel(lam, 0.3, g2, 1.0, 0.0))
         assert got == pytest.approx(g2**2 * lam**2, rel=1e-12)
 
 
@@ -136,8 +148,9 @@ def test_sdana_conv_kernel_is_late_time_limit():
     s = 60.0
     tau = np.linspace(0.0, 3.0, 31)
     want = oracle_kernel(lam, g1, g2, lambda t: theta / (1.0 + t), s, s + tau)
-    got = kernels.sdana_kernel_conv(lam, g1, g2, tau)
-    assert np.allclose(np.ravel(got), want, rtol=0.15, atol=5e-3)
+    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="convolution_approx")
+    got = kernels.kernel_matrix(spec, [lam], tau)[0]
+    assert np.allclose(got, want, rtol=0.15, atol=5e-3)
 
 
 def test_exact_kernel_state_matches_dense_evaluation():
@@ -159,28 +172,50 @@ def test_exact_kernel_state_matches_dense_evaluation():
     assert K.aggregate(cur[:, 0]) == pytest.approx(dense, rel=1e-7)
 
 
-# --------------------------------------------------------- snc / osc
+# --------------------------------------------- snc / osc of _ic_profile
+
+def snc(omega, x):
+    """sin(x*sqrt(omega))/sqrt(omega), continued across omega <= 0."""
+    return kernels._ic_profile(omega, 0.0, 0.0, 1.0, 0.0, x)
+
+
+def osc(omega, x):
+    """(1 - cos(x*sqrt(omega)))/omega, continued across omega <= 0."""
+    return kernels._ic_profile(omega, 0.0, 0.0, 0.0, 1.0, x)
+
 
 def test_snc_osc_trig_values():
-    assert kernels.snc(4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0)
-    assert kernels.snc(-4.0, 1.0) == pytest.approx(math.sinh(2.0) / 2.0)
-    assert kernels.osc(4.0, 1.0) == pytest.approx((1 - math.cos(2.0)) / 4.0)
-    assert kernels.osc(-4.0, 1.0) == pytest.approx((1 - math.cosh(2.0)) / -4.0)
+    assert snc(4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0)
+    assert snc(-4.0, 1.0) == pytest.approx(math.sinh(2.0) / 2.0)
+    assert osc(4.0, 1.0) == pytest.approx((1 - math.cos(2.0)) / 4.0)
+    assert osc(-4.0, 1.0) == pytest.approx((1 - math.cosh(2.0)) / -4.0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(omega=st.floats(-1e-6, 1e-6), x=st.floats(0.0, 10.0))
 def test_snc_continuous_across_zero(omega, x):
     # series branch must agree with the trig branches at the crossover
-    val = kernels.snc(omega, x)
-    ref = kernels.snc(2e-6 if omega >= 0 else -2e-6, x)
+    val = snc(omega, x)
+    ref = snc(2e-6 if omega >= 0 else -2e-6, x)
     assert val == pytest.approx(ref, rel=1e-4, abs=1e-7)
+
+
+@pytest.mark.parametrize("omega", [-1e-6, -2e-8, 2e-8, 1e-6])
+@pytest.mark.parametrize("x", [1e-4, 0.1, 1.0])
+def test_snc_osc_accurate_just_past_the_series_branch(omega, x):
+    # |omega| x^2 <= 1e-6: three series terms are exact to rounding, and
+    # neither branch may cancel 1 - cos or 1 - cosh against it
+    x2 = x * x
+    assert snc(omega, x) == pytest.approx(
+        x * (1.0 - omega * x2 / 6.0 + omega**2 * x2**2 / 120.0), rel=1e-14)
+    assert osc(omega, x) == pytest.approx(
+        x2 / 2.0 - omega * x2**2 / 24.0 + omega**2 * x2**3 / 720.0, rel=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
 @given(omega=st.floats(-5.0, 5.0), x=st.floats(0.0, 5.0))
 def test_osc_nonnegative(omega, x):
-    assert kernels.osc(omega, x) >= -1e-12
+    assert osc(omega, x) >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,10 +223,10 @@ def test_osc_nonnegative(omega, x):
 def test_snc_osc_derivative_identity(omega, x):
     # d/dx osc(omega, x) = snc(omega, x); check with a central difference
     eps = 1e-5
-    d = (kernels.osc(omega, x + eps) - kernels.osc(omega, max(x - eps, 0.0)))
+    d = (osc(omega, x + eps) - osc(omega, max(x - eps, 0.0)))
     span = eps + min(x, eps)
     assert d / span == pytest.approx(
-        kernels.snc(omega, x + eps - 0.5 * span), rel=2e-4, abs=2e-4)
+        snc(omega, x + eps - 0.5 * span), rel=2e-4, abs=2e-4)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9,     # oscillatory, omega > 0
@@ -201,11 +236,35 @@ def test_sdana_conv_kernel_birth_identities(lam):
     # at tau = 0 the stationary kernel starts from the two-time kernel's
     # initial data (kernel_ic): K(0) = g2^2 lam^2, K'(0) = 2 g2 lam^2 (g1 - g2^2 lam)
     g1, g2, eps = 0.25, 1.0, 1e-5
-    K = lambda tau: kernels.sdana_kernel_conv(lam, g1, g2, tau)
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="convolution_approx")
+    K = lambda tau: float(kernels.kernel_matrix(spec, [lam], [tau])[0, 0])
     assert K(0.0) == pytest.approx(g2**2 * lam**2, rel=1e-8)
     slope = (K(eps) - K(-eps)) / (2.0 * eps)
     assert slope == pytest.approx(2.0 * g2 * lam**2 * (g1 - g2**2 * lam),
                                   rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 3e-9])
+def test_sdana_conv_kernel_at_turning_point(lam):
+    # omega = lam (4 g1 - g2^2 lam) crosses 0 at lam = 1: the conv kernel
+    # matches the exact solution of the late-time 2-d system (Phi = 0)
+    # u' = -g2 lam u - g1 w, w' = lam u, (u, w)(0) = (-g2, 1), K = lam^2 u^2
+    g1, g2 = 0.25, 1.0
+    tau = np.linspace(0.0, 60.0, 1201)
+    a = 0.5 * g2 * lam
+    disc = lam * (g2**2 * lam - 4.0 * g1) / 4.0  # a^2 - g1 lam, no cancellation
+    if disc > 0.0:
+        r = np.sqrt(disc)
+        cos_, sin_ = np.cosh(r * tau), np.sinh(r * tau) / r
+    else:
+        r = np.sqrt(-disc)
+        cos_, sin_ = np.cos(r * tau), np.sin(r * tau) / r
+    # u(0) = -g2 and u'(0) + a u(0) = g2^2 lam / 2 - g1
+    u = np.exp(-a * tau) * (-g2 * cos_ + (0.5 * g2**2 * lam - g1) * sin_)
+    want = lam**2 * u**2
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="convolution_approx")
+    got = kernels.kernel_matrix(spec, [lam], tau)[0]
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
 
 # --------------------------------------------------- matrix builders
@@ -217,7 +276,7 @@ def test_forcing_matrix_rows_match_scalar_functions():
     M = kernels.forcing_matrix(spec, lams, grid)
     for i, lam in enumerate(lams):
         assert np.allclose(
-            M[i], kernels._const_phi_forcing(lam, 0.8, 0.0, 1.5, grid),
+            M[i], closed_forcing(lam, 0.8, 0.0, 1.5, grid),
             rtol=1e-12)
 
 
@@ -247,7 +306,7 @@ def test_rk4_step_order():
     lam, g1, g2, theta = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)
     sched = kernels._Schedule("const", theta)
-    exact = kernels._const_phi_forcing(lam, g1, g2, theta, grid)
+    exact = closed_forcing(lam, g1, g2, theta, grid)
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,

@@ -241,9 +241,12 @@ def kernel_ic(lam, gamma1, gamma2, Phi_s):
     q(s)   = g2^2
     q'(s)  = 2*g2*(g1 - g2^2*lam)
     q''(s) = 2*g1^2 - 8*g1*g2^2*lam + 4*g2^4*lam^2 - 2*g1*g2*Phi(s)
+
+    lam and Phi_s broadcast: lam[None, :] against Phi[:, None] gives the
+    ICs of every node at a block of times in one call.
     """
     lam = np.asarray(lam, dtype=float)
-    ic = np.empty(lam.shape + (3,))
+    ic = np.empty(np.broadcast_shapes(lam.shape, np.shape(Phi_s)) + (3,))
     ic[..., 0] = gamma2**2
     ic[..., 1] = 2.0 * gamma2 * (gamma1 - gamma2**2 * lam)
     ic[..., 2] = (2.0 * gamma1**2 - 8.0 * gamma1 * gamma2**2 * lam
@@ -269,11 +272,17 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
             u = _rk4_segment(u, grid[i - 1], grid[i], h, rhs)
             out[:, i] = np.atleast_1d(u[..., 0])
             if not np.all(np.isfinite(out[:, i])):
-                raise NumericalError(
-                    "forcing integration went non-finite at t = %.6g; the "
-                    "explicit RK4 step %.3g is unstable for gamma1 = %g, "
-                    "gamma2 = %g" % (grid[i], h, gamma1, gamma2))
+                raise nonfinite_forcing(grid[i], h, gamma1, gamma2)
     return out
+
+
+def nonfinite_forcing(t, h, gamma1, gamma2):
+    """The error an RK4 forcing integration raises at its first non-finite
+    value, at time t."""
+    return NumericalError(
+        "forcing integration went non-finite at t = %.6g; the explicit RK4 "
+        "step %.3g is unstable for gamma1 = %g, gamma2 = %g"
+        % (t, h, gamma1, gamma2))
 
 
 # ----------------------------------------------------------------------
@@ -325,9 +334,12 @@ class SdanaExactKernel:
     K_s(t), aggregated over the spectral measure, solves (per node) the
     conjugated third-order ODE in t with s entering only through the
     initial data at t=s.  The Volterra marcher exploits this: it keeps one
-    3-state per node, injects the trapezoid impulse weight*ic(s_j)*psi_j at
-    each grid node, and advances everything with RK4 — O(grid) ODE work
-    total instead of one solve per (s, t) pair.
+    3-state per node and march pass, injects the trapezoid impulse
+    weight*ic(s_j)*psi_j at each grid node, and advances everything with
+    RK4 — O(grid) ODE work total instead of one solve per (s, t) pair.
+    The forcing solves the same ODE from forcing_ic, so its states ride in
+    the same stack: one advance per half-step interval carries the forcing
+    and both march passes.
     """
 
     def __init__(self, spec, lams, weights, h=None):
@@ -347,8 +359,10 @@ class SdanaExactKernel:
         return float(self.spec.gamma2**2 * np.sum(self.agg))
 
     def ic(self, s):
-        return kernel_ic(self.lams, self.spec.gamma1, self.spec.gamma2,
-                         self.sched.Phi(s))
+        """Kernel ICs of every node at time s, or at each of an array of
+        times (shape s.shape + (n_lam, 3))."""
+        Phi = np.expand_dims(self.sched.Phi(np.asarray(s, dtype=float)), -1)
+        return kernel_ic(self.lams, self.spec.gamma1, self.spec.gamma2, Phi)
 
     def advance(self, state, t0, t1):
         """RK4-advance conjugated states of shape (..., n_lam, 3)."""

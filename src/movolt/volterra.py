@@ -12,6 +12,7 @@ solves the discretized equation exactly; the exact SDANA kernel is
 two-time and is marched with an extended per-node ODE state instead.
 """
 
+import collections
 import json
 import os
 
@@ -27,9 +28,16 @@ PICARD_MAX_ITERS = 200
 # stretches take their history from FFT products
 _MARCH_BLOCK = 128
 
+# grid points whose kernel ICs the separable march takes in one call
+_IC_BLOCK = 64
+
 # RK4 substeps an SDANA prediction may take before it is refused (about
-# 300x the T = 100 prediction on the MP r = 1 measure)
+# 800x the T = 100 prediction on the MP r = 1 measure)
 _RK4_WORK_LIMIT = 10**7
+
+# the forcing const + coef @ G(t), G half the states the separable march
+# starts at forcing_ic of its kernel's nodes and sweeps with its own
+StateForcing = collections.namedtuple("StateForcing", "coef const")
 
 _MODE_ALIASES = {"closed": "closed_form", "ode": "ode_exact",
                  "conv": "convolution_approx"}
@@ -122,13 +130,7 @@ def build_forcing(measure, spec, R, R_tilde, grid):
     The atom at lam = 0 contributes the constant R_tilde*mu({0})/2, since
     the gradient never moves mass there and G(0, t) = 1/2.
     """
-    grid = np.asarray(grid, dtype=float)
-    mat = kernels.forcing_matrix(spec, measure.points, grid)
-    coef = measure.weights * (R * measure.points + R_tilde)
-    F = coef @ mat
-    if measure.zero_mass > 0.0:
-        F = F + 0.5 * R_tilde * measure.zero_mass
-    return F
+    return _forcing_on(spec, grid, *_forcing_terms(measure, R, R_tilde))
 
 
 def build_forcing_from_spectral(spectral, spec, grid):
@@ -139,14 +141,26 @@ def build_forcing_from_spectral(spectral, spec, grid):
     so that F(0) equals the realized initial loss exactly, removing the
     O(n^{-1/2}) fluctuation of the theoretical forcing.
     """
-    grid = np.asarray(grid, dtype=float)
+    return _forcing_on(spec, grid, *_forcing_terms(None, 0.0, 0.0, spectral))
+
+
+def _forcing_terms(measure, R, R_tilde, spectral=None):
+    """(lams, coef, const) with F(t) = const + coef @ G^(lams)(t), from the
+    measure or from a spectral problem's live sigma^2."""
+    if spectral is None:
+        lam = measure.points
+        return (lam, measure.weights * (R * lam + R_tilde),
+                0.5 * R_tilde * measure.zero_mass)
     c = (spectral.sigma * spectral.init_coords - spectral.noise_coords) ** 2
     lam = spectral.sigma**2
     live = lam > 0.0
-    F = np.full(grid.shape, 0.5 * c[~live].sum())
-    if np.any(live):
-        F = F + c[live] @ kernels.forcing_matrix(spec, lam[live], grid)
-    return F
+    return lam[live], c[live], 0.5 * c[~live].sum()
+
+
+def _forcing_on(spec, grid, lams, coef, const):
+    if not len(lams):
+        return np.full(len(grid), const)
+    return const + coef @ kernels.forcing_matrix(spec, lams, grid)
 
 
 def build_convolution_kernel(measure, spec, grid):
@@ -237,33 +251,29 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     h = _uniform_step(grid)
     psi, diagnostics = _solve_conv_core(F, I_vals, h, method)
     if refine and len(grid) >= 4:
-        def half_pass(F_half, I_half):
-            fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h,
-                                                   method)
-            diagnostics.update(fine_diag)
-            return fine_psi
-
-        psi = _richardson(psi, (F, I_vals), fine, half_pass, diagnostics)
+        F_half, I_half = _half_samples((F, I_vals), fine)
+        fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h, method)
+        diagnostics.update(fine_diag)
+        psi = _richardson(psi, fine_psi[::2], diagnostics)
     psi = _finalize_psi(psi, "convolution solve")
     return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
 
 
-def _richardson(psi, samples, fine, half_pass, diagnostics):
-    """Repeat a solve on the half-step grid and extrapolate away its O(h^2)
-    term: (4 psi_half - psi) / 3 on the coarse nodes.
-
-    samples are the coarse inputs; their half-step values are fine (each of
-    length 2n - 1) when given, else cubically interpolated.  half_pass maps
-    the half-step inputs to psi there.  The coarse/half-step gap is recorded
-    as refinement_gap.
-    """
+def _half_samples(samples, fine):
+    """Half-step values of the coarse samples: fine (each of length 2n - 1)
+    when given, else cubically interpolated."""
     if fine is None:
-        half = [_cubic_refine(a) for a in samples]
-    else:
-        half = [np.asarray(a, dtype=float) for a in fine]
-        if any(len(a) != 2 * len(psi) - 1 for a in half):
-            raise ValueError("half-step samples must have length 2n-1")
-    on_grid = half_pass(*half)[::2]
+        return [_cubic_refine(a) for a in samples]
+    half = [np.asarray(a, dtype=float) for a in fine]
+    if any(len(a) != 2 * len(samples[0]) - 1 for a in half):
+        raise ValueError("half-step samples must have length 2n-1")
+    return half
+
+
+def _richardson(psi, on_grid, diagnostics):
+    """Extrapolate away the O(h^2) term of a solve psi given the half-step
+    solve's values on the same nodes: (4 psi_half - psi) / 3.  The gap is
+    recorded as refinement_gap."""
     diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
     return (4.0 * on_grid - psi) / 3.0
 
@@ -397,56 +407,96 @@ def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
     (the exact SDANA kernel): K_s(t) is the aggregate of per-node states
     started at ic(s) and carried from s to t by advance, so the march keeps
     one ODE state per spectral node instead of one solve per (s, t) pair.
-    refine repeats the march on the half-step grid (kernel evaluated
-    exactly, forcing upsampled unless exact half-step values are passed)
-    and Richardson-extrapolates, matching solve_convolution's accuracy.
+    refine also marches the half-step grid and Richardson-extrapolates,
+    matching solve_convolution's accuracy; one forward sweep of the
+    half-step grid advances the states of both passes together.
+
+    F is the forcing on grid (its half-step values fine_forcing, else
+    cubically interpolated), or a StateForcing: the forcing and the kernel
+    solve one ODE, so the forcing's states ride in the same sweep.
     """
-    F = np.asarray(F, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if len(F) != len(grid):
-        raise ValueError("F and grid must share a length")
-    h = _uniform_step(grid)
-    grids = _march_grids(grid, refine)
-    psi = _march_separable(F, kernel, grid, h)
+    nodes = _sweep_nodes(grid, refine)
+    stride = 2 if len(nodes) > len(grid) else 1
+    if not isinstance(F, StateForcing):
+        F = np.asarray(F, dtype=float)
+        if len(F) != len(grid):
+            raise ValueError("F and grid must share a length")
+        if stride == 2:
+            fine = None if fine_forcing is None else (fine_forcing,)
+            F = _half_samples((F,), fine)[0]
+    F, passes = _march_separable(F, kernel, nodes, stride)
     diagnostics = {"residual": float("nan")}
-    if len(grids) > 1:
-        fine = None if fine_forcing is None else (fine_forcing,)
-        psi = _richardson(
-            psi, (F,), fine,
-            lambda F_half: _march_separable(F_half, kernel, grids[1], 0.5 * h),
-            diagnostics)
+    psi = passes[-1]
+    if stride == 2:
+        psi = _richardson(psi, passes[0][::2], diagnostics)
     psi = _finalize_psi(psi, "general solve")
-    return VolterraSolution(grid, F, psi, method="marching",
+    return VolterraSolution(grid, F[::stride], psi, method="marching",
                             diagnostics=diagnostics)
 
 
-def _march_grids(grid, refine):
-    """The grids solve_general marches on: the given one and, when it
-    refines, the half-step grid."""
+def _sweep_nodes(grid, refine):
+    """The nodes solve_general sweeps: the half-step grid when it refines."""
     if not (refine and len(grid) >= 4):
-        return [grid]
-    h = _uniform_step(grid)
-    return [grid, grid[0] + 0.5 * h * np.arange(2 * len(grid) - 1)]
+        return grid
+    return grid[0] + 0.5 * _uniform_step(grid) * np.arange(2 * len(grid) - 1)
 
 
-def _march_separable(F, K, grid, h):
-    n = len(grid)
-    psi = np.empty(n)
-    psi[0] = F[0]
-    denom = _march_divisor(h, K.diag())
-    # the state ODE is linear, so one state carries the whole trapezoid
-    # sum: state = ic(s_0) psi_0 / 2 + sum_{0<j<i} ic(s_j) psi_j, advanced
-    # to t_i; the half weight at j = i sits in denom
-    state = 0.5 * K.ic(grid[0]) * psi[0]
-    # an overflow shows up as a non-finite psi, which raises at its step
+def _march_separable(F, K, nodes, stride):
+    """Trapezoid-march nodes and, with stride 2, every second node too, in
+    one forward sweep; returns the forcing on nodes and each pass's psi,
+    the finest first.
+
+    The state ODE is linear, so one state per pass carries its trapezoid
+    sum ic(s_0) psi_0 / 2 + sum_{0<j<i} ic(s_j) psi_j to the current node
+    (the half weight at j = i sits in the divisor).  A StateForcing's
+    state rides in the same stack.  Each node checks the forcing first;
+    and as when the forcing was integrated before the march, a forcing
+    failure anywhere on the grid outranks a march failure.
+    """
+    h = _uniform_step(nodes)
+    strides = (1, 2)[:stride]
+    ode = isinstance(F, StateForcing)
+    ic0 = K.ic(nodes[0])
+    state = np.zeros((stride + ode,) + ic0.shape)
+    if ode:
+        state[-1] = kernels.forcing_ic(K.lams, K.spec.gamma1, K.spec.gamma2)
+        forcing, F = F, np.empty(len(nodes))
+        F[0] = _forcing_at(K, forcing, state[-1], nodes[0])
+    psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
+    denoms = [_march_divisor(s * h, K.diag()) for s in strides]
+    state[:stride] = 0.5 * ic0 * F[0]
+    # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            state = K.advance(state, grid[i - 1], grid[i])
-            psi[i] = (F[i] + h * K.aggregate(state[..., 0])) / denom
-            if not np.isfinite(psi[i]):
-                raise _nonfinite_at(i, h)
-            state += K.ic(grid[i]) * psi[i]
-    return psi
+        for lo in range(1, len(nodes), _IC_BLOCK):
+            ics = K.ic(nodes[lo:lo + _IC_BLOCK])
+            for k in range(lo, lo + len(ics)):
+                state = K.advance(state, nodes[k - 1], nodes[k])
+                if ode:
+                    F[k] = _forcing_at(K, forcing, state[-1], nodes[k])
+                for p, s in enumerate(strides):
+                    if k % s:
+                        continue
+                    psi, i = psis[p], k // s
+                    psi[i] = (F[k] + s * h * K.aggregate(state[p, ..., 0])) / denoms[p]
+                    if not np.isfinite(psi[i]):
+                        # a forcing failure further on outranks this one
+                        u = state[-1]
+                        for j in range(k + 1, len(nodes) if ode else 0):
+                            u = K.advance(u, nodes[j - 1], nodes[j])
+                            _forcing_at(K, forcing, u, nodes[j])
+                        raise _nonfinite_at(i, s * h)
+                    state[p] += ics[k - lo] * psi[i]
+    return F, psis
+
+
+def _forcing_at(K, forcing, u, t):
+    """The StateForcing's value at node t from its state u; raises if it is
+    not finite."""
+    value = forcing.const + (0.5 * forcing.coef) @ u[..., 0]
+    if not np.isfinite(value):
+        raise kernels.nonfinite_forcing(t, K.h, K.spec.gamma1, K.spec.gamma2)
+    return value
 
 
 def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
@@ -472,24 +522,31 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     grid = time_grid(T, h)
     # assemble on the half-step grid so the refinement pass sees exact
     # values rather than interpolated ones
-    half = time_grid(T, 0.5 * h)
+    half = 0.5 * h * np.arange(2 * len(grid) - 1)
+    lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
     kern = None
     if spec.mode == "ode_exact":
-        kern = kernels.SdanaExactKernel(spec, measure.points, measure.weights)
-    _check_rk4_work(spec, measure, spectral, kern, grid, half)
+        nodes, weights = measure.points, measure.weights
+        if spectral is not None:
+            # the forcing's own nodes join the kernel's at zero weight
+            nodes = np.concatenate([nodes, lams])
+            weights = np.concatenate([weights, np.zeros_like(lams)])
+            coef = np.concatenate([np.zeros_like(measure.points), coef])
+        kern = kernels.SdanaExactKernel(spec, nodes, weights)
+    _check_rk4_work(spec, lams, kern, grid, half)
     # refuse a singular march before the forcing: every route's on-diagonal
     # kernel value is K_t(t) = g2^2 int lam^2 dmu
     _march_divisor(h, spec.gamma2**2 * measure.integrate(np.square))
-    if spectral is not None:
-        F_half = build_forcing_from_spectral(spectral, spec, half)
-    else:
-        F_half = build_forcing(measure, spec, R, R_tilde, half)
-    F = F_half[::2]
     norm = analysis.kernel_norm(params, measure)
 
     if kern is not None:
-        sol = solve_general(F, kern, grid, fine_forcing=F_half)
+        sol = solve_general(StateForcing(coef, const), kern, grid)
     else:
+        if spectral is not None:
+            F_half = build_forcing_from_spectral(spectral, spec, half)
+        else:
+            F_half = build_forcing(measure, spec, R, R_tilde, half)
+        F = F_half[::2]
         # the SDANA approximation is solved in the phi-conjugated variable;
         # the closed forms already are in the physical one
         conj = spec.mode == "convolution_approx"
@@ -510,29 +567,21 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     return sol
 
 
-def _check_rk4_work(spec, measure, spectral, kern, grid, half):
+def _check_rk4_work(spec, lams, kern, grid, half):
     """Refuse an SDANA prediction, before integrating, whose RK4 substeps
-    exceed _RK4_WORK_LIMIT: the forcing on the half-step grid at the step
-    forcing_matrix takes for its nodes, plus every grid solve_general
-    marches the exact kernel kern on, at kern.h."""
-    if spec.phi_kind != "power":
+    exceed _RK4_WORK_LIMIT: solve_general's one sweep over its nodes at
+    kern.h on the exact route, else the forcing's RK4 on the half-step grid
+    at the step forcing_matrix takes for the forcing nodes lams."""
+    if spec.phi_kind != "power" or (kern is None and not len(lams)):
         return
-    lams = measure.points
-    if spectral is not None:
-        # build_forcing_from_spectral integrates the live nodes only
-        lams = spectral.sigma**2
-        lams = lams[lams > 0.0]
-    passes = [(half, kernels.node_ode_step(spec.gamma2, lams))] if len(lams) else []
-    if kern is not None:
-        passes += [(g, kern.h) for g in _march_grids(grid, True)]
-    work = sum(int(kernels.rk4_substeps(np.diff(g), h_ode).sum())
-               for g, h_ode in passes)
+    nodes, h_ode = ((_sweep_nodes(grid, True), kern.h) if kern is not None
+                    else (half, kernels.node_ode_step(spec.gamma2, lams)))
+    work = int(kernels.rk4_substeps(np.diff(nodes), h_ode).sum())
     if work > _RK4_WORK_LIMIT:
         raise NumericalError(
             "SDANA RK4 work out of reach: an estimated %d RK4 substeps at "
             "ODE step %.3g exceed the limit of %d; reduce the horizon T, "
-            "gamma2 or the largest eigenvalue"
-            % (work, min(h_ode for _, h_ode in passes), _RK4_WORK_LIMIT))
+            "gamma2 or the largest eigenvalue" % (work, h_ode, _RK4_WORK_LIMIT))
 
 
 def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):

@@ -404,6 +404,24 @@ def test_exact_kernel_advance_broadcasts_over_stack():
         assert got[i].tobytes() == K.advance(rows[i], 0.2, 0.27).tobytes()
 
 
+def test_kernel_ic_block_call_equals_per_point_calls():
+    # the sweep takes the ICs of a block of grid points in one call; each
+    # row must be the per-point call, bit for bit
+    lams = np.linspace(0.02, 4.0, 200)
+    Phi = 4.0 / (1.0 + np.linspace(0.0, 100.0, 4001))
+    block = kernels.kernel_ic(lams[None, :], 0.25, 1.0, Phi[:, None])
+    assert block.shape == (4001, 200, 3)
+    for i in range(len(Phi)):
+        assert block[i].tobytes() == kernels.kernel_ic(lams, 0.25, 1.0,
+                                                       Phi[i]).tobytes()
+    K = kernels.SdanaExactKernel(momentum.sdana(0.25, 1.0, 4.0).kernel_spec(),
+                                 lams, np.full(200, 1.0 / 200))
+    times = np.linspace(0.0, 3.0, 7)
+    rows = K.ic(times)
+    for i, s in enumerate(times):
+        assert rows[i].tobytes() == K.ic(s).tobytes()
+
+
 def test_one_state_march_is_the_trapezoid_sum():
     # the separable march carries one state per node; it must solve the
     # trapezoid system psi_i = F_i + h sum_j w_j K(s_j, t_i) psi_j, with

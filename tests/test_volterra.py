@@ -48,7 +48,7 @@ class HalfExpKernel:
     takes: one node whose state decays like the kernel."""
 
     def ic(self, s):
-        return np.array([[1.0, 0.0, 0.0]])
+        return np.broadcast_to([[1.0, 0.0, 0.0]], np.shape(s) + (1, 3))
 
     def advance(self, state, t0, t1):
         return state * np.exp(-(t1 - t0))
@@ -264,10 +264,11 @@ def test_sdana_forcing_integration_fails_fast():
     ("ode", 1.0, (12, 24)), ("conv", 1.0, None)])
 def test_rk4_work_estimate_is_the_work_done(monkeypatch, mode, T, shape):
     # the refusal's estimate must count the RK4 substeps predict then takes:
-    # the forcing at its own nodes' step, the exact kernel's passes at kern.h
-    # (T = 0.2 is too short for the half-step pass).  gamma2 = 1.5 puts the
-    # ODE steps of lambda_max = 8 and of the first realized spectrum below
-    # their 0.01 cap, so each step follows its own nodes
+    # on the ode route the one sweep over the half-step grid (the grid itself
+    # at T = 0.2, too short to refine) at kern.h, on the conv route the
+    # forcing at its own nodes' step.  gamma2 = 1.5 puts the ODE steps of
+    # lambda_max = 8 and of the first realized spectrum below their 0.01
+    # cap, so each step follows its own nodes
     from movolt import kernels, lsq
     measure = spectrum.esm_from_eigenvalues([0.4] * 20 + [1.3] * 10 + [8.0])
     spectral = None
@@ -291,6 +292,89 @@ def test_rk4_work_estimate_is_the_work_done(monkeypatch, mode, T, shape):
     monkeypatch.setattr(kernels, "_rk4_segment", counting)
     volterra.predict(measure, params, T=T, h=0.1, mode=mode, spectral=spectral)
     assert estimate == sum(done) > 0
+
+
+def per_pass_march(F, K, grid):
+    """One pass of the separable trapezoid march, advanced grid point to
+    grid point on its own."""
+    h = grid[1] - grid[0]
+    psi = np.empty(len(grid))
+    psi[0] = F[0]
+    state = 0.5 * K.ic(grid[0]) * psi[0]
+    for i in range(1, len(grid)):
+        state = K.advance(state, grid[i - 1], grid[i])
+        psi[i] = (F[i] + h * K.aggregate(state[:, 0])) / (1.0 - 0.5 * h * K.diag())
+        state = state + K.ic(grid[i]) * psi[i]
+    return psi
+
+
+def _realized_problem():
+    # two equal rows: the realized spectrum keeps a tiny live sigma^2 that
+    # the ESM folds into its zero atom, so the forcing nodes are not its atoms
+    from movolt import lsq
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((12, 24)) / np.sqrt(24)
+    A[1] = A[0]
+    x_tilde = rng.standard_normal(24) / np.sqrt(24)
+    x0 = x_tilde + rng.standard_normal(24) / np.sqrt(12)
+    eta = rng.standard_normal(12) / np.sqrt(12)
+    prob = lsq.LsqProblem(A, A @ x_tilde + eta, x_tilde, x0, eta, 1.0, 1.0)
+    return prob.esm(), lsq.to_spectral(prob)
+
+
+@pytest.mark.parametrize("case", ["mp", "realized"])
+def test_sweep_forcing_is_build_forcing(case):
+    # the ode route's forcing rides in the march's sweep; it must be the
+    # conv route's forcing_matrix RK4 on the half-step grid, to rounding
+    h = volterra.DEFAULT_H
+    if case == "mp":
+        measure, spectral = spectrum.mp_measure(1.0), None
+    else:
+        measure, spectral = _realized_problem()
+        lams = spectral.sigma[spectral.sigma > 0.0] ** 2
+        assert len(lams) == len(measure.points) + 1
+        assert lams.max() == measure.points.max()
+    params = momentum.defaults("sdana", measure)
+    sol = volterra.predict(measure, params, T=20.0, mode="ode",
+                           spectral=spectral)
+    half = 0.5 * h * np.arange(2 * len(sol.grid) - 1)
+    spec = params.kernel_spec()
+    if spectral is None:
+        want = volterra.build_forcing(measure, spec, 1.0, 1.0, half)[::2]
+    else:
+        want = volterra.build_forcing_from_spectral(spectral, spec, half)[::2]
+    assert np.max(np.abs(sol.forcing - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_sweep_matches_per_pass_marches():
+    # one sweep carries both passes; the coarse pass now takes the half-step
+    # substeps, which moves psi by far less than 1e-8 of its sup.  Without
+    # refinement the sweep is the per-pass march exactly
+    from movolt import kernels
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    K = kernels.SdanaExactKernel(spec, mu.points, mu.weights)
+    grid = volterra.time_grid(10.0, 0.05)
+    half = volterra.time_grid(10.0, 0.025)
+    F_half = volterra.build_forcing(mu, spec, 1.0, 1.0, half)
+    F = F_half[::2]
+    got = volterra.solve_general(F, K, grid, refine=False).psi
+    assert np.array_equal(got, per_pass_march(F, K, grid))
+    got = volterra.solve_general(F, K, grid, fine_forcing=F_half).psi
+    coarse = per_pass_march(F, K, grid)
+    want = (4.0 * per_pass_march(F_half, K, half)[::2] - coarse) / 3.0
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(want)
+
+
+@pytest.mark.parametrize("mode", ["ode", "conv"])
+def test_predict_horizon_off_the_grid(mode):
+    # T = 1.015 is not a multiple of h: the grid ends at 1.0 and the
+    # half-step samples must still be the grid's own
+    sol = volterra.predict(spectrum.mp_measure(1.0),
+                           momentum.defaults("sdana", spectrum.mp_measure(1.0)),
+                           T=1.015, mode=mode)
+    assert len(sol.grid) == 21
+    assert np.all(np.isfinite(sol.psi))
 
 
 def test_picard_nonfinite_iterate_fails_fast():

@@ -125,8 +125,7 @@ SDANA = Family(
 
 
 def _closed_form(params, n):
-    """(family, gamma1, gamma2, theta) of params; SHB needs n.  Raises for
-    a record without a continuous form (custom), hence without a family."""
+    """(family, gamma1, gamma2, theta) of params; SHB needs n."""
     g1, g2, sched = params.continuous(n)
     return params.algo.family, g1, g2, sched.theta
 

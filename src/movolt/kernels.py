@@ -42,25 +42,15 @@ class KernelSpec:
 
     gamma1/gamma2 are the diffusion parameters; theta is the averaging
     rate of phi (phi = e^{theta t} for constant schedules, (1+t)^theta for
-    the power schedule used by SDANA).
+    the power schedule used by SDANA).  AlgoParams.kernel_spec builds it
+    from an algorithm's record and checks the mode there.
     """
 
-    algo: str
     gamma1: float
     gamma2: float
     theta: float
     phi_kind: str  # 'const' | 'power'
     mode: str
-
-    def __post_init__(self):
-        from .momentum import algorithm  # the table imports this module
-        record = algorithm(self.algo)
-        if self.mode not in record.modes:
-            raise ValueError("mode %r unavailable for %s (allowed: %s)"
-                             % (self.mode, self.algo, record.modes))
-        if self.phi_kind != record.phi_kind:
-            raise ValueError("phi_kind of %s is %r"
-                             % (self.algo, record.phi_kind))
 
 
 # ----------------------------------------------------------------------

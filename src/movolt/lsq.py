@@ -7,6 +7,7 @@ N(0, (R/n) I_d) and eta ~ N(0, (R_tilde/n) I_n), so that E||x0-x_tilde||^2
 """
 
 import csv as _csv
+import math
 
 import numpy as np
 
@@ -18,21 +19,18 @@ DIVERGENCE_THRESHOLD = 1e12
 class LsqProblem:
     """One realized least-squares instance.
 
-    Immutable after construction; loss/grad are pure functions of (self, x),
-    so concurrent reads are safe.  R/R_tilde may be None for data-loaded
-    problems (analysis then falls back to the empirical f(x0)).
+    Immutable after construction; loss is a pure function of (self, x),
+    so concurrent reads are safe.  Data-loaded problems have no planted
+    signal: x_tilde and eta are None.
     """
 
-    def __init__(self, A, b, x_tilde, x0, eta, R, R_tilde, seed=None):
+    def __init__(self, A, b, x_tilde, x0, eta):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.n, self.d = self.A.shape
         self.x_tilde = None if x_tilde is None else np.asarray(x_tilde, dtype=float)
         self.x0 = np.asarray(x0, dtype=float)
         self.eta = None if eta is None else np.asarray(eta, dtype=float)
-        self.R = R
-        self.R_tilde = R_tilde
-        self.seed = seed
         self._svd = None
         if self.b.shape != (self.n,):
             raise ValueError("b must have length n")
@@ -67,31 +65,29 @@ def generate_gaussian(n, d, R, R_tilde, seed):
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if R < 0 or R_tilde < 0:
-        raise ValueError("R and R_tilde must be nonnegative")
+    check_scales(R, R_tilde)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d)) / np.sqrt(d)
     x_tilde = rng.standard_normal(d) / np.sqrt(d)
     x0 = x_tilde + rng.standard_normal(d) * np.sqrt(R / n)
     eta = rng.standard_normal(n) * np.sqrt(R_tilde / n)
     b = A @ x_tilde + eta
-    return LsqProblem(A, b, x_tilde, x0, eta, R, R_tilde, seed=seed)
+    return LsqProblem(A, b, x_tilde, x0, eta)
+
+
+def check_scales(R, R_tilde):
+    """Raise ValueError unless R and R_tilde are finite and nonnegative."""
+    for what, val in (("initialization scale R (--R)", R),
+                      ("noise scale R_tilde (--Rtilde)", R_tilde)):
+        if not (math.isfinite(val) and val >= 0.0):
+            raise ValueError("%s must be finite and nonnegative, got %r"
+                             % (what, val))
 
 
 def loss(problem, x):
     """f(x) = 1/2 ||Ax - b||^2."""
     res = problem.A @ x - problem.b
     return 0.5 * float(res @ res)
-
-
-def stochastic_grad(problem, x, i):
-    """n-scaled per-sample gradient n*(a_i.x - b_i)*a_i^T.
-
-    The scaling makes (1/n) * sum_i stochastic_grad(..., i) equal the full
-    gradient A^T(Ax - b) exactly.
-    """
-    row = problem.A[i]
-    return problem.n * (row @ x - problem.b[i]) * row
 
 
 class SpectralProblem:
@@ -140,39 +136,25 @@ def to_spectral(problem):
     return SpectralProblem(sigma, noise, init, n, d)
 
 
-def load_csv(path, target_col=None, target_path=None, normalize=True):
+def load_csv(path, target_col=None):
     """Load a numeric CSV into an LsqProblem.
 
-    The target b comes either from a designated column (index or header
-    name) of the same file or from a separate single-column file.  When
-    normalize is set every row of A is scaled to unit Euclidean norm
-    (rows of zeros are left alone).  R/R_tilde are unknown (None) and x0
-    is the origin.
+    The target b is the designated column (index or header name); the
+    other columns form A, each row scaled to unit Euclidean norm (rows of
+    zeros are left alone).  x0 is the origin.
     """
-    rows, header = _read_numeric_csv(path)
-    data = rows
-    if target_col is not None:
-        idx = _resolve_column(target_col, header, data.shape[1])
-        b = data[:, idx]
-        A = np.delete(data, idx, axis=1)
-    elif target_path is not None:
-        tgt, _ = _read_numeric_csv(target_path)
-        if tgt.shape[1] != 1:
-            raise ValueError("target file must have exactly one column")
-        if tgt.shape[0] != data.shape[0]:
-            raise ValueError("target length does not match row count")
-        b = tgt[:, 0]
-        A = data
-    else:
-        raise ValueError("designate a target column or a target file")
+    data, header = _read_numeric_csv(path)
+    if target_col is None:
+        raise ValueError("designate a target column (--target-col)")
+    idx = _resolve_column(target_col, header, data.shape[1])
+    b = data[:, idx]
+    A = np.delete(data, idx, axis=1)
     if A.shape[1] == 0:
         raise ValueError("no feature columns left")
-    if normalize:
-        norms = np.linalg.norm(A, axis=1)
-        norms[norms == 0.0] = 1.0
-        A = A / norms[:, None]
-    d = A.shape[1]
-    return LsqProblem(A, b, None, np.zeros(d), None, None, None)
+    norms = np.linalg.norm(A, axis=1)
+    norms[norms == 0.0] = 1.0
+    A = A / norms[:, None]
+    return LsqProblem(A, b, None, np.zeros(A.shape[1]), None)
 
 
 def _read_numeric_csv(path):

@@ -9,10 +9,6 @@ One step of the generic method, given the sampled row index i_k:
 Named rows: SGD (Gamma2=gamma, Delta=1), SHB (Gamma1=gamma, Delta=theta),
 SDAHB (Gamma1=gamma/n, Delta=theta/n), SDANA (Gamma1=gamma1/n,
 Gamma2=gamma2, Delta=theta/(k+n)).  Time is measured in epochs t = k/n.
-
-The library's stochastic_grad carries an extra factor n (so that its
-average over rows is the full gradient); the runner divides it back out —
-g_k above is stochastic_grad(problem, x, i)/n.
 """
 
 import math
@@ -38,12 +34,11 @@ class Algorithm(NamedTuple):
     name: str
     names: tuple              # parameter names, in constructor order
     discrete: Callable        # (p, n) -> (Gamma1, Gamma2, Delta schedule)
-    continuous: Callable = None   # (p, n) -> (gamma1, gamma2, theta)
+    continuous: Callable      # (p, n) -> (gamma1, gamma2, theta)
     phi_kind: str = "const"   # law of phi: e^{theta t} or (1+t)^theta
     defaults: Callable = None     # (m, given p) -> default parameter row
     modes: tuple = ("closed_form",)   # valid solve modes, the default first
     family: analysis.Family = None    # closed-form analysis
-    positive: bool = True     # parameters must be > 0, not only finite
 
 
 def _shb_continuous(p, n):
@@ -93,10 +88,9 @@ class AlgoParams:
                 algo.name, ", ".join(algo.names), ", ".join(sorted(params))))
         self.params = {k: float(params[k]) for k in algo.names}
         for key, val in self.params.items():
-            if not math.isfinite(val) or (algo.positive and val <= 0.0):
-                raise ValueError("%s: %s must be %s, got %r" % (
-                    algo.name, key, "finite and positive" if algo.positive
-                    else "finite", val))
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError("%s: %s must be finite and positive, got %r"
+                                 % (algo.name, key, val))
 
     def discrete(self, n):
         """(Gamma1, Gamma2, schedule) of the recursion at problem size n."""
@@ -104,8 +98,6 @@ class AlgoParams:
 
     def continuous(self, n=None):
         """(gamma1, gamma2, schedule) of the associated diffusion/kernels."""
-        if self.algo.continuous is None:
-            raise ValueError("no continuous-time form for %r" % (self.name,))
         g1, g2, theta = self.algo.continuous(self.params, n)
         return g1, g2, kernels._Schedule(self.algo.phi_kind, theta)
 
@@ -113,9 +105,12 @@ class AlgoParams:
         # a single-mode record has constant phi, where every route is exact
         modes = self.algo.modes
         mode = mode if mode and len(modes) > 1 else modes[0]
+        if mode not in modes:
+            raise ValueError("mode %r unavailable for %s (allowed: %s)"
+                             % (mode, self.name, modes))
         g1, g2, sched = self.continuous(n)
-        return kernels.KernelSpec(self.name, float(g1), float(g2),
-                                  float(sched.theta), sched.kind, mode)
+        return kernels.KernelSpec(float(g1), float(g2), float(sched.theta),
+                                  sched.kind, mode)
 
     def describe(self):
         return {"name": self.name, **self.params}
@@ -136,15 +131,6 @@ def sdahb(gamma, theta):
 def sdana(gamma1, gamma2, theta):
     return AlgoParams(ALGORITHMS["sdana"],
                       {"gamma1": gamma1, "gamma2": gamma2, "theta": theta})
-
-
-def custom(gamma1_raw, gamma2_raw, schedule):
-    """Literal Gamma1/Gamma2 and a Delta schedule (kernels._Schedule); a
-    one-off record outside the table, with no continuous form."""
-    algo = Algorithm("custom", ("Gamma1", "Gamma2"),
-                     lambda p, n: (p["Gamma1"], p["Gamma2"], schedule),
-                     positive=False)
-    return AlgoParams(algo, {"Gamma1": gamma1_raw, "Gamma2": gamma2_raw})
 
 
 def algorithm(name):
@@ -265,40 +251,18 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
                             "seed": seed, "epochs": epochs})
 
 
-def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0,
-                 fixed_problem=False, samples_per_epoch=SAMPLES_PER_EPOCH):
+def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0):
     """Aggregate n_seeds runs into mean/q10/q90 per time point.
 
-    problem_spec is either an LsqProblem (reused as-is when fixed_problem,
-    regenerated from its (n, d, R, R_tilde, seed) otherwise) or a dict
-    with keys n, d, R, R_tilde.  Run i uses seed base_seed + i; with fresh
-    problems, problem i is generated with the same seed.
+    problem_spec is a dict with keys n, d, R, R_tilde.  Run i draws a
+    fresh problem and its row indices from seed base_seed + i.
     """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
-    runs = []
-    for i in range(n_seeds):
-        s = base_seed + i
-        prob = _resolve_problem(problem_spec, fixed_problem, s)
-        runs.append(run(prob, params, epochs, s, samples_per_epoch))
-    return aggregate(runs)
-
-
-def _resolve_problem(problem_spec, fixed_problem, seed):
-    from .lsq import LsqProblem
-    if isinstance(problem_spec, LsqProblem):
-        if fixed_problem:
-            return problem_spec
-        if problem_spec.R is None or problem_spec.x_tilde is None:
-            # data-loaded problems cannot be redrawn
-            return problem_spec
-        return generate_gaussian(problem_spec.n, problem_spec.d, problem_spec.R,
-                                 problem_spec.R_tilde, seed)
-    spec = dict(problem_spec)
-    if fixed_problem:
-        return generate_gaussian(spec["n"], spec["d"], spec["R"],
-                                 spec["R_tilde"], spec.get("seed", 0))
-    return generate_gaussian(spec["n"], spec["d"], spec["R"], spec["R_tilde"], seed)
+    n, d, R, R_tilde = (problem_spec[k] for k in ("n", "d", "R", "R_tilde"))
+    return aggregate([run(generate_gaussian(n, d, R, R_tilde, s), params,
+                          epochs, s)
+                      for s in range(base_seed, base_seed + n_seeds)])
 
 
 def aggregate(runs):
@@ -325,8 +289,9 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
         d nu_j = -gamma2 d xi_j - gamma1 w_j dt
 
     with f the current loss 1/2 sum (sigma_j nu_j - etahat_j)^2.  Requires
-    dt <= 0.01.  Returns an aggregated Trajectory (and the per-path loss
-    matrix when return_paths is set).
+    dt <= 0.01.  Returns the ensemble Trajectory over the paths (one path
+    gives mean = q10 = q90 = that path), and the per-path loss matrix too
+    when return_paths is set.
     """
     if dt > 0.01:
         raise ValueError("dt must be at most 0.01")
@@ -341,14 +306,13 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
     reclen = steps + 1
     losses = np.empty((n_paths, reclen))
     resid = sigma * nu - eta
-    losses[:, 0] = 0.5 * np.sum(resid**2, axis=1)
+    f = 0.5 * np.sum(resid**2, axis=1)
+    losses[:, 0] = f
     times = np.arange(reclen) * dt
     diverged = False
     sq = np.sqrt(dt)
     for k in range(1, steps + 1):
         t = (k - 1) * dt
-        resid = sigma * nu - eta
-        f = 0.5 * np.sum(resid**2, axis=1)
         dB = rng.standard_normal((n_paths, n)) * sq
         dxi = (sigma * np.sqrt(2.0 * np.maximum(f, 0.0) / n)[:, None]) * dB \
             + sigma * resid * dt
@@ -364,13 +328,10 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
         losses[:, k] = f
     meta = {"algo": params.describe(), "n": n, "dt": dt, "seed": seed,
             "n_paths": n_paths}
-    if n_paths == 1:
-        traj = Trajectory(times, values=losses[0], diverged=diverged, meta=meta)
-    else:
-        traj = Trajectory(times, mean=losses.mean(axis=0),
-                          q10=np.quantile(losses, 0.10, axis=0),
-                          q90=np.quantile(losses, 0.90, axis=0),
-                          diverged=diverged, meta=meta)
+    traj = Trajectory(times, mean=losses.mean(axis=0),
+                      q10=np.quantile(losses, 0.10, axis=0),
+                      q90=np.quantile(losses, 0.90, axis=0),
+                      diverged=diverged, meta=meta)
     if return_paths:
         return traj, losses
     return traj

@@ -69,14 +69,14 @@ class SpectralMeasure:
 
     # -- integration -------------------------------------------------
 
-    def integrate(self, g, include_zero=True):
+    def integrate(self, g):
         """Integral of g(lambda) against the measure.
 
         g must accept a numpy array.  The atom at zero contributes
-        zero_mass * g(0.0) unless include_zero is False.
+        zero_mass * g(0.0).
         """
         total = float(np.dot(self.weights, np.asarray(g(self.points), dtype=float)))
-        if include_zero and self.zero_mass > 0.0:
+        if self.zero_mass > 0.0:
             total += self.zero_mass * float(g(np.asarray(0.0)))
         return total
 

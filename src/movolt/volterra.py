@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, kernels
 from .errors import NumericalError
+from .lsq import check_scales
 
 DEFAULT_H = 0.05
 PICARD_TOL = 1e-10
@@ -518,6 +519,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         if mode not in _MODE_ALIASES.values():
             raise ValueError("unknown solve mode %r; pick closed, ode or conv"
                              % (mode,))
+    check_scales(R, R_tilde)
     spec = params.kernel_spec(n=n, mode=mode)
     grid = time_grid(T, h)
     # assemble on the half-step grid so the refinement pass sees exact
@@ -528,10 +530,13 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     if spec.mode == "ode_exact":
         nodes, weights = measure.points, measure.weights
         if spectral is not None:
-            # the forcing's own nodes join the kernel's at zero weight
-            nodes = np.concatenate([nodes, lams])
-            weights = np.concatenate([weights, np.zeros_like(lams)])
-            coef = np.concatenate([np.zeros_like(measure.points), coef])
+            # each distinct value of both node sets once, its weight and
+            # forcing coefficient summed onto it
+            nodes, at = np.unique(np.concatenate([nodes, lams]),
+                                  return_inverse=True)
+            split = len(measure.points)
+            weights = np.bincount(at[:split], weights, len(nodes))
+            coef = np.bincount(at[split:], coef, len(nodes))
         kern = kernels.SdanaExactKernel(spec, nodes, weights)
     _check_rk4_work(spec, lams, kern, grid, half)
     # refuse a singular march before the forcing: every route's on-diagonal

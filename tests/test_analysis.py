@@ -78,9 +78,6 @@ def test_kernel_norm_sdana_matches_numeric_integration(mp2):
 
 
 def test_kernel_norm_rejects_custom_and_bad_gamma2(mp2):
-    sched = kernels._Schedule("const", 0.5)
-    with pytest.raises(ValueError):
-        analysis.kernel_norm(momentum.custom(0.1, 0.1, sched), mp2)
     with pytest.raises(ValueError):
         analysis.kernel_norm(momentum.sdana(0.25, 0.0, 4.0), mp2)
 

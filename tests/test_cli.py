@@ -395,6 +395,10 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     (["predict", "--algo", "sgd", "--r", "inf"], "--r"),
     (["analyze", "--algo", "sdana", "--r=-inf"], "--r"),
     (["simulate", "--algo", "sgd", "--n=-4", "--d", "8"], "--n"),
+    (["predict", "--algo", "sgd", "--T", "2", "--R", "-1"], "--R"),
+    (["predict", "--algo", "sgd", "--Rtilde", "nan"], "--Rtilde"),
+    (["simulate", "--algo", "sgd", "--n", "16", "--d", "8", "--R", "nan"],
+     "--R"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit

@@ -41,22 +41,6 @@ def test_loss_matches_direct_formula(rng):
     assert lsq.loss(p, x) == pytest.approx(0.5 * np.sum((p.A @ x - p.b) ** 2))
 
 
-def test_stochastic_grad_unbiasedness_identity():
-    # the exported op is n-scaled: (1/n) sum_i grad_i == A^T(Ax - b)
-    p = lsq.generate_gaussian(25, 10, 1.0, 1.0, seed=2)
-    x = p.x0 + 0.1
-    avg = np.mean([lsq.stochastic_grad(p, x, i) for i in range(p.n)], axis=0)
-    assert np.allclose(avg, p.A.T @ (p.A @ x - p.b), atol=1e-10)
-    # single-row problem: reduces to the plain full gradient
-    q = lsq.generate_gaussian(1, 4, 1.0, 1.0, seed=3)
-    z = q.x0 + 1.0
-    assert np.allclose(lsq.stochastic_grad(q, z, 0), q.A.T @ (q.A @ z - q.b))
-    # zero at interpolation
-    xhat = np.linalg.lstsq(p.A, p.b, rcond=None)[0]
-    r = lsq.LsqProblem(p.A, p.A @ xhat, None, p.x0, None, None, None)
-    assert np.allclose(lsq.stochastic_grad(r, xhat, 5), 0.0, atol=1e-8)
-
-
 def test_esm_matches_eigvalsh():
     p = lsq.generate_gaussian(30, 18, 1.0, 1.0, seed=5)
     eigs = np.linalg.eigvalsh(p.A @ p.A.T)
@@ -134,12 +118,6 @@ def test_load_csv_target_by_index_and_separate_file(tmp_path, rng):
     p = lsq.load_csv(main, target_col=0)
     assert np.allclose(p.b, b)
     assert p.A.shape == (6, 2)
-    feat = tmp_path / "f.csv"
-    tgt = tmp_path / "t.csv"
-    np.savetxt(feat, A, delimiter=",")
-    np.savetxt(tgt, b[:, None], delimiter=",")
-    q = lsq.load_csv(feat, target_path=tgt)
-    assert np.allclose(q.b, b)
 
 
 def test_load_csv_errors(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from movolt import kernels, lsq, momentum, spectrum
+from movolt import lsq, momentum, spectrum
 
 
 def test_sgd_single_sample_is_plain_gradient_descent():
@@ -144,14 +144,6 @@ def test_run_ensemble_aggregates_quantiles():
     assert len(agg.times) == 20
 
 
-def test_run_ensemble_fixed_problem_reuses_matrix():
-    p = lsq.generate_gaussian(30, 15, 1.0, 1.0, seed=9)
-    one = momentum.run(p, momentum.sgd(0.5), epochs=1, seed=0)
-    agg = momentum.run_ensemble(p, momentum.sgd(0.5), epochs=1, n_seeds=1,
-                                base_seed=0, fixed_problem=True)
-    assert np.allclose(agg.mean, one.values)
-
-
 def test_aggregate_truncates_to_shared_prefix():
     p = lsq.generate_gaussian(25, 25, 1.0, 1.0, seed=4)
     good = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=0)
@@ -206,8 +198,8 @@ def test_homogenized_starts_at_initial_loss_and_is_deterministic():
                                       seed=2)
     b = momentum.simulate_homogenized(sp, momentum.sgd(0.5), T=0.5, dt=0.01,
                                       seed=2)
-    assert a.values[0] == pytest.approx(lsq.loss(p, p.x0), rel=1e-12)
-    assert np.array_equal(a.values, b.values)
+    assert a.mean[0] == pytest.approx(lsq.loss(p, p.x0), rel=1e-12)
+    assert np.array_equal(a.mean, b.mean)
     assert len(a.times) == 51
 
 
@@ -228,16 +220,10 @@ def test_homogenized_tracks_discrete_sgd_loosely():
     p = lsq.generate_gaussian(400, 400, 1.0, 1.0, seed=5)
     sp = lsq.to_spectral(p)
     params = momentum.sgd(0.6)
-    disc = momentum.run_ensemble(p, params, epochs=1.0, n_seeds=4,
-                                 base_seed=0, fixed_problem=True)
+    disc = momentum.aggregate([momentum.run(p, params, 1.0, s)
+                               for s in range(4)])
     diff = momentum.simulate_homogenized(sp, params, T=1.0, dt=0.01, seed=0,
                                          n_paths=4)
     d_end = disc.mean[-1]
     h_end = diff.mean[-1]
     assert abs(d_end - h_end) < 0.1 * max(d_end, h_end)
-
-
-def test_custom_params_raw_laws():
-    sched = kernels._Schedule("const", 0.5)
-    c = momentum.custom(0.125, 0.25, sched)
-    assert c.discrete(999)[:2] == (0.125, 0.25)

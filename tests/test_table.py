@@ -85,10 +85,3 @@ def test_shb_prediction_is_sdahb_bit_for_bit(mp2):
 def test_records_reject_nonpositive_and_nonfinite(make, bad, value):
     with pytest.raises(ValueError, match=bad):
         make(value)
-
-
-def test_custom_needs_only_finite_parameters():
-    sched = momentum.kernels._Schedule("const", 1.0)
-    assert momentum.custom(0.0, 0.5, sched).discrete(10)[:2] == (0.0, 0.5)
-    with pytest.raises(ValueError, match="Gamma2"):
-        momentum.custom(0.0, float("nan"), sched)

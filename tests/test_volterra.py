@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from movolt import analysis, momentum, spectrum, volterra
+from movolt import analysis, kernels, momentum, spectrum, volterra
 from movolt.errors import NumericalError
 
 
@@ -318,7 +318,7 @@ def _realized_problem():
     x_tilde = rng.standard_normal(24) / np.sqrt(24)
     x0 = x_tilde + rng.standard_normal(24) / np.sqrt(12)
     eta = rng.standard_normal(12) / np.sqrt(12)
-    prob = lsq.LsqProblem(A, A @ x_tilde + eta, x_tilde, x0, eta, 1.0, 1.0)
+    prob = lsq.LsqProblem(A, A @ x_tilde + eta, x_tilde, x0, eta)
     return prob.esm(), lsq.to_spectral(prob)
 
 
@@ -344,6 +344,28 @@ def test_sweep_forcing_is_build_forcing(case):
     else:
         want = volterra.build_forcing_from_spectral(spectral, spec, half)[::2]
     assert np.max(np.abs(sol.forcing - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_exact_kernel_nodes_are_distinct(monkeypatch):
+    # with a spectral problem the sweep runs over the union of the ESM
+    # atoms and the live sigma^2, each value once
+    built = []
+
+    class Capture(kernels.SdanaExactKernel):
+        def __init__(self, spec, lams, weights, h=None):
+            super().__init__(spec, lams, weights, h)
+            built.append(self)
+
+    monkeypatch.setattr(kernels, "SdanaExactKernel", Capture)
+    measure, spectral = _realized_problem()
+    params = momentum.defaults("sdana", measure)
+    volterra.predict(measure, params, T=1.0, mode="ode", spectral=spectral)
+    (kern,) = built
+    lams = spectral.sigma[spectral.sigma > 0.0] ** 2
+    assert len(np.unique(kern.lams)) == len(kern.lams)
+    assert set(kern.lams) == set(measure.points) | set(lams)
+    assert np.sum(kern.weights) == pytest.approx(np.sum(measure.weights),
+                                                 rel=1e-15)
 
 
 def test_sweep_matches_per_pass_marches():

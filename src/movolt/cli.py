@@ -1,13 +1,15 @@
 """Command-line harness: simulate | predict | analyze | compare | spectrum.
 
 Configuration precedence is flags > config file (--config, flat JSON
-mirroring the flag names) > built-in algorithm defaults.  Every command
-echoes its fully resolved configuration into the output metadata so runs
-can be reproduced from the artifacts alone.  Exit codes: 0 success,
-1 usage error, 2 numerical failure.
+mirroring the flag names) > built-in defaults; a command takes only the
+flags it reads (_FLAGS).  Every command echoes its fully resolved
+configuration into the output metadata so runs can be reproduced from
+the artifacts alone.  Exit codes: 0 success, 1 usage error, 2 numerical
+failure.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -18,55 +20,57 @@ import numpy as np
 from . import __version__, analysis, lsq, momentum, spectrum, volterra
 from .errors import NumericalError
 
-# every tunable knob with the JSON values a config file may give it;
-# config files use these names (dashes tolerated)
-_TEXT = ((str,), "a string")
-_INT = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-_CONFIG_KEYS = {"algo": _TEXT, "n": _INT, "d": _INT, "r": _NUMBER,
-                "R": _NUMBER, "Rtilde": _NUMBER, "epochs": _NUMBER,
-                "seeds": _INT, "seed": _INT, "gamma": _NUMBER,
-                "gamma1": _NUMBER, "gamma2": _NUMBER, "theta": _NUMBER,
-                "measure": _TEXT, "nodes": _INT, "h": _NUMBER, "T": _NUMBER,
-                "mode": _TEXT, "data": _TEXT,
-                "target_col": ((str, int), "a column name or index"),
-                "out": _TEXT, "svg": ((bool,), "true or false")}
+_ALGO = ("simulate", "predict", "analyze", "compare")   # run an algorithm
+_EVERY = _ALGO + ("spectrum",)
+_RUNS = ("simulate", "compare")                        # discrete ensembles
+_SOLVES = ("predict", "compare")                       # Volterra solves
+_MEASURED = ("predict", "analyze", "spectrum")         # take --measure
 
-_DEFAULTS = {"R": 1.0, "Rtilde": 1.0, "epochs": 10.0, "seeds": 5, "seed": 0,
-             "measure": "mp", "nodes": spectrum.DEFAULT_NODES,
-             "h": volterra.DEFAULT_H, "T": 10.0, "svg": False}
+# per kind: the argparse type (None for a switch) and the JSON values a
+# config file may give it
+_KINDS = {"int": (int, (int,), "an integer"),
+          "number": (float, (int, float), "a number"),
+          "text": (str, (str,), "a string"),
+          "column": (str, (str, int), "a column name or index"),
+          "switch": (None, (bool,), "true or false")}
 
-_OUT_DEFAULTS = {"simulate": "simulate.csv", "predict": "predict.csv",
-                 "analyze": "analyze.json", "compare": "compare.csv",
-                 "spectrum": "spectrum.json"}
+# one row per flag: its kind, the commands that read it, its default,
+# choices and help; config files use the same names (dashes tolerated)
+_Flag = collections.namedtuple("_Flag", "kind commands default choices help",
+                               defaults=(None, None, None))
+_FLAGS = {
+    "algo": _Flag("text", _ALGO, choices=tuple(momentum.ALGORITHMS)),
+    "n": _Flag("int", _EVERY),
+    "d": _Flag("int", _EVERY),
+    "r": _Flag("number", _EVERY, help="aspect ratio d/n for MP measures"),
+    "R": _Flag("number", _EVERY, 1.0, help="initialization scale"),
+    "Rtilde": _Flag("number", _EVERY, 1.0, help="noise scale"),
+    "epochs": _Flag("number", _RUNS, 10.0),
+    "seeds": _Flag("int", _RUNS, 5, help="ensemble size"),
+    "seed": _Flag("int", _EVERY, 0, help="base seed"),
+    "gamma": _Flag("number", _ALGO),
+    "gamma1": _Flag("number", _ALGO),
+    "gamma2": _Flag("number", _ALGO),
+    "theta": _Flag("number", _ALGO),
+    "measure": _Flag("text", _MEASURED, "mp", ("mp", "esm", "csv")),
+    "nodes": _Flag("int", _EVERY, spectrum.DEFAULT_NODES,
+                   help="MP quadrature nodes"),
+    "h": _Flag("number", _SOLVES, volterra.DEFAULT_H,
+               help="Volterra grid step"),
+    "T": _Flag("number", _SOLVES, 10.0, help="Volterra horizon (epochs)"),
+    "mode": _Flag("text", _SOLVES, choices=tuple(volterra.MODES)),
+    "data": _Flag("text", _MEASURED, help="CSV file with the design matrix"),
+    "target_col": _Flag("column", _MEASURED,
+                        help="target column (index or header name) in --data"),
+    "out": _Flag("text", _EVERY, help="output path"),
+    "svg": _Flag("switch", ("simulate", "predict", "compare"), False,
+                 help="also write an SVG plot next to the output"),
+}
 
 
-def _add_common(p):
-    p.add_argument("--algo", choices=list(momentum.ALGORITHMS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--r", type=float, help="aspect ratio d/n for MP measures")
-    p.add_argument("--R", type=float, help="initialization scale")
-    p.add_argument("--Rtilde", type=float, help="noise scale")
-    p.add_argument("--epochs", type=float)
-    p.add_argument("--seeds", type=int, help="ensemble size")
-    p.add_argument("--seed", type=int, help="base seed")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma1", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--measure", choices=["mp", "esm", "csv"])
-    p.add_argument("--nodes", type=int, help="MP quadrature nodes")
-    p.add_argument("--h", type=float, help="Volterra grid step")
-    p.add_argument("--T", type=float, help="Volterra horizon (epochs)")
-    p.add_argument("--mode", choices=["closed", "ode", "conv"])
-    p.add_argument("--data", help="CSV file with the design matrix")
-    p.add_argument("--target-col", dest="target_col",
-                   help="target column (index or header name) in --data")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--svg", action="store_const", const=True, default=None,
-                   help="also write an SVG plot next to the output")
-    p.add_argument("--config", help="JSON file with defaults for any flag")
+def _flags(command):
+    """The rows of the flags command reads."""
+    return {k: f for k, f in _FLAGS.items() if command in f.commands}
 
 
 def build_parser():
@@ -77,20 +81,25 @@ def build_parser():
                     "analysis.")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, desc in (
-            ("simulate", "run an ensemble of the discrete algorithm"),
-            ("predict", "solve the Volterra equation for the loss curve"),
-            ("analyze", "closed-form convergence report"),
-            ("compare", "simulate and predict on matched settings"),
-            ("spectrum", "emit the spectral measure used by the other "
-                         "commands")):
-        _add_common(sub.add_parser(name, help=desc, description=desc))
+    for name, (_, desc) in _COMMANDS.items():
+        # no abbreviations: --h must not reach --help where h is not read
+        p = sub.add_parser(name, help=desc, description=desc,
+                           allow_abbrev=False)
+        for key, flag in _flags(name).items():
+            parse = _KINDS[flag.kind][0]
+            how = (dict(type=parse, choices=flag.choices) if parse
+                   else dict(action="store_const", const=True))
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=flag.help, **how)
+        p.add_argument("--config", help="JSON defaults for these flags")
     return ap
 
 
 def resolve_config(args):
-    """flags > config file > hard defaults; returns a flat dict."""
-    cfg = dict(_DEFAULTS)
+    """flags > config file > built-in defaults, over the flags the command
+    reads; returns a flat dict."""
+    flags = _flags(args.command)
+    cfg = {k: f.default for k, f in flags.items()}
     if args.config:
         with open(args.config) as fh:
             try:
@@ -102,33 +111,37 @@ def resolve_config(args):
             raise ValueError("config must be a flat JSON object")
         for key, val in raw.items():
             norm = key.replace("-", "_")
-            if norm not in _CONFIG_KEYS:
-                raise ValueError("unknown config key %r" % (key,))
-            types, what = _CONFIG_KEYS[norm]
+            if norm not in flags:
+                raise ValueError("config key %r: %s takes no --%s" % (
+                    key, args.command, norm.replace("_", "-")))
+            _, types, what = _KINDS[flags[norm].kind]
+            choices = flags[norm].choices
             # JSON true/false are ints to Python; only the switches take them
-            wrong = (not isinstance(val, types)
-                     or isinstance(val, bool) != (bool in types))
-            if val is not None and wrong:
+            if (not isinstance(val, types)
+                    or isinstance(val, bool) != (bool in types)):
                 raise ValueError("config key %r must be %s, got %r"
                                  % (key, what, val))
+            if choices and val not in choices:
+                raise ValueError("config key %r must be one of %s, got %r"
+                                 % (key, ", ".join(choices), val))
             cfg[norm] = val
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
+    for key in flags:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
 
 
 def _require(cfg, key, why):
-    if cfg.get(key) is None:
+    if cfg[key] is None:
         raise ValueError("missing --%s (%s)" % (key.replace("_", "-"), why))
     return cfg[key]
 
 
 def _aspect_ratio(cfg):
-    if cfg.get("r") is not None:
+    if cfg["r"] is not None:
         return float(cfg["r"])
-    n, d = cfg.get("n"), cfg.get("d")
+    n, d = cfg["n"], cfg["d"]
     if n is not None and d is not None:
         if n <= 0 or d <= 0:
             raise ValueError("problem sizes --n and --d must be positive, "
@@ -150,12 +163,10 @@ def _build_measure(cfg):
         n = _require(cfg, "n", "ESM needs a problem size")
         d = _require(cfg, "d", "ESM needs a problem size")
         prob = lsq.generate_gaussian(n, d, cfg["R"], cfg["Rtilde"], cfg["seed"])
-        return prob.esm(), lsq.to_spectral(prob)
-    if kind == "csv":
+    else:
         path = _require(cfg, "data", "csv measure reads a design matrix")
-        prob = lsq.load_csv(path, target_col=cfg.get("target_col"))
-        return prob.esm(), lsq.to_spectral(prob)
-    raise ValueError("unknown measure %r" % (kind,))
+        prob = lsq.load_csv(path, target_col=cfg["target_col"])
+    return prob.esm(), lsq.to_spectral(prob)
 
 
 def _build_params(cfg, measure):
@@ -163,36 +174,17 @@ def _build_params(cfg, measure):
     the rest."""
     name = _require(cfg, "algo", "choose " + ", ".join(momentum.ALGORITHMS))
     given = {k: cfg[k] for k in momentum.algorithm(name).names
-             if cfg.get(k) is not None}
+             if cfg[k] is not None}
     return momentum.defaults(name, measure, **given)
 
 
-def _echo(cfg, extra):
-    meta = {"config": {k: v for k, v in cfg.items() if v is not None},
-            "version": __version__}
-    meta.update(extra)
-    return meta
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=_jsonable)
-        fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError("not JSON-serializable: %r" % (obj,))
-
-
-def cmd_simulate(cfg):
+def _run_ensemble(cfg):
+    """simulate's and compare's setup: the MP measure at the problem's
+    aspect ratio, the algorithm on it, and its ensemble of discrete runs."""
     n = _require(cfg, "n", "problem rows")
     d = _require(cfg, "d", "problem columns")
-    ref_measure = spectrum.mp_measure(_aspect_ratio(cfg), nodes=cfg["nodes"])
-    params = _build_params(cfg, ref_measure)
+    measure = spectrum.mp_measure(_aspect_ratio(cfg), nodes=cfg["nodes"])
+    params = _build_params(cfg, measure)
     agg = momentum.run_ensemble(
         {"n": n, "d": d, "R": cfg["R"], "R_tilde": cfg["Rtilde"]},
         params, cfg["epochs"], cfg["seeds"], base_seed=cfg["seed"])
@@ -202,15 +194,30 @@ def cmd_simulate(cfg):
     if agg.diverged:
         print("warning: some seeds diverged; trajectory truncated at the "
               "shared prefix", file=sys.stderr)
-    out = cfg.get("out") or _OUT_DEFAULTS["simulate"]
+    return measure, params, agg
+
+
+def _echo(cfg, extra):
+    return {"config": {k: v for k, v in cfg.items() if v is not None},
+            "version": __version__, **extra}
+
+
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def cmd_simulate(cfg):
+    _, params, agg = _run_ensemble(cfg)
+    out = cfg["out"] or "simulate.csv"
     agg.to_csv(out)
     meta = _echo(cfg, {"command": "simulate", "params": params.describe(),
                        "n_seeds": cfg["seeds"], "diverged": agg.diverged,
                        "rows": len(agg.times)})
     _write_json(volterra.sidecar_path(out), meta)
-    if cfg.get("svg"):
-        _write_svg(_svg_target(out), [("ensemble mean", agg.times, agg.mean)],
-                   band=agg)
+    if cfg["svg"]:
+        _write_svg(out, [("ensemble mean", agg.times, agg.mean)], band=agg)
     print("simulate: %d rows -> %s" % (len(agg.times), out))
     return 0
 
@@ -220,29 +227,30 @@ def cmd_predict(cfg):
     params = _build_params(cfg, measure)
     sol = volterra.predict(measure, params, cfg["T"], R=cfg["R"],
                            R_tilde=cfg["Rtilde"], h=cfg["h"],
-                           mode=cfg.get("mode"), n=cfg.get("n"),
+                           mode=cfg["mode"], n=cfg["n"],
                            spectral=spectral, validate=True)
     if sol.diagnostics.get("picard_note"):
         print("warning: Picard validation did not contract (%s); keeping "
               "the marching solution" % sol.diagnostics["picard_note"],
               file=sys.stderr)
-    out = cfg.get("out") or _OUT_DEFAULTS["predict"]
+    out = cfg["out"] or "predict.csv"
     sol.meta = _echo(cfg, {"command": "predict", **sol.meta})
     sol.write(out)
-    if cfg.get("svg"):
-        _write_svg(_svg_target(out),
-                   [("psi", sol.grid, sol.psi), ("F", sol.grid, sol.forcing)])
+    if cfg["svg"]:
+        _write_svg(out, [("psi", sol.grid, sol.psi),
+                         ("F", sol.grid, sol.forcing)])
     print("predict: psi(0)=%.6g psi(T)=%.6g kernel_norm=%.6g -> %s"
           % (sol.psi[0], sol.psi[-1], sol.kernel_norm, out))
     return 0
 
 
 def cmd_analyze(cfg):
+    lsq.check_scales(cfg["R"], cfg["Rtilde"])
     measure, _ = _build_measure(cfg)
     params = _build_params(cfg, measure)
     report = analysis.rate_report(params, measure, R_tilde=cfg["Rtilde"],
-                                  n=cfg.get("n"))
-    out = cfg.get("out") or _OUT_DEFAULTS["analyze"]
+                                  n=cfg["n"])
+    out = cfg["out"] or "analyze.json"
     payload = {"report": report.to_dict(),
                **_echo(cfg, {"command": "analyze"})}
     _write_json(out, payload)
@@ -251,36 +259,26 @@ def cmd_analyze(cfg):
 
 
 def cmd_compare(cfg):
-    n = _require(cfg, "n", "problem rows")
-    d = _require(cfg, "d", "problem columns")
-    measure = spectrum.mp_measure(_aspect_ratio(cfg), nodes=cfg["nodes"])
-    params = _build_params(cfg, measure)
-    T = cfg["T"] if cfg.get("T") is not None else cfg["epochs"]
-    agg = momentum.run_ensemble(
-        {"n": n, "d": d, "R": cfg["R"], "R_tilde": cfg["Rtilde"]},
-        params, cfg["epochs"], cfg["seeds"], base_seed=cfg["seed"])
-    sol = volterra.predict(measure, params, max(T, cfg["epochs"]),
+    measure, params, agg = _run_ensemble(cfg)
+    sol = volterra.predict(measure, params, max(cfg["T"], cfg["epochs"]),
                            R=cfg["R"], R_tilde=cfg["Rtilde"], h=cfg["h"],
-                           mode=cfg.get("mode"), n=n)
+                           mode=cfg["mode"], n=cfg["n"])
     psi = _join_nearest(agg.times, sol)
-    mean = agg.mean
-    dev = np.abs(mean - psi)
-    stats = {"sup_abs_dev": float(dev.max()) if dev.size else float("nan"),
-             "mean_abs_dev": float(dev.mean()) if dev.size else float("nan"),
-             "psi0": float(sol.psi[0])}
-    out = cfg.get("out") or _OUT_DEFAULTS["compare"]
+    dev = np.abs(agg.mean - psi)
+    stats = {"sup_abs_dev": float(dev.max()),
+             "mean_abs_dev": float(dev.mean()), "psi0": float(sol.psi[0])}
+    out = cfg["out"] or "compare.csv"
     with open(out, "w", newline="") as fh:
         fh.write("t,mean,q10,q90,psi\n")
-        for row in zip(agg.times, mean, agg.q10, agg.q90, psi):
+        for row in zip(agg.times, agg.mean, agg.q10, agg.q90, psi):
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
     meta = _echo(cfg, {"command": "compare", "params": params.describe(),
                        "stats": stats, "kernel_norm": sol.kernel_norm,
                        "diverged": agg.diverged})
     _write_json(volterra.sidecar_path(out), meta)
-    if cfg.get("svg"):
-        _write_svg(_svg_target(out),
-                   [("ensemble mean", agg.times, mean),
-                    ("psi", sol.grid, sol.psi)], band=agg)
+    if cfg["svg"]:
+        _write_svg(out, [("ensemble mean", agg.times, agg.mean),
+                         ("psi", sol.grid, sol.psi)], band=agg)
     print("compare: sup|mean-psi|=%.6g mean|mean-psi|=%.6g -> %s"
           % (stats["sup_abs_dev"], stats["mean_abs_dev"], out))
     return 0
@@ -295,7 +293,7 @@ def cmd_spectrum(cfg):
                            "support": [lo, hi],
                            "atoms": int(len(measure.points))},
                **_echo(cfg, {"command": "spectrum"})}
-    out = cfg.get("out") or _OUT_DEFAULTS["spectrum"]
+    out = cfg["out"] or "spectrum.json"
     _write_json(out, payload)
     print("spectrum: m=%.6g p=%.6g support=[%.6g, %.6g] -> %s"
           % (payload["summary"]["trace_moment"], measure.zero_mass, lo, hi,
@@ -317,23 +315,18 @@ def _join_nearest(times, sol):
     return sol.psi[idx]
 
 
-def _svg_target(out):
-    root, _ = os.path.splitext(out)
-    return root + ".svg"
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
-def _write_svg(path, series, band=None, width=640, height=420):
-    """Static log-y line plot: hand-emitted polylines, ticks, and an
-    optional shaded q10-q90 band."""
+def _write_svg(out, series, band=None, width=640, height=420):
+    """Static log-y line plot next to the output out: hand-emitted
+    polylines, ticks, and an optional shaded q10-q90 band."""
     ml, mr, mt, mb = 60, 20, 20, 45
     pw, ph = width - ml - mr, height - mt - mb
 
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    if band is not None and band.q10 is not None:
+    if band is not None:
         ys_all = np.concatenate([ys_all, band.q10, band.q90])
     pos = ys_all[ys_all > 0]
     if pos.size == 0:
@@ -382,15 +375,12 @@ def _write_svg(path, series, band=None, width=640, height=420):
     parts.append('<text x="%d" y="%d" text-anchor="middle">t (epochs)</text>'
                  % (ml + pw // 2, height - 8))
     # band
-    if band is not None and band.q10 is not None:
-        up = [(t, v) for t, v in zip(band.times, band.q90) if v > 0]
-        lo = [(t, v) for t, v in zip(band.times, band.q10) if v > 0]
+    if band is not None:
+        up = poly(band.times, band.q90)
+        lo = poly(band.times[::-1], band.q10[::-1])
         if up and lo:
-            pts = " ".join("%.2f,%.2f" % (X(t), Y(v)) for t, v in up)
-            pts += " " + " ".join("%.2f,%.2f" % (X(t), Y(v))
-                                  for t, v in reversed(lo))
-            parts.append('<polygon points="%s" fill="#1f77b4" '
-                         'fill-opacity="0.18" stroke="none"/>' % pts)
+            parts.append('<polygon points="%s %s" fill="#1f77b4" '
+                         'fill-opacity="0.18" stroke="none"/>' % (up, lo))
     # series
     for i, (label, ts, vs) in enumerate(series):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
@@ -399,28 +389,36 @@ def _write_svg(path, series, band=None, width=640, height=420):
         parts.append('<text x="%d" y="%d" fill="%s">%s</text>'
                      % (ml + pw - 150, mt + 16 + 14 * i, color, label))
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with open(os.path.splitext(out)[0] + ".svg", "w") as fh:
         fh.write("\n".join(parts) + "\n")
-    return path
 
 
-_COMMANDS = {"simulate": cmd_simulate, "predict": cmd_predict,
-             "analyze": cmd_analyze, "compare": cmd_compare,
-             "spectrum": cmd_spectrum}
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run an ensemble of the discrete algorithm"),
+    "predict": (cmd_predict, "solve the Volterra equation for the loss curve"),
+    "analyze": (cmd_analyze, "closed-form convergence report"),
+    "compare": (cmd_compare, "simulate and predict on matched settings"),
+    "spectrum": (cmd_spectrum,
+                 "emit the spectral measure used by the other commands")}
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage problems; remap to our contract
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        # a float operation that overflows, divides by zero or makes a nan
+        # raises: parameters past the range of doubles fail cleanly
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command][0](resolve_config(args))
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print("numerical failure: %s; a parameter is too large or too small "
+              "for double precision" % (exc,), file=sys.stderr)
         return 2
     except MemoryError as exc:
         print("numerical failure: out of memory (%s); reduce the grid, the "

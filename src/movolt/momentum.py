@@ -216,8 +216,9 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
     n, d = problem.n, problem.d
     if not math.isfinite(epochs):
         raise ValueError("epochs (--epochs) must be finite, got %r" % epochs)
-    if epochs * n < 1:
-        raise ValueError("epochs*n must be at least 1")
+    if epochs * min(n, samples_per_epoch) < 1:    # one step and one sample
+        raise ValueError("epochs (--epochs) must be at least %g at n=%d, got "
+                         "%r" % (1.0 / min(n, samples_per_epoch), n, epochs))
     ks = _sample_steps(n, epochs, samples_per_epoch)
     total = int(ks[-1])
     g1, g2, sched = params.discrete(n)

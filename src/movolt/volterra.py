@@ -40,8 +40,9 @@ _RK4_WORK_LIMIT = 10**7
 # starts at forcing_ic of its kernel's nodes and sweeps with its own
 StateForcing = collections.namedtuple("StateForcing", "coef const")
 
-_MODE_ALIASES = {"closed": "closed_form", "ode": "ode_exact",
-                 "conv": "convolution_approx"}
+# predict's mode names (the CLI's --mode choices) and the routes they pick
+MODES = {"closed": "closed_form", "ode": "ode_exact",
+         "conv": "convolution_approx"}
 
 
 def time_grid(T, h=DEFAULT_H):
@@ -515,8 +516,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     is singular, raise NumericalError before any integration.
     """
     if mode is not None:
-        mode = _MODE_ALIASES.get(mode, mode)
-        if mode not in _MODE_ALIASES.values():
+        mode = MODES.get(mode, mode)
+        if mode not in MODES.values():
             raise ValueError("unknown solve mode %r; pick closed, ode or conv"
                              % (mode,))
     check_scales(R, R_tilde)

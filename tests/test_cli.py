@@ -4,13 +4,19 @@ Everything goes through cli.main(argv) so exit codes, config resolution
 and file outputs are exercised exactly as a shell user would see them.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import shlex
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from movolt import cli, kernels, momentum, spectrum, volterra
 
@@ -314,7 +320,7 @@ def test_config_unknown_key_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [{"n": "64"}, {"seeds": 2.5},
                                    {"r": "2"}, {"gamma": True},
-                                   {"svg": 1}, {"algo": 3}])
+                                   {"svg": 1}, {"algo": 3}, {"R": None}])
 def test_config_wrong_value_type_is_usage_error(entry, tmp_path, capsys):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"algo": "sgd", "n": 64, "d": 32, **entry}))
@@ -325,6 +331,34 @@ def test_config_wrong_value_type_is_usage_error(entry, tmp_path, capsys):
     assert code == 1
     assert "config key %r must be" % key in err
     assert not out.exists()
+
+
+# the flags each command would ignore if it accepted them
+_UNREAD = {"simulate": ["measure", "h", "T", "mode", "data", "target_col"],
+           "predict": ["epochs", "seeds"],
+           "analyze": ["epochs", "seeds", "h", "T", "mode", "svg"],
+           "compare": ["measure", "data", "target_col"],
+           "spectrum": ["algo", "epochs", "seeds", "gamma", "gamma1",
+                        "gamma2", "theta", "h", "T", "mode", "svg"]}
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD))
+def test_unread_flags_are_usage_errors(command, tmp_path, capsys):
+    values = {"measure": "mp", "mode": "ode", "data": "x.csv",
+              "target_col": "y", "algo": "sgd", "svg": True}
+    out = tmp_path / "out.csv"
+    for key in _UNREAD[command]:
+        flag = "--" + key.replace("_", "-")
+        val = values.get(key, 1)
+        argv = [command, flag] + ([] if val is True else [str(val)])
+        code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+        assert code == 1 and flag in err
+        cfg = tmp_path / "job.json"
+        cfg.write_text(json.dumps({key: val}))
+        code, _, err = run_cli([command, "--config", str(cfg),
+                                "--out", str(out)], capsys)
+        assert code == 1 and flag in err
+        assert not out.exists()
 
 
 def test_config_invalid_json_is_usage_error(tmp_path, capsys):
@@ -399,6 +433,12 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     (["predict", "--algo", "sgd", "--Rtilde", "nan"], "--Rtilde"),
     (["simulate", "--algo", "sgd", "--n", "16", "--d", "8", "--R", "nan"],
      "--R"),
+    (["analyze", "--algo", "sgd", "--r", "0.5", "--Rtilde", "-1"],
+     "--Rtilde"),
+    (["analyze", "--algo", "sgd", "--r", "0.5", "--Rtilde", "inf"],
+     "--Rtilde"),
+    (["compare", "--algo", "sgd", "--n", "64", "--d", "8",
+      "--epochs", "0.02"], "--epochs"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit
@@ -425,3 +465,124 @@ def test_predict_sidecar_carries_solver_diagnostics(tmp_path):
     assert "NaN" not in out.with_suffix(".json").read_text()
     diag = volterra.VolterraSolution.read(str(out)).diagnostics
     assert diag["residual"] is None and diag["refinement_gap"] >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every flag set exits 0, 1 or 2, never with a traceback
+
+# sizes and counts stay small, since nothing refuses an oversized job
+# before it allocates; the algorithm parameters, r, R and Rtilde range over
+# every positive double
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0])
+
+
+def _mostly(sane):
+    """sane values three times in four, else nan, inf, 0 or a negative."""
+    return st.one_of(sane, sane, sane, _ODD)
+
+
+_ANY_SCALE = _mostly(st.floats(0.0, exclude_min=True, allow_infinity=False))
+_VALUES = {"n": st.integers(-2, 64), "d": st.integers(-2, 64),
+           "nodes": st.integers(8, 400), "seeds": st.integers(-1, 3),
+           "seed": st.integers(-1, 2**40),
+           "epochs": _mostly(st.floats(0.0, 2.0)),
+           "T": _mostly(st.floats(0.0, 2.0)),
+           "h": _mostly(st.floats(0.01, 1.0)),
+           "gamma": _ANY_SCALE, "gamma1": _ANY_SCALE, "gamma2": _ANY_SCALE,
+           "theta": _ANY_SCALE, "r": _ANY_SCALE, "R": _ANY_SCALE,
+           "Rtilde": _ANY_SCALE, "svg": st.just(True),
+           "target_col": st.sampled_from(["y", "0", "-1", "9", "nope"]),
+           "data": st.sampled_from(["design.csv", "ragged.csv", "nope.csv"])}
+
+
+def _flag_value(key):
+    choices = cli._FLAGS[key].choices
+    return st.sampled_from(choices) if choices else _VALUES[key]
+
+
+def _flag_sets():
+    """(command, {flag: value}, a flag of another command or None); a
+    command that runs an algorithm is mostly given one."""
+    def draw_for(command):
+        reads = cli._flags(command)
+        own = sorted(set(reads) - {"out", "algo"})
+        foreign = sorted(set(cli._FLAGS) - set(reads))
+        algo = [["algo"]] * 3 + [[]] if "algo" in reads else [[]]
+        keys = st.tuples(st.lists(st.sampled_from(own), unique=True,
+                                  max_size=8), st.sampled_from(algo))
+        flags = keys.map(lambda pair: pair[0] + pair[1]).flatmap(
+            lambda ks: st.fixed_dictionaries({k: _flag_value(k) for k in ks}))
+        stray = st.none() | st.sampled_from(foreign).flatmap(
+            lambda k: _flag_value(k).map(lambda v: (k, v)))
+        return st.tuples(st.just(command), flags, stray)
+    return st.sampled_from(sorted(cli._COMMANDS)).flatmap(draw_for)
+
+
+@settings(max_examples=300, deadline=3000)
+@given(job=_flag_sets(), via_config=st.booleans())
+# the default gamma = theta/m overflows gamma^2 in kernels.kernel_ic; and
+# at r = 1 (lambda_min = 0) theta^2 underflows to a 0/0 rate bound
+@example(job=("predict", {"algo": "sdahb", "theta": 1e300, "T": 1.0}, None),
+         via_config=False)
+@example(job=("analyze", {"algo": "sdahb", "theta": 1e-300}, None),
+         via_config=False)
+def test_fuzzed_flags_exit_cleanly(job, via_config):
+    command, flags, stray = job
+    if stray is not None:
+        flags = {**flags, stray[0]: stray[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        np.savetxt(os.path.join(tmp, "design.csv"),
+                   np.random.default_rng(0).normal(size=(12, 4)),
+                   delimiter=",", header="a,b,c,y", comments="")
+        with open(os.path.join(tmp, "ragged.csv"), "w") as fh:
+            fh.write("a,y\n1,2\n3\n")
+        if "data" in flags:
+            flags["data"] = os.path.join(tmp, flags["data"])
+        argv = [command, "--out", os.path.join(tmp, "out.csv")]
+        if via_config:
+            cfg = os.path.join(tmp, "job.json")
+            with open(cfg, "w") as fh:
+                json.dump(flags, fh)
+            argv += ["--config", cfg]
+        else:
+            for key, val in flags.items():
+                flag = "--" + key.replace("_", "-")
+                # --x=-1 keeps a negative value from reading as a flag
+                argv.append(flag if val is True else "%s=%s" % (flag, val))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert "Traceback" not in err.getvalue()
+    if stray is not None:
+        assert code == 1
+        assert "--" + stray[0].replace("_", "-") in err.getvalue()
+    else:
+        assert code in (0, 1, 2)
+
+
+_README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_parse():
+    lines = [line for line in _README.read_text().splitlines()
+             if line.startswith("movolt ")]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README example does not parse: %s\n%s"
+                        % (line, err.getvalue()))
+
+
+def test_readme_flag_table_is_the_parsers():
+    cells = [line.split("|")[1:3] for line in _README.read_text().splitlines()
+             if line.startswith("| `")]
+    table = {cmd.strip(" `"): set(flags.strip(" `").split())
+             for cmd, flags in cells if cmd.strip(" `") in cli._COMMANDS}
+    assert table == {cmd: {"--" + k.replace("_", "-") for k in cli._flags(cmd)}
+                     for cmd in cli._COMMANDS}

@@ -22,8 +22,7 @@ from .volterra import (VolterraSolution, predict, solve_convolution,
                        solve_general, build_forcing, build_convolution_kernel,
                        time_grid)
 from .analysis import (AnalysisReport, kernel_norm, limiting_loss,
-                       malthusian_exponent, rate_report, effective_rate,
-                       fit_poly_rate, classify)
+                       malthusian_exponent, rate_report, fit_poly_rate)
 
 __all__ = [
     "NumericalError",
@@ -34,6 +33,6 @@ __all__ = [
     "VolterraSolution", "predict", "solve_convolution", "solve_general",
     "build_forcing", "build_convolution_kernel", "time_grid",
     "AnalysisReport", "kernel_norm", "limiting_loss", "malthusian_exponent",
-    "rate_report", "effective_rate", "fit_poly_rate", "classify",
+    "rate_report", "fit_poly_rate",
     "__version__",
 ]

@@ -6,8 +6,10 @@ position relative to 1 decides convergence), the limiting loss plateau,
 the Malthusian exponent lambda* solving int e^{x tau} I(tau) dtau = 1
 (the linear convergence rate when it exists), closed lower/upper rate
 bounds, and the polynomial decay exponents at a hard spectral edge.
+rate_report is the one report that gathers them all.
 """
 
+import collections
 import json
 from typing import Callable, NamedTuple
 
@@ -16,26 +18,9 @@ import numpy as np
 from .spectrum import MP_KIND
 
 BISECTION_ITERS = 200
-ROOT_TOL = 1e-10
-# smallest positive eigenvalue at or below this counts as a hard edge
+# smallest positive eigenvalue at or below this counts as a hard edge,
+# where every decay rate and bound is 0
 EDGE_ATOM_TOL = 1e-12
-
-
-def positive_edges(measure):
-    """(lambda_min, lambda_max) of the positive part of the support."""
-    lo, hi = measure.support_edges()
-    if measure.kind == MP_KIND:
-        return lo, hi
-    pos = measure.points[measure.weights > 0]
-    return (float(pos.min()) if pos.size else 0.0,
-            float(pos.max()) if pos.size else 0.0)
-
-
-def _gap(measure):
-    """lambda_min as the rate formulas read it: 0 at a hard edge (within
-    EDGE_ATOM_TOL), where every decay rate and bound is 0."""
-    lam_min, _ = positive_edges(measure)
-    return lam_min if lam_min > EDGE_ATOM_TOL else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -148,35 +133,22 @@ def limiting_loss(norm, zero_mass, R_tilde):
     return R_tilde * zero_mass / (2.0 * (1.0 - norm))
 
 
-def laplace_transform(params, measure, x, n=None):
-    """Tilted kernel mass F(x) = int e^{x tau} I(tau) dtau; +inf once x
-    crosses a decay rate of the kernel.  F(0) = ||I||."""
-    fam, g1, g2, theta = _closed_form(params, n)
-    return fam.laplace(x, g1, g2, theta, measure)
-
-
 def malthusian_exponent(params, measure, n=None):
-    """Root lambda* of F(x) = 1 on (0, cap), or None when absent.
+    """Root lambda* of F(x) = 1 on (0, cap), or None when absent (the
+    report's malthusian_note says why)."""
+    return rate_report(params, measure, n=n).malthusian
+
+
+def _malthusian(F, cap, norm):
+    """(root of F(x) = 1 on (0, cap), note), or (None, why it is absent).
 
     Absence is a value, not an error: when F stays below 1 up to the cap
     the convergence rate is dominated by the forcing decay instead.
     """
-    value, _ = _malthusian(params, measure, n)
-    return value
-
-
-def _malthusian(params, measure, n=None):
-    lam_min = _gap(measure)
-    if lam_min <= 0.0:
-        return None, "absent: spectrum touches zero (no exponential regime)"
-    fam, g1, g2, theta = _closed_form(params, n)
-    cap = (fam.cap or fam.forcing_rate)(g1, g2, theta, lam_min)
     if cap <= 0.0:
         return None, "absent: kernel decay cap is zero"
-    F = lambda x: fam.laplace(x, g1, g2, theta, measure)
-    f0 = F(0.0)
-    if f0 >= 1.0:
-        return None, "absent: kernel norm %.4f >= 1 (not convergent)" % f0
+    if norm >= 1.0:
+        return None, "absent: kernel norm %.4f >= 1 (not convergent)" % norm
     hi = cap * (1.0 - 1e-12)
     fhi = F(hi)
     if fhi < 1.0:
@@ -193,85 +165,61 @@ def _malthusian(params, measure, n=None):
     return float(root), "root residual %.3g" % abs(F(root) - 1.0)
 
 
-def forcing_rate(params, measure, n=None):
-    """Exponential decay rate of the slowest forcing component (the mode at
-    the smallest positive eigenvalue); 0 at a hard edge."""
-    fam, g1, g2, theta = _closed_form(params, n)
-    return fam.forcing_rate(g1, g2, theta, _gap(measure))
-
-
-def effective_rate(params, measure, n=None):
-    """The exponential loss decay rate: lambda* when it exists, otherwise
-    the forcing rate (the two regimes of the renewal analysis)."""
-    value, _ = _malthusian(params, measure, n)
-    if value is not None:
-        return value
-    return forcing_rate(params, measure, n=n)
-
-
-def rate_lower_bound(params, measure, n=None):
-    """Closed lower bound on the convergence rate (gap regime)."""
-    fam, g1, g2, theta = _closed_form(params, n)
-    return fam.lower_bound(g1, g2, theta, _gap(measure))
-
-
-def rate_upper_bound(params, measure, n=None):
-    """Closed upper bound on the convergence rate; free of n, like the norm."""
-    fam = _closed_form(params, 1)[0]
-    return fam.upper_bound(_gap(measure), measure.trace_moment())
-
-
-def classify(measure):
-    """'hard_edge' when the positive support reaches 0 (lambda_min within
-    EDGE_ATOM_TOL; MP at r=1), else 'strongly_convex' (positive spectral
-    gap, possibly plus a zero atom)."""
-    return "strongly_convex" if _gap(measure) > 0.0 else "hard_edge"
-
-
-class AnalysisReport:
+class AnalysisReport(collections.namedtuple("AnalysisReport", (
+        "algo", "params", "m", "p", "lam_min", "lam_max", "kernel_norm",
+        "convergent", "limiting_loss", "malthusian", "malthusian_note",
+        "effective_rate", "rate_lower_bound", "rate_upper_bound",
+        "predicted_poly_exponents", "classification", "R_tilde"))):
     """JSON-serializable convergence summary for (algorithm, measure)."""
 
-    FIELDS = ("algo", "params", "m", "p", "lam_min", "lam_max", "kernel_norm",
-              "convergent", "limiting_loss", "malthusian", "malthusian_note",
-              "effective_rate", "rate_lower_bound", "rate_upper_bound",
-              "predicted_poly_exponents", "classification", "R_tilde")
-
-    def __init__(self, **kw):
-        for f in self.FIELDS:
-            setattr(self, f, kw.pop(f, None))
-        if kw:
-            raise TypeError("unknown report fields %r" % sorted(kw))
+    __slots__ = ()
 
     def to_dict(self):
-        return {f: getattr(self, f) for f in self.FIELDS}
+        return self._asdict()
 
     def to_json(self, indent=1):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self._asdict(), indent=indent, sort_keys=True)
 
 
 def rate_report(params, measure, R_tilde=1.0, n=None):
-    """Full convergence report: norm, threshold, plateau, rates, exponents."""
+    """The convergence report: norm, threshold, plateau, rates, exponents.
+
+    (family, gamma1, gamma2, theta) and lambda_min are resolved once.  The
+    effective rate is lambda* when it exists, else the decay rate of the
+    slowest forcing mode (the two regimes of the renewal analysis).  At a
+    hard edge (lambda_min within EDGE_ATOM_TOL of 0; MP at r = 1) there
+    is no exponential regime: every rate and bound is 0, and an MP
+    measure gets the family's polynomial exponents instead.
+    """
+    fam, g1, g2, theta = _closed_form(params, n)
+    lam_min, lam_max = measure.support_edges()
     m = measure.trace_moment()
-    lam_min, lam_max = positive_edges(measure)
     norm = kernel_norm(params, measure)
     convergent = bool(norm < 1.0)
-    limit = limiting_loss(norm, measure.zero_mass, R_tilde) if convergent else None
-    malthusian, note = _malthusian(params, measure, n)
-    kind = classify(measure)
-    if kind == "hard_edge" and measure.kind == MP_KIND:
-        exponents = params.algo.family.poly_exponents
+    hard_edge = lam_min <= EDGE_ATOM_TOL
+    if hard_edge:
+        root, note = None, "absent: spectrum touches zero (no exponential regime)"
+        eff = lower = upper = 0.0
     else:
-        exponents = None
-    eff = (malthusian if malthusian is not None
-           else forcing_rate(params, measure, n=n))
+        rate = fam.forcing_rate(g1, g2, theta, lam_min)
+        cap = fam.cap(g1, g2, theta, lam_min) if fam.cap else rate
+        root, note = _malthusian(
+            lambda x: fam.laplace(x, g1, g2, theta, measure), cap, norm)
+        eff = rate if root is None else root
+        lower = fam.lower_bound(g1, g2, theta, lam_min)
+        upper = fam.upper_bound(lam_min, m)
     return AnalysisReport(
         algo=params.name, params=params.describe(), m=m, p=measure.zero_mass,
         lam_min=lam_min, lam_max=lam_max, kernel_norm=norm,
-        convergent=convergent, limiting_loss=limit, malthusian=malthusian,
-        malthusian_note=note, effective_rate=eff,
-        rate_lower_bound=rate_lower_bound(params, measure, n=n),
-        rate_upper_bound=rate_upper_bound(params, measure, n=n),
-        predicted_poly_exponents=exponents, classification=kind,
+        convergent=convergent,
+        limiting_loss=(limiting_loss(norm, measure.zero_mass, R_tilde)
+                       if convergent else None),
+        malthusian=root, malthusian_note=note, effective_rate=eff,
+        rate_lower_bound=lower, rate_upper_bound=upper,
+        predicted_poly_exponents=(fam.poly_exponents
+                                  if hard_edge and measure.kind == MP_KIND
+                                  else None),
+        classification="hard_edge" if hard_edge else "strongly_convex",
         R_tilde=R_tilde)
 
 

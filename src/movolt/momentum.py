@@ -43,8 +43,10 @@ class Algorithm(NamedTuple):
 
 def _shb_continuous(p, n):
     # SHB(gamma, theta) is SDAHB run at (n*gamma, n*theta)
-    if n is None:
-        raise ValueError("SHB continuous-time parameters need n")
+    if n is None or n < 1:
+        raise ValueError("SHB's continuous-time parameters need the problem "
+                         "size n (--n), which must be at least 1, got %r"
+                         % (n,))
     return n * p["gamma"], 0.0, n * p["theta"]
 
 

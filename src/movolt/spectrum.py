@@ -85,10 +85,14 @@ class SpectralMeasure:
         return float(np.dot(self.weights, self.points))
 
     def support_edges(self):
-        """(lam_minus, lam_plus) over the positive support."""
+        """(lam_minus, lam_plus) over the positive support: the MP bulk, or
+        the atoms of positive weight; (0, 0) when all the mass is at 0."""
         if self.kind == MP_KIND:
             return mp_edges(self.r)
-        return float(self.points.min()), float(self.points.max())
+        pos = self.points[self.weights > 0]
+        if pos.size == 0:
+            return 0.0, 0.0
+        return float(pos.min()), float(pos.max())
 
     # -- serialization -----------------------------------------------
 

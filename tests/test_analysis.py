@@ -93,9 +93,12 @@ def test_limiting_loss_formula():
 # -------------------------------------------------- Laplace transform
 
 def test_laplace_at_zero_equals_norm(mp2):
-    for params in (momentum.sgd(0.8), momentum.sdahb(1.2, 2.0),
-                   momentum.sdana(0.25, 1.0, 4.0)):
-        F0 = analysis.laplace_transform(params, mp2, 0.0)
+    for params, F0 in (
+            (momentum.sgd(0.8), analysis.SGD.laplace(0.0, 0.0, 0.8, 0.0, mp2)),
+            (momentum.sdahb(1.2, 2.0),
+             analysis.HEAVY_BALL.laplace(0.0, 1.2, 0.0, 2.0, mp2)),
+            (momentum.sdana(0.25, 1.0, 4.0),
+             analysis.SDANA.laplace(0.0, 0.25, 1.0, 4.0, mp2))):
         assert F0 == pytest.approx(analysis.kernel_norm(params, mp2),
                                    rel=1e-12)
 
@@ -109,7 +112,7 @@ def test_laplace_sgd_matches_scipy_quad(x):
         * np.exp(-2.0 * gamma * lam * t),
         0.0, np.inf)
     assert err < 1e-6
-    got = analysis.laplace_transform(momentum.sgd(gamma), mu, x)
+    got = analysis.SGD.laplace(x, 0.0, gamma, 0.0, mu)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -123,7 +126,7 @@ def test_laplace_sdahb_matches_scipy_quad(x):
             spec, [lam], [t])[0, 0]),
         0.0, 200.0, limit=400)
     assert err < 1e-8
-    got = analysis.laplace_transform(momentum.sdahb(g1, theta), mu, x)
+    got = analysis.HEAVY_BALL.laplace(x, g1, 0.0, theta, mu)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -137,7 +140,7 @@ def test_laplace_sdana_matches_scipy_quad(x):
             spec, [lam], [t])[0, 0]),
         0.0, 300.0, limit=400)
     assert err < 1e-8
-    got = analysis.laplace_transform(momentum.sdana(g1, g2, theta), mu, x)
+    got = analysis.SDANA.laplace(x, g1, g2, theta, mu)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -145,8 +148,7 @@ def test_laplace_blows_up_past_cap():
     lam, gamma = 1.0, 0.5
     mu = atom(lam)
     cap = 2.0 * gamma * lam
-    assert analysis.laplace_transform(momentum.sgd(gamma), mu,
-                                      cap * 1.01) == np.inf
+    assert analysis.SGD.laplace(cap * 1.01, 0.0, gamma, 0.0, mu) == np.inf
 
 
 # ------------------------------------------------------- Malthusian
@@ -166,14 +168,14 @@ def test_malthusian_root_satisfies_fixed_point(mp2):
     params = momentum.sgd(1.9)
     root = analysis.malthusian_exponent(params, mp2)
     assert root is not None
-    assert analysis.laplace_transform(params, mp2, root) == pytest.approx(
+    assert analysis.SGD.laplace(root, 0.0, 1.9, 0.0, mp2) == pytest.approx(
         1.0, abs=1e-9)
 
 
 def test_malthusian_absent_on_hard_edge(mp1):
     got = analysis.malthusian_exponent(momentum.sgd(1.0), mp1)
     assert got is None
-    _, note = analysis._malthusian(momentum.sgd(1.0), mp1)
+    note = analysis.rate_report(momentum.sgd(1.0), mp1).malthusian_note
     assert "touches zero" in note
 
 
@@ -181,29 +183,29 @@ def test_malthusian_absent_when_forcing_dominates(mp2):
     # small step: kernel mass too small for F to reach 1 before the cap
     got = analysis.malthusian_exponent(momentum.sgd(0.05), mp2)
     assert got is None
-    _, note = analysis._malthusian(momentum.sgd(0.05), mp2)
+    note = analysis.rate_report(momentum.sgd(0.05), mp2).malthusian_note
     assert "forcing-dominated" in note
 
 
 def test_malthusian_absent_when_not_convergent(mp2):
-    _, note = analysis._malthusian(momentum.sgd(2.5), mp2)
+    note = analysis.rate_report(momentum.sgd(2.5), mp2).malthusian_note
     assert ">= 1" in note
 
 
 # ------------------------------------------------------------- rates
 
 def test_forcing_rate_formulas(mp2):
-    lam = analysis.positive_edges(mp2)[0]
-    assert analysis.forcing_rate(momentum.sgd(0.8), mp2) == pytest.approx(
+    lam = mp2.support_edges()[0]
+    assert analysis.SGD.forcing_rate(0.0, 0.8, 0.0, lam) == pytest.approx(
         2 * 0.8 * lam)
     g1, theta = 1.2, 2.0
     want = theta - np.sqrt(theta**2 - 4 * g1 * lam)
-    assert analysis.forcing_rate(momentum.sdahb(g1, theta), mp2) == \
+    assert analysis.HEAVY_BALL.forcing_rate(g1, 0.0, theta, lam) == \
         pytest.approx(want)
     g1, g2 = 0.25, 1.0
     # omega(lam_min) = 4 g1 - g2^2 lam_min >= 0 here: oscillatory branch
     assert 4 * g1 - g2**2 * lam >= 0
-    assert analysis.forcing_rate(momentum.sdana(g1, g2, 4.0), mp2) == \
+    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, lam) == \
         pytest.approx(g2 * lam)
 
 
@@ -212,28 +214,28 @@ def test_forcing_rate_sdana_overdamped_branch():
     g1, g2 = 0.1, 1.0
     lam = 4.0
     want = g2 * lam - np.sqrt(g2**2 * lam**2 - 4 * g1 * lam)
-    assert analysis.forcing_rate(momentum.sdana(g1, g2, 4.0), mu) == \
-        pytest.approx(want)
+    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, mu.support_edges()[0]) \
+        == pytest.approx(want)
 
 
 def test_effective_rate_prefers_malthusian(mp2):
     params = momentum.sgd(1.9)
     root = analysis.malthusian_exponent(params, mp2)
-    assert analysis.effective_rate(params, mp2) == pytest.approx(root)
+    assert analysis.rate_report(params, mp2).effective_rate == \
+        pytest.approx(root)
     slow = momentum.sgd(0.05)
     assert analysis.malthusian_exponent(slow, mp2) is None
-    assert analysis.effective_rate(slow, mp2) == pytest.approx(
-        analysis.forcing_rate(slow, mp2))
+    assert analysis.rate_report(slow, mp2).effective_rate == pytest.approx(
+        analysis.SGD.forcing_rate(0.0, 0.05, 0.0, mp2.support_edges()[0]))
 
 
 def test_effective_rate_between_bounds_at_defaults():
     for r in (2.0, 4.0):
         mu = spectrum.mp_measure(r)
         for name in ("sgd", "sdahb", "sdana"):
-            params = momentum.defaults(name, mu)
-            eff = analysis.effective_rate(params, mu)
-            lo = analysis.rate_lower_bound(params, mu)
-            hi = analysis.rate_upper_bound(params, mu)
+            rep = analysis.rate_report(momentum.defaults(name, mu), mu)
+            eff = rep.effective_rate
+            lo, hi = rep.rate_lower_bound, rep.rate_upper_bound
             assert lo <= eff <= hi, (name, r, lo, eff, hi)
 
 
@@ -245,27 +247,31 @@ def test_observed_decay_matches_effective_rate(mp2):
     slope = (np.log(sol.psi[i2]) - np.log(sol.psi[i1])) / (
         sol.grid[i2] - sol.grid[i1])
     # polynomial prefactors bias the finite-window slope slightly high
-    assert -slope == pytest.approx(analysis.effective_rate(params, mp2),
-                                   rel=0.10)
+    assert -slope == pytest.approx(
+        analysis.rate_report(params, mp2).effective_rate, rel=0.10)
 
 
 # --------------------------------------------------- classification
 
 def test_classify_mp():
-    assert analysis.classify(spectrum.mp_measure(1.0)) == "hard_edge"
-    assert analysis.classify(spectrum.mp_measure(2.0)) == "strongly_convex"
-    assert analysis.classify(spectrum.mp_measure(0.5)) == "strongly_convex"
+    kind = [analysis.rate_report(momentum.sgd(1.0), spectrum.mp_measure(r))
+            .classification for r in (1.0, 2.0, 0.5)]
+    assert kind[0] == "hard_edge"
+    assert kind[1] == "strongly_convex"
+    assert kind[2] == "strongly_convex"
 
 
 def test_classify_mp_near_square_is_hard_edge():
     # lambda_min = (1 - r^(-1/2))^2 ~ 2.5e-19 at r = 1 - 1e-9: no usable gap
-    assert analysis.classify(spectrum.mp_measure(0.999999999)) == "hard_edge"
-    assert analysis.classify(spectrum.mp_measure(1.0)) == "hard_edge"
-    assert analysis.classify(spectrum.mp_measure(2.0)) == "strongly_convex"
+    kind = [analysis.rate_report(momentum.sgd(1.0), spectrum.mp_measure(r))
+            .classification for r in (0.999999999, 1.0, 2.0)]
+    assert kind[0] == "hard_edge"
+    assert kind[1] == "hard_edge"
+    assert kind[2] == "strongly_convex"
 
 
 def test_rate_report_near_square_reads_as_hard_edge_throughout():
-    # lambda_min ~ 2.5e-19 is a hard edge for classify, so the rates must
+    # lambda_min ~ 2.5e-19 is a hard edge for the report, so the rates must
     # be the hard edge's too, not an exponential rate of 5e-19
     params = momentum.sgd(1.0)
     near = analysis.rate_report(params, spectrum.mp_measure(0.999999999))
@@ -275,22 +281,24 @@ def test_rate_report_near_square_reads_as_hard_edge_throughout():
     assert near.malthusian is None and "touches zero" in near.malthusian_note
     for field in ("effective_rate", "rate_lower_bound", "rate_upper_bound"):
         assert getattr(near, field) == getattr(edge, field) == 0.0
-    assert analysis.effective_rate(params,
-                                   spectrum.mp_measure(0.999999999)) == 0.0
+    assert near.effective_rate == 0.0
 
 
 def test_classify_discrete():
-    assert analysis.classify(atom(0.5)) == "strongly_convex"
+    params = momentum.sgd(1.0)
+    assert analysis.rate_report(params, atom(0.5)).classification == \
+        "strongly_convex"
     near_zero = spectrum.SpectralMeasure("discrete", [1e-15, 1.0],
                                          [0.5, 0.5], 0.0)
-    assert analysis.classify(near_zero) == "hard_edge"
+    assert analysis.rate_report(params, near_zero).classification == \
+        "hard_edge"
 
 
 def test_rate_report_fields_and_json(mp1):
     rep = analysis.rate_report(momentum.defaults("sdana", mp1), mp1,
                                R_tilde=0.5)
     d = rep.to_dict()
-    assert set(d) == set(analysis.AnalysisReport.FIELDS)
+    assert set(d) == set(analysis.AnalysisReport._fields)
     assert d["algo"] == "sdana"
     assert d["classification"] == "hard_edge"
     assert d["predicted_poly_exponents"] == (-3.0, -1.0)

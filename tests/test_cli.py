@@ -521,7 +521,7 @@ def _flag_sets():
 @settings(max_examples=300, deadline=3000)
 @given(job=_flag_sets(), via_config=st.booleans())
 # the default gamma = theta/m overflows gamma^2 in kernels.kernel_ic; and
-# at r = 1 (lambda_min = 0) theta^2 underflows to a 0/0 rate bound
+# at r = 1 (lambda_min = 0) theta^2 underflows, where the rate bounds are 0
 @example(job=("predict", {"algo": "sdahb", "theta": 1e300, "T": 1.0}, None),
          via_config=False)
 @example(job=("analyze", {"algo": "sdahb", "theta": 1e-300}, None),

@@ -198,7 +198,8 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
     convergent = bool(norm < 1.0)
     hard_edge = lam_min <= EDGE_ATOM_TOL
     if hard_edge:
-        root, note = None, "absent: spectrum touches zero (no exponential regime)"
+        root = None
+        note = "absent: spectrum touches zero (no exponential regime)"
         eff = lower = upper = 0.0
     else:
         rate = fam.forcing_rate(g1, g2, theta, lam_min)

@@ -21,6 +21,9 @@ ZERO_FOLD_RTOL = 1e-10
 MASS_TOL = 1e-8
 
 DEFAULT_NODES = 200
+# Smallest aspect ratio whose MP bulk fits in double range: its upper edge
+# is about 1/r and its squared half-width 4/r, with a margin for rounding.
+MIN_RATIO = 16.0 / np.finfo(float).max
 
 
 def mp_edges(r):
@@ -123,18 +126,20 @@ def mp_measure(r, nodes=DEFAULT_NODES):
     The bulk density r*sqrt((lam-lam_minus)*(lam_plus-lam))/(2*pi*lam) on
     [lam_minus, lam_plus] is discretized with Chebyshev angles
     theta_k = (2k-1)*pi/(2N): nodes lam_k = c + w*cos(theta_k) and weights
-    w_k = r * w^2 * sin^2(theta_k) / (2*N*lam_k), where c, w are the
-    center and half-width of the bulk.  For r < 1 an atom of mass 1 - r
-    sits at zero.  Raises if the node count cannot meet the mass budget.
+    w_k = r * w^2 * sin^2(theta_k) / (2*N*lam_k), where c = 1 + s^2 and
+    w = 2s (s = r^(-1/2)) are the center and half-width of the bulk, taken
+    from s rather than from the rounded edges.  For r < 1 an atom of mass
+    1 - r sits at zero.  Raises if the node count cannot meet the mass
+    budget.
     """
-    if not (np.isfinite(r) and r > 0):
-        raise ValueError("aspect ratio r (--r) must be finite and positive, "
-                         "got %r" % (r,))
+    if not (np.isfinite(r) and r >= MIN_RATIO):
+        raise ValueError("aspect ratio r (--r) must be finite and at least "
+                         "%.3g, where the MP edges are finite doubles, got %r"
+                         % (MIN_RATIO, r))
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
-    lam_minus, lam_plus = mp_edges(r)
-    center = 0.5 * (lam_plus + lam_minus)
-    half = 0.5 * (lam_plus - lam_minus)
+    center = 1.0 + 1.0 / r
+    half = 2.0 * np.sqrt(1.0 / r)
     theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * np.pi / (2.0 * nodes)
     lam = center + half * np.cos(theta)
     wts = r * half**2 * np.sin(theta) ** 2 / (2.0 * nodes * lam)

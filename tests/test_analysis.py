@@ -210,12 +210,11 @@ def test_forcing_rate_formulas(mp2):
 
 
 def test_forcing_rate_sdana_overdamped_branch():
-    mu = atom(4.0)  # large eigenvalue pushes omega < 0
     g1, g2 = 0.1, 1.0
-    lam = 4.0
+    lam = 4.0  # large eigenvalue pushes omega < 0
     want = g2 * lam - np.sqrt(g2**2 * lam**2 - 4 * g1 * lam)
-    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, mu.support_edges()[0]) \
-        == pytest.approx(want)
+    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, lam) == \
+        pytest.approx(want)
 
 
 def test_effective_rate_prefers_malthusian(mp2):

@@ -206,6 +206,34 @@ def test_analyze_hard_edge_reports_exponents(tmp_path):
     assert rep["predicted_poly_exponents"] == [-3.0, -1.0]
 
 
+def test_analyze_hard_edge_with_underflowing_theta(tmp_path):
+    # theta^2 underflows to 0 at lambda_min = 0; the bounds are 0, not 0/0
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--algo", "sdahb", "--theta", "1e-300",
+                    "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["rate_lower_bound"] == 0.0
+    assert rep["classification"] == "hard_edge"
+
+
+def test_all_zero_design_is_a_hard_edge(tmp_path):
+    # every eigenvalue folds into the atom at zero: no positive support
+    data = tmp_path / "zero.csv"
+    data.write_text("a,b,y\n0,0,1\n0,0,2\n0,0,3\n")
+    src = ["--measure", "csv", "--data", str(data), "--target-col", "y"]
+    out = tmp_path / "out.json"
+    assert run_cli(["spectrum"] + src + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["support"] == [0.0, 0.0]
+    assert run_cli(["analyze", "--algo", "sgd", "--gamma", "0.5"] + src
+                   + ["--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["classification"] == "hard_edge"
+    assert [rep["lam_min"], rep["lam_max"]] == [0.0, 0.0]
+    assert rep["effective_rate"] == 0.0
+    assert run_cli(["predict", "--algo", "sgd", "--gamma", "0.5", "--T", "1"]
+                   + src + ["--out", str(tmp_path / "psi.csv")]) == 0
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -439,6 +467,13 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
      "--Rtilde"),
     (["compare", "--algo", "sgd", "--n", "64", "--d", "8",
       "--epochs", "0.02"], "--epochs"),
+    (["analyze", "--algo", "shb", "--gamma", "0.1", "--theta", "0.1",
+      "--n=-5"], "--n"),
+    (["predict", "--algo", "shb", "--gamma", "0.1", "--theta", "0.1",
+      "--n=-5", "--T", "1"], "--n"),
+    (["predict", "--algo", "shb", "--gamma", "0.1", "--theta", "0.1",
+      "--n", "0", "--T", "1"], "--n"),
+    (["spectrum", "--r", "4e-309"], "--r"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit
@@ -586,3 +621,14 @@ def test_readme_flag_table_is_the_parsers():
              for cmd, flags in cells if cmd.strip(" `") in cli._COMMANDS}
     assert table == {cmd: {"--" + k.replace("_", "-") for k in cli._flags(cmd)}
                      for cmd in cli._COMMANDS}
+
+
+def test_readme_library_block_runs():
+    block = _README.read_text().split("## Library", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    norm, rate, kind = printed.getvalue().split()
+    assert 0.0 < float(norm) < 1.0 and float(rate) > 0.0
+    assert kind == "strongly_convex"

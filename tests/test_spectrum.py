@@ -50,7 +50,8 @@ def test_mp_nonpolynomial_integrand_vs_quad(r):
     assert got == pytest.approx(want, abs=1e-8)
 
 
-@pytest.mark.parametrize("r", [0.25, 1.0, 3.0])
+# at r >= 1e20 the edges' difference cancels; the half-width is 2 r^(-1/2)
+@pytest.mark.parametrize("r", [0.25, 1.0, 3.0, 1e20, 1e40, 1e300])
 def test_mp_total_mass_and_zero_atom(r):
     mu = spectrum.mp_measure(r)
     # bulk + atom must be a probability measure
@@ -102,10 +103,19 @@ def test_invalid_mass_rejected():
         spectrum.SpectralMeasure("discrete", [1.0], [0.3], 0.2)
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+# a subnormal r (4e-309) overflows the upper edge (1 + r^(-1/2))^2
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf"), 4e-309])
 def test_mp_rejects_nonfinite_or_nonpositive_ratio(r):
     with pytest.raises(ValueError, match=r"\(--r\) must be finite"):
         spectrum.mp_measure(r)
+
+
+def test_support_edges_skip_empty_atoms():
+    mu = spectrum.SpectralMeasure("discrete", [0.5, 2.0, 9.0],
+                                  [0.0, 0.6, 0.0], 0.4)
+    assert mu.support_edges() == (2.0, 2.0)
+    assert spectrum.SpectralMeasure("discrete", [], [], 1.0) \
+        .support_edges() == (0.0, 0.0)
 
 
 def test_negative_weight_rejected():

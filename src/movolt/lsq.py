@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .spectrum import esm_from_eigenvalues
+from .spectrum import esm_from_eigenvalues, fold_zeros
 
 DIVERGENCE_THRESHOLD = 1e12
 
@@ -31,26 +31,21 @@ class LsqProblem:
         self.x_tilde = None if x_tilde is None else np.asarray(x_tilde, dtype=float)
         self.x0 = np.asarray(x0, dtype=float)
         self.eta = None if eta is None else np.asarray(eta, dtype=float)
-        self._svd = None
+        self._gram = None
         if self.b.shape != (self.n,):
             raise ValueError("b must have length n")
         if self.x0.shape != (self.d,):
             raise ValueError("x0 must have length d")
 
     def esm(self):
-        """Empirical spectral measure of H = A A^T (n eigenvalues sigma_j^2)."""
-        sigma = self._svd_parts()[1]
-        eigs = np.zeros(self.n)
-        k = min(self.n, self.d)
-        eigs[:k] = sigma[:k] ** 2
-        return esm_from_eigenvalues(eigs)
+        """Empirical spectral measure of H = A A^T (its n eigenvalues)."""
+        return esm_from_eigenvalues(self._gram_eigh()[0])
 
-    def _svd_parts(self):
-        if self._svd is None:
-            # computed once and cached; both the spectral view and the
-            # ESM need it
-            self._svd = np.linalg.svd(self.A, full_matrices=True)
-        return self._svd
+    def _gram_eigh(self):
+        if self._gram is None:
+            # cached: both the ESM and the spectral view need it
+            self._gram = np.linalg.eigh(self.A @ self.A.T)
+        return self._gram
 
 
 def generate_gaussian(n, d, R, R_tilde, seed):
@@ -91,49 +86,32 @@ def loss(problem, x):
 
 
 class SpectralProblem:
-    """The problem rotated into singular-value coordinates.
-
-    Arrays are aligned to length n: sigma holds the min(n, d) singular
-    values of A padded with zeros; noise_coords = U^T eta; init_coords
-    holds (V^T (x0 - x_tilde))_j for j <= min(n, d) and zeros elsewhere.
-    Null-space components of x0 - x_tilde (d > n) never enter the loss and
-    are dropped.
+    """A problem as its loss dynamics see it, in the eigenbasis u_j of
+    H = A A^T: the n eigenvalues lam_j (numerical zeros folded to exactly
+    0 by spectrum.fold_zeros, as in the ESM) and the initial residual's
+    coordinates resid_j = u_j^T (A x0 - b).  The realized start
+    f0 = 1/2 sum_j resid_j^2 is the loss at x0, computed once so that
+    every consumer starts from the same float.
     """
 
-    def __init__(self, sigma, noise_coords, init_coords, n, d):
-        self.sigma = np.asarray(sigma, dtype=float)
-        self.noise_coords = np.asarray(noise_coords, dtype=float)
-        self.init_coords = np.asarray(init_coords, dtype=float)
+    def __init__(self, lam, resid, n, d):
+        self.lam = np.asarray(lam, dtype=float)
+        self.resid = np.asarray(resid, dtype=float)
         self.n = n
         self.d = d
-
-    def loss(self, nu):
-        r = self.sigma * nu - self.noise_coords
-        return 0.5 * float(r @ r)
+        self.f0 = 0.5 * float(self.resid @ self.resid)
 
 
 def to_spectral(problem):
-    """SVD view of a problem: loss(x) = 1/2 sum_j (sigma_j nu_j - etahat_j)^2.
-
-    Generated problems use the centered coordinates nu = V^T (x - x_tilde)
-    and etahat = U^T eta.  Data problems (no planted signal) use the
-    absolute coordinates nu = V^T x and etahat = U^T b, which makes the
-    identity exact too: components of b outside the column space of A sit
-    at sigma = 0 and contribute their constant floor.
+    """Spectral view of a problem from the eigendecomposition
+    H = U diag(lam) U^T: f(x) = 1/2 sum_j (u_j^T (A x - b))^2 at every x,
+    and the view keeps these coordinates at x0, resid = U^T (A x0 - b).
+    Components of b outside the column space of A sit at lam = 0 and carry
+    the least-squares floor.
     """
-    U, s, Vt = problem._svd_parts()
-    n, d = problem.n, problem.d
-    k = min(n, d)
-    sigma = np.zeros(n)
-    sigma[:k] = s
-    init = np.zeros(n)
-    if problem.x_tilde is None or problem.eta is None:
-        noise = U.T @ problem.b
-        init[:k] = (Vt @ problem.x0)[:k]
-    else:
-        noise = U.T @ problem.eta
-        init[:k] = (Vt @ (problem.x0 - problem.x_tilde))[:k]
-    return SpectralProblem(sigma, noise, init, n, d)
+    lam, U = problem._gram_eigh()
+    resid = U.T @ (problem.A @ problem.x0 - problem.b)
+    return SpectralProblem(fold_zeros(lam), resid, problem.n, problem.d)
 
 
 def load_csv(path, target_col=None):

@@ -226,7 +226,10 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
     g1, g2, sched = params.discrete(n)
     deltas = sched.delta(np.arange(1, total + 1), n)
     if deltas.size and (deltas.min() < 0.0 or deltas.max() > 1.0):
-        raise ValueError("momentum schedule leaves [0,1] for n=%d" % n)
+        theta = params.params["theta"]   # Delta(k) is linear in theta
+        raise ValueError("momentum schedule Delta(k) leaves [0,1] for n=%d: "
+                         "--theta must be at most %.6g at this n, got %r"
+                         % (n, theta / deltas.max(), theta))
     rng = np.random.default_rng([_RUN_STREAM, seed])
     idx = rng.integers(0, n, size=total)
     A, b = problem.A, problem.b
@@ -284,45 +287,44 @@ def aggregate(runs):
 
 def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
                          return_paths=False):
-    """Euler-Maruyama paths of the homogenized diffusion in spectral
-    coordinates (nu_j, w_j):
+    """Euler-Maruyama paths of the homogenized diffusion of a spectral
+    problem (lam, resid), in its residual coordinates rho_j and momentum
+    coordinates omega_j:
 
-        d xi_j = sigma_j sqrt(2 f / n) dB_j + (sigma_j^2 nu_j - sigma_j etahat_j) dt
-        d w_j  = -Phi(t) w_j dt + d xi_j
-        d nu_j = -gamma2 d xi_j - gamma1 w_j dt
+        dX_j      = lam_j sqrt(2 f / n) dB_j + lam_j rho_j dt
+        d rho_j   = -gamma2 dX_j - gamma1 omega_j dt
+        d omega_j = -Phi(t) omega_j dt + dX_j
 
-    with f the current loss 1/2 sum (sigma_j nu_j - etahat_j)^2.  Requires
-    dt <= 0.01.  Returns the ensemble Trajectory over the paths (one path
-    gives mean = q10 = q90 = that path), and the per-path loss matrix too
-    when return_paths is set.
+    from rho = resid and omega = 0, with f = 1/2 sum_j rho_j^2 the current
+    loss; modes at lam = 0 keep their residual.  Every path starts at the
+    realized start spectral.f0.  Requires dt <= 0.01.  Returns the
+    ensemble Trajectory over the paths (one path gives mean = q10 = q90 =
+    that path), and the per-path loss matrix too when return_paths is set.
     """
     if dt > 0.01:
         raise ValueError("dt must be at most 0.01")
     g1, g2, sched = params.continuous(n=spectral.n)
-    n = spectral.n
-    sigma = spectral.sigma
-    eta = spectral.noise_coords
+    n, lam = spectral.n, spectral.lam
     steps = int(round(T / dt))
     rng = np.random.default_rng([_PATH_STREAM, seed])
-    nu = np.tile(spectral.init_coords, (n_paths, 1))
-    w = np.zeros_like(nu)
+    rho = np.tile(spectral.resid, (n_paths, 1))
+    omega = np.zeros_like(rho)
     reclen = steps + 1
     losses = np.empty((n_paths, reclen))
-    resid = sigma * nu - eta
-    f = 0.5 * np.sum(resid**2, axis=1)
+    f = np.full(n_paths, spectral.f0)
     losses[:, 0] = f
     times = np.arange(reclen) * dt
     diverged = False
-    sq = np.sqrt(dt)
+    lam_dt = lam * dt
     for k in range(1, steps + 1):
         t = (k - 1) * dt
-        dB = rng.standard_normal((n_paths, n)) * sq
-        dxi = (sigma * np.sqrt(2.0 * np.maximum(f, 0.0) / n)[:, None]) * dB \
-            + sigma * resid * dt
-        nu = nu - g2 * dxi - g1 * w * dt
-        w = w - sched.Phi(t) * w * dt + dxi
-        resid = sigma * nu - eta
-        f = 0.5 * np.sum(resid**2, axis=1)
+        amp = np.sqrt(2.0 * dt * f / n)
+        dX = rng.standard_normal((n_paths, n)) * (lam * amp[:, None])
+        dX += lam_dt * rho
+        rho -= g2 * dX + (g1 * dt) * omega
+        omega *= 1.0 - sched.Phi(t) * dt
+        omega += dX
+        f = 0.5 * np.sum(rho * rho, axis=1)
         if not np.all(np.isfinite(f)) or np.any(np.abs(f) > DIVERGENCE_THRESHOLD):
             diverged = True
             losses = losses[:, :k]
@@ -331,7 +333,9 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
         losses[:, k] = f
     meta = {"algo": params.describe(), "n": n, "dt": dt, "seed": seed,
             "n_paths": n_paths}
-    traj = Trajectory(times, mean=losses.mean(axis=0),
+    mean = losses.mean(axis=0)
+    mean[0] = spectral.f0   # a mean of equal starts can round away from them
+    traj = Trajectory(times, mean=mean,
                       q10=np.quantile(losses, 0.10, axis=0),
                       q90=np.quantile(losses, 0.90, axis=0),
                       diverged=diverged, meta=meta)

@@ -21,9 +21,9 @@ ZERO_FOLD_RTOL = 1e-10
 MASS_TOL = 1e-8
 
 DEFAULT_NODES = 200
-# Smallest aspect ratio whose MP bulk fits in double range: its upper edge
-# is about 1/r and its squared half-width 4/r, with a margin for rounding.
-MIN_RATIO = 16.0 / np.finfo(float).max
+# Smallest aspect ratio whose squared upper MP edge, about 1/r^2 (kernels
+# and Laplace transforms square the nodes), fits in double range with margin.
+MIN_RATIO = 4.0 / np.sqrt(np.finfo(float).max)
 
 
 def mp_edges(r):
@@ -134,8 +134,8 @@ def mp_measure(r, nodes=DEFAULT_NODES):
     """
     if not (np.isfinite(r) and r >= MIN_RATIO):
         raise ValueError("aspect ratio r (--r) must be finite and at least "
-                         "%.3g, where the MP edges are finite doubles, got %r"
-                         % (MIN_RATIO, r))
+                         "%.3g, where the squared MP edge is a finite double,"
+                         " got %r" % (MIN_RATIO, r))
     if nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
     center = 1.0 + 1.0 / r
@@ -154,25 +154,28 @@ def mp_measure(r, nodes=DEFAULT_NODES):
     return SpectralMeasure(MP_KIND, lam, wts, zero_mass, r=float(r), nodes=int(nodes))
 
 
-def esm_from_eigenvalues(eigenvalues):
-    """Empirical spectral measure of a list of eigenvalues.
-
-    Eigenvalues below 1e-10 * max(eigenvalues) are folded into the atom at
-    zero.  Exact repeats merge into a single weighted atom.
-    """
+def fold_zeros(eigenvalues):
+    """Eigenvalues of a positive semidefinite matrix with its numerical
+    zeros set to exactly 0: values at or below 1e-10 * max(eigenvalues),
+    the tiny negatives of symmetric solvers included, fold to 0.  A
+    negative value beyond that tolerance raises ValueError."""
     eigs = np.asarray(eigenvalues, dtype=float)
     if eigs.ndim != 1 or eigs.size == 0:
         raise ValueError("need a nonempty 1-d array of eigenvalues")
-    if np.any(eigs < 0):
-        # tiny negative values are numerical noise from symmetric solvers
-        if np.any(eigs < -ZERO_FOLD_RTOL * max(eigs.max(), 1.0)):
-            raise ValueError("eigenvalues must be nonnegative")
-        eigs = np.clip(eigs, 0.0, None)
-    n = eigs.size
     top = eigs.max()
-    cut = ZERO_FOLD_RTOL * top if top > 0 else 0.0
-    positive = eigs[eigs > cut]
-    zero_mass = (n - positive.size) / n
-    vals, counts = np.unique(positive, return_counts=True)
-    return SpectralMeasure(DISCRETE_KIND, vals, counts / n, zero_mass)
+    if np.any(eigs < -ZERO_FOLD_RTOL * max(top, 1.0)):
+        raise ValueError("eigenvalues must be nonnegative")
+    return np.where(eigs > ZERO_FOLD_RTOL * max(top, 0.0), eigs, 0.0)
 
+
+def esm_from_eigenvalues(eigenvalues):
+    """Empirical spectral measure of a list of eigenvalues.
+
+    Numerical zeros (fold_zeros) go to the atom at zero.  Exact repeats
+    merge into a single weighted atom.
+    """
+    eigs = fold_zeros(eigenvalues)
+    positive = eigs[eigs > 0.0]
+    vals, counts = np.unique(positive, return_counts=True)
+    return SpectralMeasure(DISCRETE_KIND, vals, counts / eigs.size,
+                           (eigs.size - positive.size) / eigs.size)

@@ -37,8 +37,10 @@ _IC_BLOCK = 64
 _RK4_WORK_LIMIT = 10**7
 
 # the forcing const + coef @ G(t), G half the states the separable march
-# starts at forcing_ic of its kernel's nodes and sweeps with its own
-StateForcing = collections.namedtuple("StateForcing", "coef const")
+# starts at forcing_ic of its kernel's nodes and sweeps with its own; a
+# given start is F at the first node (a realized problem's f0)
+StateForcing = collections.namedtuple("StateForcing", "coef const start",
+                                      defaults=(None,))
 
 # predict's mode names (the CLI's --mode choices) and the routes they pick
 MODES = {"closed": "closed_form", "ode": "ode_exact",
@@ -136,27 +138,30 @@ def build_forcing(measure, spec, R, R_tilde, grid):
 
 
 def build_forcing_from_spectral(spectral, spec, grid):
-    """Forcing from the realized spectral coordinates of one problem:
+    """Forcing from the realized spectral view (lam, resid) of one problem:
 
-        F(t) = sum_j (sigma_j nu0_j - etahat_j)^2 G^(sigma_j^2)(t)
+        F(t) = sum_j resid_j^2 G^(lam_j)(t),   G^(0) = 1/2
 
-    so that F(0) equals the realized initial loss exactly, removing the
-    O(n^{-1/2}) fluctuation of the theoretical forcing.
+    which removes the O(n^{-1/2}) fluctuation of the theoretical forcing.
+    F(0) is the realized start spectral.f0, the float the homogenized SDE
+    starts from.
     """
-    return _forcing_on(spec, grid, *_forcing_terms(None, 0.0, 0.0, spectral))
+    F = _forcing_on(spec, grid, *_forcing_terms(None, 0.0, 0.0, spectral))
+    if grid[0] == 0.0:
+        F[0] = spectral.f0
+    return F
 
 
 def _forcing_terms(measure, R, R_tilde, spectral=None):
     """(lams, coef, const) with F(t) = const + coef @ G^(lams)(t), from the
-    measure or from a spectral problem's live sigma^2."""
+    measure or from a spectral problem's live lam."""
     if spectral is None:
         lam = measure.points
         return (lam, measure.weights * (R * lam + R_tilde),
                 0.5 * R_tilde * measure.zero_mass)
-    c = (spectral.sigma * spectral.init_coords - spectral.noise_coords) ** 2
-    lam = spectral.sigma**2
-    live = lam > 0.0
-    return lam[live], c[live], 0.5 * c[~live].sum()
+    c = spectral.resid**2
+    live = spectral.lam > 0.0
+    return spectral.lam[live], c[live], 0.5 * c[~live].sum()
 
 
 def _forcing_on(spec, grid, lams, coef, const):
@@ -274,10 +279,12 @@ def _half_samples(samples, fine):
 
 def _richardson(psi, on_grid, diagnostics):
     """Extrapolate away the O(h^2) term of a solve psi given the half-step
-    solve's values on the same nodes: (4 psi_half - psi) / 3.  The gap is
-    recorded as refinement_gap."""
-    diagnostics["refinement_gap"] = float(np.max(np.abs(on_grid - psi)))
-    return (4.0 * on_grid - psi) / 3.0
+    solve's values on the same nodes: (4 psi_half - psi) / 3, written as
+    psi_half + (psi_half - psi) / 3 so that a node where both passes agree
+    keeps its value.  The gap is recorded as refinement_gap."""
+    gap = on_grid - psi
+    diagnostics["refinement_gap"] = float(np.max(np.abs(gap)))
+    return on_grid + gap / 3.0
 
 
 def _march_divisor(h, K0):
@@ -464,7 +471,8 @@ def _march_separable(F, K, nodes, stride):
     if ode:
         state[-1] = kernels.forcing_ic(K.lams, K.spec.gamma1, K.spec.gamma2)
         forcing, F = F, np.empty(len(nodes))
-        F[0] = _forcing_at(K, forcing, state[-1], nodes[0])
+        F[0] = (_forcing_at(K, forcing, state[-1], nodes[0])
+                if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
     denoms = [_march_divisor(s * h, K.diag()) for s in strides]
     state[:stride] = 0.5 * ic0 * F[0]
@@ -546,7 +554,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     norm = analysis.kernel_norm(params, measure)
 
     if kern is not None:
-        sol = solve_general(StateForcing(coef, const), kern, grid)
+        start = None if spectral is None else spectral.f0
+        sol = solve_general(StateForcing(coef, const, start), kern, grid)
     else:
         if spectral is not None:
             F_half = build_forcing_from_spectral(spectral, spec, half)

@@ -176,6 +176,17 @@ def test_predict_refuses_singular_march_before_forcing(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_tiny_ratio_above_the_floor_reaches_the_march(tmp_path, capsys):
+    # r = 1e-150 is above spectrum.MIN_RATIO: the measure builds, and the
+    # march at the default h is singular (K(0) near 1/r)
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(["predict", "--algo", "sgd", "--T", "0.2",
+                            "--r", "1e-150", "--out", str(out)], capsys)
+    assert code == 2
+    assert "marching singularity" in err and "--h" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -474,6 +485,17 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
     (["predict", "--algo", "shb", "--gamma", "0.1", "--theta", "0.1",
       "--n", "0", "--T", "1"], "--n"),
     (["spectrum", "--r", "4e-309"], "--r"),
+    (["analyze", "--algo", "sgd", "--r", "1e-160"], "--r"),
+    (["predict", "--algo", "sgd", "--T", "0.2", "--r", "1e-300"], "--r"),
+    (["spectrum", "--r", "1e-307"], "--r"),
+    (["simulate", "--n", "4", "--d", "4", "--epochs", "1", "--seeds", "1",
+      "--algo", "sdahb", "--gamma", "1", "--theta", "10"],
+     "--theta must be at most 4 "),
+    (["simulate", "--n", "4", "--d", "4", "--epochs", "1", "--seeds", "1",
+      "--algo", "shb", "--gamma", "0.1", "--theta", "2"],
+     "--theta must be at most 1 "),
+    (["simulate", "--n", "4", "--d", "4", "--epochs", "1", "--seeds", "1",
+      "--algo", "sdana", "--theta", "10"], "--theta must be at most 5 "),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit

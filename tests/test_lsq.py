@@ -59,41 +59,61 @@ def test_esm_trace_moment_near_one():
     assert p.esm().trace_moment() == pytest.approx(1.0, abs=0.05)
 
 
+def half_sq(sp):
+    """1/2 sum_j rho0_j^2 of a spectral view."""
+    return 0.5 * np.sum(sp.resid ** 2)
+
+
 def test_to_spectral_loss_identity_generated(rng):
     p = lsq.generate_gaussian(35, 20, 1.0, 0.7, seed=9)
-    sp = lsq.to_spectral(p)
-    # at x0: nu = init_coords, plus the dropped-null-space convention
-    direct = lsq.loss(p, p.x0)
-    assert sp.loss(sp.init_coords) == pytest.approx(direct, rel=1e-10)
-    # and at a couple of other centered points reachable in the row space
+    assert half_sq(lsq.to_spectral(p)) == pytest.approx(lsq.loss(p, p.x0),
+                                                        rel=1e-10)
+    # and at other starts: the same problem from other x0
     for _ in range(3):
-        nu = rng.standard_normal(35) * (sp.sigma > 0)
-        x = p.x_tilde + np.linalg.pinv(p.A) @ (sp_sigma_expand(p, nu))
-        assert sp.loss(nu) == pytest.approx(lsq.loss(p, x), rel=1e-8, abs=1e-10)
+        x = p.x_tilde + rng.standard_normal(20)
+        q = lsq.LsqProblem(p.A, p.b, p.x_tilde, x, p.eta)
+        assert half_sq(lsq.to_spectral(q)) == pytest.approx(
+            lsq.loss(p, x), rel=1e-8, abs=1e-10)
 
 
-def sp_sigma_expand(p, nu):
-    # map spectral coordinates back through A: A(x - x_tilde) = U Sigma nu
-    U, s, Vt = p._svd_parts()
-    k = min(p.n, p.d)
-    out = U[:, :k] @ (s * nu[:k])
-    return out
+def _data_csv(path, A, b):
+    np.savetxt(path, np.column_stack([A, b]), delimiter=",",
+               header=",".join("c%d" % i for i in range(A.shape[1] + 1)),
+               comments="")
+    return lsq.load_csv(path, target_col="c%d" % A.shape[1])
 
 
 def test_to_spectral_loss_identity_data(tmp_path, rng):
-    # data problems: absolute coordinates, exact even off the column space
-    A = rng.standard_normal((12, 5))
-    b = rng.standard_normal(12)
-    path = tmp_path / "d.csv"
-    np.savetxt(path, np.column_stack([A, b]), delimiter=",",
-               header=",".join("c%d" % i for i in range(6)), comments="")
-    p = lsq.load_csv(path, target_col="c5")
+    # data problems: exact even off the column space
+    p = _data_csv(tmp_path / "d.csv", rng.standard_normal((12, 5)),
+                  rng.standard_normal(12))
     sp = lsq.to_spectral(p)
-    assert sp.loss(sp.init_coords) == pytest.approx(lsq.loss(p, p.x0), rel=1e-10)
-    # the sigma=0 components carry the residual floor
-    floor = 0.5 * np.sum(sp.noise_coords[sp.sigma == 0.0] ** 2)
+    assert half_sq(sp) == pytest.approx(lsq.loss(p, p.x0), rel=1e-10)
+    # the lam=0 components carry the residual floor
+    assert np.sum(sp.lam == 0.0) == 7
+    floor = 0.5 * np.sum(sp.resid[sp.lam == 0.0] ** 2)
     xhat = np.linalg.lstsq(p.A, p.b, rcond=None)[0]
     assert floor == pytest.approx(lsq.loss(p, xhat), rel=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(20, 35), (30, 30), (35, 20), "data"])
+def test_to_spectral_eigenvalues_are_the_esm_atoms(shape, tmp_path, rng):
+    # the spectral view and the ESM fold the same numerical zeros: the
+    # nonzero lam are the ESM's atoms, and the zeros its atom at 0
+    if shape == "data":
+        # a duplicated row makes A A^T singular at n < d
+        A = rng.standard_normal((10, 16))
+        A[1] = A[0]
+        p = _data_csv(tmp_path / "dup.csv", A, rng.standard_normal(10))
+    else:
+        p = lsq.generate_gaussian(*shape, 1.0, 1.0, seed=4)
+    sp = lsq.to_spectral(p)
+    mu = p.esm()
+    live = sp.lam[sp.lam > 0.0]
+    assert set(live) == set(mu.points)
+    assert np.all(sp.lam >= 0.0)
+    assert np.sum(sp.lam == 0.0) / p.n == mu.zero_mass
+    assert mu.zero_mass == (p.n - np.linalg.matrix_rank(p.A)) / p.n
 
 
 def test_load_csv_row_normalization(tmp_path, rng):
@@ -133,7 +153,6 @@ def test_load_csv_errors(tmp_path):
 @given(n=st.integers(3, 40), d=st.integers(2, 40), seed=st.integers(0, 100))
 def test_spectral_identity_property(n, d, seed):
     p = lsq.generate_gaussian(n, d, 1.0, 1.0, seed=seed)
-    sp = lsq.to_spectral(p)
-    assert sp.loss(sp.init_coords) == pytest.approx(
+    assert half_sq(lsq.to_spectral(p)) == pytest.approx(
         lsq.loss(p, p.x0), rel=1e-8, abs=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from movolt import lsq, momentum, spectrum
+from movolt import lsq, momentum, spectrum, volterra
 
 
 def test_sgd_single_sample_is_plain_gradient_descent():
@@ -227,3 +227,23 @@ def test_homogenized_tracks_discrete_sgd_loosely():
     d_end = disc.mean[-1]
     h_end = diff.mean[-1]
     assert abs(d_end - h_end) < 0.1 * max(d_end, h_end)
+
+
+@pytest.mark.parametrize("shape", [(100, 300), (512, 512), (200, 100)])
+@pytest.mark.parametrize("algo, mode", [("sgd", "closed"), ("sdana", "ode")])
+def test_realized_start_is_one_float(shape, algo, mode):
+    # the SDE's first sample, the forcing's F(0) and the predicted psi(0)
+    # are the realized start f0 bit for bit, whatever the rounding of a mean
+    # of equal starts, of a gemv over the nodes or of the Richardson step
+    for seed in range(12):
+        prob = lsq.generate_gaussian(*shape, 1.0, 1.0, seed)
+        sp = lsq.to_spectral(prob)
+        measure = prob.esm()
+        params = momentum.defaults(algo, measure)
+        traj = momentum.simulate_homogenized(sp, params, T=0.01, dt=0.01,
+                                             seed=7, n_paths=50)
+        sol = volterra.predict(measure, params, T=0.1, h=0.01, mode=mode,
+                               spectral=sp)
+        assert traj.mean[0] == traj.q10[0] == traj.q90[0] == sp.f0
+        assert sol.forcing[0] == sol.psi[0] == sp.f0
+        assert sp.f0 == pytest.approx(lsq.loss(prob, prob.x0), rel=1e-12)

@@ -103,8 +103,11 @@ def test_invalid_mass_rejected():
         spectrum.SpectralMeasure("discrete", [1.0], [0.3], 0.2)
 
 
-# a subnormal r (4e-309) overflows the upper edge (1 + r^(-1/2))^2
-@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf"), 4e-309])
+# a subnormal r (4e-309) overflows the upper edge (1 + r^(-1/2))^2; below
+# about 7.5e-155 its square, which the kernel and the Laplace transforms
+# take, overflows
+@pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf"), 4e-309,
+                               1e-160, 1e-300, 1e-307])
 def test_mp_rejects_nonfinite_or_nonpositive_ratio(r):
     with pytest.raises(ValueError, match=r"\(--r\) must be finite"):
         spectrum.mp_measure(r)

@@ -309,17 +309,12 @@ def per_pass_march(F, K, grid):
 
 
 def _realized_problem():
-    # two equal rows: the realized spectrum keeps a tiny live sigma^2 that
-    # the ESM folds into its zero atom, so the forcing nodes are not its atoms
+    # one problem's ESM with another problem's spectral view: the forcing
+    # nodes are not the measure's atoms, so the exact route's sweep merges
+    # two node sets
     from movolt import lsq
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((12, 24)) / np.sqrt(24)
-    A[1] = A[0]
-    x_tilde = rng.standard_normal(24) / np.sqrt(24)
-    x0 = x_tilde + rng.standard_normal(24) / np.sqrt(12)
-    eta = rng.standard_normal(12) / np.sqrt(12)
-    prob = lsq.LsqProblem(A, A @ x_tilde + eta, x_tilde, x0, eta)
-    return prob.esm(), lsq.to_spectral(prob)
+    measure = lsq.generate_gaussian(12, 24, 1.0, 1.0, 5).esm()
+    return measure, lsq.to_spectral(lsq.generate_gaussian(12, 24, 1.0, 1.0, 6))
 
 
 @pytest.mark.parametrize("case", ["mp", "realized"])
@@ -331,9 +326,12 @@ def test_sweep_forcing_is_build_forcing(case):
         measure, spectral = spectrum.mp_measure(1.0), None
     else:
         measure, spectral = _realized_problem()
-        lams = spectral.sigma[spectral.sigma > 0.0] ** 2
-        assert len(lams) == len(measure.points) + 1
-        assert lams.max() == measure.points.max()
+        lams = spectral.lam[spectral.lam > 0.0]
+        assert not set(lams) & set(measure.points)
+        # the merged nodes' ODE step is the forcing's own
+        g2 = momentum.defaults("sdana", measure).kernel_spec().gamma2
+        assert kernels.node_ode_step(g2, lams) == kernels.node_ode_step(
+            g2, np.concatenate([lams, measure.points]))
     params = momentum.defaults("sdana", measure)
     sol = volterra.predict(measure, params, T=20.0, mode="ode",
                            spectral=spectral)
@@ -348,7 +346,9 @@ def test_sweep_forcing_is_build_forcing(case):
 
 def test_exact_kernel_nodes_are_distinct(monkeypatch):
     # with a spectral problem the sweep runs over the union of the ESM
-    # atoms and the live sigma^2, each value once
+    # atoms and the live lam, each value once: the problem's own view adds
+    # no node, another problem's view adds all of its own
+    from movolt import lsq
     built = []
 
     class Capture(kernels.SdanaExactKernel):
@@ -357,15 +357,20 @@ def test_exact_kernel_nodes_are_distinct(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(kernels, "SdanaExactKernel", Capture)
-    measure, spectral = _realized_problem()
+    measure, other = _realized_problem()
+    own = lsq.to_spectral(lsq.generate_gaussian(12, 24, 1.0, 1.0, 5))
     params = momentum.defaults("sdana", measure)
-    volterra.predict(measure, params, T=1.0, mode="ode", spectral=spectral)
-    (kern,) = built
-    lams = spectral.sigma[spectral.sigma > 0.0] ** 2
-    assert len(np.unique(kern.lams)) == len(kern.lams)
-    assert set(kern.lams) == set(measure.points) | set(lams)
-    assert np.sum(kern.weights) == pytest.approx(np.sum(measure.weights),
-                                                 rel=1e-15)
+    for spectral, added in ((own, 0), (other, 12)):
+        built.clear()
+        volterra.predict(measure, params, T=1.0, mode="ode",
+                         spectral=spectral)
+        (kern,) = built
+        lams = spectral.lam[spectral.lam > 0.0]
+        assert len(np.unique(kern.lams)) == len(kern.lams)
+        assert len(kern.lams) == len(measure.points) + added
+        assert set(kern.lams) == set(measure.points) | set(lams)
+        assert np.sum(kern.weights) == pytest.approx(np.sum(measure.weights),
+                                                     rel=1e-15)
 
 
 def test_sweep_matches_per_pass_marches():

@@ -3,27 +3,29 @@
 Every algorithm here is a stochastic momentum method whose expected loss
 obeys a Volterra equation.  Each eigenvalue lam of the Hessian spectrum
 contributes a forcing profile G^(lam)(t) with G(0) = 1/2 and a kernel
-K_s^(lam)(t) with K_s(s) = lam^2 * Gamma2^2.  Both solve one third-order
-linear ODE and differ only in their initial data (forcing_ic at t = 0,
-kernel_ic at t = s):
+K_s^(lam)(t) with K_s(s) = lam^2 * Gamma2^2.  Both are second moments of
+one linear 2-d system, the homogenized drift of a residual coordinate rho
+and its momentum coordinate omega, with Phi = phi'/phi:
 
-    J''' + b2(t) J'' + b1(t) J' + b0(t) J = 0
+    (rho, omega)' = B(t) (rho, omega),   B(t) = [[-g2 lam, -g1],
+                                                  [lam,    -Phi(t)]]
 
-written in the "physical" (phi^2-conjugated) variable, where with
-Phi = phi'/phi:
+Each is carried as the moment triple S = (rho^2, rho omega, omega^2),
+which solves S' = B S + S B^T.  The forcing is G = S_0/2 from forcing_ic,
+the unit residual (1, 0, 0) at t = 0; the kernel is K_s = lam^2 S_0 from
+kernel_ic, the gradient-noise impulse (rho, omega) = (-g2, 1), i.e.
+S = (g2^2, -g2, 1), at t = s.  Both initial states are constants.
 
-    b2 = 3 (Phi + g2 lam)
-    b1 = Phi' + 2 Phi^2 + 8 g2 lam Phi + 4 g1 lam + 2 g2^2 lam^2
-    b0 = 2 g2 lam Phi' + 4 lam (Phi + g2 lam) (g1 + g2 Phi)
-
-The ODE has two evaluators.  For constant Phi its characteristic cubic
-factors as (z + d)((z + d)^2 + omega) with d = Phi + g2 lam and
-omega = 4 g1 lam - (g2 lam - Phi)^2, and _closed_form solves it from any
-initial state: SGD (Phi = 0), SHB, SDAHB and the mixed g1/g2 variant
-(Phi = theta), and SDANA's late-time convolution kernel (Phi = 0).
-SDANA's power schedule Phi(t) = theta/(1+t) is integrated by fixed-step
-RK4 from the same initial data.  Evaluating in the conjugated variable
-keeps states O(1): there is no phi(t)^2 ~ t^(2 theta) growth anywhere.
+There are two evaluators.  For constant Phi, rho^2 solves a third-order
+linear ODE whose characteristic cubic factors as (z + d)((z + d)^2 + omega)
+with d = Phi + g2 lam and omega = 4 g1 lam - (g2 lam - Phi)^2, and
+_closed_form solves it from any moment state: SGD (Phi = 0), SHB, SDAHB and
+the mixed g1/g2 variant (Phi = theta), and SDANA's late-time convolution
+kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t) is carried
+by propagate: S -> M S M^T per step, M the closed-form 2x2 exponential of
+a fourth-order Magnus step of B.  Every state stays O(1): there is no
+phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the moment ODE
+(_ode_on_grid) is kept as the oracle the tests check both against.
 """
 
 from dataclasses import dataclass
@@ -85,29 +87,27 @@ def _ic_profile(omega, decay, c0, c1, c2, x):
 
 
 def _closed_form(ic, lam, gamma1, gamma2, Phi, x):
-    """Component 0 of the conjugated ODE at constant Phi, a lag x after the
-    state ic = (u0, u1, u2): with d = Phi + g2*lam, v = e^(d x) u solves
-    v''' + omega v' = 0, so v = v(0) + v'(0) snc + v''(0) osc."""
+    """rho^2 at constant Phi, a lag x after the moment state
+    ic = (a, b, c) = (rho^2, rho omega, omega^2): with d = Phi + g2*lam,
+    v = e^(d x) rho^2 solves v''' + omega v' = 0, so
+    v = v(0) + v'(0) snc + v''(0) osc, and with e = Phi - g2*lam
+
+        v(0) = a,  v'(0) = e a - 2 g1 b,
+        v''(0) = (e^2 - 2 g1 lam) a - 2 g1 e b + 2 g1^2 c.
+    """
     d = Phi + gamma2 * lam
-    omega = 4.0 * gamma1 * lam - (gamma2 * lam - Phi) ** 2
-    u0, u1, u2 = ic
-    return _ic_profile(omega, d, u0, u1 + d * u0,
-                       u2 + 2.0 * d * u1 + d * d * u0, x)
-
-
-# ----------------------------------------------------------------------
-# SDANA: third-order ODE in the conjugated variable (RK4, fixed step)
-# ----------------------------------------------------------------------
-
-def default_ode_step(gamma2, lam_max):
-    """h = min(0.01, 0.1/(1 + gamma2*lam)): keeps the fast mode resolved."""
-    return min(0.01, 0.1 / (1.0 + gamma2 * float(lam_max)))
+    e = Phi - gamma2 * lam
+    omega = 4.0 * gamma1 * lam - e * e
+    a, b, c = ic
+    return _ic_profile(omega, d, a, e * a - 2.0 * gamma1 * b,
+                       (e * e - 2.0 * gamma1 * lam) * a
+                       - 2.0 * gamma1 * e * b + 2.0 * gamma1**2 * c, x)
 
 
 class _Schedule:
-    """The momentum law of one phi family: Phi(t) = phi'/phi and its
-    derivatives in continuous time, and the per-step decrement Delta(k) of
-    the discrete recursion ('const': theta; 'power': theta/(k+n))."""
+    """The momentum law of one phi family: phi and Phi = phi'/phi in
+    continuous time, and the per-step decrement Delta(k) of the discrete
+    recursion ('const': theta; 'power': theta/(k+n))."""
 
     def __init__(self, kind, theta):
         self.kind = kind
@@ -129,150 +129,166 @@ class _Schedule:
             return self.theta
         return self.theta / (1.0 + t)
 
-    def dPhi(self, t):
-        if self.kind == "const":
-            return 0.0
-        return -self.theta / (1.0 + t) ** 2
 
-    def coeffs(self, t, lam, gamma1, gamma2):
-        """(b0, b1, b2) of the conjugated ODE at time t, vectorized in lam."""
-        P = self.Phi(t)
-        dP = self.dPhi(t)
-        g2lam = gamma2 * lam
-        b2 = 3.0 * (P + g2lam)
-        b1 = dP + 2.0 * P * P + 8.0 * g2lam * P + 4.0 * gamma1 * lam + 2.0 * g2lam**2
-        b0 = 2.0 * g2lam * dP + 4.0 * lam * (P + g2lam) * (gamma1 + gamma2 * P)
-        return b0, b1, b2
+# ----------------------------------------------------------------------
+# SDANA: the power schedule, one exact 2x2 exponential per step
+# ----------------------------------------------------------------------
+
+# longest step the propagator takes in one piece: one step per half-step
+# interval of the default grid
+PROPAGATOR_STEP = 0.05
+
+# the Gauss points of the Magnus step sit at (1/2 -+ _GAUSS) of the step
+_GAUSS = np.sqrt(3.0) / 6.0
 
 
-def node_ode_step(gamma2, lams):
-    """default_ode_step at the largest of the nodes lams (0 when empty)."""
-    lams = np.asarray(lams, dtype=float)
-    return default_ode_step(gamma2, lams.max() if lams.size else 0.0)
+def _substeps(dt, h_max):
+    """Equal steps covering an interval of length dt: max(1, ceil(dt/h_max))."""
+    return max(1, int(np.ceil(dt / h_max - 1e-12)))
 
 
-def rk4_substeps(dt, h_max):
-    """RK4 substeps for intervals of length dt (a scalar or an array):
-    max(1, ceil(dt/h_max))."""
-    return np.maximum(1, np.ceil(np.asarray(dt) / h_max - 1e-12)).astype(int)
+def _magnus_exp(lam, gamma1, gamma2, sched, t, h):
+    """Entries (m11, m12, m21, m22), over lam, of M = exp(Omega), Omega the
+    fourth-order Magnus step of B from t to t + h (Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470, 2009): Omega = h (B1 + B2)/2 + (sqrt(3)/12) h^2
+    [B2, B1], with B1, B2 at the two Gauss points.  Only Phi varies, so
+    [B2, B1] = (Phi2 - Phi1) [[0, -g1], [-lam, 0]].
 
-
-# substeps whose stage coefficients are evaluated as one block: bounds the
-# (3*chunk, n_lam) coefficient arrays however fine the ODE step
-_RK4_CHUNK = 64
-
-
-def _rk4_segment(u, t0, t1, h_max, rhs):
-    """Advance u (shape (..., 3)) from t0 to t1 in classic RK4 steps of at
-    most h_max: rk4_substeps(t1 - t0, h_max) equal substeps.
-
-    rhs(times) evaluates the coefficients at a block of stage times at once
-    and returns f(j, u), the derivative at times[j].
+    With Omega = m I + N, N^2 = disc I, M = e^m (cosh(s) I + sinh(s)/s N)
+    for disc = s^2 > 0, with cos and sin when disc < 0.  The hyperbolic
+    branch is written with e^(m + s) and expm1(-2 s) so that it does not
+    overflow where e^m cosh(s) is finite; sinc covers disc = 0.
     """
-    nsub = int(rk4_substeps(t1 - t0, h_max))
+    P1 = sched.Phi(t + (0.5 - _GAUSS) * h)
+    P2 = sched.Phi(t + (0.5 + _GAUSS) * h)
+    kappa = np.sqrt(3.0) / 12.0 * h * h * (P2 - P1)
+    o11 = -h * gamma2 * lam
+    o12 = -gamma1 * (h + kappa)
+    o21 = lam * (h - kappa)
+    o22 = -0.5 * h * (P1 + P2)
+    m = 0.5 * (o11 + o22)
+    u = 0.5 * (o11 - o22)
+    disc = u * u + o12 * o21
+    s = np.sqrt(np.abs(disc))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grow = 0.5 * np.exp(m + s)
+        hyper = disc > 0.0
+        cos = np.where(hyper, grow * (1.0 + np.exp(-2.0 * s)),
+                       np.exp(m) * np.cos(s))
+        sin = np.where(hyper, -grow * np.expm1(-2.0 * s) / s,
+                       np.exp(m) * np.sinc(s / np.pi))
+    return cos + sin * u, sin * o12, sin * o21, cos - sin * u
+
+
+def propagate(state, lam, gamma1, gamma2, sched, t0, t1, h_max):
+    """Carry moment states of shape (..., n_lam, 3) from t0 to t1 in
+    _substeps(t1 - t0, h_max) equal Magnus steps, each S -> M S M^T:
+
+        (a, b, c) -> (m11^2 a + 2 m11 m12 b + m12^2 c,
+                      m11 m21 a + (m11 m22 + m12 m21) b + m12 m22 c,
+                      m21^2 a + 2 m21 m22 b + m22^2 c)
+
+    Leading stack axes share each step's M.
+    """
+    nsub = _substeps(t1 - t0, h_max)
     h = (t1 - t0) / nsub
-    t = t0
-    for start in range(0, nsub, _RK4_CHUNK):
-        m = min(_RK4_CHUNK, nsub - start)
-        # stage times t, t + h/2, t + h, accumulated exactly as a stepping loop
-        times = np.empty(3 * m)
-        for k in range(m):
-            times[3 * k:3 * k + 3] = (t, t + 0.5 * h, t + h)
-            t += h
-        f = rhs(times)
-        for j in range(0, 3 * m, 3):
-            k1 = f(j, u)
-            k2 = f(j + 1, u + 0.5 * h * k1)
-            k3 = f(j + 1, u + 0.5 * h * k2)
-            k4 = f(j + 2, u + h * k3)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
-
-
-def _make_rhs(lam, gamma1, gamma2, sched):
-    """rhs(times) -> f(j, u): u' at times[j] for conjugated states u of
-    shape (..., n_lam, 3); any leading stack axes share the per-node
-    coefficients, which are evaluated once per call of rhs."""
-    lam = np.asarray(lam, dtype=float)
-
-    def rhs(times):
-        shape = (len(times),) + lam.shape
-        t = np.reshape(times, (-1,) + (1,) * lam.ndim)
-        # a const schedule gives coefficients constant in t
-        b0, b1, b2 = (np.broadcast_to(b, shape)
-                      for b in sched.coeffs(t, lam, gamma1, gamma2))
-
-        def f(j, u):
-            du = np.empty_like(u)
-            du[..., 0] = u[..., 1]
-            du[..., 1] = u[..., 2]
-            du[..., 2] = -(b0[j] * u[..., 0] + b1[j] * u[..., 1]
-                           + b2[j] * u[..., 2])
-            return du
-
-        return f
-
-    return rhs
+    for k in range(nsub):
+        m11, m12, m21, m22 = _magnus_exp(lam, gamma1, gamma2, sched,
+                                         t0 + k * h, h)
+        a, b, c = state[..., 0], state[..., 1], state[..., 2]
+        state = np.stack(
+            [m11 * (m11 * a + 2.0 * m12 * b) + m12 * m12 * c,
+             m11 * (m21 * a + m22 * b) + m12 * (m21 * b + m22 * c),
+             m21 * (m21 * a + 2.0 * m22 * b) + m22 * m22 * c], axis=-1)
+    return state
 
 
 def forcing_ic(lam, gamma1, gamma2):
-    """Conjugated forcing ICs (g, g', g'')(0) = (1, -2*g2*lam, 4*g2^2*lam^2 - 2*g1*lam)."""
-    lam = np.asarray(lam, dtype=float)
-    ic = np.empty(lam.shape + (3,))
+    """Forcing moment state at t = 0, (rho^2, rho omega, omega^2) = (1, 0, 0),
+    for every node of lam."""
+    ic = np.zeros(np.shape(lam) + (3,))
     ic[..., 0] = 1.0
-    ic[..., 1] = -2.0 * gamma2 * lam
-    ic[..., 2] = 4.0 * gamma2**2 * lam**2 - 2.0 * gamma1 * lam
     return ic
 
 
-def kernel_ic(lam, gamma1, gamma2, Phi_s):
-    """Conjugated kernel ICs at t=s (physical variable q = K_s/lam^2):
-
-    q(s)   = g2^2
-    q'(s)  = 2*g2*(g1 - g2^2*lam)
-    q''(s) = 2*g1^2 - 8*g1*g2^2*lam + 4*g2^4*lam^2 - 2*g1*g2*Phi(s)
-
-    lam and Phi_s broadcast: lam[None, :] against Phi[:, None] gives the
-    ICs of every node at a block of times in one call.
-    """
-    lam = np.asarray(lam, dtype=float)
-    ic = np.empty(np.broadcast_shapes(lam.shape, np.shape(Phi_s)) + (3,))
-    ic[..., 0] = gamma2**2
-    ic[..., 1] = 2.0 * gamma2 * (gamma1 - gamma2**2 * lam)
-    ic[..., 2] = (2.0 * gamma1**2 - 8.0 * gamma1 * gamma2**2 * lam
-                  + 4.0 * gamma2**4 * lam**2 - 2.0 * gamma1 * gamma2 * Phi_s)
+def kernel_ic(lam, gamma1, gamma2, Phi):
+    """Kernel moment state at its birth time s: the gradient-noise impulse
+    (rho, omega) = (-g2, 1), so (g2^2, -g2, 1) for every lam and s.  Phi,
+    the schedule at s, only sets the broadcast shape with lam."""
+    ic = np.empty(np.broadcast_shapes(np.shape(lam), np.shape(Phi)) + (3,))
+    ic[...] = (gamma2 * gamma2, -gamma2, 1.0)
     return ic
 
 
-def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h):
-    """Integrate the conjugated system, returning component 0 on the grid.
+def nonfinite_forcing(t, gamma1, gamma2, theta):
+    """The error a power-schedule forcing raises at its first non-finite
+    value, at time t."""
+    return NumericalError(
+        "forcing integration went non-finite at t = %.6g; gamma1 = %g, "
+        "gamma2 = %g or theta = %g is too large for double precision"
+        % (t, gamma1, gamma2, theta))
 
-    lam is an array (vectorized over quadrature nodes); grid[0] is the
-    start time and ic the conjugated state there.  The first non-finite
-    grid value raises NumericalError naming its time.
-    """
-    lam = np.asarray(lam, dtype=float)
-    rhs = _make_rhs(lam, gamma1, gamma2, sched)
+
+def _states_on_grid(advance, ic, grid, gamma1, gamma2, theta):
+    """Component 0 of the states advance(u, t0, t1) carries from ic at
+    grid[0] along the grid, as (n_lam, n_t); the first non-finite grid
+    value raises nonfinite_forcing naming its time."""
     u = np.array(ic, dtype=float)
-    out = np.empty((lam.size if lam.ndim else 1, len(grid)))
-    out[:, 0] = np.atleast_1d(u[..., 0])
+    out = np.empty((u[..., 0].size, len(grid)))
+    out[:, 0] = np.ravel(u[..., 0])
     # an overflow shows up as a non-finite column, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, len(grid)):
-            u = _rk4_segment(u, grid[i - 1], grid[i], h, rhs)
-            out[:, i] = np.atleast_1d(u[..., 0])
+            u = advance(u, grid[i - 1], grid[i])
+            out[:, i] = np.ravel(u[..., 0])
             if not np.all(np.isfinite(out[:, i])):
-                raise nonfinite_forcing(grid[i], h, gamma1, gamma2)
+                raise nonfinite_forcing(grid[i], gamma1, gamma2, theta)
     return out
 
 
-def nonfinite_forcing(t, h, gamma1, gamma2):
-    """The error an RK4 forcing integration raises at its first non-finite
-    value, at time t."""
-    return NumericalError(
-        "forcing integration went non-finite at t = %.6g; the explicit RK4 "
-        "step %.3g is unstable for gamma1 = %g, gamma2 = %g"
-        % (t, h, gamma1, gamma2))
+# ----------------------------------------------------------------------
+# Oracle: classic RK4 on the moment ODE
+# ----------------------------------------------------------------------
+
+def default_ode_step(gamma2, lam_max):
+    """The oracle's RK4 step, h = min(0.01, 0.1/(1 + gamma2*lam)): keeps the
+    fast mode resolved."""
+    return min(0.01, 0.1 / (1.0 + gamma2 * float(lam_max)))
+
+
+def _rk4_segment(u, t0, t1, h_max, rhs):
+    """Advance u from t0 to t1 in _substeps(t1 - t0, h_max) equal classic RK4
+    steps; rhs(t, u) is the derivative at time t."""
+    nsub = _substeps(t1 - t0, h_max)
+    h = (t1 - t0) / nsub
+    for k in range(nsub):
+        t = t0 + k * h
+        k1 = rhs(t, u)
+        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(t + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h=None):
+    """RK4 oracle: the moment ODE S' = B S + S B^T integrated from the state
+    ic at grid[0] at step h (default default_ode_step at the largest lam),
+    component 0 on the grid."""
+    lam = np.asarray(lam, dtype=float)
+    if h is None:
+        h = default_ode_step(gamma2, lam.max())
+    g2lam = gamma2 * lam
+
+    def rhs(t, S):
+        a, b, c = S[..., 0], S[..., 1], S[..., 2]
+        P = sched.Phi(t)
+        return np.stack([-2.0 * (g2lam * a + gamma1 * b),
+                         lam * a - (g2lam + P) * b - gamma1 * c,
+                         2.0 * (lam * b - P * c)], axis=-1)
+
+    return _states_on_grid(lambda u, t0, t1: _rk4_segment(u, t0, t1, h, rhs),
+                           ic, grid, gamma1, gamma2, sched.theta)
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +296,9 @@ def nonfinite_forcing(t, h, gamma1, gamma2):
 # ----------------------------------------------------------------------
 
 def forcing_matrix(spec, lams, grid, h=None):
-    """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half the ODE's solution
-    from forcing_ic, in closed form for constant Phi = theta, else by RK4
-    at ODE step h (default node_ode_step)."""
+    """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half of rho^2 from
+    forcing_ic, in closed form for constant Phi = theta, else carried by
+    propagate in steps of at most h (default PROPAGATOR_STEP)."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
     ic = forcing_ic(lams, spec.gamma1, spec.gamma2)
@@ -292,16 +308,18 @@ def forcing_matrix(spec, lams, grid, h=None):
             out[i] = 0.5 * _closed_form(ic[i], lam, spec.gamma1, spec.gamma2,
                                         spec.theta, grid)
         return out
-    # SDANA: one vectorized RK4 pass across all nodes
-    if h is None:
-        h = node_ode_step(spec.gamma2, lams)
+    # SDANA: every node's state carried together, interval by interval
+    g1, g2 = spec.gamma1, spec.gamma2
+    h = PROPAGATOR_STEP if h is None else h
     sched = _Schedule("power", spec.theta)
-    return 0.5 * _ode_on_grid(lams, spec.gamma1, spec.gamma2, sched, grid, ic, h)
+    return 0.5 * _states_on_grid(
+        lambda u, t0, t1: propagate(u, lams, g1, g2, sched, t0, t1, h),
+        ic, grid, g1, g2, spec.theta)
 
 
 def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
-    matrix: lam^2 times the ODE's closed-form solution from kernel_ic.
+    matrix: lam^2 times rho^2 from kernel_ic, in closed form.
 
     Phi = theta for constant schedules.  For SDANA this is the idealized
     convolution kernel, the late-time limit Phi = 0 (the exact kernel is
@@ -321,15 +339,16 @@ def kernel_matrix(spec, lams, taus):
 class SdanaExactKernel:
     """Separable representation of the exact two-time SDANA kernel.
 
-    K_s(t), aggregated over the spectral measure, solves (per node) the
-    conjugated third-order ODE in t with s entering only through the
-    initial data at t=s.  The Volterra marcher exploits this: it keeps one
-    3-state per node and march pass, injects the trapezoid impulse
-    weight*ic(s_j)*psi_j at each grid node, and advances everything with
-    RK4 — O(grid) ODE work total instead of one solve per (s, t) pair.
-    The forcing solves the same ODE from forcing_ic, so its states ride in
-    the same stack: one advance per half-step interval carries the forcing
-    and both march passes.
+    K_s(t), aggregated over the spectral measure, is lam^2 rho^2 of each
+    node's moment state, born at s in kernel_ic's state, the same for
+    every s, and carried to t by propagate.  The Volterra marcher exploits
+    this: it keeps one moment state per node and march pass, injects the
+    trapezoid impulse weight*ic*psi_j at each grid node, and advances
+    everything together: O(grid) propagator steps in total instead of one
+    solve per (s, t) pair.  The forcing's states start from forcing_ic and
+    ride in the same stack: one advance per half-step interval carries the
+    forcing and both march passes.  h is the longest step propagate takes
+    in one piece.
     """
 
     def __init__(self, spec, lams, weights, h=None):
@@ -339,8 +358,7 @@ class SdanaExactKernel:
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.sched = _Schedule("power", spec.theta)
-        self.h = h if h is not None else node_ode_step(spec.gamma2, self.lams)
-        self._rhs = _make_rhs(self.lams, spec.gamma1, spec.gamma2, self.sched)
+        self.h = PROPAGATOR_STEP if h is None else h
         # lam^2-weighted aggregation vector: K agg = sum_i w_i lam_i^2 q_i
         self.agg = self.weights * self.lams**2
 
@@ -349,16 +367,16 @@ class SdanaExactKernel:
         return float(self.spec.gamma2**2 * np.sum(self.agg))
 
     def ic(self, s):
-        """Kernel ICs of every node at time s, or at each of an array of
-        times (shape s.shape + (n_lam, 3))."""
-        Phi = np.expand_dims(self.sched.Phi(np.asarray(s, dtype=float)), -1)
-        return kernel_ic(self.lams, self.spec.gamma1, self.spec.gamma2, Phi)
+        """Kernel moment states of every node born at time s, shape
+        (n_lam, 3); they do not depend on s."""
+        return kernel_ic(self.lams, self.spec.gamma1, self.spec.gamma2, 0.0)
 
     def advance(self, state, t0, t1):
-        """RK4-advance conjugated states of shape (..., n_lam, 3)."""
+        """Propagate moment states of shape (..., n_lam, 3) from t0 to t1."""
         if t1 <= t0:
             return state
-        return _rk4_segment(state, t0, t1, self.h, self._rhs)
+        return propagate(state, self.lams, self.spec.gamma1, self.spec.gamma2,
+                         self.sched, t0, t1, self.h)
 
     def aggregate(self, state_component):
         """sum_i w_i lam_i^2 * q_i given the q components (n_lam,)."""

@@ -20,17 +20,14 @@ class LsqProblem:
     """One realized least-squares instance.
 
     Immutable after construction; loss is a pure function of (self, x),
-    so concurrent reads are safe.  Data-loaded problems have no planted
-    signal: x_tilde and eta are None.
+    so concurrent reads are safe.
     """
 
-    def __init__(self, A, b, x_tilde, x0, eta):
+    def __init__(self, A, b, x0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.n, self.d = self.A.shape
-        self.x_tilde = None if x_tilde is None else np.asarray(x_tilde, dtype=float)
         self.x0 = np.asarray(x0, dtype=float)
-        self.eta = None if eta is None else np.asarray(eta, dtype=float)
         self._gram = None
         if self.b.shape != (self.n,):
             raise ValueError("b must have length n")
@@ -66,8 +63,7 @@ def generate_gaussian(n, d, R, R_tilde, seed):
     x_tilde = rng.standard_normal(d) / np.sqrt(d)
     x0 = x_tilde + rng.standard_normal(d) * np.sqrt(R / n)
     eta = rng.standard_normal(n) * np.sqrt(R_tilde / n)
-    b = A @ x_tilde + eta
-    return LsqProblem(A, b, x_tilde, x0, eta)
+    return LsqProblem(A, A @ x_tilde + eta, x0)
 
 
 def check_scales(R, R_tilde):
@@ -94,11 +90,10 @@ class SpectralProblem:
     every consumer starts from the same float.
     """
 
-    def __init__(self, lam, resid, n, d):
+    def __init__(self, lam, resid, n):
         self.lam = np.asarray(lam, dtype=float)
         self.resid = np.asarray(resid, dtype=float)
         self.n = n
-        self.d = d
         self.f0 = 0.5 * float(self.resid @ self.resid)
 
 
@@ -111,7 +106,7 @@ def to_spectral(problem):
     """
     lam, U = problem._gram_eigh()
     resid = U.T @ (problem.A @ problem.x0 - problem.b)
-    return SpectralProblem(fold_zeros(lam), resid, problem.n, problem.d)
+    return SpectralProblem(fold_zeros(lam), resid, problem.n)
 
 
 def load_csv(path, target_col=None):
@@ -132,7 +127,7 @@ def load_csv(path, target_col=None):
     norms = np.linalg.norm(A, axis=1)
     norms[norms == 0.0] = 1.0
     A = A / norms[:, None]
-    return LsqProblem(A, b, None, np.zeros(A.shape[1]), None)
+    return LsqProblem(A, b, np.zeros(A.shape[1]))
 
 
 def _read_numeric_csv(path):

@@ -9,7 +9,7 @@ contributions of every spectral node and K is the interaction kernel.
 For SGD/SHB/SDAHB (and the SDANA convolution approximation) the kernel is
 convolution type, K_s(t) = I(t - s), and one trapezoid-marching pass
 solves the discretized equation exactly; the exact SDANA kernel is
-two-time and is marched with an extended per-node ODE state instead.
+two-time and is marched with a per-node moment state instead.
 """
 
 import collections
@@ -28,13 +28,6 @@ PICARD_MAX_ITERS = 200
 # points per directly marched stretch of the convolution march; longer
 # stretches take their history from FFT products
 _MARCH_BLOCK = 128
-
-# grid points whose kernel ICs the separable march takes in one call
-_IC_BLOCK = 64
-
-# RK4 substeps an SDANA prediction may take before it is refused (about
-# 800x the T = 100 prediction on the MP r = 1 measure)
-_RK4_WORK_LIMIT = 10**7
 
 # the forcing const + coef @ G(t), G half the states the separable march
 # starts at forcing_ic of its kernel's nodes and sweeps with its own; a
@@ -56,7 +49,9 @@ def time_grid(T, h=DEFAULT_H):
         raise ValueError("horizon T (--T) must be finite, got %r" % (T,))
     steps = int(round(T / h))
     if steps < 1:
-        raise ValueError("horizon T must cover at least one step")
+        raise ValueError("horizon T (--T) must be more than half the grid "
+                         "step --h = %g, so more than %g; got %r"
+                         % (h, 0.5 * h, T))
     return np.arange(steps + 1) * h
 
 
@@ -414,15 +409,17 @@ def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
 
     kernel is a separable-state object exposing ic/advance/aggregate/diag
     (the exact SDANA kernel): K_s(t) is the aggregate of per-node states
-    started at ic(s) and carried from s to t by advance, so the march keeps
-    one ODE state per spectral node instead of one solve per (s, t) pair.
+    started at ic(s), the same for every s, and carried from s to t by
+    advance, so the march keeps one state per spectral node instead of one
+    solve per (s, t) pair.
     refine also marches the half-step grid and Richardson-extrapolates,
     matching solve_convolution's accuracy; one forward sweep of the
     half-step grid advances the states of both passes together.
 
     F is the forcing on grid (its half-step values fine_forcing, else
     cubically interpolated), or a StateForcing: the forcing and the kernel
-    solve one ODE, so the forcing's states ride in the same sweep.
+    are moments of one system, so the forcing's states ride in the same
+    sweep.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = _sweep_nodes(grid, refine)
@@ -456,18 +453,19 @@ def _march_separable(F, K, nodes, stride):
     one forward sweep; returns the forcing on nodes and each pass's psi,
     the finest first.
 
-    The state ODE is linear, so one state per pass carries its trapezoid
-    sum ic(s_0) psi_0 / 2 + sum_{0<j<i} ic(s_j) psi_j to the current node
-    (the half weight at j = i sits in the divisor).  A StateForcing's
-    state rides in the same stack.  Each node checks the forcing first;
-    and as when the forcing was integrated before the march, a forcing
-    failure anywhere on the grid outranks a march failure.
+    The state dynamics are linear and every birth starts from the same
+    ic, so one state per pass carries its trapezoid sum, ic psi_0 / 2 plus
+    ic psi_j for 0 < j < i, each advanced from its node s_j, to the
+    current node (the half weight at j = i sits in the divisor).  A
+    StateForcing's state rides in the same stack.  Each node checks the
+    forcing first; and as when the forcing was integrated before the
+    march, a forcing failure anywhere on the grid outranks a march failure.
     """
     h = _uniform_step(nodes)
     strides = (1, 2)[:stride]
     ode = isinstance(F, StateForcing)
-    ic0 = K.ic(nodes[0])
-    state = np.zeros((stride + ode,) + ic0.shape)
+    ic = K.ic(nodes[0])
+    state = np.zeros((stride + ode,) + ic.shape)
     if ode:
         state[-1] = kernels.forcing_ic(K.lams, K.spec.gamma1, K.spec.gamma2)
         forcing, F = F, np.empty(len(nodes))
@@ -475,28 +473,26 @@ def _march_separable(F, K, nodes, stride):
                 if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
     denoms = [_march_divisor(s * h, K.diag()) for s in strides]
-    state[:stride] = 0.5 * ic0 * F[0]
+    state[:stride] = 0.5 * ic * F[0]
     # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, len(nodes), _IC_BLOCK):
-            ics = K.ic(nodes[lo:lo + _IC_BLOCK])
-            for k in range(lo, lo + len(ics)):
-                state = K.advance(state, nodes[k - 1], nodes[k])
-                if ode:
-                    F[k] = _forcing_at(K, forcing, state[-1], nodes[k])
-                for p, s in enumerate(strides):
-                    if k % s:
-                        continue
-                    psi, i = psis[p], k // s
-                    psi[i] = (F[k] + s * h * K.aggregate(state[p, ..., 0])) / denoms[p]
-                    if not np.isfinite(psi[i]):
-                        # a forcing failure further on outranks this one
-                        u = state[-1]
-                        for j in range(k + 1, len(nodes) if ode else 0):
-                            u = K.advance(u, nodes[j - 1], nodes[j])
-                            _forcing_at(K, forcing, u, nodes[j])
-                        raise _nonfinite_at(i, s * h)
-                    state[p] += ics[k - lo] * psi[i]
+        for k in range(1, len(nodes)):
+            state = K.advance(state, nodes[k - 1], nodes[k])
+            if ode:
+                F[k] = _forcing_at(K, forcing, state[-1], nodes[k])
+            for p, s in enumerate(strides):
+                if k % s:
+                    continue
+                psi, i = psis[p], k // s
+                psi[i] = (F[k] + s * h * K.aggregate(state[p, ..., 0])) / denoms[p]
+                if not np.isfinite(psi[i]):
+                    # a forcing failure further on outranks this one
+                    u = state[-1]
+                    for j in range(k + 1, len(nodes) if ode else 0):
+                        u = K.advance(u, nodes[j - 1], nodes[j])
+                        _forcing_at(K, forcing, u, nodes[j])
+                    raise _nonfinite_at(i, s * h)
+                state[p] += ic * psi[i]
     return F, psis
 
 
@@ -505,7 +501,8 @@ def _forcing_at(K, forcing, u, t):
     not finite."""
     value = forcing.const + (0.5 * forcing.coef) @ u[..., 0]
     if not np.isfinite(value):
-        raise kernels.nonfinite_forcing(t, K.h, K.spec.gamma1, K.spec.gamma2)
+        raise kernels.nonfinite_forcing(t, K.spec.gamma1, K.spec.gamma2,
+                                        K.spec.theta)
     return value
 
 
@@ -519,9 +516,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     onto its dimension-adjusted parameters.  A spectral problem may be
     passed to replace the theoretical forcing with the realized one.
     validate reruns the convolution solve by Picard iteration and records
-    the disagreement in the diagnostics.  An SDANA job estimated at more
-    than _RK4_WORK_LIMIT RK4 substeps, and a grid step at which the march
-    is singular, raise NumericalError before any integration.
+    the disagreement in the diagnostics.  A grid step at which the march
+    is singular raises NumericalError before any integration.
     """
     if mode is not None:
         mode = MODES.get(mode, mode)
@@ -547,7 +543,6 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             weights = np.bincount(at[:split], weights, len(nodes))
             coef = np.bincount(at[split:], coef, len(nodes))
         kern = kernels.SdanaExactKernel(spec, nodes, weights)
-    _check_rk4_work(spec, lams, kern, grid, half)
     # refuse a singular march before the forcing: every route's on-diagonal
     # kernel value is K_t(t) = g2^2 int lam^2 dmu
     _march_divisor(h, spec.gamma2**2 * measure.integrate(np.square))
@@ -580,23 +575,6 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
                 "method": sol.method, "kernel_norm": norm,
                 "R": R, "R_tilde": R_tilde, "mode": spec.mode}
     return sol
-
-
-def _check_rk4_work(spec, lams, kern, grid, half):
-    """Refuse an SDANA prediction, before integrating, whose RK4 substeps
-    exceed _RK4_WORK_LIMIT: solve_general's one sweep over its nodes at
-    kern.h on the exact route, else the forcing's RK4 on the half-step grid
-    at the step forcing_matrix takes for the forcing nodes lams."""
-    if spec.phi_kind != "power" or (kern is None and not len(lams)):
-        return
-    nodes, h_ode = ((_sweep_nodes(grid, True), kern.h) if kern is not None
-                    else (half, kernels.node_ode_step(spec.gamma2, lams)))
-    work = int(kernels.rk4_substeps(np.diff(nodes), h_ode).sum())
-    if work > _RK4_WORK_LIMIT:
-        raise NumericalError(
-            "SDANA RK4 work out of reach: an estimated %d RK4 substeps at "
-            "ODE step %.3g exceed the limit of %d; reduce the horizon T, "
-            "gamma2 or the largest eigenvalue" % (work, h_ode, _RK4_WORK_LIMIT))
 
 
 def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):

@@ -137,22 +137,20 @@ def test_predict_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_predict_refuses_rk4_work_out_of_reach(tmp_path, capsys):
-    # r = 1e-6 puts lambda_max near 1e6, so the SDANA ODE step is ~1e-7:
-    # about 3e7 RK4 substeps, refused before any integration starts
+    # r = 1e-6 puts lambda_max near 1e6 and K(0) = g2^2 int lam^2 dmu near
+    # 1e6: the march is singular at the default h, refused before the sweep
     out = tmp_path / "psi.csv"
     start = time.perf_counter()
     code, _, err = run_cli(["predict", "--algo", "sdana", "--r", "1e-6",
                             "--T", "1", "--out", str(out)], capsys)
     assert time.perf_counter() - start < 5.0
     assert code == 2
-    assert "RK4 work out of reach" in err
-    lam_max = spectrum.mp_measure(1e-6).points.max()
-    h_ode = kernels.default_ode_step(1.0, lam_max)
-    # one sweep over the half-step grid carries the forcing and both passes
-    sub = lambda dt: max(1, math.ceil(dt / h_ode - 1e-12))
-    count = 40 * sub(0.025)
-    assert count > 10**7
-    assert "estimated %d RK4 substeps" % count in err
+    assert "marching singularity" in err
+    mu = spectrum.mp_measure(1e-6)
+    g2 = momentum.defaults("sdana", mu).kernel_spec().gamma2
+    k0 = g2**2 * mu.integrate(np.square)
+    assert k0 > 1e5
+    assert "--h below 2/K(0) = %.6g" % (2.0 / k0) in err
     assert not out.exists()
 
 
@@ -160,7 +158,7 @@ def test_predict_refuses_rk4_work_out_of_reach(tmp_path, capsys):
 def test_predict_refuses_singular_march_before_forcing(tmp_path, capsys, mode):
     # r = 1e-5 puts K(0) = g2^2 int lam^2 dmu near 1e5, so the march's
     # divisor 1 - (h/2) K(0) at the default h is negative: refused before
-    # the forcing's RK4, which alone takes seconds here
+    # the forcing is assembled
     out = tmp_path / "psi.csv"
     start = time.perf_counter()
     code, _, err = run_cli(["predict", "--algo", "sdana", "--r", "1e-5",
@@ -496,6 +494,8 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
      "--theta must be at most 1 "),
     (["simulate", "--n", "4", "--d", "4", "--epochs", "1", "--seeds", "1",
       "--algo", "sdana", "--theta", "10"], "--theta must be at most 5 "),
+    (["predict", "--algo", "sgd", "--T", "0.01"],
+     "--T) must be more than half the grid step --h = 0.05, so more than 0.025"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit
@@ -577,7 +577,7 @@ def _flag_sets():
 
 @settings(max_examples=300, deadline=3000)
 @given(job=_flag_sets(), via_config=st.booleans())
-# the default gamma = theta/m overflows gamma^2 in kernels.kernel_ic; and
+# the default gamma = theta/m overflows theta^2 in kernels._closed_form; and
 # at r = 1 (lambda_min = 0) theta^2 underflows, where the rate bounds are 0
 @example(job=("predict", {"algo": "sdahb", "theta": 1e300, "T": 1.0}, None),
          via_config=False)

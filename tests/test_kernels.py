@@ -11,7 +11,7 @@ is the response to a unit gradient-noise impulse injected at time s,
 i.e. the same homogeneous system restarted at s with (u, w) = (-gamma2, 1),
 giving K_s(t) = lam^2 * u(t)^2.  Integrating that small system with
 scipy and squaring is an independent check on the package's closed
-forms and third-order moment ODEs.
+forms and moment propagator.
 """
 
 import math
@@ -21,21 +21,29 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from movolt import kernels, momentum, volterra
+from movolt import kernels, momentum, spectrum, volterra
 
 
-def _response(lam, gamma1, gamma2, Phi, t_eval, u0, w0, t0=0.0):
+def _response(lam, gamma1, gamma2, Phi, t_eval, u0, w0, t0=0.0, **options):
+    """u on t_eval, for one lam or, integrated as one system, an array."""
+    lams = np.ravel(lam)
+    k = len(lams)
+
     def rhs(t, y):
-        u, w = y
-        return [-gamma2 * lam * u - gamma1 * w, -Phi(t) * w + lam * u]
-    sol = scipy.integrate.solve_ivp(rhs, (t0, t_eval[-1]), [u0, w0],
-                                    t_eval=t_eval, rtol=1e-12, atol=1e-14)
+        u, w = y[:k], y[k:]
+        return np.concatenate([-gamma2 * lams * u - gamma1 * w,
+                               -Phi(t) * w + lams * u])
+    options = {"rtol": 1e-12, **options}
+    sol = scipy.integrate.solve_ivp(rhs, (t0, t_eval[-1]),
+                                    np.repeat([u0, w0], k), t_eval=t_eval,
+                                    atol=1e-14, **options)
     assert sol.success
-    return sol.y[0]
+    return sol.y[:k].reshape(np.shape(lam) + (len(t_eval),))
 
 
-def oracle_forcing(lam, gamma1, gamma2, Phi, grid):
-    return 0.5 * _response(lam, gamma1, gamma2, Phi, grid, 1.0, 0.0) ** 2
+def oracle_forcing(lam, gamma1, gamma2, Phi, grid, **options):
+    return 0.5 * _response(lam, gamma1, gamma2, Phi, grid, 1.0, 0.0,
+                           **options) ** 2
 
 
 def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
@@ -300,6 +308,61 @@ def test_power_forcing_matrix_matches_per_node_ode():
         assert np.allclose(M[i], want, atol=1e-7)
 
 
+@pytest.mark.parametrize("r, gamma1, bound", [
+    (1.0, None, 2e-9),    # the default SDANA row
+    (0.01, None, 1e-9),   # stiff: lam up to 121
+    (1.0, 1e6, 1e-4),     # oscillatory: frequency up to 4000
+])
+def test_propagator_matches_oracle_on_stiff_and_oscillatory_nodes(r, gamma1,
+                                                                  bound):
+    # forcing_matrix's power branch, one Magnus step per grid interval,
+    # against scipy over T = 3 at step 0.025
+    mu = spectrum.mp_measure(r)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    lams = np.append(mu.points[::10], mu.points.max())
+    options = {}
+    if gamma1 is not None:
+        spec = momentum.sdana(gamma1, spec.gamma2, spec.theta).kernel_spec()
+        # the oracle resolves every oscillation: a few nodes, eighth order
+        lams = lams[[0, 10, -1]]
+        options = {"method": "DOP853", "rtol": 1e-10}
+    grid = 0.025 * np.arange(121)
+    got = kernels.forcing_matrix(spec, lams, grid)
+    assert np.all(np.isfinite(got))
+    want = oracle_forcing(lams, spec.gamma1, spec.gamma2,
+                          lambda t: spec.theta / (1.0 + t), grid, **options)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+def test_propagator_order_power_schedule():
+    # one Magnus step per interval: halving the step shrinks the error
+    # ~16x against scipy, so the propagator is fourth order
+    lam, g1, g2, theta = 1.7, 0.25, 1.0, 4.0
+    spec = momentum.sdana(g1, g2, theta).kernel_spec()
+    errs = []
+    for step in (0.05, 0.025, 0.0125):
+        grid = step * np.arange(int(round(2.0 / step)) + 1)
+        want = oracle_forcing(lam, g1, g2, lambda t: theta / (1.0 + t), grid)
+        got = kernels.forcing_matrix(spec, [lam], grid, h=step)[0]
+        errs.append(np.max(np.abs(got - want)))
+    assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.9, 1.0, 2.5, 40.0])
+def test_propagator_is_exact_for_constant_phi(lam):
+    # with Phi constant the Magnus step is exp(h B) itself: carrying any
+    # moment state (a, b, c) = (rho^2, rho omega, omega^2) in one long step
+    # gives _closed_form's rho^2, on both sides of the turning point
+    g1, g2, theta = 0.3, 0.6, 1.1
+    sched = kernels._Schedule("const", theta)
+    state = np.array([0.7, -0.4, 1.3])
+    for lag in (0.3, 2.0, 7.0):
+        got = kernels.propagate(state, np.array(lam), g1, g2, sched, 0.0,
+                                lag, lag)[0]
+        want = kernels._closed_form(state, lam, g1, g2, theta, lag)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+
+
 def test_rk4_step_order():
     # halving the step shrinks the const-schedule ODE error ~16x against
     # the closed form, confirming the fourth-order integrator
@@ -317,8 +380,8 @@ def test_rk4_step_order():
 
 
 def test_rk4_step_order_power_schedule():
-    # the hoisted stage coefficients vary along the interval for the power
-    # schedule; halving the step still shrinks the error ~16x (scipy oracle)
+    # the RK4 oracle on the power schedule: halving the step shrinks the
+    # error ~16x against scipy
     lam, g1, g2 = 1.7, 0.25, 1.0
     grid = np.linspace(0.0, 2.0, 51)
     sched = kernels._Schedule("power", 4.0)
@@ -332,94 +395,15 @@ def test_rk4_step_order_power_schedule():
     assert errs[0] / errs[1] >= 12.0
 
 
-def rk4_per_stage_oracle(u, t0, t1, h_max, lam, g1, g2, sched):
-    """The RK4 loop with the coefficients evaluated at every stage."""
-    def rhs(t, u):
-        b0, b1, b2 = sched.coeffs(t, lam, g1, g2)
-        return np.stack([u[..., 1], u[..., 2],
-                         -(b0 * u[..., 0] + b1 * u[..., 1] + b2 * u[..., 2])],
-                        axis=-1)
-    nsub = kernels.rk4_substeps(t1 - t0, h_max)
-    h = (t1 - t0) / nsub
-    t = t0
-    for _ in range(nsub):
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return u
-
-
-@pytest.mark.parametrize("kind", ["power", "const"])
-def test_hoisted_rk4_equals_per_stage_loop(kind):
-    # one coefficient evaluation per interval does the same arithmetic as
-    # evaluating at each stage: equal bit for bit
-    lam = np.array([0.05, 0.7, 1.9, 3.6])
-    g1, g2 = 0.25, 1.0
-    sched = kernels._Schedule(kind, 4.0 if kind == "power" else 0.4)
-    grid = np.linspace(0.0, 3.0, 61) + 0.137
-    ic = kernels.forcing_ic(lam, g1, g2)
-    got = kernels._ode_on_grid(lam, g1, g2, sched, grid, ic, 0.007)
-    u = ic
-    for i in range(1, len(grid)):
-        u = rk4_per_stage_oracle(u, grid[i - 1], grid[i], 0.007, lam, g1, g2,
-                                 sched)
-        assert got[:, i].tobytes() == u[:, 0].tobytes()
-
-
-def test_rk4_segment_bounds_the_coefficient_block():
-    # a fine ODE step must not grow the coefficient arrays: each block covers
-    # at most _RK4_CHUNK substeps, and the chunked stage times stay the
-    # stepping loop's, bit for bit
-    lam = np.array([0.3, 2.2])
-    g1, g2 = 0.25, 1.0
-    sched = kernels._Schedule("power", 4.0)
-    rhs = kernels._make_rhs(lam, g1, g2, sched)
-    blocks = []
-
-    def recording(times):
-        blocks.append(len(times))
-        return rhs(times)
-
-    u0 = kernels.forcing_ic(lam, g1, g2)
-    got = kernels._rk4_segment(u0, 0.3, 0.45, 1e-3, recording)
-    nsub = int(kernels.rk4_substeps(0.15, 1e-3))
-    assert nsub > 2 * kernels._RK4_CHUNK
-    assert sum(blocks) == 3 * nsub
-    assert max(blocks) == 3 * kernels._RK4_CHUNK
-    want = rk4_per_stage_oracle(u0, 0.3, 0.45, 1e-3, lam, g1, g2, sched)
-    assert got.tobytes() == want.tobytes()
-
-
 def test_exact_kernel_advance_broadcasts_over_stack():
-    # the per-interval coefficient rows are shared by leading stack axes:
-    # a (2, n_lam, 3) stack advances exactly as each row does alone
+    # each step's M is shared by leading stack axes: a (2, n_lam, 3) stack
+    # advances exactly as each row does alone
     spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     K = kernels.SdanaExactKernel(spec, [0.3, 1.1, 2.9], [0.2, 0.5, 0.3])
     rows = np.stack([K.ic(0.2), -0.7 * K.ic(0.9)])
     got = K.advance(rows, 0.2, 0.27)
     for i in range(2):
         assert got[i].tobytes() == K.advance(rows[i], 0.2, 0.27).tobytes()
-
-
-def test_kernel_ic_block_call_equals_per_point_calls():
-    # the sweep takes the ICs of a block of grid points in one call; each
-    # row must be the per-point call, bit for bit
-    lams = np.linspace(0.02, 4.0, 200)
-    Phi = 4.0 / (1.0 + np.linspace(0.0, 100.0, 4001))
-    block = kernels.kernel_ic(lams[None, :], 0.25, 1.0, Phi[:, None])
-    assert block.shape == (4001, 200, 3)
-    for i in range(len(Phi)):
-        assert block[i].tobytes() == kernels.kernel_ic(lams, 0.25, 1.0,
-                                                       Phi[i]).tobytes()
-    K = kernels.SdanaExactKernel(momentum.sdana(0.25, 1.0, 4.0).kernel_spec(),
-                                 lams, np.full(200, 1.0 / 200))
-    times = np.linspace(0.0, 3.0, 7)
-    rows = K.ic(times)
-    for i, s in enumerate(times):
-        assert rows[i].tobytes() == K.ic(s).tobytes()
 
 
 def test_one_state_march_is_the_trapezoid_sum():

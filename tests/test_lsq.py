@@ -19,8 +19,16 @@ def test_generate_shapes_and_reproducibility():
 
 
 def test_b_is_planted_signal_plus_noise():
-    p = lsq.generate_gaussian(40, 40, 1.0, 1.0, seed=1)
-    assert np.allclose(p.b, p.A @ p.x_tilde + p.eta)
+    # re-draw x_tilde and eta from the documented stream layout
+    n, d, R, R_tilde = 40, 30, 1.0, 0.5
+    p = lsq.generate_gaussian(n, d, R, R_tilde, seed=1)
+    rng = np.random.default_rng(1)
+    A = rng.standard_normal((n, d)) / np.sqrt(d)
+    x_tilde = rng.standard_normal(d) / np.sqrt(d)
+    x0 = x_tilde + rng.standard_normal(d) * np.sqrt(R / n)
+    eta = rng.standard_normal(n) * np.sqrt(R_tilde / n)
+    assert np.array_equal(p.A, A) and np.array_equal(p.x0, x0)
+    assert np.array_equal(p.b, A @ x_tilde + eta)
 
 
 def test_initial_loss_concentrates_at_half_R_m_plus_Rtilde():
@@ -70,8 +78,8 @@ def test_to_spectral_loss_identity_generated(rng):
                                                         rel=1e-10)
     # and at other starts: the same problem from other x0
     for _ in range(3):
-        x = p.x_tilde + rng.standard_normal(20)
-        q = lsq.LsqProblem(p.A, p.b, p.x_tilde, x, p.eta)
+        x = p.x0 + rng.standard_normal(20)
+        q = lsq.LsqProblem(p.A, p.b, x)
         assert half_sq(lsq.to_spectral(q)) == pytest.approx(
             lsq.loss(p, x), rel=1e-8, abs=1e-10)
 

@@ -214,6 +214,7 @@ def cmd_simulate(cfg):
     agg.to_csv(out)
     meta = _echo(cfg, {"command": "simulate", "params": params.describe(),
                        "n_seeds": cfg["seeds"], "diverged": agg.diverged,
+                       "diverged_at": agg.meta["diverged_at"],
                        "rows": len(agg.times)})
     _write_json(volterra.sidecar_path(out), meta)
     if cfg["svg"]:
@@ -258,6 +259,14 @@ def cmd_analyze(cfg):
     return 0
 
 
+def _max_dev_mcse(dev, se):
+    """max |mean - psi| in Monte Carlo standard errors, over the times
+    where the seeds spread (se > 0); None for one seed or no spread."""
+    if se is None or not np.any(se > 0):
+        return None
+    return float(np.max(dev[se > 0] / se[se > 0]))
+
+
 def cmd_compare(cfg):
     measure, params, agg = _run_ensemble(cfg)
     sol = volterra.predict(measure, params, max(cfg["T"], cfg["epochs"]),
@@ -266,7 +275,8 @@ def cmd_compare(cfg):
     psi = _join_nearest(agg.times, sol)
     dev = np.abs(agg.mean - psi)
     stats = {"sup_abs_dev": float(dev.max()),
-             "mean_abs_dev": float(dev.mean()), "psi0": float(sol.psi[0])}
+             "mean_abs_dev": float(dev.mean()), "psi0": float(sol.psi[0]),
+             "max_dev_mcse": _max_dev_mcse(dev, agg.se)}
     out = cfg["out"] or "compare.csv"
     with open(out, "w", newline="") as fh:
         fh.write("t,mean,q10,q90,psi\n")
@@ -274,7 +284,8 @@ def cmd_compare(cfg):
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
     meta = _echo(cfg, {"command": "compare", "params": params.describe(),
                        "stats": stats, "kernel_norm": sol.kernel_norm,
-                       "diverged": agg.diverged})
+                       "diverged": agg.diverged,
+                       "diverged_at": agg.meta["diverged_at"]})
     _write_json(volterra.sidecar_path(out), meta)
     if cfg["svg"]:
         _write_svg(out, [("ensemble mean", agg.times, agg.mean),

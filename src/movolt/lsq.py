@@ -81,6 +81,16 @@ def loss(problem, x):
     return 0.5 * float(res @ res)
 
 
+def losses(problem, X):
+    """f at each row of X (shape (m, d)), from one GEMM X A^T: A is read
+    once for all m points, where m calls of loss read it m times.  The
+    sums are a GEMM's, so a value can differ from loss's in its last bits.
+    """
+    res = X @ problem.A.T
+    res -= problem.b
+    return 0.5 * np.einsum("ij,ij->i", res, res)
+
+
 class SpectralProblem:
     """A problem as its loss dynamics see it, in the eigenbasis u_j of
     H = A A^T: the n eigenvalues lam_j (numerical zeros folded to exactly

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analysis, kernels
-from .lsq import DIVERGENCE_THRESHOLD, generate_gaussian, loss
+from .lsq import DIVERGENCE_THRESHOLD, generate_gaussian, loss, losses
 
 SAMPLES_PER_EPOCH = 20
 
@@ -159,15 +159,18 @@ def defaults(name, measure, **given):
 
 
 class Trajectory:
-    """Loss samples over epoch time, single-run or ensemble-aggregated."""
+    """Loss samples over epoch time, single-run or ensemble-aggregated.
+    An ensemble of two or more runs also carries se, the standard error
+    of its mean at each time (sample std / sqrt(runs))."""
 
     def __init__(self, times, values=None, mean=None, q10=None, q90=None,
-                 diverged=False, meta=None):
+                 diverged=False, meta=None, se=None):
         self.times = np.asarray(times, dtype=float)
         self.values = None if values is None else np.asarray(values, dtype=float)
         self.mean = None if mean is None else np.asarray(mean, dtype=float)
         self.q10 = None if q10 is None else np.asarray(q10, dtype=float)
         self.q90 = None if q90 is None else np.asarray(q90, dtype=float)
+        self.se = None if se is None else np.asarray(se, dtype=float)
         self.diverged = bool(diverged)
         self.meta = meta or {}
 
@@ -213,7 +216,14 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
     """One trajectory of the momentum method; deterministic given seed.
 
     Row indices are drawn uniformly with replacement from a stream keyed
-    on (seed, run-tag), independent of the problem's own generator.
+    on (seed, run-tag), independent of the problem's own generator.  The
+    run stops at the first sample whose loss is non-finite or above
+    DIVERGENCE_THRESHOLD and records that step k as meta["diverged_at"]
+    (None when it runs to the end).  Sampled iterates wait in a buffer of
+    one epoch's samples and get their losses from one lsq.losses GEMM;
+    a sample whose cheap upper bound on f could cross the threshold
+    gets its exact lsq.loss at once, so divergence stops the run where a
+    per-sample loss would.
     """
     n, d = problem.n, problem.d
     if not math.isfinite(epochs):
@@ -232,29 +242,64 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
                          % (n, theta / deltas.max(), theta))
     rng = np.random.default_rng([_RUN_STREAM, seed])
     idx = rng.integers(0, n, size=total)
-    A, b = problem.A, problem.b
+    A = problem.A
+    b = problem.b[idx].tolist()
+    idx = idx.tolist()
+    decay = (1.0 - deltas).tolist()
     x = problem.x0.copy()
     y = np.zeros(d)
-    times, vals = [], []
-    diverged = False
-    pos = 0
-    for k in range(1, total + 1):
-        i = idx[k - 1]
-        row = A[i]
-        g = (row @ x - b[i]) * row
-        y = (1.0 - deltas[k - 1]) * y + g1 * g
-        x = x - g2 * g - y
-        if pos < len(ks) and k == ks[pos]:
-            f = loss(problem, x)
-            if not np.isfinite(f) or abs(f) > DIVERGENCE_THRESHOLD:
-                diverged = True
-                break
-            times.append(k / n)
-            vals.append(f)
-            pos += 1
-    return Trajectory(np.array(times), values=np.array(vals), diverged=diverged,
+    g = np.empty(d)
+    tmp = np.empty(d)
+    # sampled iterates wait here for one GEMM of their losses
+    pending = np.empty((min(samples_per_epoch, len(ks)), d))
+    vals = np.empty(len(ks))
+    recorded = waiting = 0
+
+    def flush():
+        nonlocal recorded, waiting
+        if waiting:
+            vals[recorded:recorded + waiting] = losses(problem,
+                                                       pending[:waiting])
+            recorded, waiting = recorded + waiting, 0
+
+    # f(x) <= 1/2 (|A|_F |x| + |b|)^2: a sample whose bound is at most
+    # half the threshold cannot be the one where the run diverges
+    a_norm, b_norm = np.linalg.norm(A), np.linalg.norm(problem.b)
+    safe = 0.5 * DIVERGENCE_THRESHOLD
+    diverged_at = None
+    start = 0
+    for stop in ks.tolist():
+        for k in range(start, stop):       # steps start+1 .. stop
+            row = A[idx[k]]
+            np.multiply(row, row @ x - b[k], out=g)
+            np.multiply(y, decay[k], out=y)
+            np.multiply(g, g1, out=tmp)
+            y += tmp
+            np.multiply(g, g2, out=tmp)
+            x -= tmp
+            x -= y
+        start = stop
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = 0.5 * (a_norm * np.sqrt(x @ x) + b_norm) ** 2
+        if bound <= safe:
+            pending[waiting] = x
+            waiting += 1
+            if waiting == len(pending):
+                flush()
+            continue
+        flush()
+        f = loss(problem, x)
+        if not np.isfinite(f) or abs(f) > DIVERGENCE_THRESHOLD:
+            diverged_at = stop
+            break
+        vals[recorded] = f
+        recorded += 1
+    flush()
+    return Trajectory(ks[:recorded] / n, values=vals[:recorded],
+                      diverged=diverged_at is not None,
                       meta={"algo": params.describe(), "n": n, "d": d,
-                            "seed": seed, "epochs": epochs})
+                            "seed": seed, "epochs": epochs,
+                            "diverged_at": diverged_at})
 
 
 def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0):
@@ -273,16 +318,21 @@ def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0):
 
 def aggregate(runs):
     """Combine single-run trajectories; divergence truncates to the shared
-    prefix and poisons the flag rather than being dropped silently."""
+    prefix and poisons the flag rather than being dropped silently.  The
+    meta's diverged_at lists each run's stopping step (None if it ran to
+    the end)."""
     diverged = any(r.diverged for r in runs)
     m = min(len(r.times) for r in runs)
     times = runs[0].times[:m]
     mat = np.stack([r.values[:m] for r in runs])
-    meta = dict(runs[0].meta, n_seeds=len(runs))
+    se = (mat.std(axis=0, ddof=1) / np.sqrt(len(runs)) if len(runs) > 1
+          else None)
+    meta = dict(runs[0].meta, n_seeds=len(runs),
+                diverged_at=[r.meta.get("diverged_at") for r in runs])
     return Trajectory(times, mean=mat.mean(axis=0),
                       q10=np.quantile(mat, 0.10, axis=0),
                       q90=np.quantile(mat, 0.90, axis=0),
-                      diverged=diverged, meta=meta)
+                      diverged=diverged, meta=meta, se=se)
 
 
 def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,

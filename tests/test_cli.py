@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from movolt import cli, kernels, momentum, spectrum, volterra
+from movolt import cli, kernels, lsq, momentum, spectrum, volterra
 
 
 def run_cli(argv, capsys=None):
@@ -50,6 +50,8 @@ def test_simulate_writes_csv_and_sidecar(tmp_path):
     assert meta["config"]["n"] == 128
     assert meta["config"]["seeds"] == 3
     assert meta["rows"] == 40
+    assert meta["diverged"] is False
+    assert meta["diverged_at"] == [None, None, None]
 
 
 def test_simulate_is_reproducible(tmp_path):
@@ -259,6 +261,41 @@ def test_compare_joins_on_nearest_grid_point(tmp_path):
     meta = json.loads(out.with_suffix(".json").read_text())
     assert meta["stats"]["sup_abs_dev"] < 0.15
     assert meta["stats"]["psi0"] == pytest.approx(1.0, rel=1e-12)
+    assert meta["diverged_at"] == [None, None, None]
+    # |mean - psi| / (std / sqrt(seeds)), recomputed from the seeds' runs
+    runs = [momentum.run(lsq.generate_gaussian(256, 256, 1.0, 1.0, s),
+                         momentum.sgd(meta["params"]["gamma"]), 2, s)
+            for s in range(3)]
+    mat = np.stack([r.values for r in runs])
+    mcse = mat.std(axis=0, ddof=1) / np.sqrt(3)
+    want = np.max(np.abs(rows["mean"] - rows["psi"]) / mcse)
+    assert meta["stats"]["max_dev_mcse"] == pytest.approx(want, rel=1e-9)
+
+
+def test_compare_one_seed_has_no_mcse(tmp_path):
+    out = tmp_path / "cmp.csv"
+    code = run_cli(["compare", "--algo", "sgd", "--n", "64", "--d", "64",
+                    "--epochs", "1", "--seeds", "1", "--out", str(out)])
+    assert code == 0
+    stats = json.loads(out.with_suffix(".json").read_text())["stats"]
+    assert stats["max_dev_mcse"] is None
+    assert {"sup_abs_dev", "mean_abs_dev", "psi0"} <= set(stats)
+
+
+def test_simulate_sidecar_names_each_divergent_seed(tmp_path, capsys):
+    # sgd at gamma 5 on 64x64 diverges on every seed, at a different step
+    out = tmp_path / "div.csv"
+    code, _, err = run_cli(["simulate", "--algo", "sgd", "--n", "64",
+                            "--d", "64", "--gamma", "5", "--epochs", "2",
+                            "--seeds", "3", "--out", str(out)], capsys)
+    assert code == 0 and "some seeds diverged" in err
+    meta = json.loads(out.with_suffix(".json").read_text())
+    runs = [momentum.run(lsq.generate_gaussian(64, 64, 1.0, 1.0, s),
+                         momentum.sgd(5.0), 2, s) for s in range(3)]
+    assert meta["diverged"] is True
+    assert meta["diverged_at"] == [r.meta["diverged_at"] for r in runs]
+    assert len(set(meta["diverged_at"])) == 3
+    assert meta["rows"] == min(len(r.times) for r in runs)
 
 
 def test_compare_extends_grid_to_cover_all_samples(tmp_path):

@@ -49,6 +49,27 @@ def test_loss_matches_direct_formula(rng):
     assert lsq.loss(p, x) == pytest.approx(0.5 * np.sum((p.A @ x - p.b) ** 2))
 
 
+@pytest.mark.parametrize("n, d", [(1, 6), (60, 20), (20, 60)])
+def test_losses_is_loss_row_by_row(n, d, rng):
+    # one GEMM against one GEMV per row: equal up to the order of the sums
+    p = lsq.generate_gaussian(n, d, 1.0, 0.5, seed=3)
+    X = p.x0 + rng.standard_normal((7, d))
+    want = np.array([lsq.loss(p, x) for x in X])
+    np.testing.assert_allclose(lsq.losses(p, X), want, rtol=1e-13, atol=0)
+    assert lsq.losses(p, X[:1])[0] == pytest.approx(want[0], rel=1e-13)
+
+
+def test_losses_exact_zero_residual():
+    A = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]])
+    x = np.array([1.0, -1.0])
+    p = lsq.LsqProblem(A, A @ x, np.zeros(2))
+    X = np.array([x, [0.0, 0.0], [2.0, 1.0]])
+    got = lsq.losses(p, X)
+    assert got[0] == lsq.loss(p, x) == 0.0
+    np.testing.assert_allclose(got[1:], [lsq.loss(p, r) for r in X[1:]],
+                               rtol=1e-13, atol=0)
+
+
 def test_esm_matches_eigvalsh():
     p = lsq.generate_gaussian(30, 18, 1.0, 1.0, seed=5)
     eigs = np.linalg.eigvalsh(p.A @ p.A.T)

@@ -16,11 +16,13 @@ def test_sgd_single_sample_is_plain_gradient_descent():
                         samples_per_epoch=1)
     a, b = p.A[0], p.b[0]
     x = p.x0.copy()
-    hand = []
+    iterates = []
     for _ in range(40):
         x = x - gamma * (a @ x - b) * a
-        hand.append(0.5 * (a @ x - b) ** 2)
-    assert np.allclose(traj.values, hand, rtol=0, atol=0)  # bitwise
+        iterates.append(x)
+    # one sample per epoch: run evaluates each iterate as a batch of one
+    hand = [lsq.losses(p, np.array([x]))[0] for x in iterates]
+    assert np.array_equal(traj.values, hand)  # bitwise
 
 
 def test_recursion_matches_hand_loop_all_algorithms():
@@ -45,10 +47,13 @@ def test_recursion_matches_hand_loop_all_algorithms():
             g = (row @ x - p.b[idx[k - 1]]) * row
             y = (1.0 - sched.delta(k, n)) * y + g1 * g
             x = x - g2 * g - y
-            res = p.A @ x - p.b
-            got[k] = 0.5 * float(res @ res)
+            got[k] = x
         ks = np.unique(np.maximum(np.rint(np.arange(1, 61) * n / 20), 1).astype(int))
-        hand = np.array([got[int(k)] for k in ks])
+        # run evaluates its sampled iterates 20 at a time with lsq.losses;
+        # that helper's agreement with lsq.loss is tested in test_lsq
+        X = np.array([got[int(k)] for k in ks])
+        hand = np.concatenate([lsq.losses(p, X[j:j + 20])
+                               for j in range(0, len(X), 20)])
         assert np.array_equal(traj.values, hand), params.name
 
 
@@ -134,6 +139,77 @@ def test_divergence_sets_flag_and_truncates():
     assert np.all(np.isfinite(traj.values))
 
 
+def _per_sample_run(p, params, epochs, seed):
+    """The simulator with one lsq.loss per sample: (times, values, step k
+    at which the first non-finite or over-threshold loss stopped it)."""
+    n = p.n
+    ks = set(momentum._sample_steps(n, epochs, momentum.SAMPLES_PER_EPOCH)
+             .tolist())
+    total = max(ks)
+    idx = np.random.default_rng([0x5eed, seed]).integers(0, n, size=total)
+    g1, g2, sched = params.discrete(n)
+    x = p.x0.copy()
+    y = np.zeros(p.d)
+    times, vals = [], []
+    for k in range(1, total + 1):
+        row = p.A[idx[k - 1]]
+        g = (row @ x - p.b[idx[k - 1]]) * row
+        y = (1.0 - sched.delta(k, n)) * y + g1 * g
+        x = x - g2 * g - y
+        if k in ks:
+            f = lsq.loss(p, x)
+            if not np.isfinite(f) or f > lsq.DIVERGENCE_THRESHOLD:
+                return times, vals, k
+            times.append(k / n)
+            vals.append(f)
+    return times, vals, None
+
+
+# sgd(4.5) at 100x200 diverges mid-epoch, after 43, 56 and 59 samples
+# for seeds 5, 6 and 7, where the last kept losses sit within a factor
+# of a few of the threshold; the sdahb and sdana rows run to the end
+@pytest.mark.parametrize("n, d, params, problem_seed, seed", [
+    (30, 30, momentum.sgd(500.0), 6, 0),
+    (25, 25, momentum.sgd(500.0), 4, 0),
+    (100, 200, momentum.sgd(4.5), 5, 5),
+    (100, 200, momentum.sgd(4.5), 6, 6),
+    (100, 200, momentum.sgd(4.5), 7, 7),
+    (100, 200, momentum.sdahb(1.0, 2.0), 1, 1),
+    (64, 32, momentum.sdana(0.25, 1.0, 4.0), 2, 3),
+])
+def test_run_stops_where_the_per_sample_loop_stops(n, d, params,
+                                                   problem_seed, seed):
+    p = lsq.generate_gaussian(n, d, 1.0, 1.0, seed=problem_seed)
+    times, vals, stop = _per_sample_run(p, params, 3, seed)
+    # cli.main runs under this errstate: the bound on f must not trip it
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        traj = momentum.run(p, params, epochs=3, seed=seed)
+    assert traj.diverged == (stop is not None)
+    assert traj.meta["diverged_at"] == stop
+    assert np.array_equal(traj.times, times)
+    np.testing.assert_allclose(traj.values, vals, rtol=1e-13, atol=0)
+
+
+def test_divergence_bound_is_silent_when_it_overflows():
+    # a zero column never moves its coordinate of x, so |x| stays 1e200:
+    # the bound on f overflows at every sample while f itself is finite,
+    # and every sample takes the exact lsq.loss, bit for bit the loop's
+    # (pytest turns RuntimeWarning into errors, see pyproject.toml)
+    p = lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=3)
+    A = p.A.copy()
+    A[:, 3] = 0.0
+    x0 = p.x0.copy()
+    x0[3] = 1e200
+    p = lsq.LsqProblem(A, p.b, x0)
+    times, vals, stop = _per_sample_run(p, momentum.sgd(0.5), 2, 4)
+    for state in ({}, {"over": "raise", "invalid": "raise"}):
+        with np.errstate(**state):
+            traj = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=4)
+        assert stop is None and not traj.diverged
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.values, vals)
+
+
 def test_run_ensemble_aggregates_quantiles():
     agg = momentum.run_ensemble({"n": 40, "d": 20, "R": 1.0, "R_tilde": 1.0},
                                 momentum.sgd(0.8), epochs=1, n_seeds=8,
@@ -151,6 +227,21 @@ def test_aggregate_truncates_to_shared_prefix():
     agg = momentum.aggregate([good, bad])
     assert agg.diverged
     assert len(agg.times) == len(bad.times)
+    assert good.meta["diverged_at"] is None
+    assert agg.meta["diverged_at"] == [None, bad.meta["diverged_at"]]
+    # the run stops at the sample after the last one it kept
+    assert bad.meta["diverged_at"] > bad.times[-1] * p.n
+
+
+def test_aggregate_standard_error():
+    p = lsq.generate_gaussian(40, 20, 1.0, 1.0, seed=2)
+    runs = [momentum.run(p, momentum.sgd(0.5), epochs=1, seed=s)
+            for s in range(5)]
+    mat = np.stack([r.values for r in runs])
+    agg = momentum.aggregate(runs)
+    assert np.allclose(agg.se, mat.std(axis=0, ddof=1) / np.sqrt(5),
+                       rtol=1e-14, atol=0)
+    assert momentum.aggregate(runs[:1]).se is None
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

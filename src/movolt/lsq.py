@@ -59,7 +59,8 @@ def generate_gaussian(n, d, R, R_tilde, seed):
         raise ValueError("n and d must be positive")
     check_scales(R, R_tilde)
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, d)) / np.sqrt(d)
+    A = rng.standard_normal((n, d))
+    A /= np.sqrt(d)
     x_tilde = rng.standard_normal(d) / np.sqrt(d)
     x0 = x_tilde + rng.standard_normal(d) * np.sqrt(R / n)
     eta = rng.standard_normal(n) * np.sqrt(R_tilde / n)

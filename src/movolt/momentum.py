@@ -266,18 +266,28 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
     # half the threshold cannot be the one where the run diverges
     a_norm, b_norm = np.linalg.norm(A), np.linalg.norm(problem.b)
     safe = 0.5 * DIVERGENCE_THRESHOLD
+    # a term whose coefficient is exactly 0 is skipped, the rest keep the
+    # order x = (x - Gamma2 g) - y: at Gamma1 = 0, y stays +0 and x -= y
+    # is a no-op; at Gamma2 = 0, x -= 0*g changes no value (it can turn a
+    # -0 into +0).  Once g is non-finite x is too either way, and the
+    # first overflow comes from an op that always runs, so a run stops
+    # and raises where the full step's run does.
+    momentum, gradient = g1 != 0.0, g2 != 0.0
     diverged_at = None
     start = 0
     for stop in ks.tolist():
         for k in range(start, stop):       # steps start+1 .. stop
             row = A[idx[k]]
             np.multiply(row, row @ x - b[k], out=g)
-            np.multiply(y, decay[k], out=y)
-            np.multiply(g, g1, out=tmp)
-            y += tmp
-            np.multiply(g, g2, out=tmp)
-            x -= tmp
-            x -= y
+            if momentum:
+                np.multiply(y, decay[k], out=y)
+                np.multiply(g, g1, out=tmp)
+                y += tmp
+            if gradient:
+                np.multiply(g, g2, out=tmp)
+                x -= tmp
+            if momentum:
+                x -= y
         start = stop
         with np.errstate(over="ignore", invalid="ignore"):
             bound = 0.5 * (a_norm * np.sqrt(x @ x) + b_norm) ** 2

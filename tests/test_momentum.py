@@ -210,6 +210,30 @@ def test_divergence_bound_is_silent_when_it_overflows():
         assert np.array_equal(traj.values, vals)
 
 
+@pytest.mark.parametrize("params", [momentum.sgd(0.5),
+                                    momentum.sdahb(1.0, 2.0),
+                                    momentum.sdana(0.25, 1.0, 4.0)],
+                         ids=lambda p: p.name)
+def test_non_finite_gradient_stops_and_raises_like_the_loop(params):
+    # x0 = 1e300 against nonnegative rows of norm about 1e10: the first
+    # a.x overflows, so g is non-finite from step 1 on, whichever of the
+    # step's terms run
+    p = lsq.generate_gaussian(40, 20, 1.0, 1.0, seed=2)
+    A = np.abs(p.A) * 1e10
+    p = lsq.LsqProblem(A, p.b, np.full(p.d, 1e300))
+    with np.errstate(all="ignore"):
+        assert not np.any(np.isfinite(A @ p.x0))
+        times, vals, stop = _per_sample_run(p, params, 2, 3)
+        traj = momentum.run(p, params, epochs=2, seed=3)
+    assert stop is not None
+    assert traj.diverged
+    assert traj.meta["diverged_at"] == stop
+    assert np.array_equal(traj.times, times)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            momentum.run(p, params, epochs=2, seed=3)
+
+
 def test_run_ensemble_aggregates_quantiles():
     agg = momentum.run_ensemble({"n": 40, "d": 20, "R": 1.0, "R_tilde": 1.0},
                                 momentum.sgd(0.8), epochs=1, n_seeds=8,

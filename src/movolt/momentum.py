@@ -11,7 +11,12 @@ SDAHB (Gamma1=gamma/n, Delta=theta/n), SDANA (Gamma1=gamma1/n,
 Gamma2=gamma2, Delta=theta/(k+n)).  Time is measured in epochs t = k/n.
 """
 
+import contextvars
 import math
+import numbers
+import queue
+import threading
+from contextlib import closing
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -345,6 +350,50 @@ def aggregate(runs):
                       diverged=diverged, meta=meta, se=se)
 
 
+def _prefetched(items):
+    """Yield the items of an iterable in order while one daemon worker
+    computes the next ones ahead, at most one waiting in the queue.
+
+    The worker runs in a copy of the caller's context, so the caller's
+    np.errstate applies to it, and an exception it raises is re-raised
+    here.  Closing the generator early stops the worker: it finishes the
+    item in hand, and the queue is drained until it has exited.
+    """
+    q = queue.Queue(1)
+    stop = threading.Event()
+
+    def work():
+        # messages are (True, item), then one (False, exception or None)
+        err = None
+        try:
+            for item in items:
+                q.put((True, item))
+                if stop.is_set():
+                    break
+        except BaseException as exc:
+            err = exc
+        q.put((False, err))
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(work,), daemon=True)
+    worker.start()
+    more = True
+    try:
+        while True:
+            more, value = q.get()
+            if not more:
+                if value is not None:
+                    raise value
+                return
+            yield value
+    finally:
+        if more:
+            stop.set()
+            while q.get()[0]:
+                pass
+        worker.join()
+
+
 def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
                          return_paths=False):
     """Euler-Maruyama paths of the homogenized diffusion of a spectral
@@ -357,12 +406,27 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
 
     from rho = resid and omega = 0, with f = 1/2 sum_j rho_j^2 the current
     loss; modes at lam = 0 keep their residual.  Every path starts at the
-    realized start spectral.f0.  Requires dt <= 0.01.  Returns the
-    ensemble Trajectory over the paths (one path gives mean = q10 = q90 =
-    that path), and the per-path loss matrix too when return_paths is set.
+    realized start spectral.f0.  Requires a finite T >= 0, a finite dt in
+    (0, 0.01] and an integer n_paths >= 1.  Returns the ensemble
+    Trajectory over the paths (one path gives mean = q10 = q90 = that
+    path), and the per-path loss matrix too when return_paths is set.
+
+    The normals of step k+1 do not depend on the state: one worker
+    thread draws them while this one runs step k's drift, from the same
+    generator in the same order, into a ring of three (n_paths, n)
+    buffers.  With a queue of one, the worker writes step k+2 only while
+    step k+1 waits and step k is in use, and starts step k+3 only after
+    step k is done.
     """
-    if dt > 0.01:
-        raise ValueError("dt must be at most 0.01")
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError("T must be finite and at least 0, got %r" % (T,))
+    if not (math.isfinite(dt) and 0.0 < dt <= 0.01):
+        raise ValueError("dt must be finite, positive and at most 0.01, "
+                         "got %r" % (dt,))
+    if (not isinstance(n_paths, numbers.Integral) or isinstance(n_paths, bool)
+            or n_paths < 1):
+        raise ValueError("n_paths must be an integer of at least 1, got %r"
+                         % (n_paths,))
     g1, g2, sched = params.continuous(n=spectral.n)
     n, lam = spectral.n, spectral.lam
     steps = int(round(T / dt))
@@ -376,21 +440,29 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
     times = np.arange(reclen) * dt
     diverged = False
     lam_dt = lam * dt
-    for k in range(1, steps + 1):
-        t = (k - 1) * dt
-        amp = np.sqrt(2.0 * dt * f / n)
-        dX = rng.standard_normal((n_paths, n)) * (lam * amp[:, None])
-        dX += lam_dt * rho
-        rho -= g2 * dX + (g1 * dt) * omega
-        omega *= 1.0 - sched.Phi(t) * dt
-        omega += dX
-        f = 0.5 * np.sum(rho * rho, axis=1)
-        if not np.all(np.isfinite(f)) or np.any(np.abs(f) > DIVERGENCE_THRESHOLD):
-            diverged = True
-            losses = losses[:, :k]
-            times = times[:k]
-            break
-        losses[:, k] = f
+    ring = np.empty((min(steps, 3), n_paths, n))
+
+    def normals():
+        for k in range(steps):
+            yield rng.standard_normal(out=ring[k % 3])
+
+    with closing(_prefetched(normals())) as noise:
+        for k, z in enumerate(noise, 1):
+            t = (k - 1) * dt
+            amp = np.sqrt(2.0 * dt * f / n)
+            dX = np.multiply(z, lam * amp[:, None], out=z)
+            dX += lam_dt * rho
+            rho -= g2 * dX + (g1 * dt) * omega
+            omega *= 1.0 - sched.Phi(t) * dt
+            omega += dX
+            f = 0.5 * np.sum(rho * rho, axis=1)
+            if (not np.all(np.isfinite(f))
+                    or np.any(np.abs(f) > DIVERGENCE_THRESHOLD)):
+                diverged = True
+                losses = losses[:, :k]
+                times = times[:k]
+                break
+            losses[:, k] = f
     meta = {"algo": params.describe(), "n": n, "dt": dt, "seed": seed,
             "n_paths": n_paths}
     mean = losses.mean(axis=0)

@@ -1,5 +1,9 @@
 """Discrete runners: hand-rolled oracles, equivalences, determinism."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -362,3 +366,169 @@ def test_realized_start_is_one_float(shape, algo, mode):
         assert traj.mean[0] == traj.q10[0] == traj.q90[0] == sp.f0
         assert sol.forcing[0] == sol.psi[0] == sp.f0
         assert sp.f0 == pytest.approx(lsq.loss(prob, prob.x0), rel=1e-12)
+
+
+def _serial_homogenized(sp, params, T, dt, seed, n_paths):
+    """The SDE's Euler-Maruyama loop on one thread, drawing each step's
+    normals right before its drift: (times, paths, diverged)."""
+    g1, g2, sched = params.continuous(n=sp.n)
+    n, lam = sp.n, sp.lam
+    steps = int(round(T / dt))
+    rng = np.random.default_rng([0xd1f, seed])
+    rho = np.tile(sp.resid, (n_paths, 1))
+    omega = np.zeros_like(rho)
+    paths = np.empty((n_paths, steps + 1))
+    f = np.full(n_paths, sp.f0)
+    paths[:, 0] = f
+    times = np.arange(steps + 1) * dt
+    for k in range(1, steps + 1):
+        t = (k - 1) * dt
+        amp = np.sqrt(2.0 * dt * f / n)
+        dX = rng.standard_normal((n_paths, n)) * (lam * amp[:, None])
+        dX += lam * dt * rho
+        rho -= g2 * dX + (g1 * dt) * omega
+        omega *= 1.0 - sched.Phi(t) * dt
+        omega += dX
+        f = 0.5 * np.sum(rho * rho, axis=1)
+        if not np.all(np.isfinite(f)) or np.any(np.abs(f) > lsq.DIVERGENCE_THRESHOLD):
+            return times[:k], paths[:, :k], True
+        paths[:, k] = f
+    return times, paths, False
+
+
+@pytest.mark.parametrize("shape, params, T, n_paths, samples", [
+    ((40, 20), momentum.sgd(0.5), 0.5, 6, 51),
+    ((30, 60), momentum.sdahb(1.0, 2.0), 0.3, 3, 31),
+    ((50, 50), momentum.sdana(0.25, 1.0, 4.0), 0.4, 5, 41),
+    ((64, 128), momentum.sgd(20.0), 1.0, 4, 15),     # diverges
+], ids=["sgd", "sdahb", "sdana", "sgd-diverges"])
+def test_homogenized_is_the_serial_loop_bit_for_bit(shape, params, T,
+                                                    n_paths, samples):
+    sp = lsq.to_spectral(lsq.generate_gaussian(*shape, 1.0, 1.0, seed=3))
+    times, paths, diverged = _serial_homogenized(sp, params, T, 0.01, 9,
+                                                 n_paths)
+    assert paths.shape == (n_paths, samples)
+    before = threading.active_count()
+    traj, got = momentum.simulate_homogenized(sp, params, T=T, dt=0.01,
+                                              seed=9, n_paths=n_paths,
+                                              return_paths=True)
+    assert threading.active_count() == before
+    assert traj.diverged == diverged
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(got, paths)
+
+
+def test_homogenized_calls_on_three_threads_keep_the_serial_paths():
+    # more calls than cores, with a short switch interval: each call's
+    # draw worker and noise ring are its own, and every path stays the
+    # serial loop's bit for bit
+    sp = lsq.to_spectral(lsq.generate_gaussian(64, 128, 1.0, 1.0, seed=5))
+    params = momentum.sdana(0.25, 1.0, 4.0)
+    want = [_serial_homogenized(sp, params, 0.5, 0.01, s, 8)[1]
+            for s in range(3)]
+    got = [None] * 3
+
+    def call(s):
+        got[s] = momentum.simulate_homogenized(sp, params, T=0.5, dt=0.01,
+                                               seed=s, n_paths=8,
+                                               return_paths=True)[1]
+
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(s,)) for s in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == before
+    for s in range(3):
+        assert np.array_equal(got[s], want[s])
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("T", -1.0), ("T", float("nan")), ("T", float("inf")),
+    ("dt", 0.0), ("dt", -0.01), ("dt", 0.05), ("dt", float("nan")),
+    ("n_paths", 0), ("n_paths", -2), ("n_paths", 2.0), ("n_paths", True),
+])
+def test_homogenized_rejects_bad_inputs_by_name(arg, value):
+    sp = lsq.to_spectral(lsq.generate_gaussian(10, 5, 1.0, 1.0, seed=0))
+    kwargs = {"T": 1.0, "dt": 0.01, "n_paths": 2, arg: value}
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=arg):
+        momentum.simulate_homogenized(sp, momentum.sgd(0.5), seed=0,
+                                      **kwargs)
+    assert threading.active_count() == before
+
+
+def test_homogenized_leaves_no_thread_when_the_drift_raises():
+    # gamma = 1e200 puts rho near 1e200 at the first step, so rho * rho
+    # overflows before any divergence check: under errstate(raise) the
+    # drift raises mid-loop, and the draw worker must still be gone
+    sp = lsq.to_spectral(lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=1))
+    before = threading.active_count()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            momentum.simulate_homogenized(sp, momentum.sgd(1e200), T=1.0,
+                                          dt=0.01, seed=0, n_paths=3)
+    assert threading.active_count() == before
+
+
+def test_prefetched_yields_in_order():
+    assert list(momentum._prefetched(iter(range(50)))) == list(range(50))
+    assert list(momentum._prefetched(iter([]))) == []
+
+
+def test_prefetched_starts_an_item_only_after_the_third_last_is_done():
+    # the SDE's ring of three noise buffers relies on this: item j is
+    # drawn into the buffer of item j - 3
+    done = [-1]
+    lag = []
+
+    def items():
+        for j in range(40):
+            lag.append(j - done[0])
+            yield j
+
+    for j in momentum._prefetched(items()):
+        time.sleep(0.001)
+        done[0] = j
+    assert max(lag) <= 3
+
+
+def test_prefetched_reraises_the_worker_exception():
+    def items():
+        yield 1
+        raise KeyError("worker")
+
+    got = []
+    before = threading.active_count()
+    with pytest.raises(KeyError, match="worker"):
+        for item in momentum._prefetched(items()):
+            got.append(item)
+    assert got == [1]
+    assert threading.active_count() == before
+
+
+def test_prefetched_closed_early_leaves_no_worker():
+    before = threading.active_count()
+    gen = momentum._prefetched(iter(range(1000)))
+    assert next(gen) == 0
+    assert threading.active_count() == before + 1
+    gen.close()
+    assert threading.active_count() == before
+
+
+def test_prefetched_worker_runs_under_the_callers_errstate():
+    def items():
+        yield np.float64(1e308) * 10.0
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            list(momentum._prefetched(items()))
+    with np.errstate(over="ignore"):
+        assert list(momentum._prefetched(items())) == [np.inf]

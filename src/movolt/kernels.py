@@ -16,26 +16,25 @@ the unit residual (1, 0, 0) at t = 0; the kernel is K_s = lam^2 S_0 from
 kernel_ic, the gradient-noise impulse (rho, omega) = (-g2, 1), i.e.
 S = (g2^2, -g2, 1), at t = s.  Both initial states are constants.
 
-There are two evaluators.  For constant Phi, rho^2 solves a third-order
-linear ODE whose characteristic cubic factors as (z + d)((z + d)^2 + omega)
-with d = Phi + g2 lam and omega = 4 g1 lam - (g2 lam - Phi)^2, and
-_closed_form solves it from any moment state: SGD (Phi = 0), SHB, SDAHB and
-the mixed g1/g2 variant (Phi = theta), and SDANA's late-time convolution
-kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t) is carried
-by propagate: S -> M S M^T per step, M the closed-form 2x2 exponential of
-a fourth-order Magnus step of B.  Every state stays O(1): there is no
-phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the moment ODE
-(_ode_on_grid) is kept as the oracle the tests check both against.
+There are two evaluators.  For constant Phi, both initial states are
+rank one, e0 e0^T and v v^T with v = (-g2, 1), so with (m11, m12) the first
+row of exp(x B) a lag x later, G = m11^2/2 and K = lam^2 (m12 - g2 m11)^2.
+_first_row evaluates that row in closed form for SGD (Phi = 0), SHB, SDAHB
+and the mixed g1/g2 variant (Phi = theta), and SDANA's late-time
+convolution kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t)
+is carried by propagate: S -> M S M^T per step, M the closed-form 2x2
+exponential of a fourth-order Magnus step of B.  Every state stays O(1):
+there is no phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the
+moment ODE (_ode_on_grid) is kept as the oracle the tests check both
+against.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericalError
-
-# series branch threshold for the turning point omega ~ 0
-OMEGA_EPS = 1e-8
 
 
 @dataclass
@@ -56,52 +55,47 @@ class KernelSpec:
 
 
 # ----------------------------------------------------------------------
-# Closed form for constant Phi
+# Constant Phi: the first row of exp(x B)
 # ----------------------------------------------------------------------
 
-def _ic_profile(omega, decay, c0, c1, c2, x):
-    """exp(-decay*x) * [c0 + c1*snc + c2*osc] for a scalar omega, where
-    snc = sin(x sqrt(omega))/sqrt(omega) and osc = (1 - cos(x sqrt(omega)))/omega
-    are continued across omega <= 0 and take their series near 0.  Written
-    so that nothing cancels for small x sqrt|omega| or overflows for large x.
+def _first_row(lam, g1, g2, Phi, x):
+    """(m11, m12), the first row of exp(x B) at constant Phi, for one lam on
+    a grid x >= 0.
+
+    With m = -(g2 lam + Phi)/2, u = (Phi - g2 lam)/2 and p = -g1 lam,
+    B = m I + N with N^2 = disc I, disc = u^2 + p, so for s = sqrt|disc|
+    exp(x B) = e^(m x) (cosh(s x) I + sinh(s x)/s N), with cos and sin when
+    disc < 0.  So m12 = -g1 S with S = e^(m x) sinh(s x)/s, and
+    m11 = e^((m - s) x) + (s + u) S, or e^(m x) cos(s x) + u S.  Nothing
+    cancels: S takes expm1, the slow rate m + s is det B/(m - s) with
+    det B = lam (g2 Phi + g1), and where u < 0, s + u is p/(s - u).
     """
     x = np.asarray(x, dtype=float)
-    if omega < -OMEGA_EPS:
-        # omega = -s^2: the growth folds into slow = exp(-(decay - s) x)/2,
-        # and with e = expm1(-s x)
-        # exp(-decay x) (1, snc, osc) = slow (2 (1 + e), -e (2 + e)/s, -e^2/omega)
-        s = np.sqrt(-omega)
-        e = np.expm1(-s * x)
-        a1 = c1 / s
-        return 0.5 * np.exp(-(decay - s) * x) * (
-            2.0 * c0 + e * (2.0 * (c0 - a1) - e * (a1 + c2 / omega)))
-    if omega > OMEGA_EPS:
-        s = np.sqrt(omega)
-        snc = np.sin(x * s) / s
-        osc = 2.0 * np.sin(0.5 * x * s) ** 2 / omega  # 1 - cos, uncancelled
-    else:
-        x2 = x**2
-        snc = x * (1.0 - omega * x2 / 6.0 + omega**2 * x2**2 / 120.0)
-        osc = x2 / 2.0 - omega * x2**2 / 24.0 + omega**2 * x2**3 / 720.0
-    return np.exp(-decay * x) * (c0 + c1 * snc + c2 * osc)
-
-
-def _closed_form(ic, lam, gamma1, gamma2, Phi, x):
-    """rho^2 at constant Phi, a lag x after the moment state
-    ic = (a, b, c) = (rho^2, rho omega, omega^2): with d = Phi + g2*lam,
-    v = e^(d x) rho^2 solves v''' + omega v' = 0, so
-    v = v(0) + v'(0) snc + v''(0) osc, and with e = Phi - g2*lam
-
-        v(0) = a,  v'(0) = e a - 2 g1 b,
-        v''(0) = (e^2 - 2 g1 lam) a - 2 g1 e b + 2 g1^2 c.
-    """
-    d = Phi + gamma2 * lam
-    e = Phi - gamma2 * lam
-    omega = 4.0 * gamma1 * lam - e * e
-    a, b, c = ic
-    return _ic_profile(omega, d, a, e * a - 2.0 * gamma1 * b,
-                       (e * e - 2.0 * gamma1 * lam) * a
-                       - 2.0 * gamma1 * e * b + 2.0 * gamma1**2 * c, x)
+    m = -0.5 * (g2 * lam + Phi)
+    u = 0.5 * (Phi - g2 * lam)
+    p = -g1 * lam
+    disc = u * u + p
+    if 16.0 * abs(disc) < u * u - p:
+        # near the turning point the two terms cancel: evaluate disc exactly
+        disc = float((Fraction(Phi) - Fraction(g2) * Fraction(lam)) ** 2 / 4
+                     - Fraction(g1) * Fraction(lam))
+    s = np.sqrt(abs(disc))
+    # an overflow shows up as a non-finite value, which the solver refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if disc < 0.0:
+            em = np.exp(m * x)
+            S = em * np.sin(s * x) / s
+            return em * np.cos(s * x) + u * S, -g1 * S
+        m11 = np.exp((m - s) * x)
+        w = p / (s - u) if u < 0.0 else s + u
+        if w == 0.0 and g1 == 0.0:
+            return m11, np.zeros_like(x)
+        if s == 0.0:
+            S = x * np.exp(m * x)
+        else:
+            slow = lam * (g2 * Phi + g1) / (m - s)
+            S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
+        return m11 + w * S, -g1 * S
 
 
 class _Schedule:
@@ -203,7 +197,7 @@ def propagate(state, lam, gamma1, gamma2, sched, t0, t1, h_max):
     return state
 
 
-def forcing_ic(lam, gamma1, gamma2):
+def forcing_ic(lam):
     """Forcing moment state at t = 0, (rho^2, rho omega, omega^2) = (1, 0, 0),
     for every node of lam."""
     ic = np.zeros(np.shape(lam) + (3,))
@@ -211,11 +205,11 @@ def forcing_ic(lam, gamma1, gamma2):
     return ic
 
 
-def kernel_ic(lam, gamma1, gamma2, Phi):
+def kernel_ic(lam, gamma2):
     """Kernel moment state at its birth time s: the gradient-noise impulse
-    (rho, omega) = (-g2, 1), so (g2^2, -g2, 1) for every lam and s.  Phi,
-    the schedule at s, only sets the broadcast shape with lam."""
-    ic = np.empty(np.broadcast_shapes(np.shape(lam), np.shape(Phi)) + (3,))
+    (rho, omega) = (-g2, 1), so (g2^2, -g2, 1) for every node of lam and
+    every s."""
+    ic = np.empty(np.shape(lam) + (3,))
     ic[...] = (gamma2 * gamma2, -gamma2, 1.0)
     return ic
 
@@ -297,16 +291,16 @@ def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h=None):
 
 def forcing_matrix(spec, lams, grid, h=None):
     """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half of rho^2 from
-    forcing_ic, in closed form for constant Phi = theta, else carried by
+    forcing_ic, G = m11^2/2 for constant Phi = theta, else carried by
     propagate in steps of at most h (default PROPAGATOR_STEP)."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    ic = forcing_ic(lams, spec.gamma1, spec.gamma2)
     if spec.phi_kind == "const":
         out = np.empty((lams.size, grid.size))
         for i, lam in enumerate(lams):
-            out[i] = 0.5 * _closed_form(ic[i], lam, spec.gamma1, spec.gamma2,
-                                        spec.theta, grid)
+            m11 = _first_row(lam, spec.gamma1, spec.gamma2, spec.theta,
+                             grid)[0]
+            out[i] = 0.5 * m11 * m11
         return out
     # SDANA: every node's state carried together, interval by interval
     g1, g2 = spec.gamma1, spec.gamma2
@@ -314,12 +308,12 @@ def forcing_matrix(spec, lams, grid, h=None):
     sched = _Schedule("power", spec.theta)
     return 0.5 * _states_on_grid(
         lambda u, t0, t1: propagate(u, lams, g1, g2, sched, t0, t1, h),
-        ic, grid, g1, g2, spec.theta)
+        forcing_ic(lams), grid, g1, g2, spec.theta)
 
 
 def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
-    matrix: lam^2 times rho^2 from kernel_ic, in closed form.
+    matrix: lam^2 times rho^2 from kernel_ic, K = lam^2 (m12 - g2 m11)^2.
 
     Phi = theta for constant schedules.  For SDANA this is the idealized
     convolution kernel, the late-time limit Phi = 0 (the exact kernel is
@@ -327,12 +321,13 @@ def kernel_matrix(spec, lams, taus):
     """
     lams = np.asarray(lams, dtype=float)
     taus = np.asarray(taus, dtype=float)
+    g1, g2 = spec.gamma1, spec.gamma2
     Phi = spec.theta if spec.phi_kind == "const" else 0.0
-    ic = kernel_ic(lams, spec.gamma1, spec.gamma2, Phi)
     out = np.empty((lams.size, taus.size))
     for i, lam in enumerate(lams):
-        out[i] = lam * lam * _closed_form(ic[i], lam, spec.gamma1, spec.gamma2,
-                                          Phi, taus)
+        m11, m12 = _first_row(lam, g1, g2, Phi, taus)
+        rho = m12 - g2 * m11
+        out[i] = lam * lam * rho * rho
     return out
 
 
@@ -369,7 +364,7 @@ class SdanaExactKernel:
     def ic(self, s):
         """Kernel moment states of every node born at time s, shape
         (n_lam, 3); they do not depend on s."""
-        return kernel_ic(self.lams, self.spec.gamma1, self.spec.gamma2, 0.0)
+        return kernel_ic(self.lams, self.spec.gamma2)
 
     def advance(self, state, t0, t1):
         """Propagate moment states of shape (..., n_lam, 3) from t0 to t1."""

@@ -467,7 +467,7 @@ def _march_separable(F, K, nodes, stride):
     ic = K.ic(nodes[0])
     state = np.zeros((stride + ode,) + ic.shape)
     if ode:
-        state[-1] = kernels.forcing_ic(K.lams, K.spec.gamma1, K.spec.gamma2)
+        state[-1] = kernels.forcing_ic(K.lams)
         forcing, F = F, np.empty(len(nodes))
         F[0] = (_forcing_at(K, forcing, state[-1], nodes[0])
                 if forcing.start is None else forcing.start)

@@ -181,27 +181,24 @@ def test_criterion_08_kernel_identities_and_rk4_order():
         algo = ("sgd", "shb", "sdahb", "sdana")[int(rng.integers(4))]
         if algo == "sgd":
             g = float(rng.uniform(0.05, 2.0))
+            spec = momentum.sgd(g).kernel_spec()
             worst_closed = max(
                 worst_closed,
-                abs(0.5 * kernels._closed_form(
-                    kernels.forcing_ic(lam, 0.0, g), lam, 0.0, g, 0.0, 0.0)
+                abs(float(kernels.forcing_matrix(spec, [lam], [0.0])[0, 0])
                     - 0.5),
-                abs(lam * lam * kernels._closed_form(
-                    kernels.kernel_ic(lam, 0.0, g, 0.0), lam, 0.0, g, 0.0, 0.0)
+                abs(float(kernels.kernel_matrix(spec, [lam], [0.0])[0, 0])
                     - g * g * lam * lam))
         elif algo in ("shb", "sdahb"):
             # both land on the same constant-friction closed form once
             # mapped to continuous parameters, so draw those directly
             g1 = float(rng.uniform(0.05, 3.0))
             th = float(rng.uniform(0.1, 4.0))
+            spec = kernels.KernelSpec(g1, 0.0, th, "const", "closed_form")
             worst_closed = max(
                 worst_closed,
-                abs(0.5 * kernels._closed_form(
-                    kernels.forcing_ic(lam, g1, 0.0), lam, g1, 0.0, th, 0.0)
+                abs(float(kernels.forcing_matrix(spec, [lam], [0.0])[0, 0])
                     - 0.5),
-                abs(lam * lam * kernels._closed_form(
-                    kernels.kernel_ic(lam, g1, 0.0, th), lam, g1, 0.0, th,
-                    0.0)))
+                abs(float(kernels.kernel_matrix(spec, [lam], [0.0])[0, 0])))
         else:
             g1 = float(rng.uniform(0.05, 1.0))
             g2 = float(rng.uniform(0.1, 2.0))
@@ -218,13 +215,13 @@ def test_criterion_08_kernel_identities_and_rk4_order():
     lam, g1, g2, th = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)
     sched = kernels._Schedule("const", th)
-    exact = 0.5 * kernels._closed_form(kernels.forcing_ic(lam, g1, g2),
-                                       lam, g1, g2, th, grid)
+    spec = kernels.KernelSpec(g1, g2, th, "const", "closed_form")
+    exact = kernels.forcing_matrix(spec, [lam], grid)[0]
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(
             np.array([lam]), g1, g2, sched, grid,
-            kernels.forcing_ic(np.array([lam]), g1, g2), h)[0]
+            kernels.forcing_ic(np.array([lam])), h)[0]
         errs.append(float(np.max(np.abs(got - exact))))
     ratio = errs[0] / errs[1]
     ok = worst_closed <= 1e-14 and worst_ode <= 1e-8 and ratio >= 12.0

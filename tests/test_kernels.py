@@ -14,12 +14,10 @@ scipy and squaring is an independent check on the package's closed
 forms and moment propagator.
 """
 
-import math
-
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings, strategies as st
 
 from movolt import kernels, momentum, spectrum, volterra
 
@@ -51,33 +49,61 @@ def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
     return lam ** 2 * u ** 2
 
 
+def const_spec(gamma1, gamma2, theta):
+    return kernels.KernelSpec(gamma1, gamma2, theta, "const", "closed_form")
+
+
 def closed_forcing(lam, gamma1, gamma2, theta, grid):
-    """The constant-Phi forcing, from forcing_ic."""
-    ic = kernels.forcing_ic(lam, gamma1, gamma2)
-    return 0.5 * kernels._closed_form(ic, lam, gamma1, gamma2, theta, grid)
+    """The constant-Phi forcing of one lam."""
+    spec = const_spec(gamma1, gamma2, theta)
+    return kernels.forcing_matrix(spec, [lam], np.atleast_1d(grid))[0]
 
 
 def closed_kernel(lam, gamma1, gamma2, theta, tau):
-    """The constant-Phi kernel, from kernel_ic."""
-    ic = kernels.kernel_ic(lam, gamma1, gamma2, theta)
-    return lam**2 * kernels._closed_form(ic, lam, gamma1, gamma2, theta, tau)
+    """The constant-Phi kernel of one lam."""
+    spec = const_spec(gamma1, gamma2, theta)
+    return kernels.kernel_matrix(spec, [lam], np.atleast_1d(tau))[0]
 
 
 # ---------------------------------------------------------------- sgd
 
 def test_sgd_forcing_closed_form():
-    t = np.linspace(0.0, 5.0, 40)
+    # out to t = 300, where the value is about 1e-237: relative all the way
+    t = np.linspace(0.0, 300.0, 241)
     spec = momentum.sgd(0.7).kernel_spec()
     got = kernels.forcing_matrix(spec, [1.3], t)[0]
-    assert np.allclose(got, 0.5 * np.exp(-2 * 0.7 * 1.3 * t), rtol=1e-14)
+    assert np.allclose(got, 0.5 * np.exp(-2 * 0.7 * 1.3 * t), rtol=1e-14,
+                       atol=0.0)
 
 
 def test_sgd_kernel_closed_form():
-    tau = np.linspace(0.0, 5.0, 40)
+    tau = np.linspace(0.0, 300.0, 241)
     spec = momentum.sgd(0.7).kernel_spec()
     got = kernels.kernel_matrix(spec, [1.3], tau)[0]
     assert np.allclose(got, 0.7**2 * 1.3**2 * np.exp(-2 * 0.7 * 1.3 * tau),
-                       rtol=1e-14)
+                       rtol=1e-14, atol=0.0)
+
+
+def test_sgd_forcing_tail_has_no_false_zeros():
+    # the r = 4 SGD forcing F(t) = sum_i c_i exp(-2 gamma lam_i t)/2 over the
+    # MP nodes, summed in mpmath from the same floats: no value may read 0
+    # where the exact one is representable
+    mu = spectrum.mp_measure(4.0)
+    spec = momentum.defaults("sgd", mu).kernel_spec()
+    lams, coef = mu.points, mu.weights * mu.points
+    grid = np.linspace(0.0, 300.0, 121)
+    got = coef @ kernels.forcing_matrix(spec, lams, grid)
+    g2 = mpmath.mpf(spec.gamma2)
+    with mpmath.workdps(50):
+        exact = [mpmath.fsum(0.5 * mpmath.mpf(c) * mpmath.exp(
+            -2 * g2 * mpmath.mpf(lam) * mpmath.mpf(t))
+            for c, lam in zip(coef, lams)) for t in grid]
+    live = np.array([e > 1e-300 for e in exact])
+    assert live[-1]
+    assert np.all(got[live] > 0.0)
+    rel = [abs(mpmath.mpf(g) - e) / e for g, e, ok in zip(got, exact, live)
+           if ok]
+    assert float(max(rel)) <= 1e-12
 
 
 def test_sgd_matches_oracle():
@@ -118,7 +144,7 @@ def test_const_schedule_kernel_matches_ode_oracle(lam, g1, g2, theta):
 def test_kernel_value_at_zero_lag():
     # K(0) = gamma2^2 * lam^2: the instantaneous noise-to-loss gain
     for lam, g2 in [(1.0, 0.5), (3.0, 0.2)]:
-        got = float(closed_kernel(lam, 0.3, g2, 1.0, 0.0))
+        got = closed_kernel(lam, 0.3, g2, 1.0, 0.0)[0]
         assert got == pytest.approx(g2**2 * lam**2, rel=1e-12)
 
 
@@ -180,61 +206,79 @@ def test_exact_kernel_state_matches_dense_evaluation():
     assert K.aggregate(cur[:, 0]) == pytest.approx(dense, rel=1e-7)
 
 
-# --------------------------------------------- snc / osc of _ic_profile
+# ------------------------------------ constant Phi against mpmath's expm
 
-def snc(omega, x):
-    """sin(x*sqrt(omega))/sqrt(omega), continued across omega <= 0."""
-    return kernels._ic_profile(omega, 0.0, 0.0, 1.0, 0.0, x)
-
-
-def osc(omega, x):
-    """(1 - cos(x*sqrt(omega)))/omega, continued across omega <= 0."""
-    return kernels._ic_profile(omega, 0.0, 0.0, 0.0, 1.0, x)
+# (g1, g2, Phi): SGD, SDAHB, the mixed g1/g2 variant, SDANA's convolution
+# kernel at Phi = 0, and g1 = 0 with friction
+_FAMILIES = {"sgd": (0.0, 0.7, 0.0), "sdahb": (0.8, 0.0, 1.5),
+             "mixed": (0.3, 0.4, 1.5), "sdana": (0.25, 1.0, 0.0),
+             "g1_zero": (0.0, 0.4, 1.5)}
 
 
-def test_snc_osc_trig_values():
-    assert snc(4.0, 1.0) == pytest.approx(math.sin(2.0) / 2.0)
-    assert snc(-4.0, 1.0) == pytest.approx(math.sinh(2.0) / 2.0)
-    assert osc(4.0, 1.0) == pytest.approx((1 - math.cos(2.0)) / 4.0)
-    assert osc(-4.0, 1.0) == pytest.approx((1 - math.cosh(2.0)) / -4.0)
+def _turning_point(g1, g2, Phi, guess):
+    """The lam near guess where disc = (Phi - g2 lam)^2/4 - g1 lam is 0."""
+    with mpmath.workdps(40):
+        return float(mpmath.findroot(
+            lambda lam: (Phi - g2 * lam) ** 2 / 4 - g1 * lam, guess))
 
 
-@settings(max_examples=200, deadline=None)
-@given(omega=st.floats(-1e-6, 1e-6), x=st.floats(0.0, 10.0))
-def test_snc_continuous_across_zero(omega, x):
-    # series branch must agree with the trig branches at the crossover
-    val = snc(omega, x)
-    ref = snc(2e-6 if omega >= 0 else -2e-6, x)
-    assert val == pytest.approx(ref, rel=1e-4, abs=1e-7)
+def _oracle_cases():
+    cases = [(fam, lam) for fam in _FAMILIES for lam in (0.05, 2.5, 40.0)]
+    # the slow rate m + s cancels at large lam unless it comes from det B
+    cases.append(("mixed", 900.0))
+    for fam, guess in (("sdahb", 0.7), ("mixed", 1.0), ("sdana", 1.0)):
+        star = _turning_point(*_FAMILIES[fam], guess)
+        cases += [(fam, star), (fam, star * (1 - 1e-9)),
+                  (fam, star * (1 + 1e-9))]
+    return cases
 
 
-@pytest.mark.parametrize("omega", [-1e-6, -2e-8, 2e-8, 1e-6])
-@pytest.mark.parametrize("x", [1e-4, 0.1, 1.0])
-def test_snc_osc_accurate_just_past_the_series_branch(omega, x):
-    # |omega| x^2 <= 1e-6: three series terms are exact to rounding, and
-    # neither branch may cancel 1 - cos or 1 - cosh against it
-    x2 = x * x
-    assert snc(omega, x) == pytest.approx(
-        x * (1.0 - omega * x2 / 6.0 + omega**2 * x2**2 / 120.0), rel=1e-14)
-    assert osc(omega, x) == pytest.approx(
-        x2 / 2.0 - omega * x2**2 / 24.0 + omega**2 * x2**3 / 720.0, rel=1e-14)
+def _mp_forcing_kernel(lam, g1, g2, Phi, x):
+    """(G, scale_G, K, scale_K) at x from a 40-digit expm of x B.
+
+    rho is c + w S for the forcing and -g2 c - (g2 w + g1) S for the
+    kernel; the scale is the squared sum of the magnitudes of the two
+    terms.  Where disc >= 0, c = e^((m-s)x), w = s + u and
+    S = e^(mx) sinh(sx)/s, so the scale is rho^2 itself unless rho changes
+    sign.  Where disc < 0, c = e^(mx) cos(sx), w = u and S = e^(mx)
+    sin(sx)/s oscillate; they are bounded by e^(mx) and e^(mx) min(x, 1/s),
+    since a phase error leaves an unbounded pointwise error where rho
+    changes sign.
+    """
+    mp = mpmath.mpf
+    lam, g1, g2, Phi, x = mp(lam), mp(g1), mp(g2), mp(Phi), mp(x)
+    M = mpmath.expm(x * mpmath.matrix([[-g2 * lam, -g1], [lam, -Phi]]))
+    m, u = -(g2 * lam + Phi) / 2, (Phi - g2 * lam) / 2
+    disc = u * u - g1 * lam
+    s = mpmath.sqrt(abs(disc))
+    if disc >= 0:
+        c, w = mpmath.exp((m - s) * x), s + u
+        S = x * mpmath.exp(m * x) if s == 0 else (
+            mpmath.exp(m * x) * mpmath.sinh(s * x) / s)
+    else:
+        c, w, S = mpmath.exp(m * x), u, mpmath.exp(m * x) * min(x, 1 / s)
+    rho_k = M[0, 1] - g2 * M[0, 0]
+    return (M[0, 0] ** 2 / 2, (abs(c) + abs(w * S)) ** 2 / 2,
+            lam ** 2 * rho_k ** 2,
+            lam ** 2 * (g2 * abs(c) + abs(g2 * w + g1) * abs(S)) ** 2)
 
 
-@settings(max_examples=200, deadline=None)
-@given(omega=st.floats(-5.0, 5.0), x=st.floats(0.0, 5.0))
-def test_osc_nonnegative(omega, x):
-    assert osc(omega, x) >= -1e-12
-
-
-@settings(max_examples=100, deadline=None)
-@given(omega=st.floats(-3.0, 3.0), x=st.floats(0.0, 4.0))
-def test_snc_osc_derivative_identity(omega, x):
-    # d/dx osc(omega, x) = snc(omega, x); check with a central difference
-    eps = 1e-5
-    d = (osc(omega, x + eps) - osc(omega, max(x - eps, 0.0)))
-    span = eps + min(x, eps)
-    assert d / span == pytest.approx(
-        snc(omega, x + eps - 0.5 * span), rel=2e-4, abs=2e-4)
+@pytest.mark.parametrize("family,lam", _oracle_cases())
+def test_constant_phi_matches_mpmath_expm(family, lam):
+    # forcing and kernel to 1e-12 of their scale wherever the exact value
+    # is representable, out to x = 300; on both sides of each turning
+    # point and within 1e-9 of it
+    g1, g2, Phi = _FAMILIES[family]
+    x = np.union1d(np.linspace(0.0, 300.0, 31), [1e-6, 0.37, 2.0, 4.0])
+    spec = const_spec(g1, g2, Phi)
+    F = kernels.forcing_matrix(spec, [lam], x)[0]
+    K = kernels.kernel_matrix(spec, [lam], x)[0]
+    with mpmath.workdps(40):
+        for j, xj in enumerate(x):
+            G, scale_G, Kx, scale_K = _mp_forcing_kernel(lam, g1, g2, Phi, xj)
+            for got, exact, scale in ((F[j], G, scale_G), (K[j], Kx, scale_K)):
+                if exact > 1e-300:
+                    assert abs(mpmath.mpf(got) - exact) <= 1e-12 * scale, xj
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9,     # oscillatory, omega > 0
@@ -352,15 +396,18 @@ def test_propagator_order_power_schedule():
 def test_propagator_is_exact_for_constant_phi(lam):
     # with Phi constant the Magnus step is exp(h B) itself: carrying any
     # moment state (a, b, c) = (rho^2, rho omega, omega^2) in one long step
-    # gives _closed_form's rho^2, on both sides of the turning point
+    # gives rho^2 = m11^2 a + 2 m11 m12 b + m12^2 c from the first row of
+    # exp(lag B), on both sides of the turning point
     g1, g2, theta = 0.3, 0.6, 1.1
     sched = kernels._Schedule("const", theta)
-    state = np.array([0.7, -0.4, 1.3])
+    a, b, c = state = np.array([0.7, -0.4, 1.3])
     for lag in (0.3, 2.0, 7.0):
         got = kernels.propagate(state, np.array(lam), g1, g2, sched, 0.0,
                                 lag, lag)[0]
-        want = kernels._closed_form(state, lam, g1, g2, theta, lag)
-        assert got == pytest.approx(float(want), rel=1e-12, abs=1e-300)
+        m11, m12 = (v[0] for v in kernels._first_row(lam, g1, g2, theta,
+                                                      np.array([lag])))
+        want = m11 * m11 * a + 2.0 * m11 * m12 * b + m12 * m12 * c
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_rk4_step_order():
@@ -373,7 +420,7 @@ def test_rk4_step_order():
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,
-                                         kernels.forcing_ic(np.array([lam]), g1, g2),
+                                         kernels.forcing_ic(np.array([lam])),
                                          h)[0]
         errs.append(np.max(np.abs(got - exact)))
     assert errs[0] / errs[1] > 12.0
@@ -389,7 +436,7 @@ def test_rk4_step_order_power_schedule():
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,
-                                         kernels.forcing_ic(np.array([lam]), g1, g2),
+                                         kernels.forcing_ic(np.array([lam])),
                                          h)[0]
         errs.append(np.max(np.abs(got - want)))
     assert errs[0] / errs[1] >= 12.0

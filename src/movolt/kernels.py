@@ -58,17 +58,20 @@ class KernelSpec:
 # Constant Phi: the first row of exp(x B)
 # ----------------------------------------------------------------------
 
-def _first_row(lam, g1, g2, Phi, x):
+def _first_row(lam, g1, g2, Phi, x, impulse=False):
     """(m11, m12), the first row of exp(x B) at constant Phi, for one lam on
-    a grid x >= 0.
+    a grid x >= 0; with impulse set, rho = m12 - g2 m11 instead, the row
+    applied to kernel_ic's impulse (-g2, 1).
 
     With m = -(g2 lam + Phi)/2, u = (Phi - g2 lam)/2 and p = -g1 lam,
     B = m I + N with N^2 = disc I, disc = u^2 + p, so for s = sqrt|disc|
     exp(x B) = e^(m x) (cosh(s x) I + sinh(s x)/s N), with cos and sin when
     disc < 0.  So m12 = -g1 S with S = e^(m x) sinh(s x)/s, and
-    m11 = e^((m - s) x) + (s + u) S, or e^(m x) cos(s x) + u S.  Nothing
+    m11 = E + w S with E = e^((m - s) x) and w = s + u, or E = e^(m x)
+    cos(s x) and w = u; rho = -g2 E - c S with c = g2 w + g1.  Nothing
     cancels: S takes expm1, the slow rate m + s is det B/(m - s) with
-    det B = lam (g2 Phi + g1), and where u < 0, s + u is p/(s - u).
+    det B = lam (g2 Phi + g1), and where u < 0, w = p/(s - u) and
+    c = g1 (m + s)/(s - u).
     """
     x = np.asarray(x, dtype=float)
     m = -0.5 * (g2 * lam + Phi)
@@ -84,18 +87,23 @@ def _first_row(lam, g1, g2, Phi, x):
     with np.errstate(over="ignore", invalid="ignore"):
         if disc < 0.0:
             em = np.exp(m * x)
-            S = em * np.sin(s * x) / s
-            return em * np.cos(s * x) + u * S, -g1 * S
-        m11 = np.exp((m - s) * x)
-        w = p / (s - u) if u < 0.0 else s + u
-        if w == 0.0 and g1 == 0.0:
-            return m11, np.zeros_like(x)
-        if s == 0.0:
-            S = x * np.exp(m * x)
+            E, S = em * np.cos(s * x), em * np.sin(s * x) / s
+            w, c = u, g2 * u + g1
         else:
-            slow = lam * (g2 * Phi + g1) / (m - s)
-            S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
-        return m11 + w * S, -g1 * S
+            E = np.exp((m - s) * x)
+            # m - s < 0 unless lam = Phi = 0, where m + s = 0
+            slow = lam * (g2 * Phi + g1) / (m - s) if m < s else 0.0
+            w = p / (s - u) if u < 0.0 else s + u
+            c = g1 * slow / (s - u) if u < 0.0 else g2 * w + g1
+            if w == 0.0 and g1 == 0.0:      # SGD: S never enters
+                return -g2 * E if impulse else (E, np.zeros_like(x))
+            if s == 0.0:
+                S = x * np.exp(m * x)
+            else:
+                S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
+        if impulse:
+            return -g2 * E - c * S
+        return E + w * S, -g1 * S
 
 
 class _Schedule:
@@ -313,7 +321,8 @@ def forcing_matrix(spec, lams, grid, h=None):
 
 def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
-    matrix: lam^2 times rho^2 from kernel_ic, K = lam^2 (m12 - g2 m11)^2.
+    matrix: lam^2 times rho^2 from kernel_ic, rho = m12 - g2 m11 taken
+    from _first_row in the form where nothing cancels.
 
     Phi = theta for constant schedules.  For SDANA this is the idealized
     convolution kernel, the late-time limit Phi = 0 (the exact kernel is
@@ -325,8 +334,7 @@ def kernel_matrix(spec, lams, taus):
     Phi = spec.theta if spec.phi_kind == "const" else 0.0
     out = np.empty((lams.size, taus.size))
     for i, lam in enumerate(lams):
-        m11, m12 = _first_row(lam, g1, g2, Phi, taus)
-        rho = m12 - g2 * m11
+        rho = _first_row(lam, g1, g2, Phi, taus, impulse=True)
         out[i] = lam * lam * rho * rho
     return out
 

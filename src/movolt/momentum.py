@@ -14,9 +14,7 @@ Gamma2=gamma2, Delta=theta/(k+n)).  Time is measured in epochs t = k/n.
 import contextvars
 import math
 import numbers
-import queue
-import threading
-from contextlib import closing
+from collections import deque
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -350,50 +348,6 @@ def aggregate(runs):
                       diverged=diverged, meta=meta, se=se)
 
 
-def _prefetched(items):
-    """Yield the items of an iterable in order while one daemon worker
-    computes the next ones ahead, at most one waiting in the queue.
-
-    The worker runs in a copy of the caller's context, so the caller's
-    np.errstate applies to it, and an exception it raises is re-raised
-    here.  Closing the generator early stops the worker: it finishes the
-    item in hand, and the queue is drained until it has exited.
-    """
-    q = queue.Queue(1)
-    stop = threading.Event()
-
-    def work():
-        # messages are (True, item), then one (False, exception or None)
-        err = None
-        try:
-            for item in items:
-                q.put((True, item))
-                if stop.is_set():
-                    break
-        except BaseException as exc:
-            err = exc
-        q.put((False, err))
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(work,), daemon=True)
-    worker.start()
-    more = True
-    try:
-        while True:
-            more, value = q.get()
-            if not more:
-                if value is not None:
-                    raise value
-                return
-            yield value
-    finally:
-        if more:
-            stop.set()
-            while q.get()[0]:
-                pass
-        worker.join()
-
-
 def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
                          return_paths=False):
     """Euler-Maruyama paths of the homogenized diffusion of a spectral
@@ -411,12 +365,14 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
     Trajectory over the paths (one path gives mean = q10 = q90 = that
     path), and the per-path loss matrix too when return_paths is set.
 
-    The normals of step k+1 do not depend on the state: one worker
-    thread draws them while this one runs step k's drift, from the same
-    generator in the same order, into a ring of three (n_paths, n)
-    buffers.  With a queue of one, the worker writes step k+2 only while
-    step k+1 waits and step k is in use, and starts step k+3 only after
-    step k is done.
+    The normals of a step do not depend on the state: a one-thread pool
+    draws them ahead of the drift, from the same generator in the same
+    order, into a ring of three (n_paths, n) buffers.  Two draws are in
+    flight while step k runs, those of steps k+1 and k+2, so the draw of
+    step k+2 goes into the buffer step k-1 is done with.  A draw's error
+    is raised here, and the pool's thread has ended when the call returns
+    or raises.  At gamma1 = 0 rho never reads omega, and omega is not
+    updated.
     """
     if not (math.isfinite(T) and T >= 0.0):
         raise ValueError("T must be finite and at least 0, got %r" % (T,))
@@ -441,20 +397,31 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
     diverged = False
     lam_dt = lam * dt
     ring = np.empty((min(steps, 3), n_paths, n))
+    momentum = g1 != 0.0
+    # imported here: concurrent.futures imports logging, which would add
+    # to every import of movolt
+    from concurrent.futures import ThreadPoolExecutor
 
-    def normals():
-        for k in range(steps):
-            yield rng.standard_normal(out=ring[k % 3])
+    with ThreadPoolExecutor(1) as pool:
+        def draw(j):
+            # the context is copied here, so the caller's np.errstate applies
+            return pool.submit(contextvars.copy_context().run,
+                               rng.standard_normal, out=ring[j % 3])
 
-    with closing(_prefetched(normals())) as noise:
-        for k, z in enumerate(noise, 1):
-            t = (k - 1) * dt
+        ahead = deque(draw(j) for j in range(min(steps, 2)))
+        for k in range(1, steps + 1):
+            z = ahead.popleft().result()
+            if k + 1 < steps:
+                ahead.append(draw(k + 1))
             amp = np.sqrt(2.0 * dt * f / n)
             dX = np.multiply(z, lam * amp[:, None], out=z)
             dX += lam_dt * rho
-            rho -= g2 * dX + (g1 * dt) * omega
-            omega *= 1.0 - sched.Phi(t) * dt
-            omega += dX
+            if momentum:
+                rho -= g2 * dX + (g1 * dt) * omega
+                omega *= 1.0 - sched.Phi((k - 1) * dt) * dt
+                omega += dX
+            else:
+                rho -= g2 * dX
             f = 0.5 * np.sum(rho * rho, axis=1)
             if (not np.all(np.isfinite(f))
                     or np.any(np.abs(f) > DIVERGENCE_THRESHOLD)):
@@ -463,6 +430,8 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
                 times = times[:k]
                 break
             losses[:, k] = f
+        for fut in ahead:       # draws past a divergence: raise their errors
+            fut.result()
     meta = {"algo": params.describe(), "n": n, "dt": dt, "seed": seed,
             "n_paths": n_paths}
     mean = losses.mean(axis=0)

@@ -47,7 +47,12 @@ def time_grid(T, h=DEFAULT_H):
                          "got %r" % (h,))
     if not np.isfinite(T):
         raise ValueError("horizon T (--T) must be finite, got %r" % (T,))
-    steps = int(round(T / h))
+    steps = float(T) / float(h)
+    if not steps < np.iinfo(np.intp).max:      # inf after an overflow, too
+        raise ValueError("horizon T (--T) over grid step h (--h) must be "
+                         "a step count below %.3g, got %g / %g = %g"
+                         % (np.iinfo(np.intp).max, T, h, steps))
+    steps = int(round(steps))
     if steps < 1:
         raise ValueError("horizon T (--T) must be more than half the grid "
                          "step --h = %g, so more than %g; got %r"

@@ -533,6 +533,11 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
       "--algo", "sdana", "--theta", "10"], "--theta must be at most 5 "),
     (["predict", "--algo", "sgd", "--T", "0.01"],
      "--T) must be more than half the grid step --h = 0.05, so more than 0.025"),
+    # T/h past an array index, and T/h overflowing to inf
+    (["predict", "--algo", "sgd", "--T", "1", "--h", "1e-300"],
+     "(--T) over grid step h (--h) must be a step count below"),
+    (["predict", "--algo", "sgd", "--T", "1", "--h", "5e-324"],
+     "(--T) over grid step h (--h) must be a step count below"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit

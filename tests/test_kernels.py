@@ -224,8 +224,10 @@ def _turning_point(g1, g2, Phi, guess):
 
 def _oracle_cases():
     cases = [(fam, lam) for fam in _FAMILIES for lam in (0.05, 2.5, 40.0)]
-    # the slow rate m + s cancels at large lam unless it comes from det B
-    cases.append(("mixed", 900.0))
+    # the slow rate m + s cancels at large lam unless it comes from det B,
+    # and SDANA's kernel coefficient g2 (s + u) + g1 unless it is
+    # g1 (m + s)/(s - u)
+    cases += [("mixed", 900.0), ("sdana", 900.0), ("sdana", 1e4)]
     for fam, guess in (("sdahb", 0.7), ("mixed", 1.0), ("sdana", 1.0)):
         star = _turning_point(*_FAMILIES[fam], guess)
         cases += [(fam, star), (fam, star * (1 - 1e-9)),

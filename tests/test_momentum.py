@@ -1,8 +1,9 @@
 """Discrete runners: hand-rolled oracles, equivalences, determinism."""
 
+import os
+import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -478,57 +479,99 @@ def test_homogenized_leaves_no_thread_when_the_drift_raises():
     assert threading.active_count() == before
 
 
-def test_prefetched_yields_in_order():
-    assert list(momentum._prefetched(iter(range(50)))) == list(range(50))
-    assert list(momentum._prefetched(iter([]))) == []
+class _Draws:
+    """A stand-in for the path generator: counts its standard_normal
+    calls, records the overflow mode each ran under and raises KeyError
+    on call number fail."""
+
+    def __init__(self, rng, fail=None):
+        self.rng, self.fail, self.calls, self.modes = rng, fail, 0, []
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        self.modes.append(np.geterr()["over"])
+        if self.calls == self.fail:
+            raise KeyError("draw")
+        return self.rng.standard_normal(*args, **kwargs)
 
 
-def test_prefetched_starts_an_item_only_after_the_third_last_is_done():
-    # the SDE's ring of three noise buffers relies on this: item j is
-    # drawn into the buffer of item j - 3
-    done = [-1]
-    lag = []
+def _patch_draws(monkeypatch, fail=None):
+    made = []
+    real = np.random.default_rng
 
-    def items():
-        for j in range(40):
-            lag.append(j - done[0])
-            yield j
+    def default_rng(seed):
+        made.append(_Draws(real(seed), fail))
+        return made[-1]
 
-    for j in momentum._prefetched(items()):
-        time.sleep(0.001)
-        done[0] = j
-    assert max(lag) <= 3
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return made
 
 
-def test_prefetched_reraises_the_worker_exception():
-    def items():
-        yield 1
-        raise KeyError("worker")
-
-    got = []
+def test_homogenized_reraises_a_failed_draw_and_leaves_no_thread(
+        monkeypatch):
+    sp = lsq.to_spectral(lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=1))
+    made = _patch_draws(monkeypatch, fail=3)
     before = threading.active_count()
-    with pytest.raises(KeyError, match="worker"):
-        for item in momentum._prefetched(items()):
-            got.append(item)
-    assert got == [1]
+    with pytest.raises(KeyError, match="draw"):
+        momentum.simulate_homogenized(sp, momentum.sdana(0.25, 1.0, 4.0),
+                                      T=0.5, dt=0.01, seed=0, n_paths=3)
     assert threading.active_count() == before
+    # steps 1 and 2 submitted draws 3 and 4, and the call waited for the
+    # fourth to finish before it raised
+    assert made[0].calls == 4
 
 
-def test_prefetched_closed_early_leaves_no_worker():
-    before = threading.active_count()
-    gen = momentum._prefetched(iter(range(1000)))
-    assert next(gen) == 0
-    assert threading.active_count() == before + 1
-    gen.close()
-    assert threading.active_count() == before
+@pytest.mark.parametrize("mode", ["raise", "ignore"])
+def test_homogenized_draws_run_under_the_callers_errstate(monkeypatch, mode):
+    # a thread starts in numpy's default errstate ("warn"); each draw
+    # must see the caller's instead
+    sp = lsq.to_spectral(lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=1))
+    made = _patch_draws(monkeypatch)
+    with np.errstate(over=mode):
+        momentum.simulate_homogenized(sp, momentum.sgd(0.5), T=0.2, dt=0.01,
+                                      seed=0, n_paths=2)
+    assert made[0].modes == [mode] * 20
 
 
-def test_prefetched_worker_runs_under_the_callers_errstate():
-    def items():
-        yield np.float64(1e308) * 10.0
+def test_homogenized_keeps_two_draws_in_flight(monkeypatch):
+    # a draw is outstanding from its submit until its step takes the
+    # result; three would write into the ring buffer in use, and one
+    # would leave the pool idle while the drift runs
+    from concurrent import futures
+    outstanding, most = [0], [0]
 
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            list(momentum._prefetched(items()))
-    with np.errstate(over="ignore"):
-        assert list(momentum._prefetched(items())) == [np.inf]
+    class Counting(futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            fut = super().submit(*args, **kwargs)
+            outstanding[0] += 1
+            most[0] = max(most[0], outstanding[0])
+            result = fut.result
+
+            def taken(*a):
+                outstanding[0] -= 1
+                return result(*a)
+
+            fut.result = taken
+            return fut
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Counting)
+    sp = lsq.to_spectral(lsq.generate_gaussian(40, 20, 1.0, 1.0, seed=3))
+    params = momentum.sdana(0.25, 1.0, 4.0)
+    got = momentum.simulate_homogenized(sp, params, T=0.3, dt=0.01, seed=9,
+                                        n_paths=4, return_paths=True)[1]
+    assert most[0] == 2 and outstanding[0] == 0
+    assert np.array_equal(got, _serial_homogenized(sp, params, 0.3, 0.01, 9,
+                                                   4)[1])
+
+
+def test_import_movolt_leaves_out_concurrent_futures():
+    # concurrent.futures imports logging, which would add to the start-up
+    # of every command; only simulate_homogenized imports it
+    src = os.path.dirname(os.path.dirname(momentum.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, movolt; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -109,12 +109,6 @@ SDANA = Family(
     upper_bound=lambda lam, m: min(lam / m, 0.5), poly_exponents=(-3.0, -1.0))
 
 
-def _closed_form(params, n):
-    """(family, gamma1, gamma2, theta) of params; SHB needs n."""
-    g1, g2, sched = params.continuous(n)
-    return params.algo.family, g1, g2, sched.theta
-
-
 # ----------------------------------------------------------------------
 # Analysis of (algorithm, measure)
 # ----------------------------------------------------------------------
@@ -122,8 +116,9 @@ def _closed_form(params, n):
 def kernel_norm(params, measure):
     """||I|| = int_0^inf I(tau) dtau in closed form.  SHB's n-scalings
     cancel in it (gamma*m/(2 theta) either way), so it is read at n = 1."""
-    fam, g1, g2, theta = _closed_form(params, 1)
-    return fam.norm(g1, g2, theta, measure)
+    spec = params.kernel_spec(1)
+    return params.algo.family.norm(spec.gamma1, spec.gamma2, spec.theta,
+                                   measure)
 
 
 def limiting_loss(norm, zero_mass, R_tilde):
@@ -184,14 +179,17 @@ class AnalysisReport(collections.namedtuple("AnalysisReport", (
 def rate_report(params, measure, R_tilde=1.0, n=None):
     """The convergence report: norm, threshold, plateau, rates, exponents.
 
-    (family, gamma1, gamma2, theta) and lambda_min are resolved once.  The
+    The kernel spec (SHB needs n) and lambda_min are resolved once.  The
     effective rate is lambda* when it exists, else the decay rate of the
-    slowest forcing mode (the two regimes of the renewal analysis).  At a
-    hard edge (lambda_min within EDGE_ATOM_TOL of 0; MP at r = 1) there
-    is no exponential regime: every rate and bound is 0, and an MP
-    measure gets the family's polynomial exponents instead.
+    slowest forcing mode (the two regimes of the renewal analysis).  A
+    report that is not convergent (||I|| >= 1) has no decay: its rates,
+    bounds and plateau are None.  At a hard edge (lambda_min within
+    EDGE_ATOM_TOL of 0; MP at r = 1) there is no exponential regime: every
+    rate and bound is 0, and an MP measure gets the family's polynomial
+    exponents instead.
     """
-    fam, g1, g2, theta = _closed_form(params, n)
+    fam, spec = params.algo.family, params.kernel_spec(n)
+    g1, g2, theta = spec.gamma1, spec.gamma2, spec.theta
     lam_min, lam_max = measure.support_edges()
     m = measure.trace_moment()
     norm = kernel_norm(params, measure)
@@ -209,6 +207,8 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
         eff = rate if root is None else root
         lower = fam.lower_bound(g1, g2, theta, lam_min)
         upper = fam.upper_bound(lam_min, m)
+    if not convergent:
+        eff = lower = upper = None
     return AnalysisReport(
         algo=params.name, params=params.describe(), m=m, p=measure.zero_mass,
         lam_min=lam_min, lam_max=lam_max, kernel_norm=norm,

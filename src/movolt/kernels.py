@@ -39,19 +39,36 @@ from .errors import NumericalError
 
 @dataclass
 class KernelSpec:
-    """Continuous-time kernel parameters plus the evaluation mode.
+    """An algorithm's continuous-time law plus the evaluation mode.
 
     gamma1/gamma2 are the diffusion parameters; theta is the averaging
-    rate of phi (phi = e^{theta t} for constant schedules, (1+t)^theta for
-    the power schedule used by SDANA).  AlgoParams.kernel_spec builds it
-    from an algorithm's record and checks the mode there.
+    rate of phi, e^{theta t} for the closed-form (constant-Phi) records
+    and (1+t)^theta, SDANA's power schedule, for the others.
+    AlgoParams.kernel_spec builds it from an algorithm's record and checks
+    the mode there.
     """
 
     gamma1: float
     gamma2: float
     theta: float
-    phi_kind: str  # 'const' | 'power'
     mode: str
+
+    @property
+    def phi_kind(self):
+        """'const' (Phi = theta) for closed_form, else 'power'."""
+        return "const" if self.mode == "closed_form" else "power"
+
+    def phi(self, t):
+        """phi at times t: e^{theta t} or (1+t)^theta."""
+        if self.phi_kind == "const":
+            return np.exp(self.theta * np.asarray(t, dtype=float))
+        return (1.0 + np.asarray(t, dtype=float)) ** self.theta
+
+    def Phi(self, t):
+        """phi'/phi at time t."""
+        if self.phi_kind == "const":
+            return self.theta
+        return self.theta / (1.0 + t)
 
 
 # ----------------------------------------------------------------------
@@ -106,32 +123,6 @@ def _first_row(lam, g1, g2, Phi, x, impulse=False):
         return E + w * S, -g1 * S
 
 
-class _Schedule:
-    """The momentum law of one phi family: phi and Phi = phi'/phi in
-    continuous time, and the per-step decrement Delta(k) of the discrete
-    recursion ('const': theta; 'power': theta/(k+n))."""
-
-    def __init__(self, kind, theta):
-        self.kind = kind
-        self.theta = theta
-
-    def delta(self, k, n):
-        k = np.asarray(k, dtype=float)
-        if self.kind == "const":
-            return np.full_like(k, self.theta)
-        return self.theta / (k + n)
-
-    def phi(self, t):
-        if self.kind == "const":
-            return np.exp(self.theta * np.asarray(t, dtype=float))
-        return (1.0 + np.asarray(t, dtype=float)) ** self.theta
-
-    def Phi(self, t):
-        if self.kind == "const":
-            return self.theta
-        return self.theta / (1.0 + t)
-
-
 # ----------------------------------------------------------------------
 # SDANA: the power schedule, one exact 2x2 exponential per step
 # ----------------------------------------------------------------------
@@ -149,7 +140,7 @@ def _substeps(dt, h_max):
     return max(1, int(np.ceil(dt / h_max - 1e-12)))
 
 
-def _magnus_exp(lam, gamma1, gamma2, sched, t, h):
+def _magnus_exp(lam, spec, t, h):
     """Entries (m11, m12, m21, m22), over lam, of M = exp(Omega), Omega the
     fourth-order Magnus step of B from t to t + h (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 2009): Omega = h (B1 + B2)/2 + (sqrt(3)/12) h^2
@@ -161,11 +152,11 @@ def _magnus_exp(lam, gamma1, gamma2, sched, t, h):
     branch is written with e^(m + s) and expm1(-2 s) so that it does not
     overflow where e^m cosh(s) is finite; sinc covers disc = 0.
     """
-    P1 = sched.Phi(t + (0.5 - _GAUSS) * h)
-    P2 = sched.Phi(t + (0.5 + _GAUSS) * h)
+    P1 = spec.Phi(t + (0.5 - _GAUSS) * h)
+    P2 = spec.Phi(t + (0.5 + _GAUSS) * h)
     kappa = np.sqrt(3.0) / 12.0 * h * h * (P2 - P1)
-    o11 = -h * gamma2 * lam
-    o12 = -gamma1 * (h + kappa)
+    o11 = -h * spec.gamma2 * lam
+    o12 = -spec.gamma1 * (h + kappa)
     o21 = lam * (h - kappa)
     o22 = -0.5 * h * (P1 + P2)
     m = 0.5 * (o11 + o22)
@@ -182,7 +173,7 @@ def _magnus_exp(lam, gamma1, gamma2, sched, t, h):
     return cos + sin * u, sin * o12, sin * o21, cos - sin * u
 
 
-def propagate(state, lam, gamma1, gamma2, sched, t0, t1, h_max):
+def propagate(state, lam, spec, t0, t1, h_max):
     """Carry moment states of shape (..., n_lam, 3) from t0 to t1 in
     _substeps(t1 - t0, h_max) equal Magnus steps, each S -> M S M^T:
 
@@ -195,8 +186,7 @@ def propagate(state, lam, gamma1, gamma2, sched, t0, t1, h_max):
     nsub = _substeps(t1 - t0, h_max)
     h = (t1 - t0) / nsub
     for k in range(nsub):
-        m11, m12, m21, m22 = _magnus_exp(lam, gamma1, gamma2, sched,
-                                         t0 + k * h, h)
+        m11, m12, m21, m22 = _magnus_exp(lam, spec, t0 + k * h, h)
         a, b, c = state[..., 0], state[..., 1], state[..., 2]
         state = np.stack(
             [m11 * (m11 * a + 2.0 * m12 * b) + m12 * m12 * c,
@@ -222,16 +212,16 @@ def kernel_ic(lam, gamma2):
     return ic
 
 
-def nonfinite_forcing(t, gamma1, gamma2, theta):
+def nonfinite_forcing(t, spec):
     """The error a power-schedule forcing raises at its first non-finite
     value, at time t."""
     return NumericalError(
         "forcing integration went non-finite at t = %.6g; gamma1 = %g, "
         "gamma2 = %g or theta = %g is too large for double precision"
-        % (t, gamma1, gamma2, theta))
+        % (t, spec.gamma1, spec.gamma2, spec.theta))
 
 
-def _states_on_grid(advance, ic, grid, gamma1, gamma2, theta):
+def _states_on_grid(advance, ic, grid, spec):
     """Component 0 of the states advance(u, t0, t1) carries from ic at
     grid[0] along the grid, as (n_lam, n_t); the first non-finite grid
     value raises nonfinite_forcing naming its time."""
@@ -244,7 +234,7 @@ def _states_on_grid(advance, ic, grid, gamma1, gamma2, theta):
             u = advance(u, grid[i - 1], grid[i])
             out[:, i] = np.ravel(u[..., 0])
             if not np.all(np.isfinite(out[:, i])):
-                raise nonfinite_forcing(grid[i], gamma1, gamma2, theta)
+                raise nonfinite_forcing(grid[i], spec)
     return out
 
 
@@ -273,24 +263,25 @@ def _rk4_segment(u, t0, t1, h_max, rhs):
     return u
 
 
-def _ode_on_grid(lam, gamma1, gamma2, sched, grid, ic, h=None):
+def _ode_on_grid(lam, spec, grid, ic, h=None):
     """RK4 oracle: the moment ODE S' = B S + S B^T integrated from the state
     ic at grid[0] at step h (default default_ode_step at the largest lam),
     component 0 on the grid."""
     lam = np.asarray(lam, dtype=float)
+    gamma1, gamma2 = spec.gamma1, spec.gamma2
     if h is None:
         h = default_ode_step(gamma2, lam.max())
     g2lam = gamma2 * lam
 
     def rhs(t, S):
         a, b, c = S[..., 0], S[..., 1], S[..., 2]
-        P = sched.Phi(t)
+        P = spec.Phi(t)
         return np.stack([-2.0 * (g2lam * a + gamma1 * b),
                          lam * a - (g2lam + P) * b - gamma1 * c,
                          2.0 * (lam * b - P * c)], axis=-1)
 
     return _states_on_grid(lambda u, t0, t1: _rk4_segment(u, t0, t1, h, rhs),
-                           ic, grid, gamma1, gamma2, sched.theta)
+                           ic, grid, spec)
 
 
 # ----------------------------------------------------------------------
@@ -311,12 +302,10 @@ def forcing_matrix(spec, lams, grid, h=None):
             out[i] = 0.5 * m11 * m11
         return out
     # SDANA: every node's state carried together, interval by interval
-    g1, g2 = spec.gamma1, spec.gamma2
     h = PROPAGATOR_STEP if h is None else h
-    sched = _Schedule("power", spec.theta)
     return 0.5 * _states_on_grid(
-        lambda u, t0, t1: propagate(u, lams, g1, g2, sched, t0, t1, h),
-        forcing_ic(lams), grid, g1, g2, spec.theta)
+        lambda u, t0, t1: propagate(u, lams, spec, t0, t1, h),
+        forcing_ic(lams), grid, spec)
 
 
 def kernel_matrix(spec, lams, taus):
@@ -360,7 +349,6 @@ class SdanaExactKernel:
         self.spec = spec
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.sched = _Schedule("power", spec.theta)
         self.h = PROPAGATOR_STEP if h is None else h
         # lam^2-weighted aggregation vector: K agg = sum_i w_i lam_i^2 q_i
         self.agg = self.weights * self.lams**2
@@ -378,8 +366,7 @@ class SdanaExactKernel:
         """Propagate moment states of shape (..., n_lam, 3) from t0 to t1."""
         if t1 <= t0:
             return state
-        return propagate(state, self.lams, self.spec.gamma1, self.spec.gamma2,
-                         self.sched, t0, t1, self.h)
+        return propagate(state, self.lams, self.spec, t0, t1, self.h)
 
     def aggregate(self, state_component):
         """sum_i w_i lam_i^2 * q_i given the q components (n_lam,)."""

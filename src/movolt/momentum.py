@@ -30,15 +30,15 @@ _PATH_STREAM = 0xd1f
 
 
 class Algorithm(NamedTuple):
-    """Everything movolt knows about one method.  p is the parameter dict
-    and n the problem size; schedules are kernels._Schedule (delta(k, n)
-    gives the discrete Delta(k), Phi(t) the continuous law)."""
+    """Everything movolt knows about one method.  p is the parameter dict,
+    n the problem size and k the step.  continuous and modes give the
+    method's kernels.KernelSpec, its one continuous-time law (phi, Phi);
+    discrete writes the recursion out, with Delta(k) ~ Phi(k/n)/n."""
 
     name: str
     names: tuple              # parameter names, in constructor order
-    discrete: Callable        # (p, n) -> (Gamma1, Gamma2, Delta schedule)
+    discrete: Callable        # (p, n, k) -> (Gamma1, Gamma2, Delta(k))
     continuous: Callable      # (p, n) -> (gamma1, gamma2, theta)
-    phi_kind: str = "const"   # law of phi: e^{theta t} or (1+t)^theta
     defaults: Callable = None     # (m, given p) -> default parameter row
     modes: tuple = ("closed_form",)   # valid solve modes, the default first
     family: analysis.Family = None    # closed-form analysis
@@ -55,31 +55,39 @@ def _shb_continuous(p, n):
 
 ALGORITHMS = {a.name: a for a in (
     Algorithm("sgd", ("gamma",),
-              lambda p, n: (0.0, p["gamma"], kernels._Schedule("const", 1.0)),
+              lambda p, n, k: (0.0, p["gamma"], 1.0),
               lambda p, n: (0.0, p["gamma"], 0.0),
               defaults=lambda m, p: {"gamma": 1.0 / m},
               family=analysis.SGD),
     Algorithm("shb", ("gamma", "theta"),
-              lambda p, n: (p["gamma"], 0.0,
-                            kernels._Schedule("const", p["theta"])),
+              lambda p, n, k: (p["gamma"], 0.0, p["theta"]),
               _shb_continuous, family=analysis.HEAVY_BALL),
     Algorithm("sdahb", ("gamma", "theta"),
-              lambda p, n: (p["gamma"] / n, 0.0,
-                            kernels._Schedule("const", p["theta"] / n)),
+              lambda p, n, k: (p["gamma"] / n, 0.0, p["theta"] / n),
               lambda p, n: (p["gamma"], 0.0, p["theta"]),
               defaults=lambda m, p: {"theta": 2.0,
                                      "gamma": p.get("theta", 2.0) / m},
               family=analysis.HEAVY_BALL),
     Algorithm("sdana", ("gamma1", "gamma2", "theta"),
-              lambda p, n: (p["gamma1"] / n, p["gamma2"],
-                            kernels._Schedule("power", p["theta"])),
+              lambda p, n, k: (p["gamma1"] / n, p["gamma2"],
+                               p["theta"] / (k + n)),
               lambda p, n: (p["gamma1"], p["gamma2"], p["theta"]),
-              phi_kind="power",
               defaults=lambda m, p: {"gamma1": 1.0 / (4.0 * m),
                                      "gamma2": 1.0 / m, "theta": 4.0},
               modes=("ode_exact", "convolution_approx"),
               family=analysis.SDANA),
 )}
+
+
+def _checked(name, params):
+    """params as floats, each finite and positive, else a ValueError naming
+    the first that is not."""
+    params = {k: float(v) for k, v in params.items()}
+    for key, val in params.items():
+        if not (math.isfinite(val) and val > 0.0):
+            raise ValueError("%s: %s must be finite and positive, got %r"
+                             % (name, key, val))
+    return params
 
 
 class AlgoParams:
@@ -91,31 +99,22 @@ class AlgoParams:
         if set(params) != set(algo.names):
             raise ValueError("%s takes %s, got %s" % (
                 algo.name, ", ".join(algo.names), ", ".join(sorted(params))))
-        self.params = {k: float(params[k]) for k in algo.names}
-        for key, val in self.params.items():
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValueError("%s: %s must be finite and positive, got %r"
-                                 % (algo.name, key, val))
+        self.params = _checked(algo.name, {k: params[k] for k in algo.names})
 
-    def discrete(self, n):
-        """(Gamma1, Gamma2, schedule) of the recursion at problem size n."""
-        return self.algo.discrete(self.params, n)
-
-    def continuous(self, n=None):
-        """(gamma1, gamma2, schedule) of the associated diffusion/kernels."""
-        g1, g2, theta = self.algo.continuous(self.params, n)
-        return g1, g2, kernels._Schedule(self.algo.phi_kind, theta)
+    def discrete(self, n, k):
+        """(Gamma1, Gamma2, Delta(k)) of the recursion at problem size n."""
+        return self.algo.discrete(self.params, n, k)
 
     def kernel_spec(self, n=None, mode=None):
+        """The continuous-time law (SHB needs n) in the given solve mode."""
         # a single-mode record has constant phi, where every route is exact
         modes = self.algo.modes
         mode = mode if mode and len(modes) > 1 else modes[0]
         if mode not in modes:
             raise ValueError("mode %r unavailable for %s (allowed: %s)"
                              % (mode, self.name, modes))
-        g1, g2, sched = self.continuous(n)
-        return kernels.KernelSpec(float(g1), float(g2), float(sched.theta),
-                                  sched.kind, mode)
+        g1, g2, theta = self.algo.continuous(self.params, n)
+        return kernels.KernelSpec(float(g1), float(g2), float(theta), mode)
 
     def describe(self):
         return {"name": self.name, **self.params}
@@ -150,6 +149,8 @@ def defaults(name, measure, **given):
     """The named algorithm at the given parameters, the others from its
     record's default row at the measure's trace moment m."""
     algo = algorithm(name)
+    # the default row reads the given values, so they are checked first
+    given = _checked(name, given)
     if set(algo.names) - set(given):
         if algo.defaults is None:
             raise ValueError("no default parameters for %s; pass %s"
@@ -236,8 +237,8 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
                          "%r" % (1.0 / min(n, samples_per_epoch), n, epochs))
     ks = _sample_steps(n, epochs, samples_per_epoch)
     total = int(ks[-1])
-    g1, g2, sched = params.discrete(n)
-    deltas = sched.delta(np.arange(1, total + 1), n)
+    g1, g2, deltas = params.discrete(n, np.arange(1, total + 1))
+    deltas = np.broadcast_to(deltas, (total,))
     if deltas.size and (deltas.min() < 0.0 or deltas.max() > 1.0):
         theta = params.params["theta"]   # Delta(k) is linear in theta
         raise ValueError("momentum schedule Delta(k) leaves [0,1] for n=%d: "
@@ -383,7 +384,8 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
             or n_paths < 1):
         raise ValueError("n_paths must be an integer of at least 1, got %r"
                          % (n_paths,))
-    g1, g2, sched = params.continuous(n=spectral.n)
+    spec = params.kernel_spec(n=spectral.n)
+    g1, g2 = spec.gamma1, spec.gamma2
     n, lam = spectral.n, spectral.lam
     steps = int(round(T / dt))
     rng = np.random.default_rng([_PATH_STREAM, seed])
@@ -418,7 +420,7 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
             dX += lam_dt * rho
             if momentum:
                 rho -= g2 * dX + (g1 * dt) * omega
-                omega *= 1.0 - sched.Phi((k - 1) * dt) * dt
+                omega *= 1.0 - spec.Phi((k - 1) * dt) * dt
                 omega += dX
             else:
                 rho -= g2 * dX

@@ -506,8 +506,7 @@ def _forcing_at(K, forcing, u, t):
     not finite."""
     value = forcing.const + (0.5 * forcing.coef) @ u[..., 0]
     if not np.isfinite(value):
-        raise kernels.nonfinite_forcing(t, K.spec.gamma1, K.spec.gamma2,
-                                        K.spec.theta)
+        raise kernels.nonfinite_forcing(t, K.spec)
     return value
 
 
@@ -565,8 +564,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         # the SDANA approximation is solved in the phi-conjugated variable;
         # the closed forms already are in the physical one
         conj = spec.mode == "convolution_approx"
-        weight = kernels._Schedule("power", spec.theta).phi
-        phi, phi_half = (weight(grid), weight(half)) if conj else (1.0, 1.0)
+        phi, phi_half = (spec.phi(grid), spec.phi(half)) if conj else (1.0, 1.0)
         I_half = build_convolution_kernel(measure, spec, half)
         fine = (phi_half * F_half, I_half)
         sol = solve_convolution(phi * F, I_half[::2], grid, fine=fine)

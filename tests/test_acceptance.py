@@ -193,7 +193,7 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             # mapped to continuous parameters, so draw those directly
             g1 = float(rng.uniform(0.05, 3.0))
             th = float(rng.uniform(0.1, 4.0))
-            spec = kernels.KernelSpec(g1, 0.0, th, "const", "closed_form")
+            spec = kernels.KernelSpec(g1, 0.0, th, "closed_form")
             worst_closed = max(
                 worst_closed,
                 abs(float(kernels.forcing_matrix(spec, [lam], [0.0])[0, 0])
@@ -214,13 +214,12 @@ def test_criterion_08_kernel_identities_and_rk4_order():
     # fourth-order integrator: halving the step cuts the error ~16x
     lam, g1, g2, th = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)
-    sched = kernels._Schedule("const", th)
-    spec = kernels.KernelSpec(g1, g2, th, "const", "closed_form")
+    spec = kernels.KernelSpec(g1, g2, th, "closed_form")
     exact = kernels.forcing_matrix(spec, [lam], grid)[0]
     errs = []
     for h in (0.04, 0.02):
         got = 0.5 * kernels._ode_on_grid(
-            np.array([lam]), g1, g2, sched, grid,
+            np.array([lam]), spec, grid,
             kernels.forcing_ic(np.array([lam])), h)[0]
         errs.append(float(np.max(np.abs(got - exact))))
     ratio = errs[0] / errs[1]

@@ -283,6 +283,21 @@ def test_rate_report_near_square_reads_as_hard_edge_throughout():
     assert near.effective_rate == 0.0
 
 
+@pytest.mark.parametrize("name, r, fixed", [
+    ("sdahb", 2.0, {"gamma": 100.0}),
+    ("sgd", 0.5, {"gamma": 3.0}),
+    ("sdana", 2.0, {"gamma2": 3.0}),
+])
+def test_divergent_report_has_no_rates(name, r, fixed):
+    # ||I|| >= 1: psi grows, so no decay rate or rate bound applies
+    mu = spectrum.mp_measure(r)
+    rep = analysis.rate_report(momentum.defaults(name, mu, **fixed), mu)
+    assert not rep.convergent and rep.kernel_norm >= 1.0
+    assert rep.limiting_loss is None and rep.malthusian is None
+    for field in ("effective_rate", "rate_lower_bound", "rate_upper_bound"):
+        assert getattr(rep, field) is None
+
+
 def test_classify_discrete():
     params = momentum.sgd(1.0)
     assert analysis.rate_report(params, atom(0.5)).classification == \

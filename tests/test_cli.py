@@ -538,6 +538,7 @@ def test_default_output_name_lands_in_cwd(tmp_path, monkeypatch):
      "(--T) over grid step h (--h) must be a step count below"),
     (["predict", "--algo", "sgd", "--T", "1", "--h", "5e-324"],
      "(--T) over grid step h (--h) must be a step count below"),
+    (["predict", "--algo", "sdahb", "--theta", "nan", "--T", "1"], "theta"),
 ])
 def test_nonsense_parameters_are_usage_errors(argv, named, tmp_path, capsys):
     # no report, no curve: exit 1 with a message naming the culprit

@@ -50,7 +50,7 @@ def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
 
 
 def const_spec(gamma1, gamma2, theta):
-    return kernels.KernelSpec(gamma1, gamma2, theta, "const", "closed_form")
+    return kernels.KernelSpec(gamma1, gamma2, theta, "closed_form")
 
 
 def closed_forcing(lam, gamma1, gamma2, theta, grid):
@@ -401,11 +401,10 @@ def test_propagator_is_exact_for_constant_phi(lam):
     # gives rho^2 = m11^2 a + 2 m11 m12 b + m12^2 c from the first row of
     # exp(lag B), on both sides of the turning point
     g1, g2, theta = 0.3, 0.6, 1.1
-    sched = kernels._Schedule("const", theta)
+    spec = const_spec(g1, g2, theta)
     a, b, c = state = np.array([0.7, -0.4, 1.3])
     for lag in (0.3, 2.0, 7.0):
-        got = kernels.propagate(state, np.array(lam), g1, g2, sched, 0.0,
-                                lag, lag)[0]
+        got = kernels.propagate(state, np.array(lam), spec, 0.0, lag, lag)[0]
         m11, m12 = (v[0] for v in kernels._first_row(lam, g1, g2, theta,
                                                       np.array([lag])))
         want = m11 * m11 * a + 2.0 * m11 * m12 * b + m12 * m12 * c
@@ -417,11 +416,11 @@ def test_rk4_step_order():
     # the closed form, confirming the fourth-order integrator
     lam, g1, g2, theta = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)
-    sched = kernels._Schedule("const", theta)
+    spec = const_spec(g1, g2, theta)
     exact = closed_forcing(lam, g1, g2, theta, grid)
     errs = []
     for h in (0.04, 0.02):
-        got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,
+        got = 0.5 * kernels._ode_on_grid(np.array([lam]), spec, grid,
                                          kernels.forcing_ic(np.array([lam])),
                                          h)[0]
         errs.append(np.max(np.abs(got - exact)))
@@ -433,11 +432,11 @@ def test_rk4_step_order_power_schedule():
     # error ~16x against scipy
     lam, g1, g2 = 1.7, 0.25, 1.0
     grid = np.linspace(0.0, 2.0, 51)
-    sched = kernels._Schedule("power", 4.0)
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec()
     want = oracle_forcing(lam, g1, g2, lambda t: 4.0 / (1.0 + t), grid)
     errs = []
     for h in (0.04, 0.02):
-        got = 0.5 * kernels._ode_on_grid(np.array([lam]), g1, g2, sched, grid,
+        got = 0.5 * kernels._ode_on_grid(np.array([lam]), spec, grid,
                                          kernels.forcing_ic(np.array([lam])),
                                          h)[0]
         errs.append(np.max(np.abs(got - want)))

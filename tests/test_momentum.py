@@ -43,14 +43,14 @@ def test_recursion_matches_hand_loop_all_algorithms():
         n = p.n
         total = int(np.rint(np.arange(1, 3 * 20 + 1) * n / 20).max())
         idx = np.random.default_rng([0x5eed, 5]).integers(0, n, size=total)
-        g1, g2, sched = params.discrete(n)
         x = p.x0.copy()
         y = np.zeros(p.d)
         got = {}
         for k in range(1, total + 1):
+            g1, g2, delta = params.discrete(n, k)
             row = p.A[idx[k - 1]]
             g = (row @ x - p.b[idx[k - 1]]) * row
-            y = (1.0 - sched.delta(k, n)) * y + g1 * g
+            y = (1.0 - delta) * y + g1 * g
             x = x - g2 * g - y
             got[k] = x
         ks = np.unique(np.maximum(np.rint(np.arange(1, 61) * n / 20), 1).astype(int))
@@ -90,7 +90,7 @@ def test_defaults_table(mp1):
 def test_schedule_values():
     n = 100
     ks = np.array([1, 10, 50])
-    delta = lambda params: params.discrete(n)[2].delta(ks, n)
+    delta = lambda params: params.discrete(n, ks)[2]
     assert np.all(delta(momentum.sgd(0.5)) == 1.0)
     assert np.all(delta(momentum.shb(0.1, 0.3)) == 0.3)
     assert np.all(delta(momentum.sdahb(1.0, 3.0)) == 0.03)
@@ -106,16 +106,19 @@ def test_schedule_out_of_range_rejected():
 
 
 def test_continuous_parameter_map():
-    g1, g2, sched = momentum.sgd(0.7).continuous()
-    assert (g1, g2) == (0.0, 0.7) and sched.kind == "const" and sched.theta == 0.0
-    g1, g2, sched = momentum.sdahb(1.2, 2.2).continuous()
-    assert (g1, g2) == (1.2, 0.0) and sched.theta == 2.2
-    g1, g2, sched = momentum.shb(0.01, 0.02).continuous(n=100)
-    assert g1 == pytest.approx(1.0) and sched.theta == pytest.approx(2.0)
+    spec = momentum.sgd(0.7).kernel_spec()
+    assert (spec.gamma1, spec.gamma2) == (0.0, 0.7)
+    assert spec.phi_kind == "const" and spec.theta == 0.0
+    spec = momentum.sdahb(1.2, 2.2).kernel_spec()
+    assert (spec.gamma1, spec.gamma2) == (1.2, 0.0) and spec.theta == 2.2
+    spec = momentum.shb(0.01, 0.02).kernel_spec(n=100)
+    assert spec.gamma1 == pytest.approx(1.0)
+    assert spec.theta == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        momentum.shb(0.01, 0.02).continuous()
-    g1, g2, sched = momentum.sdana(0.25, 1.0, 4.0).continuous()
-    assert (g1, g2) == (0.25, 1.0) and sched.kind == "power" and sched.theta == 4.0
+        momentum.shb(0.01, 0.02).kernel_spec()
+    spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
+    assert (spec.gamma1, spec.gamma2) == (0.25, 1.0)
+    assert spec.phi_kind == "power" and spec.theta == 4.0
 
 
 def test_run_deterministic_and_seed_sensitive():
@@ -152,14 +155,14 @@ def _per_sample_run(p, params, epochs, seed):
              .tolist())
     total = max(ks)
     idx = np.random.default_rng([0x5eed, seed]).integers(0, n, size=total)
-    g1, g2, sched = params.discrete(n)
     x = p.x0.copy()
     y = np.zeros(p.d)
     times, vals = [], []
     for k in range(1, total + 1):
+        g1, g2, delta = params.discrete(n, k)
         row = p.A[idx[k - 1]]
         g = (row @ x - p.b[idx[k - 1]]) * row
-        y = (1.0 - sched.delta(k, n)) * y + g1 * g
+        y = (1.0 - delta) * y + g1 * g
         x = x - g2 * g - y
         if k in ks:
             f = lsq.loss(p, x)
@@ -372,7 +375,8 @@ def test_realized_start_is_one_float(shape, algo, mode):
 def _serial_homogenized(sp, params, T, dt, seed, n_paths):
     """The SDE's Euler-Maruyama loop on one thread, drawing each step's
     normals right before its drift: (times, paths, diverged)."""
-    g1, g2, sched = params.continuous(n=sp.n)
+    spec = params.kernel_spec(n=sp.n)
+    g1, g2 = spec.gamma1, spec.gamma2
     n, lam = sp.n, sp.lam
     steps = int(round(T / dt))
     rng = np.random.default_rng([0xd1f, seed])
@@ -388,7 +392,7 @@ def _serial_homogenized(sp, params, T, dt, seed, n_paths):
         dX = rng.standard_normal((n_paths, n)) * (lam * amp[:, None])
         dX += lam * dt * rho
         rho -= g2 * dX + (g1 * dt) * omega
-        omega *= 1.0 - sched.Phi(t) * dt
+        omega *= 1.0 - spec.Phi(t) * dt
         omega += dX
         f = 0.5 * np.sum(rho * rho, axis=1)
         if not np.all(np.isfinite(f)) or np.any(np.abs(f) > lsq.DIVERGENCE_THRESHOLD):

@@ -34,11 +34,12 @@ def test_every_record_runs_through_every_consumer(name, mp2, tmp_path,
     assert not traj.diverged and len(traj.times) == momentum.SAMPLES_PER_EPOCH
     assert np.all(np.isfinite(traj.values))
 
-    g1, g2, sched = params.continuous(N)
-    assert sched.kind == record.phi_kind
     spec = params.kernel_spec(N)
-    assert (spec.gamma1, spec.gamma2, spec.theta) == (g1, g2, sched.theta)
-    assert spec.mode == record.modes[0] and spec.phi_kind == record.phi_kind
+    assert ((spec.gamma1, spec.gamma2, spec.theta)
+            == record.continuous(params.params, N))
+    assert spec.mode == record.modes[0]
+    assert spec.phi_kind == ("const" if record.modes == ("closed_form",)
+                             else "power")
 
     sol = volterra.predict(mp2, params, T=2.0, n=N)
     assert sol.psi[0] == pytest.approx(1.0, rel=1e-12)
@@ -59,6 +60,28 @@ def test_every_record_runs_through_every_consumer(name, mp2, tmp_path,
         assert code == 0
         got = json.loads(out.read_text())["report"]["params"]
         assert got == params.describe()
+
+
+@pytest.mark.parametrize("n", [N, 100])
+@pytest.mark.parametrize("name", sorted(momentum.ALGORITHMS))
+def test_discrete_map_is_the_kernel_specs_law(name, n, mp2):
+    # Gamma1 = gamma1/n, Gamma2 = gamma2 and Delta(k) = Phi(k/n)/n: the
+    # record's hand-written discrete map and its KernelSpec agree, also at
+    # an n that is not a power of two
+    params = row(name, mp2)
+    spec = params.kernel_spec(n)
+    ks = np.arange(1, 10 * n + 1)
+    g1, g2, delta = params.discrete(n, ks)
+    assert n * g1 == pytest.approx(spec.gamma1, rel=1e-14, abs=0.0)
+    assert g2 == spec.gamma2
+    if spec.gamma1 != 0.0:
+        np.testing.assert_allclose(n * np.broadcast_to(delta, ks.shape),
+                                   spec.Phi(ks / n), rtol=1e-14, atol=0.0)
+    # Phi = phi'/phi = (log phi)', by a central difference
+    t, eps = np.linspace(0.0, 10.0, 21), 1e-4
+    slope = (np.log(spec.phi(t + eps)) - np.log(spec.phi(t - eps))) / (2 * eps)
+    np.testing.assert_allclose(slope, np.broadcast_to(spec.Phi(t), t.shape),
+                               rtol=1e-8, atol=1e-10)
 
 
 def test_cli_algo_choices_are_the_table(capsys):

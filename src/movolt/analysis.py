@@ -124,7 +124,7 @@ def kernel_norm(params, measure):
 def limiting_loss(norm, zero_mass, R_tilde):
     """Plateau value R_tilde * mu({0}) / (2 (1 - ||I||)); needs ||I|| < 1."""
     if norm >= 1.0:
-        raise ValueError("kernel norm %.4f >= 1: not convergent" % norm)
+        raise ValueError("kernel norm %.4g >= 1: not convergent" % norm)
     return R_tilde * zero_mass / (2.0 * (1.0 - norm))
 
 
@@ -143,7 +143,7 @@ def _malthusian(F, cap, norm):
     if cap <= 0.0:
         return None, "absent: kernel decay cap is zero"
     if norm >= 1.0:
-        return None, "absent: kernel norm %.4f >= 1 (not convergent)" % norm
+        return None, "absent: kernel norm %.4g >= 1 (not convergent)" % norm
     hi = cap * (1.0 - 1e-12)
     fhi = F(hi)
     if fhi < 1.0:

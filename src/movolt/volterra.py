@@ -198,27 +198,6 @@ def _trapezoid_convolve(I_vals, psi, h, I_hat):
     return h * full
 
 
-def _cubic_refine(values):
-    """Insert cubic-interpolated midpoints: length n -> 2n-1, step halved.
-
-    Interior midpoints use the 4-point stencil (-1, 9, 9, -1)/16; the
-    first and last intervals use the one-sided cubic through their nearest
-    four samples.  Exact for cubics, so the inserted values are O(h^4)
-    accurate for smooth data.
-    """
-    v = np.asarray(values, dtype=float)
-    n = len(v)
-    if n < 4:
-        raise ValueError("refinement needs at least 4 samples")
-    out = np.empty(2 * n - 1)
-    out[::2] = v
-    mids = out[1::2]
-    mids[1:-1] = (-v[:-3] + 9.0 * v[1:-2] + 9.0 * v[2:-1] - v[3:]) / 16.0
-    mids[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-    mids[-1] = (v[-4] - 5.0 * v[-3] + 15.0 * v[-2] + 5.0 * v[-1]) / 16.0
-    return out
-
-
 def _finalize_psi(psi, context):
     """Shared guards: overflow is fatal; tiny extrapolation negatives are
     floored at zero, structural negatives are fatal."""
@@ -235,8 +214,7 @@ def _finalize_psi(psi, context):
     return psi
 
 
-def solve_convolution(F, I_vals, grid, method="marching", refine=True,
-                      fine=None):
+def solve_convolution(F, I_vals, grid, method="marching", refine=True):
     """Solve psi = F + I * psi on a uniform grid (trapezoid weights).
 
     Marching: one forward pass, exact for the trapezoid discretization.
@@ -244,37 +222,37 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     an independent validation oracle (requires the iteration to contract;
     stops at sup-change < PICARD_TOL * max(1, sup|F|)).  With refine
     (default) the solve is repeated on the half-step grid and Richardson
-    extrapolation removes
-    the O(h^2) term, raising the order to ~4; the coarse/fine gap is
-    reported as an error estimate.  The half-step samples of F and I are
-    cubically interpolated unless exact ones are passed as
-    fine=(F_half, I_half) (length 2*len(grid) - 1).
+    extrapolation removes the O(h^2) term, raising the order to ~4; the
+    coarse/fine gap is reported as an error estimate.  F and I_vals are
+    sampled on _sweep_nodes(grid, refine): the half-step grid (length
+    2*len(grid) - 1) when refining, else grid.
     """
-    F = np.asarray(F, dtype=float)
-    I_vals = np.asarray(I_vals, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if not (len(F) == len(I_vals) == len(grid)):
-        raise ValueError("F, I and grid must share a length")
+    nodes = _sweep_nodes(grid, refine)
+    F = _on_nodes(F, nodes, "F")
+    I_vals = _on_nodes(I_vals, nodes, "I")
     h = _uniform_step(grid)
-    psi, diagnostics = _solve_conv_core(F, I_vals, h, method)
-    if refine and len(grid) >= 4:
-        F_half, I_half = _half_samples((F, I_vals), fine)
-        fine_psi, fine_diag = _solve_conv_core(F_half, I_half, 0.5 * h, method)
-        diagnostics.update(fine_diag)
+    diagnostics = {}
+    if len(nodes) == len(grid):
+        psi = _solve_conv_core(F, I_vals, h, method, diagnostics)
+    else:
+        # the coarse pass first, so that a failure names the grid's own step
+        psi = _solve_conv_core(F[::2], I_vals[::2], h, method)
+        fine_psi = _solve_conv_core(F, I_vals, 0.5 * h, method, diagnostics)
         psi = _richardson(psi, fine_psi[::2], diagnostics)
+        F = F[::2]
     psi = _finalize_psi(psi, "convolution solve")
     return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
 
 
-def _half_samples(samples, fine):
-    """Half-step values of the coarse samples: fine (each of length 2n - 1)
-    when given, else cubically interpolated."""
-    if fine is None:
-        return [_cubic_refine(a) for a in samples]
-    half = [np.asarray(a, dtype=float) for a in fine]
-    if any(len(a) != 2 * len(samples[0]) - 1 for a in half):
-        raise ValueError("half-step samples must have length 2n-1")
-    return half
+def _on_nodes(values, nodes, name):
+    """values as a float array, which must hold one sample per node."""
+    values = np.asarray(values, dtype=float)
+    if len(values) != len(nodes):
+        raise ValueError("%s must be sampled on the %d nodes the solve sweeps "
+                         "(the half-step grid when it refines), got %d values"
+                         % (name, len(nodes), len(values)))
+    return values
 
 
 def _richardson(psi, on_grid, diagnostics):
@@ -298,20 +276,25 @@ def _march_divisor(h, K0):
     return denom
 
 
-def _solve_conv_core(F, I_vals, h, method):
+def _solve_conv_core(F, I_vals, h, method, diagnostics=None):
+    """psi of one pass; a diagnostics dict takes the pass's residual and
+    Picard sweep count."""
     denom = _march_divisor(h, I_vals[0])
-    diagnostics = {}
-    I_hat = np.fft.rfft(I_vals, _fft_size(2 * len(I_vals) - 1))
+    I_hat = None
+    if method == "picard" or diagnostics is not None:
+        I_hat = np.fft.rfft(I_vals, _fft_size(2 * len(I_vals) - 1))
     if method == "marching":
         psi = _march_convolution(F, I_vals, h, denom)
     elif method == "picard":
-        psi, diagnostics["picard_iters"] = _picard_convolution(F, I_vals, h,
-                                                               I_hat)
+        psi, iters = _picard_convolution(F, I_vals, h, I_hat)
+        if diagnostics is not None:
+            diagnostics["picard_iters"] = iters
     else:
         raise ValueError("unknown solver method %r" % (method,))
-    resid = psi - F - _trapezoid_convolve(I_vals, psi, h, I_hat)
-    diagnostics["residual"] = float(np.max(np.abs(resid)))
-    return psi, diagnostics
+    if diagnostics is not None:
+        resid = psi - F - _trapezoid_convolve(I_vals, psi, h, I_hat)
+        diagnostics["residual"] = float(np.max(np.abs(resid)))
+    return psi
 
 
 def _uniform_step(grid):
@@ -409,7 +392,7 @@ def _picard_convolution(F, I_vals, h, I_hat):
                          "(last sup-change %.3g)" % delta)
 
 
-def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
+def solve_general(F, kernel, grid, refine=True):
     """Solve psi(t) = F(t) + int_0^t K_s(t) psi(s) ds by trapezoid marching.
 
     kernel is a separable-state object exposing ic/advance/aggregate/diag
@@ -421,21 +404,16 @@ def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
     matching solve_convolution's accuracy; one forward sweep of the
     half-step grid advances the states of both passes together.
 
-    F is the forcing on grid (its half-step values fine_forcing, else
-    cubically interpolated), or a StateForcing: the forcing and the kernel
-    are moments of one system, so the forcing's states ride in the same
-    sweep.
+    F is the forcing sampled on the nodes the march sweeps,
+    _sweep_nodes(grid, refine), or a StateForcing: the forcing and the
+    kernel are moments of one system, so the forcing's states ride in the
+    same sweep.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = _sweep_nodes(grid, refine)
     stride = 2 if len(nodes) > len(grid) else 1
     if not isinstance(F, StateForcing):
-        F = np.asarray(F, dtype=float)
-        if len(F) != len(grid):
-            raise ValueError("F and grid must share a length")
-        if stride == 2:
-            fine = None if fine_forcing is None else (fine_forcing,)
-            F = _half_samples((F,), fine)[0]
+        F = _on_nodes(F, nodes, "F")
     F, passes = _march_separable(F, kernel, nodes, stride)
     diagnostics = {"residual": float("nan")}
     psi = passes[-1]
@@ -447,8 +425,9 @@ def solve_general(F, kernel, grid, refine=True, fine_forcing=None):
 
 
 def _sweep_nodes(grid, refine):
-    """The nodes solve_general sweeps: the half-step grid when it refines."""
-    if not (refine and len(grid) >= 4):
+    """The nodes a solve samples and sweeps: the half-step grid when it
+    refines a grid of two points or more, else the grid itself."""
+    if not (refine and len(grid) >= 2):
         return grid
     return grid[0] + 0.5 * _uniform_step(grid) * np.arange(2 * len(grid) - 1)
 
@@ -531,9 +510,6 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     check_scales(R, R_tilde)
     spec = params.kernel_spec(n=n, mode=mode)
     grid = time_grid(T, h)
-    # assemble on the half-step grid so the refinement pass sees exact
-    # values rather than interpolated ones
-    half = 0.5 * h * np.arange(2 * len(grid) - 1)
     lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
     kern = None
     if spec.mode == "ode_exact":
@@ -556,35 +532,36 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         start = None if spectral is None else spectral.f0
         sol = solve_general(StateForcing(coef, const, start), kern, grid)
     else:
+        half = _sweep_nodes(grid, True)
         if spectral is not None:
-            F_half = build_forcing_from_spectral(spectral, spec, half)
+            F = build_forcing_from_spectral(spectral, spec, half)
         else:
-            F_half = build_forcing(measure, spec, R, R_tilde, half)
-        F = F_half[::2]
+            F = build_forcing(measure, spec, R, R_tilde, half)
         # the SDANA approximation is solved in the phi-conjugated variable;
         # the closed forms already are in the physical one
-        conj = spec.mode == "convolution_approx"
-        phi, phi_half = (spec.phi(grid), spec.phi(half)) if conj else (1.0, 1.0)
-        I_half = build_convolution_kernel(measure, spec, half)
-        fine = (phi_half * F_half, I_half)
-        sol = solve_convolution(phi * F, I_half[::2], grid, fine=fine)
-        sol = VolterraSolution(grid, F, sol.psi / phi, method=sol.method,
-                               diagnostics=sol.diagnostics)
+        if spec.mode == "convolution_approx":
+            phi = spec.phi(half)
+        else:
+            phi = np.ones_like(half)
+        I_vals = build_convolution_kernel(measure, spec, half)
+        weighted = phi * F
+        sol = solve_convolution(weighted, I_vals, grid)
+        sol = VolterraSolution(grid, F[::2], sol.psi / phi[::2],
+                               method=sol.method, diagnostics=sol.diagnostics)
         if validate:
-            _validate_picard(sol, phi * F, I_half[::2], grid, phi, fine)
+            _validate_picard(sol, weighted, I_vals, grid, phi[::2])
     sol.kernel_norm = norm
     sol.meta = {"algo": params.name, "params": params.describe(),
-                "measure": json.loads(measure.to_json()), "h": h,
-                "method": sol.method, "kernel_norm": norm,
-                "R": R, "R_tilde": R_tilde, "mode": spec.mode}
+                "measure": json.loads(measure.to_json()), "R": R,
+                "R_tilde": R_tilde, "mode": spec.mode}
     return sol
 
 
-def _validate_picard(sol, F, I_vals, grid, deconjugate, fine):
+def _validate_picard(sol, F, I_vals, grid, deconjugate):
     """Cross-check the marching solution against Picard; non-contraction is
     reported, not fatal (marching needs no smallness assumption)."""
     try:
-        alt = solve_convolution(F, I_vals, grid, method="picard", fine=fine)
+        alt = solve_convolution(F, I_vals, grid, method="picard")
         alt_psi = alt.psi / deconjugate
         sol.diagnostics["picard_iters"] = alt.diagnostics["picard_iters"]
         sol.diagnostics["picard_delta"] = float(

@@ -114,8 +114,9 @@ def test_criterion_05_analytic_volterra_oracle():
     errs = []
     for h in (0.05, 0.025):
         grid = volterra.time_grid(10.0, h)
-        sol = volterra.solve_convolution(np.ones_like(grid),
-                                         0.5 * np.exp(-grid), grid)
+        nodes = volterra._sweep_nodes(grid, True)
+        sol = volterra.solve_convolution(np.ones_like(nodes),
+                                         0.5 * np.exp(-nodes), grid)
         errs.append(float(np.max(np.abs(sol.psi
                                         - (2.0 - np.exp(-0.5 * grid))))))
     ok = errs[0] <= 1e-6 and errs[0] / errs[1] >= 4.0

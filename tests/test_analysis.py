@@ -88,6 +88,9 @@ def test_limiting_loss_formula():
     assert analysis.limiting_loss(0.25, 0.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         analysis.limiting_loss(1.0, 0.3, 1.0)
+    # a huge norm prints in %g form, not as 300 digits
+    with pytest.raises(ValueError, match=r"^kernel norm 5e\+299 >= 1"):
+        analysis.limiting_loss(5e299, 0.3, 1.0)
 
 
 # -------------------------------------------------- Laplace transform

@@ -217,6 +217,16 @@ def test_analyze_hard_edge_reports_exponents(tmp_path):
     assert rep["predicted_poly_exponents"] == [-3.0, -1.0]
 
 
+def test_analyze_huge_kernel_norm_note_is_short(tmp_path):
+    # gamma1 = 1e300 gives a kernel norm of 5e299; the note prints it in
+    # %g form, not as 300 digits
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--algo", "sdana", "--gamma1", "1e300",
+                    "--r", "2", "--out", str(out)]) == 0
+    note = json.loads(out.read_text())["report"]["malthusian_note"]
+    assert note == "absent: kernel norm 5e+299 >= 1 (not convergent)"
+
+
 def test_analyze_hard_edge_with_underflowing_theta(tmp_path):
     # theta^2 underflows to 0 at lambda_min = 0; the bounds are 0, not 0/0
     out = tmp_path / "report.json"

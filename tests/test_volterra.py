@@ -23,6 +23,11 @@ def grid_and_ones(T=8.0, h=0.05):
     return grid, np.ones_like(grid)
 
 
+def sweep_nodes(grid):
+    """The half-step nodes a refined solve on grid takes its samples on."""
+    return volterra._sweep_nodes(grid, True)
+
+
 # ------------------------------------------------------------- oracles
 
 def march_oracle(F, I_vals, h, denom):
@@ -97,25 +102,27 @@ def test_picard_fixed_point_is_the_march_oracle():
 # ------------------------------------------------------- closed forms
 
 def test_constant_kernel_exponential_growth():
-    grid, F = grid_and_ones(T=4.0)
+    grid, _ = grid_and_ones(T=4.0)
+    F = np.ones_like(sweep_nodes(grid))
     alpha = 0.35
-    sol = volterra.solve_convolution(F, np.full_like(grid, alpha), grid)
+    sol = volterra.solve_convolution(F, np.full_like(F, alpha), grid)
     assert np.max(np.abs(sol.psi - np.exp(alpha * grid))) < 2e-7
 
 
 def test_exponential_kernel_closed_form_marching():
-    grid, F = grid_and_ones()
-    I = 0.5 * np.exp(-grid)
-    sol = volterra.solve_convolution(F, I, grid)
+    grid, _ = grid_and_ones()
+    nodes = sweep_nodes(grid)
+    F = np.ones_like(nodes)
+    sol = volterra.solve_convolution(F, 0.5 * np.exp(-nodes), grid)
     want = 2.0 - np.exp(-0.5 * grid)
-    # the fine pass interpolates the kernel, costing a shade over 1e-7
     assert np.max(np.abs(sol.psi - want)) < 5e-7
     assert sol.psi[0] == F[0]  # exact by construction
 
 
 def test_exponential_kernel_closed_form_picard():
-    grid, F = grid_and_ones()
-    I = 0.5 * np.exp(-grid)
+    grid, _ = grid_and_ones()
+    nodes = sweep_nodes(grid)
+    F, I = np.ones_like(nodes), 0.5 * np.exp(-nodes)
     sol = volterra.solve_convolution(F, I, grid, method="picard")
     want = 2.0 - np.exp(-0.5 * grid)
     assert np.max(np.abs(sol.psi - want)) < 5e-7
@@ -124,8 +131,9 @@ def test_exponential_kernel_closed_form_picard():
 
 
 def test_marching_and_picard_agree_tightly():
-    grid, F = grid_and_ones()
-    I = 0.5 * np.exp(-grid)
+    grid, _ = grid_and_ones()
+    nodes = sweep_nodes(grid)
+    F, I = np.ones_like(nodes), 0.5 * np.exp(-nodes)
     a = volterra.solve_convolution(F, I, grid, method="marching")
     b = volterra.solve_convolution(F, I, grid, method="picard")
     assert np.max(np.abs(a.psi - b.psi)) < 1e-8
@@ -138,8 +146,9 @@ def test_refinement_improves_order():
     errs = {}
     for h in (0.1, 0.05):
         grid = volterra.time_grid(6.0, h)
-        sol = volterra.solve_convolution(np.ones_like(grid),
-                                         0.5 * np.exp(-grid), grid)
+        nodes = sweep_nodes(grid)
+        sol = volterra.solve_convolution(np.ones_like(nodes),
+                                         0.5 * np.exp(-nodes), grid)
         errs[h] = np.max(np.abs(sol.psi - want_fn(grid)))
     assert errs[0.1] / errs[0.05] > 4.0
     assert errs[0.05] < 1e-6
@@ -168,7 +177,8 @@ def test_general_solver_reduces_to_convolution():
 
 
 def test_general_solver_closed_form_refined():
-    grid, F = grid_and_ones(T=5.0)
+    grid, _ = grid_and_ones(T=5.0)
+    F = np.ones_like(sweep_nodes(grid))
     gen = volterra.solve_general(F, HalfExpKernel(), grid)
     assert np.max(np.abs(gen.psi - (2.0 - np.exp(-0.5 * grid)))) < 1e-6
 
@@ -176,24 +186,25 @@ def test_general_solver_closed_form_refined():
 # ------------------------------------------------------- failure modes
 
 def test_nonfinite_forcing_rejected():
-    grid, F = grid_and_ones(T=2.0)
-    F[3] = np.nan
+    grid, _ = grid_and_ones(T=2.0)
+    F = np.ones_like(sweep_nodes(grid))
+    F[6] = np.nan  # grid point 3, which both passes read
     with pytest.raises(NumericalError):
-        volterra.solve_convolution(F, np.zeros_like(grid), grid)
+        volterra.solve_convolution(F, np.zeros_like(F), grid)
 
 
 def test_structural_negative_rejected():
     grid, _ = grid_and_ones(T=2.0)
-    F = -np.ones_like(grid)
+    F = -np.ones_like(sweep_nodes(grid))
     with pytest.raises(NumericalError):
-        volterra.solve_convolution(F, np.zeros_like(grid), grid)
+        volterra.solve_convolution(F, np.zeros_like(F), grid)
 
 
 def test_tiny_negative_clipped_to_zero():
     grid, _ = grid_and_ones(T=1.0)
-    F = np.zeros_like(grid)
+    F = np.zeros_like(sweep_nodes(grid))
     F[0] = 1e-12  # decays through zero with rounding wiggle
-    sol = volterra.solve_convolution(F, np.zeros_like(grid), grid)
+    sol = volterra.solve_convolution(F, np.zeros_like(F), grid)
     assert np.all(sol.psi >= 0.0)
 
 
@@ -207,17 +218,18 @@ def test_marching_singularity_raises():
 
 def test_supercritical_kernel_overflow_is_numerical_error():
     grid = volterra.time_grid(400.0, 0.05)
-    F = np.ones_like(grid)
-    I = np.full_like(grid, 2.0)  # psi ~ e^{2t} overflows at t=400
+    F = np.ones_like(sweep_nodes(grid))
+    I = np.full_like(F, 2.0)  # psi ~ e^{2t} overflows at t=400
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         volterra.solve_convolution(F, I, grid)
 
 
 def test_march_overflow_names_the_step():
     grid = volterra.time_grid(400.0, 0.05)
-    I = np.full_like(grid, 2.0)  # psi ~ e^{2t} passes 1.8e308 near t=355
+    # psi ~ e^{2t} passes 1.8e308 near t=355
+    I = np.full_like(sweep_nodes(grid), 2.0)
     with pytest.raises(NumericalError, match="non-finite") as info:
-        volterra.solve_convolution(np.ones_like(grid), I, grid)
+        volterra.solve_convolution(np.ones_like(I), I, grid)
     step = int(re.search(r"grid step (\d+)", str(info.value)).group(1))
     assert 340.0 < grid[step] < 360.0
 
@@ -348,7 +360,7 @@ def test_sweep_matches_per_pass_marches():
     F = F_half[::2]
     got = volterra.solve_general(F, K, grid, refine=False).psi
     assert np.array_equal(got, per_pass_march(F, K, grid))
-    got = volterra.solve_general(F, K, grid, fine_forcing=F_half).psi
+    got = volterra.solve_general(F_half, K, grid).psi
     coarse = per_pass_march(F, K, grid)
     want = (4.0 * per_pass_march(F_half, K, half)[::2] - coarse) / 3.0
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(want)
@@ -363,6 +375,42 @@ def test_predict_horizon_off_the_grid(mode):
                            T=1.015, mode=mode)
     assert len(sol.grid) == 21
     assert np.all(np.isfinite(sol.psi))
+
+
+@pytest.mark.parametrize("algo,mode", [("sgd", None), ("sdana", "ode"),
+                                       ("sdana", "conv")])
+@pytest.mark.parametrize("T", [0.05, 0.1])
+def test_short_horizons_are_refined(algo, mode, T):
+    # a grid of 2 or 3 points is refined like any other: psi(T) at h = 0.05
+    # matches the h = 0.0005 solve to fourth order
+    mu = spectrum.mp_measure(1.0)
+    params = momentum.defaults(algo, mu)
+    got = volterra.predict(mu, params, T=T, h=0.05, mode=mode)
+    want = volterra.predict(mu, params, T=T, h=0.0005, mode=mode)
+    assert "refinement_gap" in got.diagnostics
+    assert got.psi[-1] == pytest.approx(want.psi[-1], rel=1e-5)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+@pytest.mark.parametrize("solver,wrong", [("convolution", "F"),
+                                          ("convolution", "I"),
+                                          ("general", "F")])
+def test_samples_off_the_sweep_nodes_are_refused(solver, wrong, refine):
+    # a refined solve samples on the half-step grid, an unrefined one on
+    # the grid itself; the other length is refused, naming the node count
+    grid = volterra.time_grid(1.0, 0.05)
+    nodes = volterra._sweep_nodes(grid, refine)
+    other = volterra._sweep_nodes(grid, not refine)
+    samples = {"F": np.ones_like(nodes), "I": 0.5 * np.exp(-nodes)}
+    samples[wrong] = np.ones_like(other)
+    with pytest.raises(ValueError, match=r"%s must be sampled on the %d nodes"
+                       % (wrong, len(nodes))):
+        if solver == "convolution":
+            volterra.solve_convolution(samples["F"], samples["I"], grid,
+                                       refine=refine)
+        else:
+            volterra.solve_general(samples["F"], HalfExpKernel(), grid,
+                                   refine=refine)
 
 
 def test_picard_nonfinite_iterate_fails_fast():
@@ -383,8 +431,9 @@ def test_leaked_runtime_warning_fails_the_suite():
 
 
 def test_picard_divergence_reported():
-    grid, F = grid_and_ones(T=30.0)
-    I = np.full_like(grid, 1.2)  # norm > 1: Picard iteration cannot settle
+    grid, _ = grid_and_ones(T=30.0)
+    F = np.ones_like(sweep_nodes(grid))
+    I = np.full_like(F, 1.2)  # norm > 1: Picard iteration cannot settle
     with pytest.raises(NumericalError):
         volterra.solve_convolution(F, I, grid, method="picard")
 
@@ -396,10 +445,11 @@ def test_picard_divergence_reported():
        scale=st.floats(0.1, 3.0))
 def test_psi_at_least_forcing_for_nonnegative_kernels(alpha, decay, scale):
     grid = volterra.time_grid(4.0, 0.1)
-    F = scale * np.exp(-decay * grid)
-    I = alpha * np.exp(-grid)
+    nodes = sweep_nodes(grid)
+    F = scale * np.exp(-decay * nodes)
+    I = alpha * np.exp(-nodes)
     sol = volterra.solve_convolution(F, I, grid)
-    assert np.all(sol.psi >= F - 1e-9)
+    assert np.all(sol.psi >= F[::2] - 1e-9)
     assert np.all(sol.psi >= -1e-12)
 
 
@@ -409,8 +459,9 @@ def test_constant_kernel_limit_matches_renewal_value(alpha):
     # psi(inf) for F -> c is c/(1 - ||I||); with F === 1, I = alpha e^{-t}:
     # ||I|| = alpha, psi(inf) = 1/(1-alpha)
     grid = volterra.time_grid(60.0 / (1 - alpha), 0.05)
-    sol = volterra.solve_convolution(np.ones_like(grid),
-                                     alpha * np.exp(-grid), grid)
+    nodes = sweep_nodes(grid)
+    sol = volterra.solve_convolution(np.ones_like(nodes),
+                                     alpha * np.exp(-nodes), grid)
     assert sol.psi[-1] == pytest.approx(1.0 / (1.0 - alpha), rel=5e-3)
 
 

@@ -23,7 +23,10 @@ _first_row evaluates that row in closed form for SGD (Phi = 0), SHB, SDAHB
 and the mixed g1/g2 variant (Phi = theta), and SDANA's late-time
 convolution kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t)
 is carried by propagate: S -> M S M^T per step, M the closed-form 2x2
-exponential of a fourth-order Magnus step of B.  Every state stays O(1):
+exponential of a fourth-order Magnus step of B.  _moment_maps evaluates the
+3x3 maps of that update for a block of steps at once, and states are held
+component-major, (3, ..., n_lam), so that a step is one einsum over the
+component axis.  Every state stays O(1):
 there is no phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the
 moment ODE (_ode_on_grid) is kept as the oracle the tests check both
 against.
@@ -136,22 +139,36 @@ _GAUSS = np.sqrt(3.0) / 6.0
 
 
 def _substeps(dt, h_max):
-    """Equal steps covering an interval of length dt: max(1, ceil(dt/h_max))."""
-    return max(1, int(np.ceil(dt / h_max - 1e-12)))
+    """Equal steps covering intervals of length dt: max(1, ceil(dt/h_max))."""
+    return np.maximum(1, np.ceil(dt / h_max - 1e-12)).astype(int)
+
+
+def _steps(t0, t1, h_max):
+    """The equal steps covering each interval [t0, t1] in turn, flat: their
+    start times and lengths, and each interval's _substeps count."""
+    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+    dt = np.asarray(t1, dtype=float) - t0
+    counts = _substeps(dt, h_max)
+    h = np.repeat(dt / counts, counts)
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(t0, counts) + k * h, h, counts
 
 
 def _magnus_exp(lam, spec, t, h):
-    """Entries (m11, m12, m21, m22), over lam, of M = exp(Omega), Omega the
+    """Entries (m11, m12, m21, m22) of M = exp(Omega), Omega the
     fourth-order Magnus step of B from t to t + h (Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 2009): Omega = h (B1 + B2)/2 + (sqrt(3)/12) h^2
     [B2, B1], with B1, B2 at the two Gauss points.  Only Phi varies, so
-    [B2, B1] = (Phi2 - Phi1) [[0, -g1], [-lam, 0]].
+    [B2, B1] = (Phi2 - Phi1) [[0, -g1], [-lam, 0]].  t and h hold K steps;
+    each entry has shape (K,) + lam.shape.
 
     With Omega = m I + N, N^2 = disc I, M = e^m (cosh(s) I + sinh(s)/s N)
     for disc = s^2 > 0, with cos and sin when disc < 0.  The hyperbolic
     branch is written with e^(m + s) and expm1(-2 s) so that it does not
     overflow where e^m cosh(s) is finite; sinc covers disc = 0.
     """
+    lam = np.asarray(lam, dtype=float)
+    t, h = (np.reshape(v, np.shape(v) + (1,) * lam.ndim) for v in (t, h))
     P1 = spec.Phi(t + (0.5 - _GAUSS) * h)
     P2 = spec.Phi(t + (0.5 + _GAUSS) * h)
     kappa = np.sqrt(3.0) / 12.0 * h * h * (P2 - P1)
@@ -173,42 +190,63 @@ def _magnus_exp(lam, spec, t, h):
     return cos + sin * u, sin * o12, sin * o21, cos - sin * u
 
 
-def propagate(state, lam, spec, t0, t1, h_max):
-    """Carry moment states of shape (..., n_lam, 3) from t0 to t1 in
-    _substeps(t1 - t0, h_max) equal Magnus steps, each S -> M S M^T:
+def _moment_maps(lam, spec, t, h):
+    """The maps Q of K Magnus steps on moment states, shape
+    (3, 3, K) + lam.shape, from one _magnus_exp call: S -> M S M^T is
+    S_i -> sum_j Q[i, j] S_j, with
 
-        (a, b, c) -> (m11^2 a + 2 m11 m12 b + m12^2 c,
-                      m11 m21 a + (m11 m22 + m12 m21) b + m12 m22 c,
-                      m21^2 a + 2 m21 m22 b + m22^2 c)
+        Q = [[m11^2,     2 m11 m12,           m12^2    ],
+             [m11 m21,   m11 m22 + m12 m21,   m12 m22  ],
+             [m21^2,     2 m21 m22,           m22^2    ]]
 
-    Leading stack axes share each step's M.
+    A constant Phi, a scalar, broadcasts like the rest.
     """
-    nsub = _substeps(t1 - t0, h_max)
-    h = (t1 - t0) / nsub
-    for k in range(nsub):
-        m11, m12, m21, m22 = _magnus_exp(lam, spec, t0 + k * h, h)
-        a, b, c = state[..., 0], state[..., 1], state[..., 2]
-        state = np.stack(
-            [m11 * (m11 * a + 2.0 * m12 * b) + m12 * m12 * c,
-             m11 * (m21 * a + m22 * b) + m12 * (m21 * b + m22 * c),
-             m21 * (m21 * a + 2.0 * m22 * b) + m22 * m22 * c], axis=-1)
+    m11, m12, m21, m22 = _magnus_exp(lam, spec, t, h)
+    Q = np.empty((3, 3) + m11.shape)
+    # an overflow shows up as a non-finite state, which the callers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(m11, m11, out=Q[0, 0])
+        np.multiply(2.0 * m11, m12, out=Q[0, 1])
+        np.multiply(m12, m12, out=Q[0, 2])
+        np.multiply(m11, m21, out=Q[1, 0])
+        np.add(m11 * m22, m12 * m21, out=Q[1, 1])
+        np.multiply(m12, m22, out=Q[1, 2])
+        np.multiply(m21, m21, out=Q[2, 0])
+        np.multiply(2.0 * m21, m22, out=Q[2, 1])
+        np.multiply(m22, m22, out=Q[2, 2])
+    return Q
+
+
+def _carry(state, Q):
+    """Moment states of shape (3, ..., n_lam) carried through the steps of
+    Q, (3, 3, steps, n_lam), in turn; leading stack axes share each
+    step's map."""
+    for k in range(Q.shape[2]):
+        state = np.einsum("ij...,j...->i...", Q[:, :, k], state)
     return state
+
+
+def propagate(state, lam, spec, t0, t1, h_max):
+    """Carry moment states of shape (3, ..., n_lam) from t0 to t1 in
+    _substeps(t1 - t0, h_max) equal Magnus steps, each S -> M S M^T, their
+    maps from one _moment_maps call."""
+    return _carry(state, _moment_maps(lam, spec, *_steps(t0, t1, h_max)[:2]))
 
 
 def forcing_ic(lam):
     """Forcing moment state at t = 0, (rho^2, rho omega, omega^2) = (1, 0, 0),
-    for every node of lam."""
-    ic = np.zeros(np.shape(lam) + (3,))
-    ic[..., 0] = 1.0
+    for every node of lam, shape (3,) + lam.shape."""
+    ic = np.zeros((3,) + np.shape(lam))
+    ic[0] = 1.0
     return ic
 
 
 def kernel_ic(lam, gamma2):
     """Kernel moment state at its birth time s: the gradient-noise impulse
     (rho, omega) = (-g2, 1), so (g2^2, -g2, 1) for every node of lam and
-    every s."""
-    ic = np.empty(np.shape(lam) + (3,))
-    ic[...] = (gamma2 * gamma2, -gamma2, 1.0)
+    every s, shape (3,) + lam.shape."""
+    ic = np.empty((3,) + np.shape(lam))
+    ic[0], ic[1], ic[2] = gamma2 * gamma2, -gamma2, 1.0
     return ic
 
 
@@ -226,13 +264,13 @@ def _states_on_grid(advance, ic, grid, spec):
     grid[0] along the grid, as (n_lam, n_t); the first non-finite grid
     value raises nonfinite_forcing naming its time."""
     u = np.array(ic, dtype=float)
-    out = np.empty((u[..., 0].size, len(grid)))
-    out[:, 0] = np.ravel(u[..., 0])
+    out = np.empty((u[0].size, len(grid)))
+    out[:, 0] = np.ravel(u[0])
     # an overflow shows up as a non-finite column, which raises
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, len(grid)):
             u = advance(u, grid[i - 1], grid[i])
-            out[:, i] = np.ravel(u[..., 0])
+            out[:, i] = np.ravel(u[0])
             if not np.all(np.isfinite(out[:, i])):
                 raise nonfinite_forcing(grid[i], spec)
     return out
@@ -274,11 +312,11 @@ def _ode_on_grid(lam, spec, grid, ic, h=None):
     g2lam = gamma2 * lam
 
     def rhs(t, S):
-        a, b, c = S[..., 0], S[..., 1], S[..., 2]
+        a, b, c = S
         P = spec.Phi(t)
         return np.stack([-2.0 * (g2lam * a + gamma1 * b),
                          lam * a - (g2lam + P) * b - gamma1 * c,
-                         2.0 * (lam * b - P * c)], axis=-1)
+                         2.0 * (lam * b - P * c)])
 
     return _states_on_grid(lambda u, t0, t1: _rk4_segment(u, t0, t1, h, rhs),
                            ic, grid, spec)
@@ -339,8 +377,10 @@ class SdanaExactKernel:
     everything together: O(grid) propagator steps in total instead of one
     solve per (s, t) pair.  The forcing's states start from forcing_ic and
     ride in the same stack: one advance per half-step interval carries the
-    forcing and both march passes.  h is the longest step propagate takes
-    in one piece.
+    forcing and both march passes.  States are component-major, (3, ...,
+    n_lam); maps gives the moment maps of a block of intervals from one
+    evaluation, and advance applies one of them.  h is the longest step
+    propagate takes in one piece.
     """
 
     def __init__(self, spec, lams, weights, h=None):
@@ -359,14 +399,27 @@ class SdanaExactKernel:
 
     def ic(self, s):
         """Kernel moment states of every node born at time s, shape
-        (n_lam, 3); they do not depend on s."""
+        (3, n_lam); they do not depend on s."""
         return kernel_ic(self.lams, self.spec.gamma2)
 
-    def advance(self, state, t0, t1):
-        """Propagate moment states of shape (..., n_lam, 3) from t0 to t1."""
+    def maps(self, t):
+        """The moment maps of the intervals between consecutive times t, all
+        from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries
+        a state from t[k] to t[k + 1] as propagate would."""
+        t = np.asarray(t, dtype=float)
+        starts, h, counts = _steps(t[:-1], t[1:], self.h)
+        Q = _moment_maps(self.lams, self.spec, starts, h)
+        ends = np.cumsum(counts).tolist()
+        return [Q[:, :, a:b] for a, b in zip([0] + ends, ends)]
+
+    def advance(self, state, t0, t1, maps=None):
+        """Propagate moment states of shape (3, ..., n_lam) from t0 to t1,
+        through maps, the interval's entry of self.maps, when given."""
         if t1 <= t0:
             return state
-        return propagate(state, self.lams, self.spec, t0, t1, self.h)
+        if maps is None:
+            return propagate(state, self.lams, self.spec, t0, t1, self.h)
+        return _carry(state, maps)
 
     def aggregate(self, state_component):
         """sum_i w_i lam_i^2 * q_i given the q components (n_lam,)."""

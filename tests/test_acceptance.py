@@ -211,7 +211,7 @@ def test_criterion_08_kernel_identities_and_rk4_order():
             born = K.advance(K.ic(s), s, s)
             worst_ode = max(worst_ode,
                             abs(float(F[0, 0]) - 0.5),
-                            abs(K.aggregate(born[:, 0]) - g2 * g2 * lam * lam))
+                            abs(K.aggregate(born[0]) - g2 * g2 * lam * lam))
     # fourth-order integrator: halving the step cuts the error ~16x
     lam, g1, g2, th = 1.7, 0.3, 0.6, 1.1
     grid = np.linspace(0.0, 2.0, 51)

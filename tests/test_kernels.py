@@ -168,10 +168,10 @@ def test_sdana_two_time_kernel_matches_oracle():
     K = kernels.SdanaExactKernel(momentum.sdana(g1, g2, theta).kernel_spec(),
                                  [lam], [1.0])
     cur = K.ic(s)
-    got = [K.aggregate(cur[:, 0])]
+    got = [K.aggregate(cur[0])]
     for t0, t1 in zip(grid[:-1], grid[1:]):
         cur = K.advance(cur, t0, t1)
-        got.append(K.aggregate(cur[:, 0]))
+        got.append(K.aggregate(cur[0]))
     assert np.allclose(got, want, atol=1e-7)
 
 
@@ -203,7 +203,7 @@ def test_exact_kernel_state_matches_dense_evaluation():
     dense = sum(w * oracle_kernel(l, 0.25, 1.0, lambda t: 4.0 / (1.0 + t),
                                   s, np.array([s, t1]))[-1]
                 for l, w in zip(lam, wts))
-    assert K.aggregate(cur[:, 0]) == pytest.approx(dense, rel=1e-7)
+    assert K.aggregate(cur[0]) == pytest.approx(dense, rel=1e-7)
 
 
 # ------------------------------------ constant Phi against mpmath's expm
@@ -444,14 +444,38 @@ def test_rk4_step_order_power_schedule():
 
 
 def test_exact_kernel_advance_broadcasts_over_stack():
-    # each step's M is shared by leading stack axes: a (2, n_lam, 3) stack
+    # each step's M is shared by leading stack axes: a (3, 2, n_lam) stack
     # advances exactly as each row does alone
     spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     K = kernels.SdanaExactKernel(spec, [0.3, 1.1, 2.9], [0.2, 0.5, 0.3])
-    rows = np.stack([K.ic(0.2), -0.7 * K.ic(0.9)])
+    rows = np.stack([K.ic(0.2), -0.7 * K.ic(0.9)], axis=1)
     got = K.advance(rows, 0.2, 0.27)
     for i in range(2):
-        assert got[i].tobytes() == K.advance(rows[i], 0.2, 0.27).tobytes()
+        assert got[:, i].tobytes() == K.advance(rows[:, i], 0.2, 0.27).tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 64])
+@pytest.mark.parametrize("spec", [momentum.sdana(0.25, 1.0, 4.0).kernel_spec(),
+                                  const_spec(0.3, 0.6, 1.1)],
+                         ids=["power", "const"])
+def test_moment_maps_of_a_block(K, spec):
+    # the maps of K steps from one call, shape (3, 3, K, n_lam) also where
+    # Phi is a constant scalar: each step's map is bitwise the one-step
+    # call's, and each entry the product of the 2x2 exponential's entries
+    # that S -> M S M^T names
+    lam = np.array([0.0, 0.05, 0.3, 0.9, 1.0, 2.5, 7.0, 40.0, 1e4])
+    t = 0.3 + 0.05 * np.arange(K)
+    h = 0.05 + 1e-4 * np.arange(K)
+    Q = kernels._moment_maps(lam, spec, t, h)
+    assert Q.shape == (3, 3, K, len(lam))
+    m11, m12, m21, m22 = kernels._magnus_exp(lam, spec, t, h)
+    want = [[m11 * m11, 2.0 * m11 * m12, m12 * m12],
+            [m11 * m21, m11 * m22 + m12 * m21, m12 * m22],
+            [m21 * m21, 2.0 * m21 * m22, m22 * m22]]
+    assert Q.tobytes() == np.array(want).tobytes()
+    for k in range(K):
+        one = kernels._moment_maps(lam, spec, t[k:k + 1], h[k:k + 1])
+        assert one.tobytes() == Q[:, :, k:k + 1].tobytes()
 
 
 def test_one_state_march_is_the_trapezoid_sum():

@@ -53,10 +53,13 @@ class HalfExpKernel:
     takes: one node whose state decays like the kernel."""
 
     def ic(self, s):
-        return np.broadcast_to([[1.0, 0.0, 0.0]], np.shape(s) + (1, 3))
+        return np.array([[1.0], [0.0], [0.0]])
 
-    def advance(self, state, t0, t1):
-        return state * np.exp(-(t1 - t0))
+    def maps(self, t):
+        return np.exp(-np.diff(t))
+
+    def advance(self, state, t0, t1, decay=None):
+        return state * (np.exp(-(t1 - t0)) if decay is None else decay)
 
     def aggregate(self, q):
         return 0.5 * float(np.sum(q))
@@ -66,6 +69,7 @@ class HalfExpKernel:
 
 
 B = volterra._MARCH_BLOCK
+B_MAPS = volterra._MAP_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 1,
@@ -280,7 +284,7 @@ def per_pass_march(F, K, grid):
     state = 0.5 * K.ic(grid[0]) * psi[0]
     for i in range(1, len(grid)):
         state = K.advance(state, grid[i - 1], grid[i])
-        psi[i] = (F[i] + h * K.aggregate(state[:, 0])) / (1.0 - 0.5 * h * K.diag())
+        psi[i] = (F[i] + h * K.aggregate(state[0])) / (1.0 - 0.5 * h * K.diag())
         state = state + K.ic(grid[i]) * psi[i]
     return psi
 
@@ -346,17 +350,15 @@ def test_exact_kernel_nodes_are_distinct(monkeypatch):
                                                      rel=1e-15)
 
 
-def test_sweep_matches_per_pass_marches():
-    # one sweep carries both passes; the coarse pass now takes the half-step
-    # substeps, which moves psi by far less than 1e-8 of its sup.  Without
-    # refinement the sweep is the per-pass march exactly
-    from movolt import kernels
-    mu = spectrum.mp_measure(1.0, nodes=40)
-    spec = momentum.defaults("sdana", mu).kernel_spec()
-    K = kernels.SdanaExactKernel(spec, mu.points, mu.weights)
-    grid = volterra.time_grid(10.0, 0.05)
-    half = volterra.time_grid(10.0, 0.025)
-    F_half = volterra.build_forcing(mu, spec, 1.0, 1.0, half)
+def assert_sweep_is_per_pass(K, n):
+    """On a grid of n steps of 0.05 the unrefined sweep is the per-pass
+    march exactly, and the refined one the per-pass Richardson value: the
+    coarse pass takes the half-step substeps, which moves psi by far less
+    than 1e-8 of its sup."""
+    grid = 0.05 * np.arange(n + 1)
+    half = 0.025 * np.arange(2 * n + 1)
+    F_half = volterra.build_forcing(spectrum.mp_measure(1.0, nodes=40),
+                                    K.spec, 1.0, 1.0, half)
     F = F_half[::2]
     got = volterra.solve_general(F, K, grid, refine=False).psi
     assert np.array_equal(got, per_pass_march(F, K, grid))
@@ -364,6 +366,76 @@ def test_sweep_matches_per_pass_marches():
     coarse = per_pass_march(F, K, grid)
     want = (4.0 * per_pass_march(F_half, K, half)[::2] - coarse) / 3.0
     assert np.max(np.abs(got - want)) <= 1e-8 * np.max(want)
+
+
+def test_sweep_matches_per_pass_marches():
+    # one sweep carries both passes
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    assert_sweep_is_per_pass(
+        kernels.SdanaExactKernel(spec, mu.points, mu.weights), 200)
+
+
+@pytest.mark.parametrize("h_max", [None, 0.02])
+@pytest.mark.parametrize("n", [B_MAPS - 1, B_MAPS, B_MAPS + 1,
+                               2 * B_MAPS + 1])
+def test_sweep_across_map_blocks(n, h_max):
+    # the sweep takes its maps B_MAPS intervals at a time: across every
+    # block boundary, with one step per interval or three, it is the
+    # per-pass march bitwise, and refined it is the per-pass Richardson
+    # value
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    asked = []
+
+    class Counted(kernels.SdanaExactKernel):
+        def maps(self, t):
+            asked.append(len(t) - 1)
+            return super().maps(t)
+
+    assert_sweep_is_per_pass(Counted(spec, mu.points, mu.weights, h_max), n)
+    # the unrefined sweep's n intervals, then the refined sweep's 2n
+    want = []
+    for m in (n, 2 * n):
+        want += [B_MAPS] * (m // B_MAPS) + [m % B_MAPS] * (m % B_MAPS > 0)
+    assert asked == want
+
+
+class FailingKernel(kernels.SdanaExactKernel):
+    """The exact kernel with two failures injected: the march passes'
+    states go infinite on reaching t_march, and the forcing's state goes
+    NaN on reaching t_forcing.  The sweep advances a stack (3, passes +
+    forcing, n_lam), the outranking check the forcing's (3, n_lam) alone."""
+
+    def __init__(self, spec, lams, weights, t_march, t_forcing):
+        super().__init__(spec, lams, weights)
+        self.t_march, self.t_forcing = t_march, t_forcing
+
+    def advance(self, state, t0, t1, maps=None):
+        state = super().advance(state, t0, t1, maps)
+        if state.ndim == 3 and t1 >= self.t_march:
+            state = state.copy()
+            state[:, :-1] = np.inf
+        if t1 >= self.t_forcing:
+            state = np.full_like(state, np.nan)
+        return state
+
+
+@pytest.mark.parametrize("t_forcing,message", [
+    (2.99, r"^forcing integration went non-finite at t = 3;"),
+    (np.inf, r"^Volterra solution went non-finite at grid step 40 "
+             r"\(t = t0 \+ 1\);")])
+def test_forcing_failure_further_on_outranks_the_march(t_forcing, message):
+    # the march fails at t = 1 (half-step node 40); a forcing failure at
+    # t = 3 further along the sweep is reported instead, and with none the
+    # march failure is, with no RuntimeWarning leaking from either
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    lams, coef, const = volterra._forcing_terms(mu, 1.0, 1.0)
+    K = FailingKernel(spec, lams, mu.weights, 0.99, t_forcing)
+    grid = volterra.time_grid(5.0)
+    with pytest.raises(NumericalError, match=message):
+        volterra.solve_general(volterra.StateForcing(coef, const), K, grid)
 
 
 @pytest.mark.parametrize("mode", ["ode", "conv"])

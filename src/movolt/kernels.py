@@ -22,11 +22,12 @@ row of exp(x B) a lag x later, G = m11^2/2 and K = lam^2 (m12 - g2 m11)^2.
 _first_row evaluates that row in closed form for SGD (Phi = 0), SHB, SDAHB
 and the mixed g1/g2 variant (Phi = theta), and SDANA's late-time
 convolution kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t)
-is carried by propagate: S -> M S M^T per step, M the closed-form 2x2
-exponential of a fourth-order Magnus step of B.  _moment_maps evaluates the
-3x3 maps of that update for a block of steps at once, and states are held
-component-major, (3, ..., n_lam), so that a step is one einsum over the
-component axis.  Every state stays O(1):
+is carried by moment maps, S -> M S M^T per step, M the closed-form 2x2
+exponential of a fourth-order Magnus step of B.  The --mode conv forcing and
+the exact kernel's sweep (its look-ahead too) take the 3x3 maps of MAP_BLOCK
+intervals at a time from block_maps, each block from one interval_maps call.
+States are component-major, (3, ..., n_lam), so that a step is one einsum
+over the component axis.  Every state stays O(1):
 there is no phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the
 moment ODE (_ode_on_grid) is kept as the oracle the tests check both
 against.
@@ -143,17 +144,6 @@ def _substeps(dt, h_max):
     return np.maximum(1, np.ceil(dt / h_max - 1e-12)).astype(int)
 
 
-def _steps(t0, t1, h_max):
-    """The equal steps covering each interval [t0, t1] in turn, flat: their
-    start times and lengths, and each interval's _substeps count."""
-    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-    dt = np.asarray(t1, dtype=float) - t0
-    counts = _substeps(dt, h_max)
-    h = np.repeat(dt / counts, counts)
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(t0, counts) + k * h, h, counts
-
-
 def _magnus_exp(lam, spec, t, h):
     """Entries (m11, m12, m21, m22) of M = exp(Omega), Omega the
     fourth-order Magnus step of B from t to t + h (Blanes, Casas, Oteo &
@@ -226,11 +216,32 @@ def _carry(state, Q):
     return state
 
 
-def propagate(state, lam, spec, t0, t1, h_max):
-    """Carry moment states of shape (3, ..., n_lam) from t0 to t1 in
-    _substeps(t1 - t0, h_max) equal Magnus steps, each S -> M S M^T, their
-    maps from one _moment_maps call."""
-    return _carry(state, _moment_maps(lam, spec, *_steps(t0, t1, h_max)[:2]))
+def interval_maps(lams, spec, t, h_max):
+    """The moment maps of the intervals between consecutive times t, all
+    from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries a
+    state from t[k] to t[k + 1] in _substeps(t[k + 1] - t[k], h_max) equal
+    Magnus steps, each S -> M S M^T."""
+    t = np.asarray(t, dtype=float)
+    dt = t[1:] - t[:-1]
+    counts = _substeps(dt, h_max)
+    h = np.repeat(dt / counts, counts)
+    ends = np.cumsum(counts)
+    k = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
+    Q = _moment_maps(lams, spec, np.repeat(t[:-1], counts) + k * h, h)
+    return [Q[:, :, a - n:a] for a, n in zip(ends.tolist(), counts.tolist())]
+
+
+# intervals whose moment maps block_maps takes from one call of maps.
+# Larger blocks save little time and hold more memory: at 200 nodes each
+# interval of a block adds about 0.05 MB to the peak
+MAP_BLOCK = 16
+
+
+def block_maps(maps, nodes):
+    """The map of each interval between consecutive nodes, taken from
+    maps(t), the maps of the intervals of t, MAP_BLOCK intervals at a time."""
+    for lo in range(0, len(nodes) - 1, MAP_BLOCK):
+        yield from maps(nodes[lo:lo + MAP_BLOCK + 1])
 
 
 def forcing_ic(lam):
@@ -328,8 +339,9 @@ def _ode_on_grid(lam, spec, grid, ic, h=None):
 
 def forcing_matrix(spec, lams, grid, h=None):
     """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half of rho^2 from
-    forcing_ic, G = m11^2/2 for constant Phi = theta, else carried by
-    propagate in steps of at most h (default PROPAGATOR_STEP)."""
+    forcing_ic, G = m11^2/2 for constant Phi = theta, else carried through
+    the block_maps of interval_maps in steps of at most h (default
+    PROPAGATOR_STEP)."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if spec.phi_kind == "const":
@@ -339,11 +351,12 @@ def forcing_matrix(spec, lams, grid, h=None):
                              grid)[0]
             out[i] = 0.5 * m11 * m11
         return out
-    # SDANA: every node's state carried together, interval by interval
+    # SDANA: every node's state carried together; _states_on_grid steps
+    # through the grid's intervals in order, each taking the next map
     h = PROPAGATOR_STEP if h is None else h
-    return 0.5 * _states_on_grid(
-        lambda u, t0, t1: propagate(u, lams, spec, t0, t1, h),
-        forcing_ic(lams), grid, spec)
+    maps = block_maps(lambda t: interval_maps(lams, spec, t, h), grid)
+    return 0.5 * _states_on_grid(lambda u, t0, t1: _carry(u, next(maps)),
+                                 forcing_ic(lams), grid, spec)
 
 
 def kernel_matrix(spec, lams, taus):
@@ -371,16 +384,16 @@ class SdanaExactKernel:
 
     K_s(t), aggregated over the spectral measure, is lam^2 rho^2 of each
     node's moment state, born at s in kernel_ic's state, the same for
-    every s, and carried to t by propagate.  The Volterra marcher exploits
-    this: it keeps one moment state per node and march pass, injects the
-    trapezoid impulse weight*ic*psi_j at each grid node, and advances
-    everything together: O(grid) propagator steps in total instead of one
-    solve per (s, t) pair.  The forcing's states start from forcing_ic and
-    ride in the same stack: one advance per half-step interval carries the
-    forcing and both march passes.  States are component-major, (3, ...,
-    n_lam); maps gives the moment maps of a block of intervals from one
-    evaluation, and advance applies one of them.  h is the longest step
-    propagate takes in one piece.
+    every s, and carried to t through interval maps.  The Volterra marcher
+    exploits this: it keeps one moment state per node and march pass,
+    injects the trapezoid impulse weight*ic*psi_j at each grid node, and
+    advances everything together: O(grid) Magnus steps in total instead of
+    one solve per (s, t) pair.  The forcing's states start from forcing_ic
+    and ride in the same stack: one advance per half-step interval carries
+    the forcing and both march passes.  States are component-major, (3,
+    ..., n_lam); maps gives interval_maps of a block of intervals, and
+    advance applies one of them.  h is the longest Magnus step taken in
+    one piece.
     """
 
     def __init__(self, spec, lams, weights, h=None):
@@ -403,22 +416,16 @@ class SdanaExactKernel:
         return kernel_ic(self.lams, self.spec.gamma2)
 
     def maps(self, t):
-        """The moment maps of the intervals between consecutive times t, all
-        from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries
-        a state from t[k] to t[k + 1] as propagate would."""
-        t = np.asarray(t, dtype=float)
-        starts, h, counts = _steps(t[:-1], t[1:], self.h)
-        Q = _moment_maps(self.lams, self.spec, starts, h)
-        ends = np.cumsum(counts).tolist()
-        return [Q[:, :, a:b] for a, b in zip([0] + ends, ends)]
+        """interval_maps of the intervals between consecutive times t."""
+        return interval_maps(self.lams, self.spec, t, self.h)
 
     def advance(self, state, t0, t1, maps=None):
-        """Propagate moment states of shape (3, ..., n_lam) from t0 to t1,
-        through maps, the interval's entry of self.maps, when given."""
+        """Carry moment states of shape (3, ..., n_lam) from t0 to t1 through
+        maps, the interval's entry of self.maps, or its own interval_maps."""
         if t1 <= t0:
             return state
         if maps is None:
-            return propagate(state, self.lams, self.spec, t0, t1, self.h)
+            maps = interval_maps(self.lams, self.spec, [t0, t1], self.h)[0]
         return _carry(state, maps)
 
     def aggregate(self, state_component):

@@ -29,11 +29,6 @@ PICARD_MAX_ITERS = 200
 # stretches take their history from FFT products
 _MARCH_BLOCK = 128
 
-# intervals whose moment maps the separable march takes from one call of
-# its kernel's maps.  Larger blocks save little time and hold more memory:
-# at 200 nodes each interval of a block adds about 0.05 MB to the peak
-_MAP_BLOCK = 16
-
 # the forcing const + coef @ G(t), G half the states the separable march
 # starts at forcing_ic of its kernel's nodes and sweeps with its own; a
 # given start is F at the first node (a realized problem's f0)
@@ -448,20 +443,24 @@ def _march_separable(F, K, nodes, stride):
     ic psi_j for 0 < j < i, each advanced from its node s_j, to the
     current node (the half weight at j = i sits in the divisor).  A
     StateForcing's state rides in the same stack, component-major:
-    state[:, p] is pass p's, state[:, -1] the forcing's.  The kernel gives
-    the maps of _MAP_BLOCK intervals at a time, and advance applies one
-    per interval.  Each node checks the forcing first; and as when the
-    forcing was integrated before the march, a forcing failure anywhere on
-    the grid outranks a march failure.
+    state[:, p] is pass p's, state[:, -1] the forcing's.  kernels.block_maps
+    takes the kernel's maps of kernels.MAP_BLOCK intervals at a time, and
+    advance applies one per interval.  Each node checks the forcing first;
+    and as when the forcing was integrated before the march, a forcing
+    failure anywhere on the grid outranks a march failure: the look-ahead
+    carries the forcing's state on through the same block maps.
     """
     h = _uniform_step(nodes)
     strides = (1, 2)[:stride]
     ode = isinstance(F, StateForcing)
     ic = K.ic(nodes[0])
     state = np.zeros(ic.shape[:1] + (stride + ode,) + ic.shape[1:])
+    maps = kernels.block_maps(K.maps, nodes)
     if ode:
         state[:, -1] = kernels.forcing_ic(K.lams)
-        forcing, F = F, np.empty(len(nodes))
+        # G is half of rho^2: the half goes into coef once
+        forcing = F._replace(coef=0.5 * F.coef)
+        F = np.empty(len(nodes))
         F[0] = (_forcing_at(K, forcing, state[:, -1], nodes[0])
                 if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
@@ -469,7 +468,7 @@ def _march_separable(F, K, nodes, stride):
     state[:, :stride] = 0.5 * ic[:, None] * F[0]
     # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, Q in enumerate(_block_maps(K, nodes), 1):
+        for k, Q in enumerate(maps, 1):
             state = K.advance(state, nodes[k - 1], nodes[k], Q)
             if ode:
                 F[k] = _forcing_at(K, forcing, state[:, -1], nodes[k])
@@ -481,25 +480,18 @@ def _march_separable(F, K, nodes, stride):
                 if not np.isfinite(psi[i]):
                     # a forcing failure further on outranks this one
                     u = state[:, -1]
-                    for j in range(k + 1, len(nodes) if ode else 0):
-                        u = K.advance(u, nodes[j - 1], nodes[j])
+                    for j, Q in enumerate(maps if ode else (), k + 1):
+                        u = K.advance(u, nodes[j - 1], nodes[j], Q)
                         _forcing_at(K, forcing, u, nodes[j])
                     raise _nonfinite_at(i, s * h)
                 state[:, p] += ic * psi[i]
     return F, psis
 
 
-def _block_maps(K, nodes):
-    """The kernel's map of each interval between consecutive nodes, taken
-    from K.maps _MAP_BLOCK intervals at a time."""
-    for lo in range(0, len(nodes) - 1, _MAP_BLOCK):
-        yield from K.maps(nodes[lo:lo + _MAP_BLOCK + 1])
-
-
 def _forcing_at(K, forcing, u, t):
-    """The StateForcing's value at node t from its state u; raises if it is
-    not finite."""
-    value = forcing.const + (0.5 * forcing.coef) @ u[0]
+    """The value const + coef @ u[0] of a StateForcing whose coef holds the
+    half of G, at node t from its state u; raises if it is not finite."""
+    value = forcing.const + forcing.coef @ u[0]
     if not np.isfinite(value):
         raise kernels.nonfinite_forcing(t, K.spec)
     return value

@@ -404,11 +404,32 @@ def test_propagator_is_exact_for_constant_phi(lam):
     spec = const_spec(g1, g2, theta)
     a, b, c = state = np.array([0.7, -0.4, 1.3])
     for lag in (0.3, 2.0, 7.0):
-        got = kernels.propagate(state, np.array(lam), spec, 0.0, lag, lag)[0]
+        maps = kernels.interval_maps(np.array(lam), spec, [0.0, lag], lag)
+        got = kernels._carry(state, maps[0])[0]
         m11, m12 = (v[0] for v in kernels._first_row(lam, g1, g2, theta,
                                                       np.array([lag])))
         want = m11 * m11 * a + 2.0 * m11 * m12 * b + m12 * m12 * c
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("h", [None, 0.02])
+@pytest.mark.parametrize("n", [kernels.MAP_BLOCK - 1, kernels.MAP_BLOCK,
+                               kernels.MAP_BLOCK + 1,
+                               2 * kernels.MAP_BLOCK + 1])
+def test_power_forcing_across_map_blocks(n, h):
+    # the power-schedule forcing takes its maps MAP_BLOCK intervals at a
+    # time: across every block boundary, with one step per interval or
+    # three, it is forcing_ic carried one interval at a time, bitwise
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    grid = volterra.time_grid(0.05 * n)
+    got = kernels.forcing_matrix(spec, mu.points, grid, h=h)
+    u = kernels.forcing_ic(mu.points)
+    step = kernels.PROPAGATOR_STEP if h is None else h
+    for i in range(1, len(grid)):
+        maps = kernels.interval_maps(mu.points, spec, grid[i - 1:i + 1], step)
+        u = kernels._carry(u, maps[0])
+        assert np.array_equal(got[:, i], 0.5 * u[0])
 
 
 def test_rk4_step_order():

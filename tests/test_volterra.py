@@ -69,7 +69,7 @@ class HalfExpKernel:
 
 
 B = volterra._MARCH_BLOCK
-B_MAPS = volterra._MAP_BLOCK
+B_MAPS = kernels.MAP_BLOCK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 1,
@@ -263,16 +263,16 @@ def test_separable_march_overflow_fails_fast():
     assert step * volterra.DEFAULT_H < 60.0
 
 
-def test_sdana_forcing_integration_fails_fast():
+@pytest.mark.parametrize("mode", ["ode", "conv"])
+def test_sdana_forcing_integration_fails_fast(mode):
     # theta = 1e300 takes the Magnus step's commutator term out of double
-    # range: the forcing integration must stop at the first non-finite
-    # value and say so, with no RuntimeWarning leaking
+    # range: the forcing integration, in the exact sweep or through the
+    # conv route's block maps, must stop at the first non-finite value, the
+    # first half-step node, and say so, with no RuntimeWarning leaking
     with pytest.raises(NumericalError, match=r"forcing integration went "
-                       r"non-finite at t = ") as info:
+                       r"non-finite at t = 0\.025;"):
         volterra.predict(spectrum.mp_measure(1.0),
-                         momentum.sdana(0.25, 1.0, 1e300), T=5.0)
-    t = float(re.search(r"at t = ([0-9.e+-]+);", str(info.value)).group(1))
-    assert 0.0 < t < 5.0
+                         momentum.sdana(0.25, 1.0, 1e300), T=5.0, mode=mode)
 
 
 def per_pass_march(F, K, grid):
@@ -405,11 +405,17 @@ class FailingKernel(kernels.SdanaExactKernel):
     """The exact kernel with two failures injected: the march passes'
     states go infinite on reaching t_march, and the forcing's state goes
     NaN on reaching t_forcing.  The sweep advances a stack (3, passes +
-    forcing, n_lam), the outranking check the forcing's (3, n_lam) alone."""
+    forcing, n_lam), the outranking check the forcing's (3, n_lam) alone.
+    asked records the intervals of each maps call."""
 
     def __init__(self, spec, lams, weights, t_march, t_forcing):
         super().__init__(spec, lams, weights)
         self.t_march, self.t_forcing = t_march, t_forcing
+        self.asked = []
+
+    def maps(self, t):
+        self.asked.append(len(t) - 1)
+        return super().maps(t)
 
     def advance(self, state, t0, t1, maps=None):
         state = super().advance(state, t0, t1, maps)
@@ -436,6 +442,12 @@ def test_forcing_failure_further_on_outranks_the_march(t_forcing, message):
     grid = volterra.time_grid(5.0)
     with pytest.raises(NumericalError, match=message):
         volterra.solve_general(volterra.StateForcing(coef, const), K, grid)
+    # the look-ahead past node 40 takes its maps in blocks, as the sweep
+    # does, up to the block holding the last node it reaches: the forcing
+    # failure's (node 120) or the last of the 200 intervals
+    last = 120 if t_forcing < np.inf else 200
+    blocks = [min(B_MAPS, 200 - lo) for lo in range(0, 200, B_MAPS)]
+    assert K.asked == blocks[:-(-last // B_MAPS)]
 
 
 @pytest.mark.parametrize("mode", ["ode", "conv"])

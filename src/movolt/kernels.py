@@ -74,6 +74,14 @@ class KernelSpec:
             return self.theta
         return self.theta / (1.0 + t)
 
+    def discrete(self, n, k):
+        """(Gamma1, Gamma2, Delta(k)) of the discrete recursion at problem
+        size n and step k: gamma1/n, gamma2 and Delta(k) = Phi(k/n)/n,
+        written theta/n or theta/(n + k), each one rounded division."""
+        if self.phi_kind == "const":
+            return self.gamma1 / n, self.gamma2, self.theta / n
+        return self.gamma1 / n, self.gamma2, self.theta / (n + k)
+
 
 # ----------------------------------------------------------------------
 # Constant Phi: the first row of exp(x B)
@@ -382,18 +390,19 @@ def kernel_matrix(spec, lams, taus):
 class SdanaExactKernel:
     """Separable representation of the exact two-time SDANA kernel.
 
-    K_s(t), aggregated over the spectral measure, is lam^2 rho^2 of each
-    node's moment state, born at s in kernel_ic's state, the same for
-    every s, and carried to t through interval maps.  The Volterra marcher
-    exploits this: it keeps one moment state per node and march pass,
-    injects the trapezoid impulse weight*ic*psi_j at each grid node, and
-    advances everything together: O(grid) Magnus steps in total instead of
-    one solve per (s, t) pair.  The forcing's states start from forcing_ic
-    and ride in the same stack: one advance per half-step interval carries
-    the forcing and both march passes.  States are component-major, (3,
-    ..., n_lam); maps gives interval_maps of a block of intervals, and
-    advance applies one of them.  h is the longest Magnus step taken in
-    one piece.
+    Its data are ic, the nodes' moment states at their birth, kernel_ic's
+    state, the same for every birth time s, and agg, the weights times
+    lam^2.  K_s(t), aggregated over the spectral measure, is agg @ state[0]
+    once the states born at s are carried to t through interval maps.
+    The Volterra marcher exploits this: it keeps one
+    moment state per node and march pass, injects the trapezoid impulse
+    weight*ic*psi_j at each grid node, and advances everything together:
+    O(grid) Magnus steps in total instead of one solve per (s, t) pair.
+    The forcing's states start from forcing_ic and ride in the same stack:
+    one advance per half-step interval carries the forcing and both march
+    passes.  States are component-major, (3, ..., n_lam); maps gives
+    interval_maps of a block of intervals, and advance applies one of
+    them.  h is the longest Magnus step taken in one piece.
     """
 
     def __init__(self, spec, lams, weights, h=None):
@@ -403,31 +412,14 @@ class SdanaExactKernel:
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.h = PROPAGATOR_STEP if h is None else h
-        # lam^2-weighted aggregation vector: K agg = sum_i w_i lam_i^2 q_i
+        self.ic = kernel_ic(self.lams, spec.gamma2)
         self.agg = self.weights * self.lams**2
-
-    def diag(self):
-        """Aggregated on-diagonal kernel value K_t(t) = g2^2 * int lam^2 dmu."""
-        return float(self.spec.gamma2**2 * np.sum(self.agg))
-
-    def ic(self, s):
-        """Kernel moment states of every node born at time s, shape
-        (3, n_lam); they do not depend on s."""
-        return kernel_ic(self.lams, self.spec.gamma2)
 
     def maps(self, t):
         """interval_maps of the intervals between consecutive times t."""
         return interval_maps(self.lams, self.spec, t, self.h)
 
-    def advance(self, state, t0, t1, maps=None):
+    def advance(self, state, t0, t1, maps):
         """Carry moment states of shape (3, ..., n_lam) from t0 to t1 through
-        maps, the interval's entry of self.maps, or its own interval_maps."""
-        if t1 <= t0:
-            return state
-        if maps is None:
-            maps = interval_maps(self.lams, self.spec, [t0, t1], self.h)[0]
+        maps, the interval's entry of self.maps."""
         return _carry(state, maps)
-
-    def aggregate(self, state_component):
-        """sum_i w_i lam_i^2 * q_i given the q components (n_lam,)."""
-        return float(self.agg @ state_component)

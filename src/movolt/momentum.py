@@ -6,9 +6,10 @@ One step of the generic method, given the sampled row index i_k:
     y_k = (1 - Delta(k)) y_{k-1} + Gamma1 * g_k,   y_0 = 0
     x_k = x_{k-1} - Gamma2 * g_k - y_k
 
-Named rows: SGD (Gamma2=gamma, Delta=1), SHB (Gamma1=gamma, Delta=theta),
-SDAHB (Gamma1=gamma/n, Delta=theta/n), SDANA (Gamma1=gamma1/n,
-Gamma2=gamma2, Delta=theta/(k+n)).  Time is measured in epochs t = k/n.
+Each named method reads its step from its continuous-time law,
+kernels.KernelSpec.discrete: Gamma1 = gamma1/n, Gamma2 = gamma2 and
+Delta(k) = Phi(k/n)/n.  So SGD has Gamma1 = Delta = 0, and SHB(gamma,
+theta) steps as SDAHB(n gamma, n theta).  Time is in epochs t = k/n.
 """
 
 import contextvars
@@ -30,14 +31,13 @@ _PATH_STREAM = 0xd1f
 
 
 class Algorithm(NamedTuple):
-    """Everything movolt knows about one method.  p is the parameter dict,
-    n the problem size and k the step.  continuous and modes give the
-    method's kernels.KernelSpec, its one continuous-time law (phi, Phi);
-    discrete writes the recursion out, with Delta(k) ~ Phi(k/n)/n."""
+    """Everything movolt knows about one method.  p is the parameter dict
+    and n the problem size.  continuous and modes give the method's
+    kernels.KernelSpec, its one continuous-time law (phi, Phi), from which
+    the discrete recursion reads its step too."""
 
     name: str
     names: tuple              # parameter names, in constructor order
-    discrete: Callable        # (p, n, k) -> (Gamma1, Gamma2, Delta(k))
     continuous: Callable      # (p, n) -> (gamma1, gamma2, theta)
     defaults: Callable = None     # (m, given p) -> default parameter row
     modes: tuple = ("closed_form",)   # valid solve modes, the default first
@@ -55,22 +55,17 @@ def _shb_continuous(p, n):
 
 ALGORITHMS = {a.name: a for a in (
     Algorithm("sgd", ("gamma",),
-              lambda p, n, k: (0.0, p["gamma"], 1.0),
               lambda p, n: (0.0, p["gamma"], 0.0),
               defaults=lambda m, p: {"gamma": 1.0 / m},
               family=analysis.SGD),
     Algorithm("shb", ("gamma", "theta"),
-              lambda p, n, k: (p["gamma"], 0.0, p["theta"]),
               _shb_continuous, family=analysis.HEAVY_BALL),
     Algorithm("sdahb", ("gamma", "theta"),
-              lambda p, n, k: (p["gamma"] / n, 0.0, p["theta"] / n),
               lambda p, n: (p["gamma"], 0.0, p["theta"]),
               defaults=lambda m, p: {"theta": 2.0,
                                      "gamma": p.get("theta", 2.0) / m},
               family=analysis.HEAVY_BALL),
     Algorithm("sdana", ("gamma1", "gamma2", "theta"),
-              lambda p, n, k: (p["gamma1"] / n, p["gamma2"],
-                               p["theta"] / (k + n)),
               lambda p, n: (p["gamma1"], p["gamma2"], p["theta"]),
               defaults=lambda m, p: {"gamma1": 1.0 / (4.0 * m),
                                      "gamma2": 1.0 / m, "theta": 4.0},
@@ -102,8 +97,9 @@ class AlgoParams:
         self.params = _checked(algo.name, {k: params[k] for k in algo.names})
 
     def discrete(self, n, k):
-        """(Gamma1, Gamma2, Delta(k)) of the recursion at problem size n."""
-        return self.algo.discrete(self.params, n, k)
+        """(Gamma1, Gamma2, Delta(k)) of the recursion at problem size n,
+        read from the continuous-time law at n."""
+        return self.kernel_spec(n).discrete(n, k)
 
     def kernel_spec(self, n=None, mode=None):
         """The continuous-time law (SHB needs n) in the given solve mode."""

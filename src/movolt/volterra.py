@@ -395,10 +395,10 @@ def _picard_convolution(F, I_vals, h, I_hat):
 def solve_general(F, kernel, grid, refine=True):
     """Solve psi(t) = F(t) + int_0^t K_s(t) psi(s) ds by trapezoid marching.
 
-    kernel is a separable-state object exposing
-    ic/maps/advance/aggregate/diag (the exact SDANA kernel): K_s(t) is the
-    aggregate of per-node states started at ic(s), the same for every s,
-    and carried from s to t by advance, each interval through its entry of
+    kernel is a separable-state object exposing ic, agg, maps and advance
+    (the exact SDANA kernel): K_s(t) is agg @ state[0] for the per-node
+    states born at s in ic, the same for every s, and carried from s to t
+    by advance(state, t0, t1, maps), each interval through its entry of
     maps(nodes), so the march keeps one state per spectral node instead of
     one solve per (s, t) pair.
     refine also marches the half-step grid and Richardson-extrapolates,
@@ -441,19 +441,20 @@ def _march_separable(F, K, nodes, stride):
     The state dynamics are linear and every birth starts from the same
     ic, so one state per pass carries its trapezoid sum, ic psi_0 / 2 plus
     ic psi_j for 0 < j < i, each advanced from its node s_j, to the
-    current node (the half weight at j = i sits in the divisor).  A
-    StateForcing's state rides in the same stack, component-major:
-    state[:, p] is pass p's, state[:, -1] the forcing's.  kernels.block_maps
-    takes the kernel's maps of kernels.MAP_BLOCK intervals at a time, and
-    advance applies one per interval.  Each node checks the forcing first;
-    and as when the forcing was integrated before the march, a forcing
-    failure anywhere on the grid outranks a march failure: the look-ahead
-    carries the forcing's state on through the same block maps.
+    current node (the half weight at j = i sits in the divisor, with
+    K(0) = agg @ ic[0]).  A StateForcing's state rides in the same stack,
+    component-major: state[:, p] is pass p's, state[:, -1] the forcing's.
+    kernels.block_maps takes the kernel's maps of kernels.MAP_BLOCK
+    intervals at a time, and advance applies one per interval.  Each node
+    checks the forcing first; and as when the forcing was integrated before
+    the march, a forcing failure anywhere on the grid outranks a march
+    failure: the look-ahead carries the forcing's state on through the
+    same block maps.
     """
     h = _uniform_step(nodes)
     strides = (1, 2)[:stride]
     ode = isinstance(F, StateForcing)
-    ic = K.ic(nodes[0])
+    ic, agg = K.ic, K.agg
     state = np.zeros(ic.shape[:1] + (stride + ode,) + ic.shape[1:])
     maps = kernels.block_maps(K.maps, nodes)
     if ode:
@@ -464,7 +465,7 @@ def _march_separable(F, K, nodes, stride):
         F[0] = (_forcing_at(K, forcing, state[:, -1], nodes[0])
                 if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
-    denoms = [_march_divisor(s * h, K.diag()) for s in strides]
+    denoms = [_march_divisor(s * h, float(agg @ ic[0])) for s in strides]
     state[:, :stride] = 0.5 * ic[:, None] * F[0]
     # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
@@ -476,7 +477,7 @@ def _march_separable(F, K, nodes, stride):
                 if k % s:
                     continue
                 psi, i = psis[p], k // s
-                psi[i] = (F[k] + s * h * K.aggregate(state[0, p])) / denoms[p]
+                psi[i] = (F[k] + s * h * float(agg @ state[0, p])) / denoms[p]
                 if not np.isfinite(psi[i]):
                     # a forcing failure further on outranks this one
                     u = state[:, -1]
@@ -553,7 +554,14 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             phi = np.ones_like(half)
         I_vals = build_convolution_kernel(measure, spec, half)
         weighted = phi * F
-        sol = solve_convolution(weighted, I_vals, grid)
+        try:
+            sol = solve_convolution(weighted, I_vals, grid)
+        except NumericalError:
+            if norm < 1.0:
+                raise
+            raise NumericalError(
+                "kernel norm %.6g >= 1: the loss grows without bound; a "
+                "smaller --h resolves more of its growth" % norm)
         sol = VolterraSolution(grid, F[::2], sol.psi / phi[::2],
                                method=sol.method, diagnostics=sol.diagnostics)
         if validate:

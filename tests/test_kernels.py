@@ -167,11 +167,11 @@ def test_sdana_two_time_kernel_matches_oracle():
     # a one-node exact kernel: the state born at s, advanced along the grid
     K = kernels.SdanaExactKernel(momentum.sdana(g1, g2, theta).kernel_spec(),
                                  [lam], [1.0])
-    cur = K.ic(s)
-    got = [K.aggregate(cur[0])]
+    cur = K.ic
+    got = [K.agg @ cur[0]]
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        cur = K.advance(cur, t0, t1)
-        got.append(K.aggregate(cur[0]))
+        cur = K.advance(cur, t0, t1, K.maps([t0, t1])[0])
+        got.append(K.agg @ cur[0])
     assert np.allclose(got, want, atol=1e-7)
 
 
@@ -196,14 +196,15 @@ def test_exact_kernel_state_matches_dense_evaluation():
     K = kernels.SdanaExactKernel(spec, lam, wts, h)
     s, t1 = 0.4, 2.2
     # advance the initial-condition block from s to t1 and aggregate
-    cur = K.ic(s)
+    cur = K.ic
     steps = int(round((t1 - s) / h))
     for j in range(steps):
-        cur = K.advance(cur, s + j * h, s + (j + 1) * h)
+        t = [s + j * h, s + (j + 1) * h]
+        cur = K.advance(cur, t[0], t[1], K.maps(t)[0])
     dense = sum(w * oracle_kernel(l, 0.25, 1.0, lambda t: 4.0 / (1.0 + t),
                                   s, np.array([s, t1]))[-1]
                 for l, w in zip(lam, wts))
-    assert K.aggregate(cur[0]) == pytest.approx(dense, rel=1e-7)
+    assert K.agg @ cur[0] == pytest.approx(dense, rel=1e-7)
 
 
 # ------------------------------------ constant Phi against mpmath's expm
@@ -469,10 +470,12 @@ def test_exact_kernel_advance_broadcasts_over_stack():
     # advances exactly as each row does alone
     spec = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     K = kernels.SdanaExactKernel(spec, [0.3, 1.1, 2.9], [0.2, 0.5, 0.3])
-    rows = np.stack([K.ic(0.2), -0.7 * K.ic(0.9)], axis=1)
-    got = K.advance(rows, 0.2, 0.27)
+    rows = np.stack([K.ic, -0.7 * K.ic], axis=1)
+    Q = K.maps([0.2, 0.27])[0]
+    got = K.advance(rows, 0.2, 0.27, Q)
     for i in range(2):
-        assert got[:, i].tobytes() == K.advance(rows[:, i], 0.2, 0.27).tobytes()
+        assert (got[:, i].tobytes()
+                == K.advance(rows[:, i], 0.2, 0.27, Q).tobytes())
 
 
 @pytest.mark.parametrize("K", [1, 2, 7, 64])

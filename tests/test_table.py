@@ -66,17 +66,17 @@ def test_every_record_runs_through_every_consumer(name, mp2, tmp_path,
 @pytest.mark.parametrize("name", sorted(momentum.ALGORITHMS))
 def test_discrete_map_is_the_kernel_specs_law(name, n, mp2):
     # Gamma1 = gamma1/n, Gamma2 = gamma2 and Delta(k) = Phi(k/n)/n: the
-    # record's hand-written discrete map and its KernelSpec agree, also at
-    # an n that is not a power of two
+    # step KernelSpec.discrete writes as theta/n or theta/(n + k) is Phi's,
+    # also at an n that is not a power of two
     params = row(name, mp2)
     spec = params.kernel_spec(n)
     ks = np.arange(1, 10 * n + 1)
     g1, g2, delta = params.discrete(n, ks)
     assert n * g1 == pytest.approx(spec.gamma1, rel=1e-14, abs=0.0)
     assert g2 == spec.gamma2
-    if spec.gamma1 != 0.0:
-        np.testing.assert_allclose(n * np.broadcast_to(delta, ks.shape),
-                                   spec.Phi(ks / n), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(n * np.broadcast_to(delta, ks.shape),
+                               np.broadcast_to(spec.Phi(ks / n), ks.shape),
+                               rtol=1e-14, atol=0.0)
     # Phi = phi'/phi = (log phi)', by a central difference
     t, eps = np.linspace(0.0, 10.0, 21), 1e-4
     slope = (np.log(spec.phi(t + eps)) - np.log(spec.phi(t - eps))) / (2 * eps)

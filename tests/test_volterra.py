@@ -52,20 +52,14 @@ class HalfExpKernel:
     """K_s(t) = exp(-(t - s))/2 in the separable-state form solve_general
     takes: one node whose state decays like the kernel."""
 
-    def ic(self, s):
-        return np.array([[1.0], [0.0], [0.0]])
+    ic = np.array([[1.0], [0.0], [0.0]])
+    agg = np.array([0.5])
 
     def maps(self, t):
         return np.exp(-np.diff(t))
 
-    def advance(self, state, t0, t1, decay=None):
-        return state * (np.exp(-(t1 - t0)) if decay is None else decay)
-
-    def aggregate(self, q):
-        return 0.5 * float(np.sum(q))
-
-    def diag(self):
-        return 0.5
+    def advance(self, state, t0, t1, decay):
+        return state * decay
 
 
 B = volterra._MARCH_BLOCK
@@ -228,6 +222,14 @@ def test_supercritical_kernel_overflow_is_numerical_error():
         volterra.solve_convolution(F, I, grid)
 
 
+def test_divergent_closed_route_names_the_kernel_norm():
+    # ||I|| = 1.5: the solve fails somewhere in the growth, and predict says
+    # why instead of the march's symptom
+    with pytest.raises(NumericalError, match=r"^kernel norm 1\.5 >= 1: the "
+                       r"loss grows without bound; a smaller --h"):
+        volterra.predict(spectrum.mp_measure(1.0), momentum.sgd(3.0), T=10.0)
+
+
 def test_march_overflow_names_the_step():
     grid = volterra.time_grid(400.0, 0.05)
     # psi ~ e^{2t} passes 1.8e308 near t=355
@@ -277,15 +279,19 @@ def test_sdana_forcing_integration_fails_fast(mode):
 
 def per_pass_march(F, K, grid):
     """One pass of the separable trapezoid march, advanced grid point to
-    grid point on its own."""
+    grid point on its own, each interval's map from its own interval_maps
+    call."""
     h = grid[1] - grid[0]
+    K0 = K.agg @ K.ic[0]
     psi = np.empty(len(grid))
     psi[0] = F[0]
-    state = 0.5 * K.ic(grid[0]) * psi[0]
+    state = 0.5 * K.ic * psi[0]
     for i in range(1, len(grid)):
-        state = K.advance(state, grid[i - 1], grid[i])
-        psi[i] = (F[i] + h * K.aggregate(state[0])) / (1.0 - 0.5 * h * K.diag())
-        state = state + K.ic(grid[i]) * psi[i]
+        t = grid[i - 1:i + 1]
+        Q = kernels.interval_maps(K.lams, K.spec, t, K.h)[0]
+        state = K.advance(state, t[0], t[1], Q)
+        psi[i] = (F[i] + h * (K.agg @ state[0])) / (1.0 - 0.5 * h * K0)
+        state = state + K.ic * psi[i]
     return psi
 
 
@@ -417,7 +423,7 @@ class FailingKernel(kernels.SdanaExactKernel):
         self.asked.append(len(t) - 1)
         return super().maps(t)
 
-    def advance(self, state, t0, t1, maps=None):
+    def advance(self, state, t0, t1, maps):
         state = super().advance(state, t0, t1, maps)
         if state.ndim == 3 and t1 >= self.t_march:
             state = state.copy()

@@ -179,16 +179,18 @@ def build_convolution_kernel(measure, spec, grid):
 
 
 def _fft_size(n):
-    """Smallest power of two >= n."""
-    return 1 << (n - 1).bit_length()
+    """Smallest 2^k or 3*2^k >= n: numpy's FFT is about as fast at either,
+    and 3*2^k pads 2N-1 = 24,001 to 24,576 points where 2^k takes 32,768."""
+    size = 1 << (n - 1).bit_length()
+    return 3 * size // 4 if 3 * size // 4 >= n else size
 
 
 def _trapezoid_convolve(I_vals, psi, h, I_hat):
     """Trapezoid quadrature of (I * psi)(t_i) on the shared uniform grid.
 
-    The full sum goes through numpy.fft, zero-padded to a power of two
-    >= 2N-1; I_hat is the kernel's rfft at that size.  Overflow is left
-    to the caller's finiteness checks.
+    The full sum goes through numpy.fft, zero-padded to _fft_size(2N-1);
+    I_hat is the kernel's rfft at that size.  Overflow is left to the
+    caller's finiteness checks.
     """
     n = len(psi)
     size = _fft_size(2 * n - 1)
@@ -214,7 +216,8 @@ def _finalize_psi(psi, context):
     return psi
 
 
-def solve_convolution(F, I_vals, grid, method="marching", refine=True):
+def solve_convolution(F, I_vals, grid, method="marching", refine=True,
+                      weight=1.0):
     """Solve psi = F + I * psi on a uniform grid (trapezoid weights).
 
     Marching: one forward pass, exact for the trapezoid discretization.
@@ -225,21 +228,26 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True):
     extrapolation removes the O(h^2) term, raising the order to ~4; the
     coarse/fine gap is reported as an error estimate.  F and I_vals are
     sampled on _sweep_nodes(grid, refine): the half-step grid (length
-    2*len(grid) - 1) when refining, else grid.
+    2*len(grid) - 1) when refining, else grid.  Where psi is a weighted
+    unknown, weight * psi_0 (the SDANA convolution route's phi), weight on
+    the same nodes puts the refinement gap and the residual in psi_0's
+    units: each is divided by weight on its nodes before its max is taken.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = _sweep_nodes(grid, refine)
     F = _on_nodes(F, nodes, "F")
     I_vals = _on_nodes(I_vals, nodes, "I")
+    weight = np.broadcast_to(weight, nodes.shape)
     h = _uniform_step(grid)
     diagnostics = {}
     if len(nodes) == len(grid):
-        psi = _solve_conv_core(F, I_vals, h, method, diagnostics)
+        psi = _solve_conv_core(F, I_vals, h, method, diagnostics, weight)
     else:
         # the coarse pass first, so that a failure names the grid's own step
         psi = _solve_conv_core(F[::2], I_vals[::2], h, method)
-        fine_psi = _solve_conv_core(F, I_vals, 0.5 * h, method, diagnostics)
-        psi = _richardson(psi, fine_psi[::2], diagnostics)
+        fine_psi = _solve_conv_core(F, I_vals, 0.5 * h, method, diagnostics,
+                                    weight)
+        psi = _richardson(psi, fine_psi[::2], diagnostics, weight[::2])
         F = F[::2]
     psi = _finalize_psi(psi, "convolution solve")
     return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
@@ -255,13 +263,13 @@ def _on_nodes(values, nodes, name):
     return values
 
 
-def _richardson(psi, on_grid, diagnostics):
+def _richardson(psi, on_grid, diagnostics, weight=1.0):
     """Extrapolate away the O(h^2) term of a solve psi given the half-step
     solve's values on the same nodes: (4 psi_half - psi) / 3, written as
     psi_half + (psi_half - psi) / 3 so that a node where both passes agree
-    keeps its value.  The gap is recorded as refinement_gap."""
+    keeps its value.  The gap over weight is recorded as refinement_gap."""
     gap = on_grid - psi
-    diagnostics["refinement_gap"] = float(np.max(np.abs(gap)))
+    diagnostics["refinement_gap"] = float(np.max(np.abs(gap / weight)))
     return on_grid + gap / 3.0
 
 
@@ -276,9 +284,9 @@ def _march_divisor(h, K0):
     return denom
 
 
-def _solve_conv_core(F, I_vals, h, method, diagnostics=None):
-    """psi of one pass; a diagnostics dict takes the pass's residual and
-    Picard sweep count."""
+def _solve_conv_core(F, I_vals, h, method, diagnostics=None, weight=1.0):
+    """psi of one pass; a diagnostics dict takes the pass's residual, over
+    weight, and Picard sweep count."""
     denom = _march_divisor(h, I_vals[0])
     I_hat = None
     if method == "picard" or diagnostics is not None:
@@ -293,7 +301,7 @@ def _solve_conv_core(F, I_vals, h, method, diagnostics=None):
         raise ValueError("unknown solver method %r" % (method,))
     if diagnostics is not None:
         resid = psi - F - _trapezoid_convolve(I_vals, psi, h, I_hat)
-        diagnostics["residual"] = float(np.max(np.abs(resid)))
+        diagnostics["residual"] = float(np.max(np.abs(resid / weight)))
     return psi
 
 
@@ -311,9 +319,13 @@ def _march_convolution(F, I_vals, h, denom):
     """Trapezoid march of psi = F + I * psi, block-recursive (Hairer, Lubich
     & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): solve the left half
     of a stretch, add its history to the right half with one FFT product,
-    then solve the right half.  Stretches of _MARCH_BLOCK points are
-    marched directly.  The discrete system is the direct march's; only the
-    order of summation differs.  Cost O(N log^2 N).
+    then solve the right half.  A stretch of _MARCH_BLOCK points is a leaf:
+    its own trapezoid system, denom psi_i - h sum_{lo<=j<i} I_{i-j} psi_j =
+    F_i + h hist_i, has the same lower-triangular Toeplitz matrix in every
+    leaf, so one inverse, built once per call from the leaf's discrete
+    resolvent, solves each leaf in one matrix-vector product.  The discrete
+    system is the direct march's; only the order of summation differs.
+    Cost O(N log^2 N).
     """
     n = len(F)
     size = _MARCH_BLOCK
@@ -322,28 +334,32 @@ def _march_convolution(F, I_vals, h, denom):
     kern = np.zeros(size)
     kern[:n] = I_vals
     spectra = {}  # stretch length -> rfft of the kernel's first values
+    # psi carries the trapezoid's half weight at j = 0 until the march ends
     psi = np.empty(n)
-    w = np.empty(n)  # psi with the trapezoid's half weight at j = 0
-    hist = np.zeros(n)  # sum_j I[i-j] w[j] over earlier stretches
+    psi[0] = 0.5 * F[0]
+    hist = np.zeros(n)  # sum_j I[i-j] psi[j] over earlier stretches
+    # the first leaf starts at node 1; its history is psi_0's half weight
+    first = min(n, _MARCH_BLOCK)
+    hist[1:first] = kern[1:first] * psi[0]
 
-    def march_block(lo, hi):
-        start = lo
-        if lo == 0:
-            psi[0] = F[0]
-            w[0] = 0.5 * F[0]
-            start = 1
-        for i in range(start, hi):
-            # the trapezoid's half weight at j = i sits in denom
-            acc = hist[i] + kern[i - lo:0:-1] @ w[lo:i]
-            psi[i] = (F[i] + h * acc) / denom
-            w[i] = psi[i]
-        finite = np.isfinite(psi[lo:hi])
+    def leaf(lo, hi):
+        start = max(lo, 1)
+        rhs = F[start:hi] + h * hist[start:hi]
+        # 0 * nan would spread to every row: solve the rows before the
+        # first non-finite entry, and let that entry's step be named
+        bad = ~np.isfinite(rhs)
+        m = int(np.argmax(bad)) if bad.any() else len(rhs)
+        cols = np.flatnonzero(rhs[:m]) if overflowed else slice(m)
+        psi[start:start + m] = inv[:m, cols] @ rhs[cols]
+        finite = np.isfinite(psi[lo:start + m])
         if not finite.all():
             raise _nonfinite_at(lo + int(np.argmin(finite)), h)
+        if m < len(rhs):
+            raise _nonfinite_at(start + m, h)
 
     def solve(lo, hi):
         if hi - lo <= _MARCH_BLOCK:
-            march_block(lo, min(hi, n))
+            leaf(lo, min(hi, n))
             return
         mid = (lo + hi) // 2
         solve(lo, mid)
@@ -353,16 +369,36 @@ def _march_convolution(F, I_vals, h, denom):
         if length not in spectra:
             spectra[length] = np.fft.rfft(kern[:length])
         # circular length suffices: wrapped terms land left of mid
-        cross = np.fft.irfft(np.fft.rfft(w[lo:mid], length) * spectra[length],
-                             length)
+        cross = np.fft.irfft(np.fft.rfft(psi[lo:mid], length)
+                             * spectra[length], length)
         top = min(hi, n)
         hist[mid:top] += cross[mid - lo:top - lo]
         solve(mid, hi)
 
-    # an overflow shows up as a non-finite value in its block, which raises
+    # an overflow shows up as a non-finite value in its leaf, which raises
     with np.errstate(over="ignore", invalid="ignore"):
+        inv = _leaf_inverse(kern[:_MARCH_BLOCK], h, denom)
+        # where the resolvent overflowed, a zero entry would read 0 * inf:
+        # each leaf then multiplies its nonzero entries only
+        overflowed = not np.isfinite(inv[:, 0]).all()
         solve(0, size)
+    psi[0] = F[0]
     return psi
+
+
+def _leaf_inverse(kern, h, denom):
+    """Inverse of denom*Id - h*L with L[i, j] = kern[i - j] for j < i: the
+    lower-triangular Toeplitz matrix whose first column is the discrete
+    resolvent r, r_0 = 1/denom and r_i = h (sum_{j<i} kern[i-j] r_j)/denom."""
+    size = len(kern)
+    r = np.empty(size)
+    r[0] = 1.0 / denom
+    for i in range(1, size):
+        r[i] = h * (kern[i:0:-1] @ r[:i]) / denom
+    # row i of the windows reversed is r_i, r_{i-1}, ..., r_0, 0, ...
+    padded = np.concatenate([np.zeros(size - 1), r])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size)
+    return np.ascontiguousarray(windows[:, ::-1])
 
 
 def _nonfinite_at(step, h):
@@ -555,7 +591,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         I_vals = build_convolution_kernel(measure, spec, half)
         weighted = phi * F
         try:
-            sol = solve_convolution(weighted, I_vals, grid)
+            sol = solve_convolution(weighted, I_vals, grid, weight=phi)
         except NumericalError:
             if norm < 1.0:
                 raise

@@ -87,6 +87,12 @@ def test_fft_sums_match_direct_oracles(n, signed):
         <= 1e-13 * scale
 
 
+def test_fft_size_is_the_smallest_2k_or_3_2k():
+    sizes = np.unique([m << k for m in (1, 3) for k in range(19)])
+    for n in range(1, 100_001):
+        assert volterra._fft_size(n) == sizes[np.searchsorted(sizes, n)]
+
+
 def test_picard_fixed_point_is_the_march_oracle():
     grid, F = grid_and_ones(T=20.0)
     I = 0.5 * np.exp(-grid) * np.cos(3.0 * grid)
@@ -245,6 +251,31 @@ def test_march_nan_forcing_names_the_step():
     F[300] = np.nan
     with pytest.raises(NumericalError, match=r"grid step 300 \(t = t0 \+ 15"):
         volterra.solve_convolution(F, 0.5 * np.exp(-grid), grid, refine=False)
+
+
+def supercritical_leaf_case():
+    # I = 2 at h = 0.99999: divisor 1e-5, so the leaf's resolvent overflows
+    # within its 128 points
+    n, h = 400, 0.99999
+    I = np.full(n, 2.0)
+    return np.zeros(n), I, h, volterra._march_divisor(h, I[0])
+
+
+def test_march_zero_forcing_with_an_overflowed_resolvent_is_zero():
+    F, I, h, denom = supercritical_leaf_case()
+    assert np.array_equal(volterra._march_convolution(F, I, h, denom),
+                          np.zeros_like(F))
+
+
+def test_march_names_the_oracles_first_nonfinite_step():
+    F, I, h, denom = supercritical_leaf_case()
+    F[200] = 1e-300
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(march_oracle(F, I, h, denom))
+    step = int(np.argmin(finite))
+    assert 200 < step < len(F)
+    with pytest.raises(NumericalError, match=r"grid step %d \(" % step):
+        volterra._march_convolution(F, I, h, denom)
 
 
 def test_separable_march_nan_forcing_names_the_step():
@@ -619,6 +650,28 @@ def test_predict_sdana_conv_picard_settles_on_conjugated_scale(mp1):
                            mode="conv", validate=True)
     assert "picard_note" not in sol.diagnostics
     assert sol.diagnostics["picard_delta"] < 1e-9
+
+
+def test_solve_convolution_reports_diagnostics_over_the_weight():
+    # a power-of-two weight scales every sum exactly: dividing it out again
+    # must give the unweighted solve's diagnostics bit for bit
+    grid, _ = grid_and_ones(T=20.0)
+    nodes = sweep_nodes(grid)
+    F, I = 1.0 + np.exp(-nodes), 0.5 * np.exp(-nodes)
+    want = volterra.solve_convolution(F, I, grid).diagnostics
+    got = volterra.solve_convolution(1024.0 * F, I, grid,
+                                     weight=1024.0).diagnostics
+    assert got == want
+
+
+def test_predict_sdana_conv_diagnostics_in_loss_units(mp1):
+    # the conv route solves for phi psi; its trust numbers are psi's, so its
+    # refinement gap reads like the exact route's
+    algo = momentum.defaults("sdana", mp1)
+    conv = volterra.predict(mp1, algo, T=20.0, mode="conv").diagnostics
+    ode = volterra.predict(mp1, algo, T=20.0, mode="ode").diagnostics
+    assert 0.5 < conv["refinement_gap"] / ode["refinement_gap"] < 2.0
+    assert conv["residual"] < 1e-6 * conv["refinement_gap"]
 
 
 def test_predict_hard_edge_decays_slowly(mp1):

@@ -202,10 +202,26 @@ def _echo(cfg, extra):
             "version": __version__, **extra}
 
 
+def _strict(obj):
+    """obj with every non-finite float written as None, JSON's null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
+def _json(obj):
+    """Strict JSON text of obj: non-finite floats are null, and one that
+    slips through raises instead of writing Infinity or NaN."""
+    return json.dumps(_strict(obj), indent=1, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(obj) + "\n")
 
 
 def cmd_simulate(cfg):
@@ -255,7 +271,7 @@ def cmd_analyze(cfg):
     payload = {"report": report.to_dict(),
                **_echo(cfg, {"command": "analyze"})}
     _write_json(out, payload)
-    print(report.to_json())
+    print(_json(report.to_dict()))
     return 0
 
 

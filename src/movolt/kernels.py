@@ -27,10 +27,8 @@ exponential of a fourth-order Magnus step of B.  The --mode conv forcing and
 the exact kernel's sweep (its look-ahead too) take the 3x3 maps of MAP_BLOCK
 intervals at a time from block_maps, each block from one interval_maps call.
 States are component-major, (3, ..., n_lam), so that a step is one einsum
-over the component axis.  Every state stays O(1):
-there is no phi(t)^2 ~ t^(2 theta) growth anywhere.  Fixed-step RK4 on the
-moment ODE (_ode_on_grid) is kept as the oracle the tests check both
-against.
+over the component axis.  Every state stays O(1): there is no
+phi(t)^2 ~ t^(2 theta) growth anywhere.
 """
 
 from dataclasses import dataclass
@@ -147,11 +145,6 @@ PROPAGATOR_STEP = 0.05
 _GAUSS = np.sqrt(3.0) / 6.0
 
 
-def _substeps(dt, h_max):
-    """Equal steps covering intervals of length dt: max(1, ceil(dt/h_max))."""
-    return np.maximum(1, np.ceil(dt / h_max - 1e-12)).astype(int)
-
-
 def _magnus_exp(lam, spec, t, h):
     """Entries (m11, m12, m21, m22) of M = exp(Omega), Omega the
     fourth-order Magnus step of B from t to t + h (Blanes, Casas, Oteo &
@@ -227,11 +220,11 @@ def _carry(state, Q):
 def interval_maps(lams, spec, t, h_max):
     """The moment maps of the intervals between consecutive times t, all
     from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries a
-    state from t[k] to t[k + 1] in _substeps(t[k + 1] - t[k], h_max) equal
-    Magnus steps, each S -> M S M^T."""
+    state from t[k] to t[k + 1] in max(1, ceil((t[k + 1] - t[k])/h_max))
+    equal Magnus steps, each S -> M S M^T."""
     t = np.asarray(t, dtype=float)
     dt = t[1:] - t[:-1]
-    counts = _substeps(dt, h_max)
+    counts = np.maximum(1, np.ceil(dt / h_max - 1e-12)).astype(int)
     h = np.repeat(dt / counts, counts)
     ends = np.cumsum(counts)
     k = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
@@ -278,93 +271,37 @@ def nonfinite_forcing(t, spec):
         % (t, spec.gamma1, spec.gamma2, spec.theta))
 
 
-def _states_on_grid(advance, ic, grid, spec):
-    """Component 0 of the states advance(u, t0, t1) carries from ic at
-    grid[0] along the grid, as (n_lam, n_t); the first non-finite grid
-    value raises nonfinite_forcing naming its time."""
-    u = np.array(ic, dtype=float)
-    out = np.empty((u[0].size, len(grid)))
-    out[:, 0] = np.ravel(u[0])
-    # an overflow shows up as a non-finite column, which raises
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, len(grid)):
-            u = advance(u, grid[i - 1], grid[i])
-            out[:, i] = np.ravel(u[0])
-            if not np.all(np.isfinite(out[:, i])):
-                raise nonfinite_forcing(grid[i], spec)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Oracle: classic RK4 on the moment ODE
-# ----------------------------------------------------------------------
-
-def default_ode_step(gamma2, lam_max):
-    """The oracle's RK4 step, h = min(0.01, 0.1/(1 + gamma2*lam)): keeps the
-    fast mode resolved."""
-    return min(0.01, 0.1 / (1.0 + gamma2 * float(lam_max)))
-
-
-def _rk4_segment(u, t0, t1, h_max, rhs):
-    """Advance u from t0 to t1 in _substeps(t1 - t0, h_max) equal classic RK4
-    steps; rhs(t, u) is the derivative at time t."""
-    nsub = _substeps(t1 - t0, h_max)
-    h = (t1 - t0) / nsub
-    for k in range(nsub):
-        t = t0 + k * h
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
-
-
-def _ode_on_grid(lam, spec, grid, ic, h=None):
-    """RK4 oracle: the moment ODE S' = B S + S B^T integrated from the state
-    ic at grid[0] at step h (default default_ode_step at the largest lam),
-    component 0 on the grid."""
-    lam = np.asarray(lam, dtype=float)
-    gamma1, gamma2 = spec.gamma1, spec.gamma2
-    if h is None:
-        h = default_ode_step(gamma2, lam.max())
-    g2lam = gamma2 * lam
-
-    def rhs(t, S):
-        a, b, c = S
-        P = spec.Phi(t)
-        return np.stack([-2.0 * (g2lam * a + gamma1 * b),
-                         lam * a - (g2lam + P) * b - gamma1 * c,
-                         2.0 * (lam * b - P * c)])
-
-    return _states_on_grid(lambda u, t0, t1: _rk4_segment(u, t0, t1, h, rhs),
-                           ic, grid, spec)
-
-
 # ----------------------------------------------------------------------
 # Measure-vectorized evaluation (used by the volterra module)
 # ----------------------------------------------------------------------
 
-def forcing_matrix(spec, lams, grid, h=None):
+def forcing_matrix(spec, lams, grid, h=PROPAGATOR_STEP):
     """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half of rho^2 from
     forcing_ic, G = m11^2/2 for constant Phi = theta, else carried through
-    the block_maps of interval_maps in steps of at most h (default
-    PROPAGATOR_STEP)."""
+    the block_maps of interval_maps in Magnus steps of at most h.  The
+    first non-finite power-schedule value raises nonfinite_forcing naming
+    its time."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
+    out = np.empty((lams.size, grid.size))
     if spec.phi_kind == "const":
-        out = np.empty((lams.size, grid.size))
         for i, lam in enumerate(lams):
             m11 = _first_row(lam, spec.gamma1, spec.gamma2, spec.theta,
                              grid)[0]
             out[i] = 0.5 * m11 * m11
         return out
-    # SDANA: every node's state carried together; _states_on_grid steps
-    # through the grid's intervals in order, each taking the next map
-    h = PROPAGATOR_STEP if h is None else h
-    maps = block_maps(lambda t: interval_maps(lams, spec, t, h), grid)
-    return 0.5 * _states_on_grid(lambda u, t0, t1: _carry(u, next(maps)),
-                                 forcing_ic(lams), grid, spec)
+    # SDANA: every node's state carried together, one interval at a time
+    u = forcing_ic(lams)
+    out[:, 0] = u[0]
+    # an overflow shows up as a non-finite column, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        maps = block_maps(lambda t: interval_maps(lams, spec, t, h), grid)
+        for i, Q in enumerate(maps, 1):
+            u = _carry(u, Q)
+            out[:, i] = u[0]
+            if not np.all(np.isfinite(out[:, i])):
+                raise nonfinite_forcing(grid[i], spec)
+    return 0.5 * out
 
 
 def kernel_matrix(spec, lams, taus):
@@ -402,16 +339,17 @@ class SdanaExactKernel:
     one advance per half-step interval carries the forcing and both march
     passes.  States are component-major, (3, ..., n_lam); maps gives
     interval_maps of a block of intervals, and advance applies one of
-    them.  h is the longest Magnus step taken in one piece.
+    them.  h is the longest Magnus step taken in one piece,
+    PROPAGATOR_STEP unless given.
     """
 
-    def __init__(self, spec, lams, weights, h=None):
+    def __init__(self, spec, lams, weights, h=PROPAGATOR_STEP):
         if spec.mode != "ode_exact":
             raise ValueError("SdanaExactKernel needs an ode_exact spec")
         self.spec = spec
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.h = PROPAGATOR_STEP if h is None else h
+        self.h = h
         self.ic = kernel_ic(self.lams, spec.gamma2)
         self.agg = self.weights * self.lams**2
 

@@ -166,6 +166,8 @@ def _read_numeric_csv(path):
             out[i] = [float(c) for c in r]
         except ValueError as exc:
             raise ValueError("non-numeric cell in row %d" % (i + start + 1)) from exc
+        if not np.all(np.isfinite(out[i])):
+            raise ValueError("non-finite cell in row %d" % (i + start + 1))
     return out, header
 
 

@@ -227,6 +227,24 @@ def test_analyze_huge_kernel_norm_note_is_short(tmp_path):
     assert note == "absent: kernel norm 5e+299 >= 1 (not convergent)"
 
 
+def test_analyze_infinite_kernel_norm_is_strict_json(tmp_path, capsys):
+    # the kernel norm overflows to inf: the file and stdout write it as
+    # null, which strict JSON parsers read, not as Infinity
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+
+    out = tmp_path / "report.json"
+    code, printed, _ = run_cli(
+        ["analyze", "--algo", "sdana", "--gamma1", "1e300", "--gamma2",
+         "1e-10", "--theta", "1", "--r", "2", "--out", str(out)], capsys)
+    assert code == 0
+    on_disk = json.loads(out.read_text(), parse_constant=refuse)
+    shown = json.loads(printed, parse_constant=refuse)
+    assert shown == on_disk["report"]
+    assert shown["kernel_norm"] is None
+    assert shown["convergent"] is False
+
+
 def test_analyze_hard_edge_with_underflowing_theta(tmp_path):
     # theta^2 underflows to 0 at lambda_min = 0; the bounds are 0, not 0/0
     out = tmp_path / "report.json"

@@ -420,49 +420,21 @@ def test_propagator_is_exact_for_constant_phi(lam):
 def test_power_forcing_across_map_blocks(n, h):
     # the power-schedule forcing takes its maps MAP_BLOCK intervals at a
     # time: across every block boundary, with one step per interval or
-    # three, it is forcing_ic carried one interval at a time, bitwise
+    # three, it is forcing_ic carried one interval at a time, bitwise.
+    # h None is the default step, PROPAGATOR_STEP, given or left out
     mu = spectrum.mp_measure(1.0, nodes=40)
     spec = momentum.defaults("sdana", mu).kernel_spec()
     grid = volterra.time_grid(0.05 * n)
-    got = kernels.forcing_matrix(spec, mu.points, grid, h=h)
-    u = kernels.forcing_ic(mu.points)
     step = kernels.PROPAGATOR_STEP if h is None else h
+    got = kernels.forcing_matrix(spec, mu.points, grid, h=step)
+    if h is None:
+        assert (kernels.forcing_matrix(spec, mu.points, grid).tobytes()
+                == got.tobytes())
+    u = kernels.forcing_ic(mu.points)
     for i in range(1, len(grid)):
         maps = kernels.interval_maps(mu.points, spec, grid[i - 1:i + 1], step)
         u = kernels._carry(u, maps[0])
         assert np.array_equal(got[:, i], 0.5 * u[0])
-
-
-def test_rk4_step_order():
-    # halving the step shrinks the const-schedule ODE error ~16x against
-    # the closed form, confirming the fourth-order integrator
-    lam, g1, g2, theta = 1.7, 0.3, 0.6, 1.1
-    grid = np.linspace(0.0, 2.0, 51)
-    spec = const_spec(g1, g2, theta)
-    exact = closed_forcing(lam, g1, g2, theta, grid)
-    errs = []
-    for h in (0.04, 0.02):
-        got = 0.5 * kernels._ode_on_grid(np.array([lam]), spec, grid,
-                                         kernels.forcing_ic(np.array([lam])),
-                                         h)[0]
-        errs.append(np.max(np.abs(got - exact)))
-    assert errs[0] / errs[1] > 12.0
-
-
-def test_rk4_step_order_power_schedule():
-    # the RK4 oracle on the power schedule: halving the step shrinks the
-    # error ~16x against scipy
-    lam, g1, g2 = 1.7, 0.25, 1.0
-    grid = np.linspace(0.0, 2.0, 51)
-    spec = momentum.sdana(g1, g2, 4.0).kernel_spec()
-    want = oracle_forcing(lam, g1, g2, lambda t: 4.0 / (1.0 + t), grid)
-    errs = []
-    for h in (0.04, 0.02):
-        got = 0.5 * kernels._ode_on_grid(np.array([lam]), spec, grid,
-                                         kernels.forcing_ic(np.array([lam])),
-                                         h)[0]
-        errs.append(np.max(np.abs(got - want)))
-    assert errs[0] / errs[1] >= 12.0
 
 
 def test_exact_kernel_advance_broadcasts_over_stack():

@@ -178,6 +178,16 @@ def test_load_csv_errors(tmp_path):
         lsq.load_csv(path, target_col="missing")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_refuses_non_finite_cells(tmp_path, cell):
+    # float() reads these, but no design matrix holds them: the row is
+    # named as for a non-numeric cell, counting the header
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,y\n1,2,3\n4,%s,6\n" % cell)
+    with pytest.raises(ValueError, match="non-finite cell in row 3"):
+        lsq.load_csv(path, target_col="y")
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(3, 40), d=st.integers(2, 40), seed=st.integers(0, 100))
 def test_spectral_identity_property(n, d, seed):

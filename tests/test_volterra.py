@@ -366,7 +366,7 @@ def test_exact_kernel_nodes_are_distinct(monkeypatch):
     built = []
 
     class Capture(kernels.SdanaExactKernel):
-        def __init__(self, spec, lams, weights, h=None):
+        def __init__(self, spec, lams, weights, h=kernels.PROPAGATOR_STEP):
             super().__init__(spec, lams, weights, h)
             built.append(self)
 
@@ -420,7 +420,8 @@ def test_sweep_across_map_blocks(n, h_max):
     # the sweep takes its maps B_MAPS intervals at a time: across every
     # block boundary, with one step per interval or three, it is the
     # per-pass march bitwise, and refined it is the per-pass Richardson
-    # value
+    # value.  h_max None is the default step, PROPAGATOR_STEP
+    h_max = kernels.PROPAGATOR_STEP if h_max is None else h_max
     mu = spectrum.mp_measure(1.0, nodes=40)
     spec = momentum.defaults("sdana", mu).kernel_spec()
     asked = []

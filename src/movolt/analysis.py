@@ -10,7 +10,6 @@ rate_report is the one report that gathers them all.
 """
 
 import collections
-import json
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -171,9 +170,6 @@ class AnalysisReport(collections.namedtuple("AnalysisReport", (
 
     def to_dict(self):
         return self._asdict()
-
-    def to_json(self, indent=1):
-        return json.dumps(self._asdict(), indent=indent, sort_keys=True)
 
 
 def rate_report(params, measure, R_tilde=1.0, n=None):

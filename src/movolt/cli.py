@@ -202,28 +202,6 @@ def _echo(cfg, extra):
             "version": __version__, **extra}
 
 
-def _strict(obj):
-    """obj with every non-finite float written as None, JSON's null."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return obj
-
-
-def _json(obj):
-    """Strict JSON text of obj: non-finite floats are null, and one that
-    slips through raises instead of writing Infinity or NaN."""
-    return json.dumps(_strict(obj), indent=1, sort_keys=True, allow_nan=False)
-
-
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(_json(obj) + "\n")
-
-
 def cmd_simulate(cfg):
     _, params, agg = _run_ensemble(cfg)
     out = cfg["out"] or "simulate.csv"
@@ -232,7 +210,7 @@ def cmd_simulate(cfg):
                        "n_seeds": cfg["seeds"], "diverged": agg.diverged,
                        "diverged_at": agg.meta["diverged_at"],
                        "rows": len(agg.times)})
-    _write_json(volterra.sidecar_path(out), meta)
+    volterra.write_json(volterra.sidecar_path(out), meta)
     if cfg["svg"]:
         _write_svg(out, [("ensemble mean", agg.times, agg.mean)], band=agg)
     print("simulate: %d rows -> %s" % (len(agg.times), out))
@@ -270,8 +248,8 @@ def cmd_analyze(cfg):
     out = cfg["out"] or "analyze.json"
     payload = {"report": report.to_dict(),
                **_echo(cfg, {"command": "analyze"})}
-    _write_json(out, payload)
-    print(_json(report.to_dict()))
+    volterra.write_json(out, payload)
+    print(volterra.json_text(report.to_dict()))
     return 0
 
 
@@ -302,7 +280,7 @@ def cmd_compare(cfg):
                        "stats": stats, "kernel_norm": sol.kernel_norm,
                        "diverged": agg.diverged,
                        "diverged_at": agg.meta["diverged_at"]})
-    _write_json(volterra.sidecar_path(out), meta)
+    volterra.write_json(volterra.sidecar_path(out), meta)
     if cfg["svg"]:
         _write_svg(out, [("ensemble mean", agg.times, agg.mean),
                          ("psi", sol.grid, sol.psi)], band=agg)
@@ -321,7 +299,7 @@ def cmd_spectrum(cfg):
                            "atoms": int(len(measure.points))},
                **_echo(cfg, {"command": "spectrum"})}
     out = cfg["out"] or "spectrum.json"
-    _write_json(out, payload)
+    volterra.write_json(out, payload)
     print("spectrum: m=%.6g p=%.6g support=[%.6g, %.6g] -> %s"
           % (payload["summary"]["trace_moment"], measure.zero_mass, lo, hi,
              out))

@@ -14,6 +14,7 @@ two-time and is marched with a per-node moment state instead.
 
 import collections
 import json
+import math
 import os
 
 import numpy as np
@@ -87,22 +88,13 @@ class VolterraSolution:
             for row in zip(self.grid, self.forcing, self.psi):
                 fh.write("%.17g,%.17g,%.17g\n" % row)
 
-    def sidecar(self):
-        """Metadata for the JSON sidecar; non-finite diagnostics are null."""
-        diag = {k: v if isinstance(v, str) or v is None or np.isfinite(v)
-                else None for k, v in self.diagnostics.items()}
-        obj = {"h": self.h, "method": self.method,
-               "kernel_norm": self.kernel_norm, "diagnostics": diag}
-        obj.update(self.meta)
-        return obj
-
     def write(self, path):
         """CSV plus a metadata JSON sidecar next to it."""
         self.to_csv(path)
         side = sidecar_path(path)
-        with open(side, "w") as fh:
-            json.dump(self.sidecar(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(side, {"h": self.h, "method": self.method,
+                          "kernel_norm": self.kernel_norm,
+                          "diagnostics": self.diagnostics, **self.meta})
         return side
 
     @staticmethod
@@ -126,6 +118,30 @@ class VolterraSolution:
 def sidecar_path(csv_path):
     root, ext = os.path.splitext(csv_path)
     return (root if ext.lower() == ".csv" else csv_path) + ".json"
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None, JSON's null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def json_text(obj):
+    """Strict JSON text of obj, the one format of every JSON output:
+    non-finite floats are null, and one that slips through raises
+    instead of writing Infinity or NaN."""
+    return json.dumps(_finite_or_null(obj), indent=1, sort_keys=True,
+                      allow_nan=False)
+
+
+def write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json_text(obj) + "\n")
 
 
 def build_forcing(measure, spec, R, R_tilde, grid):

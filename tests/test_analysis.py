@@ -321,7 +321,7 @@ def test_rate_report_fields_and_json(mp1):
     assert d["predicted_poly_exponents"] == (-3.0, -1.0)
     assert d["p"] == 0.0
     assert d["R_tilde"] == 0.5
-    blob = json.loads(rep.to_json())
+    blob = json.loads(volterra.json_text(d))
     assert blob["kernel_norm"] == pytest.approx(d["kernel_norm"])
 
 

@@ -713,6 +713,23 @@ def test_solution_write_read_roundtrip(tmp_path, mp2):
     assert back.meta["algo"] == "sgd"
 
 
+def test_sidecar_is_strict_json(tmp_path):
+    # every non-finite float of the sidecar is null, nested ones too
+    def refuse(name):
+        raise ValueError("not JSON: %s" % name)
+
+    sol = volterra.VolterraSolution(
+        [0.0, 0.5], [1.0, 1.0], [1.0, 2.0], kernel_norm=np.inf,
+        diagnostics={"residual": np.nan, "gap": 0.25, "note": "x"},
+        meta={"stats": {"dev": -np.inf, "pair": (1.5, np.nan)}})
+    side = sol.write(tmp_path / "out.csv")
+    blob = json.loads(open(side).read(), parse_constant=refuse)
+    assert blob["kernel_norm"] is None
+    assert blob["diagnostics"] == {"residual": None, "gap": 0.25,
+                                   "note": "x"}
+    assert blob["stats"] == {"dev": None, "pair": [1.5, None]}
+
+
 def test_solution_at_interpolates(mp2):
     sol = volterra.predict(mp2, momentum.sgd(0.7), T=5.0)
     t = 1.37  # off-grid

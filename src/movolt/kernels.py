@@ -21,11 +21,16 @@ rank one, e0 e0^T and v v^T with v = (-g2, 1), so with (m11, m12) the first
 row of exp(x B) a lag x later, G = m11^2/2 and K = lam^2 (m12 - g2 m11)^2.
 _first_row evaluates that row in closed form for SGD (Phi = 0), SHB, SDAHB
 and the mixed g1/g2 variant (Phi = theta), and SDANA's late-time
-convolution kernel (Phi = 0).  SDANA's power schedule Phi(t) = theta/(1+t)
-is carried by moment maps, S -> M S M^T per step, M the closed-form 2x2
-exponential of a fourth-order Magnus step of B.  The --mode conv forcing and
-the exact kernel's sweep (its look-ahead too) take the 3x3 maps of MAP_BLOCK
-intervals at a time from block_maps, each block from one interval_maps call.
+convolution kernel (Phi = 0).  Where that row oscillates, e^(m x) times
+a cos(s x) + b sin(s x), a uniform grid takes cos and sin only at every
+_FINE-th point and at the first _FINE offsets, and _wave combines the two
+tables by angle addition, to within 4 eps (|a| + |b|)(1 + s x); the real
+exponentials are evaluated at every point.  SDANA's power schedule
+Phi(t) = theta/(1+t) is carried by moment maps, S -> M S M^T per step, M
+the closed-form 2x2 exponential of a fourth-order Magnus step of B.  The
+--mode conv forcing and the exact kernel's sweep (its look-ahead too) take
+the 3x3 maps of MAP_BLOCK intervals at a time from block_maps, each block
+from one interval_maps call.
 States are component-major, (3, ..., n_lam), so that a step is one einsum
 over the component axis.  Every state stays O(1): there is no
 phi(t)^2 ~ t^(2 theta) growth anywhere.
@@ -85,10 +90,44 @@ class KernelSpec:
 # Constant Phi: the first row of exp(x B)
 # ----------------------------------------------------------------------
 
-def _first_row(lam, g1, g2, Phi, x, impulse=False):
-    """(m11, m12), the first row of exp(x B) at constant Phi, for one lam on
-    a grid x >= 0; with impulse set, rho = m12 - g2 m11 instead, the row
-    applied to kernel_ic's impulse (-g2, 1).
+# fine points per coarse point of a lattice: a row of n points takes cos
+# and sin at about n/_FINE + _FINE points
+_FINE = 128
+
+
+def _lattice(x):
+    """A 1-d grid x with the split that _wave reads, (x, coarse, fine).
+    Where x is an arithmetic progression to within 4 ulp of max|x|,
+    coarse = x[::_FINE] and fine = x[:_FINE] - x[0], so that
+    x[q _FINE + r] = coarse[q] + fine[r]; any other grid gets the split
+    coarse = x, fine = [0], which reads every x directly."""
+    x = np.asarray(x, dtype=float)
+    step = (x[-1:] - x[:1]) / max(x.size - 1, 1)
+    gap = x[:1] + step * np.arange(x.size) - x
+    if np.max(np.abs(gap), initial=0.0) <= (
+            4.0 * np.finfo(float).eps * np.max(np.abs(x), initial=0.0)):
+        return x, x[::_FINE], x[:_FINE] - x[:1]
+    return x, x, np.zeros(1)
+
+
+def _wave(a, b, s, lattice):
+    """a cos(s x) + b sin(s x) on a _lattice, by angle addition: at
+    x = coarse[q] + fine[r] it is (a cos_q + b sin_q) cos_r
+    + (b cos_q - a sin_q) sin_r, so cos and sin are taken at the coarse and
+    fine points only.  Its error is within 4 eps (|a| + |b|)(1 + s x); on
+    the split fine = [0] it is a cos(s x) + b sin(s x) evaluated directly."""
+    x, coarse, fine = lattice
+    cq, sq = np.cos(s * coarse), np.sin(s * coarse)
+    cr, sr = np.cos(s * fine), np.sin(s * fine)
+    out = np.multiply.outer(a * cq + b * sq, cr)
+    out += np.multiply.outer(b * cq - a * sq, sr)
+    return out.ravel()[:x.size]
+
+
+def _first_row(lam, g1, g2, Phi, lattice, impulse=False):
+    """m11, the first entry of exp(x B) at constant Phi, for one lam on a
+    _lattice of x >= 0; with impulse set, rho = m12 - g2 m11 instead, the
+    first row applied to kernel_ic's impulse (-g2, 1).
 
     With m = -(g2 lam + Phi)/2, u = (Phi - g2 lam)/2 and p = -g1 lam,
     B = m I + N with N^2 = disc I, disc = u^2 + p, so for s = sqrt|disc|
@@ -98,9 +137,12 @@ def _first_row(lam, g1, g2, Phi, x, impulse=False):
     cos(s x) and w = u; rho = -g2 E - c S with c = g2 w + g1.  Nothing
     cancels: S takes expm1, the slow rate m + s is det B/(m - s) with
     det B = lam (g2 Phi + g1), and where u < 0, w = p/(s - u) and
-    c = g1 (m + s)/(s - u).
+    c = g1 (m + s)/(s - u).  Where disc < 0, m11 and rho are e^(m x) times
+    one _wave, a cos(s x) + b sin(s x) with (a, b) = (1, u/s) or
+    (-g2, -c/s), so cos and sin come from the lattice's angle-addition
+    tables; the real exponentials are evaluated at every x.
     """
-    x = np.asarray(x, dtype=float)
+    x = lattice[0]
     m = -0.5 * (g2 * lam + Phi)
     u = 0.5 * (Phi - g2 * lam)
     p = -g1 * lam
@@ -113,24 +155,24 @@ def _first_row(lam, g1, g2, Phi, x, impulse=False):
     # an overflow shows up as a non-finite value, which the solver refuses
     with np.errstate(over="ignore", invalid="ignore"):
         if disc < 0.0:
-            em = np.exp(m * x)
-            E, S = em * np.cos(s * x), em * np.sin(s * x) / s
-            w, c = u, g2 * u + g1
+            a, b = (-g2, -(g2 * u + g1) / s) if impulse else (1.0, u / s)
+            row = _wave(a, b, s, lattice)
+            row *= np.exp(m * x)
+            return row
+        E = np.exp((m - s) * x)
+        # m - s < 0 unless lam = Phi = 0, where m + s = 0
+        slow = lam * (g2 * Phi + g1) / (m - s) if m < s else 0.0
+        w = p / (s - u) if u < 0.0 else s + u
+        c = g1 * slow / (s - u) if u < 0.0 else g2 * w + g1
+        if w == 0.0 and g1 == 0.0:      # SGD: S never enters
+            return -g2 * E if impulse else E
+        if s == 0.0:
+            S = x * np.exp(m * x)
         else:
-            E = np.exp((m - s) * x)
-            # m - s < 0 unless lam = Phi = 0, where m + s = 0
-            slow = lam * (g2 * Phi + g1) / (m - s) if m < s else 0.0
-            w = p / (s - u) if u < 0.0 else s + u
-            c = g1 * slow / (s - u) if u < 0.0 else g2 * w + g1
-            if w == 0.0 and g1 == 0.0:      # SGD: S never enters
-                return -g2 * E if impulse else (E, np.zeros_like(x))
-            if s == 0.0:
-                S = x * np.exp(m * x)
-            else:
-                S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
+            S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
         if impulse:
             return -g2 * E - c * S
-        return E + w * S, -g1 * S
+        return E + w * S
 
 
 # ----------------------------------------------------------------------
@@ -285,9 +327,10 @@ def forcing_matrix(spec, lams, grid, h=PROPAGATOR_STEP):
     grid = np.asarray(grid, dtype=float)
     out = np.empty((lams.size, grid.size))
     if spec.phi_kind == "const":
+        lattice = _lattice(grid)
         for i, lam in enumerate(lams):
             m11 = _first_row(lam, spec.gamma1, spec.gamma2, spec.theta,
-                             grid)[0]
+                             lattice)
             out[i] = 0.5 * m11 * m11
         return out
     # SDANA: every node's state carried together, one interval at a time
@@ -318,8 +361,9 @@ def kernel_matrix(spec, lams, taus):
     g1, g2 = spec.gamma1, spec.gamma2
     Phi = spec.theta if spec.phi_kind == "const" else 0.0
     out = np.empty((lams.size, taus.size))
+    lattice = _lattice(taus)
     for i, lam in enumerate(lams):
-        rho = _first_row(lam, g1, g2, Phi, taus, impulse=True)
+        rho = _first_row(lam, g1, g2, Phi, lattice, impulse=True)
         out[i] = lam * lam * rho * rho
     return out
 

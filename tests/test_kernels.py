@@ -266,22 +266,84 @@ def _mp_forcing_kernel(lam, g1, g2, Phi, x):
             lam ** 2 * (g2 * abs(c) + abs(g2 * w + g1) * abs(S)) ** 2)
 
 
+# the half-step grid of time_grid(300, 0.05), 12,001 points, which the
+# closed routes evaluate from angle-addition tables, and the indices of it
+# checked against mpmath: both sides of the first coarse boundaries, and
+# the last point
+_LATTICE = volterra._sweep_nodes(volterra.time_grid(300.0, 0.05), True)
+_LATTICE_AT = np.unique(np.concatenate([
+    [1, 127, 128, 129, 255, 256, 12000],
+    np.linspace(0, 12000, 29).round().astype(int)]))
+
+
 @pytest.mark.parametrize("family,lam", _oracle_cases())
 def test_constant_phi_matches_mpmath_expm(family, lam):
     # forcing and kernel to 1e-12 of their scale wherever the exact value
     # is representable, out to x = 300; on both sides of each turning
-    # point and within 1e-9 of it
+    # point and within 1e-9 of it.  Scattered points read cos and sin
+    # directly, the uniform half-step grid through its tables
     g1, g2, Phi = _FAMILIES[family]
-    x = np.union1d(np.linspace(0.0, 300.0, 31), [1e-6, 0.37, 2.0, 4.0])
+    scattered = np.union1d(np.linspace(0.0, 300.0, 31), [1e-6, 0.37, 2.0, 4.0])
     spec = const_spec(g1, g2, Phi)
-    F = kernels.forcing_matrix(spec, [lam], x)[0]
-    K = kernels.kernel_matrix(spec, [lam], x)[0]
-    with mpmath.workdps(40):
-        for j, xj in enumerate(x):
-            G, scale_G, Kx, scale_K = _mp_forcing_kernel(lam, g1, g2, Phi, xj)
-            for got, exact, scale in ((F[j], G, scale_G), (K[j], Kx, scale_K)):
-                if exact > 1e-300:
-                    assert abs(mpmath.mpf(got) - exact) <= 1e-12 * scale, xj
+    for x, at in ((scattered, np.arange(scattered.size)),
+                  (_LATTICE, _LATTICE_AT)):
+        F = kernels.forcing_matrix(spec, [lam], x)[0]
+        K = kernels.kernel_matrix(spec, [lam], x)[0]
+        with mpmath.workdps(40):
+            for j in at:
+                G, scale_G, Kx, scale_K = _mp_forcing_kernel(lam, g1, g2, Phi,
+                                                             x[j])
+                for got, exact, scale in ((F[j], G, scale_G),
+                                          (K[j], Kx, scale_K)):
+                    if exact > 1e-300:
+                        assert (abs(mpmath.mpf(got) - exact)
+                                <= 1e-12 * scale), x[j]
+
+
+@pytest.mark.parametrize("x0", [0.0, 7.3])
+@pytest.mark.parametrize("n", [1, 100, 1000, 12001])
+def test_wave_matches_mpmath_on_a_lattice(x0, n):
+    # a cos(s x) + b sin(s x) from the angle-addition tables is within
+    # 4 eps (|a| + |b|)(1 + s x) of the exact value at the float x and s,
+    # for slow and fast waves, on a grid shorter than one table row, one
+    # that ends inside a row, and the 12,001-point half-step grid
+    x = x0 + 0.025 * np.arange(n)
+    lattice = kernels._lattice(x)
+    assert lattice[2].size == min(n, kernels._FINE)
+    at = np.unique(np.concatenate([[0, 1, 127, 128, 129, n - 1],
+                                   np.linspace(0, n - 1, 24).astype(int)]))
+    at = at[at < n]
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for s in (1e-9, 1e-3, 0.7, 31.4, 900.0):
+        for a, b in ((1.0, 0.3), (-0.4, 2.5)):
+            got = kernels._wave(a, b, s, lattice)
+            assert got.shape == (n,)
+            with mpmath.workdps(40):
+                for j in at:
+                    sx = mpmath.mpf(s) * mpmath.mpf(x[j])
+                    exact = a * mpmath.cos(sx) + b * mpmath.sin(sx)
+                    err = abs(mpmath.mpf(got[j]) - exact)
+                    bound = eps * (abs(a) + abs(b)) * (1.0 + s * x[j])
+                    worst = max(worst, float(err / bound))
+    assert worst <= 4.0
+
+
+def test_wave_reads_any_other_grid_directly():
+    # a grid that is not an arithmetic progression gets the split
+    # coarse = x, fine = [0]: the same code then gives, bit for bit,
+    # a cos(s x) + b sin(s x) evaluated at every point
+    rng = np.random.default_rng(5)
+    nudged = 0.025 * np.arange(300)
+    nudged[200] += 1e-9
+    for x in (np.union1d(np.linspace(0.0, 300.0, 31), [1e-6, 0.37, 2.0, 4.0]),
+              np.sort(rng.uniform(0.0, 300.0, 500)), nudged):
+        x_, coarse, fine = kernels._lattice(x)
+        assert coarse is x_ and fine.tolist() == [0.0]
+        for s in (1e-9, 0.7, 900.0):
+            got = kernels._wave(0.8, -1.7, s, (x_, coarse, fine))
+            want = 0.8 * np.cos(s * x) + -1.7 * np.sin(s * x)
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 0.9,     # oscillatory, omega > 0
@@ -400,15 +462,19 @@ def test_propagator_is_exact_for_constant_phi(lam):
     # with Phi constant the Magnus step is exp(h B) itself: carrying any
     # moment state (a, b, c) = (rho^2, rho omega, omega^2) in one long step
     # gives rho^2 = m11^2 a + 2 m11 m12 b + m12^2 c from the first row of
-    # exp(lag B), on both sides of the turning point
+    # exp(lag B), a 40-digit mpmath expm, on both sides of the turning point
     g1, g2, theta = 0.3, 0.6, 1.1
     spec = const_spec(g1, g2, theta)
     a, b, c = state = np.array([0.7, -0.4, 1.3])
     for lag in (0.3, 2.0, 7.0):
         maps = kernels.interval_maps(np.array(lam), spec, [0.0, lag], lag)
         got = kernels._carry(state, maps[0])[0]
-        m11, m12 = (v[0] for v in kernels._first_row(lam, g1, g2, theta,
-                                                      np.array([lag])))
+        with mpmath.workdps(40):
+            mp = mpmath.mpf
+            B = mpmath.matrix([[-mp(g2) * mp(lam), -mp(g1)],
+                               [mp(lam), -mp(theta)]])
+            M = mpmath.expm(mp(lag) * B)
+            m11, m12 = float(M[0, 0]), float(M[0, 1])
         want = m11 * m11 * a + 2.0 * m11 * m12 * b + m12 * m12 * c
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 

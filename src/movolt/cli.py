@@ -53,8 +53,8 @@ _FLAGS = {
     "gamma2": _Flag("number", _ALGO),
     "theta": _Flag("number", _ALGO),
     "measure": _Flag("text", _MEASURED, "mp", ("mp", "esm", "csv")),
-    "nodes": _Flag("int", _EVERY, spectrum.DEFAULT_NODES,
-                   help="MP quadrature nodes"),
+    "nodes": _Flag("int", _EVERY,
+                   help="MP quadrature nodes (default: chosen, see README)"),
     "h": _Flag("number", _SOLVES, volterra.DEFAULT_H,
                help="Volterra grid step"),
     "T": _Flag("number", _SOLVES, 10.0, help="Volterra horizon (epochs)"),
@@ -217,13 +217,28 @@ def cmd_simulate(cfg):
     return 0
 
 
+def _warn_quadrature(sol):
+    """Warn where the MP rule of a solve is further than QUADRATURE_TOL from
+    the rule of three times its nodes."""
+    gap = sol.diagnostics.get("quadrature_gap")
+    if gap is not None and gap > volterra.QUADRATURE_TOL:
+        nodes = sol.meta["measure"]["nodes"]
+        print("warning: the %d-node MP rule's forcing and kernel differ from "
+              "the %d-node rule's by %.3g of their scale (quadrature_gap > %g)"
+              "; a larger --nodes resolves the horizon"
+              % (nodes, 3 * nodes, gap, volterra.QUADRATURE_TOL),
+              file=sys.stderr)
+
+
 def cmd_predict(cfg):
     measure, spectral = _build_measure(cfg)
     params = _build_params(cfg, measure)
     sol = volterra.predict(measure, params, cfg["T"], R=cfg["R"],
                            R_tilde=cfg["Rtilde"], h=cfg["h"],
                            mode=cfg["mode"], n=cfg["n"],
-                           spectral=spectral, validate=True)
+                           spectral=spectral, validate=True,
+                           size_rule=cfg["nodes"] is None)
+    _warn_quadrature(sol)
     if sol.diagnostics.get("picard_note"):
         print("warning: Picard validation did not contract (%s); keeping "
               "the marching solution" % sol.diagnostics["picard_note"],
@@ -265,7 +280,9 @@ def cmd_compare(cfg):
     measure, params, agg = _run_ensemble(cfg)
     sol = volterra.predict(measure, params, max(cfg["T"], cfg["epochs"]),
                            R=cfg["R"], R_tilde=cfg["Rtilde"], h=cfg["h"],
-                           mode=cfg["mode"], n=cfg["n"])
+                           mode=cfg["mode"], n=cfg["n"],
+                           size_rule=cfg["nodes"] is None)
+    _warn_quadrature(sol)
     psi = _join_nearest(agg.times, sol)
     dev = np.abs(agg.mean - psi)
     stats = {"sup_abs_dev": float(dev.max()),
@@ -278,6 +295,9 @@ def cmd_compare(cfg):
             fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
     meta = _echo(cfg, {"command": "compare", "params": params.describe(),
                        "stats": stats, "kernel_norm": sol.kernel_norm,
+                       "measure": sol.meta["measure"],
+                       "diagnostics": {"quadrature_gap":
+                                       sol.diagnostics["quadrature_gap"]},
                        "diverged": agg.diverged,
                        "diverged_at": agg.meta["diverged_at"]})
     volterra.write_json(volterra.sidecar_path(out), meta)

@@ -31,6 +31,8 @@ the closed-form 2x2 exponential of a fourth-order Magnus step of B.  The
 --mode conv forcing and the exact kernel's sweep (its look-ahead too) take
 the 3x3 maps of MAP_BLOCK intervals at a time from block_maps, each block
 from one interval_maps call.
+horizon_columns gives G and the kernel born at 0 at a few times, from the
+same evaluators, for the check that sizes an MP rule to the horizon.
 States are component-major, (3, ..., n_lam), so that a step is one einsum
 over the component axis.  Every state stays O(1): there is no
 phi(t)^2 ~ t^(2 theta) growth anywhere.
@@ -111,23 +113,43 @@ def _lattice(x):
 
 
 def _wave(a, b, s, lattice):
-    """a cos(s x) + b sin(s x) on a _lattice, by angle addition: at
+    """a cos(s x) + b sin(s x) on a _lattice, one row per entry of the
+    arrays a, b and s (scalars give one row), by angle addition: at
     x = coarse[q] + fine[r] it is (a cos_q + b sin_q) cos_r
     + (b cos_q - a sin_q) sin_r, so cos and sin are taken at the coarse and
     fine points only.  Its error is within 4 eps (|a| + |b|)(1 + s x); on
     the split fine = [0] it is a cos(s x) + b sin(s x) evaluated directly."""
     x, coarse, fine = lattice
+    a, b, s = (np.asarray(v, dtype=float)[..., None] for v in (a, b, s))
     cq, sq = np.cos(s * coarse), np.sin(s * coarse)
     cr, sr = np.cos(s * fine), np.sin(s * fine)
-    out = np.multiply.outer(a * cq + b * sq, cr)
-    out += np.multiply.outer(b * cq - a * sq, sr)
-    return out.ravel()[:x.size]
+    out = (a * cq + b * sq)[..., :, None] * cr[..., None, :]
+    out += (b * cq - a * sq)[..., :, None] * sr[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))[..., :x.size]
 
 
-def _first_row(lam, g1, g2, Phi, lattice, impulse=False):
-    """m11, the first entry of exp(x B) at constant Phi, for one lam on a
-    _lattice of x >= 0; with impulse set, rho = m12 - g2 m11 instead, the
-    first row applied to kernel_ic's impulse (-g2, 1).
+def _first_row(lams, g1, g2, Phi, lattice, impulse=False):
+    """m11, the first entry of exp(x B) at constant Phi, for each lam of
+    the array lams on a _lattice of x >= 0, one row per lam; with impulse
+    set, rho = m12 - g2 m11 instead, the first row applied to kernel_ic's
+    impulse (-g2, 1).  The rows come from _row_blocks, where each lam takes
+    its branch by itself, so a row has the same bits in any array of
+    lams."""
+    out = np.empty((np.size(lams), lattice[0].size))
+    for at, rows in _row_blocks(lams, g1, g2, Phi, lattice, impulse):
+        out[at] = rows
+    return out
+
+
+# values per block of _row_blocks: a row or two of a long grid, whose
+# temporaries stay in cache, and every row of a short one
+ROW_BLOCK = 1 << 14
+
+_OSC, _SGD, _FLAT, _HYPER = range(4)
+
+
+def _row_blocks(lams, g1, g2, Phi, lattice, impulse=False):
+    """(slice, rows) blocks of _first_row, of about ROW_BLOCK values each.
 
     With m = -(g2 lam + Phi)/2, u = (Phi - g2 lam)/2 and p = -g1 lam,
     B = m I + N with N^2 = disc I, disc = u^2 + p, so for s = sqrt|disc|
@@ -140,39 +162,67 @@ def _first_row(lam, g1, g2, Phi, lattice, impulse=False):
     c = g1 (m + s)/(s - u).  Where disc < 0, m11 and rho are e^(m x) times
     one _wave, a cos(s x) + b sin(s x) with (a, b) = (1, u/s) or
     (-g2, -c/s), so cos and sin come from the lattice's angle-addition
-    tables; the real exponentials are evaluated at every x.
+    tables; the real exponentials are evaluated at every x.  These
+    coefficients are taken for every lam at once; each block is then a run
+    of rows that share a branch, oscillating, SGD's (S never enters, as
+    w = g1 = 0), critical (s = 0) or hyperbolic.
     """
     x = lattice[0]
-    m = -0.5 * (g2 * lam + Phi)
-    u = 0.5 * (Phi - g2 * lam)
-    p = -g1 * lam
+    lams = np.asarray(lams, dtype=float)
+    m = -0.5 * (g2 * lams + Phi)
+    u = 0.5 * (Phi - g2 * lams)
+    p = -g1 * lams
     disc = u * u + p
-    if 16.0 * abs(disc) < u * u - p:
-        # near the turning point the two terms cancel: evaluate disc exactly
-        disc = float((Fraction(Phi) - Fraction(g2) * Fraction(lam)) ** 2 / 4
-                     - Fraction(g1) * Fraction(lam))
-    s = np.sqrt(abs(disc))
-    # an overflow shows up as a non-finite value, which the solver refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        if disc < 0.0:
-            a, b = (-g2, -(g2 * u + g1) / s) if impulse else (1.0, u / s)
-            row = _wave(a, b, s, lattice)
-            row *= np.exp(m * x)
-            return row
-        E = np.exp((m - s) * x)
-        # m - s < 0 unless lam = Phi = 0, where m + s = 0
-        slow = lam * (g2 * Phi + g1) / (m - s) if m < s else 0.0
-        w = p / (s - u) if u < 0.0 else s + u
-        c = g1 * slow / (s - u) if u < 0.0 else g2 * w + g1
-        if w == 0.0 and g1 == 0.0:      # SGD: S never enters
-            return -g2 * E if impulse else E
-        if s == 0.0:
-            S = x * np.exp(m * x)
-        else:
-            S = np.exp(slow * x) * np.expm1(-2.0 * s * x) * (-0.5 / s)
-        if impulse:
-            return -g2 * E - c * S
-        return E + w * S
+    # near the turning point the two terms cancel: evaluate disc exactly
+    near = np.flatnonzero(16.0 * np.abs(disc) < u * u - p).tolist()
+    if near:
+        Phi_, g1_, g2_ = Fraction(Phi), Fraction(g1), Fraction(g2)
+    for i in near:
+        lam = Fraction(lams[i])
+        disc[i] = float((Phi_ - g2_ * lam) ** 2 / 4 - g1_ * lam)
+    s = np.sqrt(np.abs(disc))
+    # m - s < 0 unless lam = Phi = 0, where m + s = 0
+    slow = _divide(lams * (g2 * Phi + g1), m - s, m < s)
+    w = np.where(u < 0.0, _divide(p, s - u, u < 0.0), s + u)
+    c = np.where(u < 0.0, _divide(g1 * slow, s - u, u < 0.0), g2 * w + g1)
+    osc = disc < 0.0
+    a, b = (-g2, _divide(-(g2 * u + g1), s, osc)) if impulse else (
+        1.0, _divide(u, s, osc))
+    branch = np.select([osc, (w == 0.0) & (g1 == 0.0), s == 0.0],
+                       [_OSC, _SGD, _FLAT], _HYPER)
+
+    def rows(kind, at):
+        # an overflow shows up as a non-finite value, which the solver
+        # refuses; the temporaries go when the block is returned
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_, s_ = m[at, None], s[at, None]
+            if kind == _OSC:
+                out = _wave(a, b[at], s[at], lattice)
+                out *= np.exp(m_ * x)
+                return out
+            E = np.exp((m_ - s_) * x)
+            if kind == _SGD:
+                return -g2 * E if impulse else E
+            if kind == _FLAT:
+                S = x * np.exp(m_ * x)
+            else:
+                S = (np.exp(slow[at, None] * x) * np.expm1(-2.0 * s_ * x)
+                     * (-0.5 / s_))
+            if impulse:
+                return -g2 * E - c[at, None] * S
+            return E + w[at, None] * S
+
+    step = max(1, ROW_BLOCK // max(x.size, 1))
+    cuts = np.flatnonzero(np.diff(branch, prepend=-1, append=-1)).tolist()
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        for lo in range(start, stop, step):
+            at = slice(lo, min(lo + step, stop))
+            yield at, rows(branch[start], at)
+
+
+def _divide(num, den, where):
+    """num/den where where holds, else 0, with no division elsewhere."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=where)
 
 
 # ----------------------------------------------------------------------
@@ -280,11 +330,11 @@ def interval_maps(lams, spec, t, h_max):
 MAP_BLOCK = 16
 
 
-def block_maps(maps, nodes):
+def block_maps(maps, nodes, size=MAP_BLOCK):
     """The map of each interval between consecutive nodes, taken from
-    maps(t), the maps of the intervals of t, MAP_BLOCK intervals at a time."""
-    for lo in range(0, len(nodes) - 1, MAP_BLOCK):
-        yield from maps(nodes[lo:lo + MAP_BLOCK + 1])
+    maps(t), the maps of the intervals of t, size intervals at a time."""
+    for lo in range(0, len(nodes) - 1, size):
+        yield from maps(nodes[lo:lo + size + 1])
 
 
 def forcing_ic(lam):
@@ -327,11 +377,9 @@ def forcing_matrix(spec, lams, grid, h=PROPAGATOR_STEP):
     grid = np.asarray(grid, dtype=float)
     out = np.empty((lams.size, grid.size))
     if spec.phi_kind == "const":
-        lattice = _lattice(grid)
-        for i, lam in enumerate(lams):
-            m11 = _first_row(lam, spec.gamma1, spec.gamma2, spec.theta,
-                             lattice)
-            out[i] = 0.5 * m11 * m11
+        for at, m11 in _row_blocks(lams, spec.gamma1, spec.gamma2,
+                                   spec.theta, _lattice(grid)):
+            np.multiply(0.5 * m11, m11, out=out[at])
         return out
     # SDANA: every node's state carried together, one interval at a time
     u = forcing_ic(lams)
@@ -361,11 +409,63 @@ def kernel_matrix(spec, lams, taus):
     g1, g2 = spec.gamma1, spec.gamma2
     Phi = spec.theta if spec.phi_kind == "const" else 0.0
     out = np.empty((lams.size, taus.size))
-    lattice = _lattice(taus)
-    for i, lam in enumerate(lams):
-        rho = _first_row(lam, g1, g2, Phi, lattice, impulse=True)
-        out[i] = lam * lam * rho * rho
+    for at, rho in _row_blocks(lams, g1, g2, Phi, _lattice(taus), True):
+        lam = lams[at, None]
+        np.multiply(lam * lam * rho, rho, out=out[at])
     return out
+
+
+# intervals times nodes per interval_maps call of horizon_columns: a
+# MAP_BLOCK block of a 200-node sweep.  At 16 intervals of 300 nodes a
+# call, the sdana-ode benchmark's peak RSS read about 0.5 MB higher, in
+# the same time
+HORIZON_BLOCK = 3200
+
+
+def horizon_columns(spec, lams, t, h=1.0):
+    """(G, K0), each an (n_lam, n_t) matrix: the forcing G^(lam) and the
+    kernel K_0^(lam) born at s = 0, at times t that start at 0 and
+    increase.  Constant Phi and SDANA's convolution kernel take them from
+    one _first_row call each, the rows forcing_matrix and kernel_matrix
+    square, so they are those matrices' values bit for bit; a
+    power schedule carries forcing_ic and, for the exact two-time kernel,
+    kernel_ic through the interval_maps of a grid of steps of at most h
+    that holds every t, HORIZON_BLOCK values at a time.  A state that
+    overflows gives non-finite values."""
+    lams = np.asarray(lams, dtype=float)
+    t = np.asarray(t, dtype=float)
+    lattice = _lattice(t)
+    g1, g2 = spec.gamma1, spec.gamma2
+    K0 = None
+    if spec.phi_kind == "const":
+        m11 = _first_row(lams, g1, g2, spec.theta, lattice)
+        G = 0.5 * m11 * m11
+    else:
+        exact = spec.mode == "ode_exact"
+        state = np.stack([forcing_ic(lams), kernel_ic(lams, g2)][:1 + exact],
+                         axis=1)
+        steps = np.sort(np.append(t, np.arange(0.0, t[-1], h)))
+        steps = steps[np.diff(steps, prepend=-1.0) > 0.0]
+        keep = np.zeros(steps.size, dtype=bool)
+        keep[np.searchsorted(steps, t)] = True
+        keep = keep.tolist()
+        first = [state[0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            maps = block_maps(lambda ts: interval_maps(lams, spec, ts, h),
+                              steps, max(1, HORIZON_BLOCK // lams.size))
+            for k, Q in enumerate(maps, 1):
+                state = _carry(state, Q)
+                if keep[k]:
+                    first.append(state[0])
+        first = np.array(first)
+        G = 0.5 * first[:, 0].T
+        if exact:
+            K0 = lams[:, None] ** 2 * first[:, 1].T
+    if K0 is None:
+        Phi = spec.theta if spec.phi_kind == "const" else 0.0
+        rho = _first_row(lams, g1, g2, Phi, lattice, impulse=True)
+        K0 = lams[:, None] * lams[:, None] * rho * rho
+    return G, K0
 
 
 class SdanaExactKernel:

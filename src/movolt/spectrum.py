@@ -21,6 +21,8 @@ ZERO_FOLD_RTOL = 1e-10
 MASS_TOL = 1e-8
 
 DEFAULT_NODES = 200
+# the node counts a rule is chosen from where none is given: 50 * 2^k
+NODE_LADDER = (50, 100, 200, 400, 800, 1600)
 # Smallest aspect ratio whose squared upper MP edge, about 1/r^2 (kernels
 # and Laplace transforms square the nodes), fits in double range with margin.
 MIN_RATIO = 4.0 / np.sqrt(np.finfo(float).max)
@@ -120,7 +122,17 @@ class SpectralMeasure:
         return SpectralMeasure(DISCRETE_KIND, pts, wts, obj.get("zero_mass", 0.0))
 
 
-def mp_measure(r, nodes=DEFAULT_NODES):
+def mp_rule(r, nodes):
+    """Nodes and weights of the MP bulk's Gauss-Chebyshev rule of the
+    given size, as mp_measure takes them, with no mass check."""
+    center = 1.0 + 1.0 / r
+    half = 2.0 * np.sqrt(1.0 / r)
+    theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * np.pi / (2.0 * nodes)
+    lam = center + half * np.cos(theta)
+    return lam, r * half**2 * np.sin(theta) ** 2 / (2.0 * nodes * lam)
+
+
+def mp_measure(r, nodes=None):
     """Marchenko-Pastur measure for ratio r = d/n as a quadrature rule.
 
     The bulk density r*sqrt((lam-lam_minus)*(lam_plus-lam))/(2*pi*lam) on
@@ -129,29 +141,32 @@ def mp_measure(r, nodes=DEFAULT_NODES):
     w_k = r * w^2 * sin^2(theta_k) / (2*N*lam_k), where c = 1 + s^2 and
     w = 2s (s = r^(-1/2)) are the center and half-width of the bulk, taken
     from s rather than from the rounded edges.  For r < 1 an atom of mass
-    1 - r sits at zero.  Raises if the node count cannot meet the mass
-    budget.
+    1 - r sits at zero.  Without a node count, N is DEFAULT_NODES or the
+    first rung of NODE_LADDER above it whose rule meets the mass budget
+    (a pole of the weights sits near the bulk where r is near 1).  Raises
+    if the node count, or the last rung, cannot meet the budget.
     """
     if not (np.isfinite(r) and r >= MIN_RATIO):
         raise ValueError("aspect ratio r (--r) must be finite and at least "
                          "%.3g, where the squared MP edge is a finite double,"
                          " got %r" % (MIN_RATIO, r))
-    if nodes < 8:
+    if nodes is not None and nodes < 8:
         raise ValueError("need at least 8 quadrature nodes")
-    center = 1.0 + 1.0 / r
-    half = 2.0 * np.sqrt(1.0 / r)
-    theta = (2.0 * np.arange(1, nodes + 1) - 1.0) * np.pi / (2.0 * nodes)
-    lam = center + half * np.cos(theta)
-    wts = r * half**2 * np.sin(theta) ** 2 / (2.0 * nodes * lam)
+    rungs = ([nodes] if nodes is not None
+             else [k for k in NODE_LADDER if k >= DEFAULT_NODES])
     zero_mass = max(1.0 - r, 0.0)
     bulk = min(r, 1.0)
-    if abs(wts.sum() - bulk) > MASS_TOL:
-        raise NumericalError(
-            "quadrature mass error %.3e exceeds %g at %d nodes; "
-            "increase nodes (ratio r=%g puts an integrand pole near the bulk)"
-            % (abs(wts.sum() - bulk), MASS_TOL, nodes, r)
-        )
-    return SpectralMeasure(MP_KIND, lam, wts, zero_mass, r=float(r), nodes=int(nodes))
+    for nodes in rungs:
+        lam, wts = mp_rule(r, nodes)
+        miss = abs(wts.sum() - bulk)
+        if not miss > MASS_TOL:
+            return SpectralMeasure(MP_KIND, lam, wts, zero_mass, r=float(r),
+                                   nodes=int(nodes))
+    raise NumericalError(
+        "quadrature mass error %.3e exceeds %g at %d nodes; "
+        "increase nodes (ratio r=%g puts an integrand pole near the bulk)"
+        % (miss, MASS_TOL, nodes, r)
+    )
 
 
 def fold_zeros(eigenvalues):

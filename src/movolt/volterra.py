@@ -19,11 +19,16 @@ import os
 
 import numpy as np
 
-from . import analysis, kernels
+from . import analysis, kernels, spectrum
 from .errors import NumericalError
 from .lsq import check_scales
 
 DEFAULT_H = 0.05
+# the scale an MP rule's forcing and kernel must agree with the rule of
+# three times its nodes to, where the solve chooses the rule
+QUADRATURE_TOL = 1e-12
+# quadrature_gap's check times, as fractions of the horizon
+_GAP_AT = np.append(0.0, 0.5 ** np.arange(7, -1, -1))
 PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 200
 # points per directly marched stretch of the convolution march; longer
@@ -550,8 +555,51 @@ def _forcing_at(K, forcing, u, t):
     return value
 
 
+def quadrature_gap(spec, measure, T, R=1.0, R_tilde=1.0):
+    """How far an MP measure's N-node rule is from the 3N-node rule: the
+    larger of max|F_N - F_3N| / max|F_3N| and the same for the kernel
+    K_0 born at s = 0, over the times _GAP_AT * T.  The 3N rule holds the
+    N rule's nodes (every third from the second, at a third of the
+    weight), so one kernels.horizon_columns call on it gives both sums;
+    a power schedule is carried in steps of at most 1.  nan where a value
+    is not finite."""
+    lams, wts = spectrum.mp_rule(measure.r, 3 * measure.nodes)
+    rules = np.zeros((2, lams.size))
+    rules[0] = wts
+    rules[1, 1::3] = 3.0 * wts[1::3]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        G, K0 = kernels.horizon_columns(spec, lams, T * _GAP_AT)
+        F = (0.5 * R_tilde * measure.zero_mass
+             + (rules * (R * lams + R_tilde)) @ G)
+        gaps = [np.max(np.abs(v[1] - v[0])) / np.max(np.abs(v[0]))
+                if np.any(v[0]) else np.max(np.abs(v[1]))
+                for v in (F, rules @ K0)]
+    return float(max(gaps)) if np.all(np.isfinite(gaps)) else math.nan
+
+
+def _sized_rule(measure, spec, T, R, R_tilde):
+    """(rule, gap): the first rung of spectrum.NODE_LADDER whose MP rule
+    meets the mass budget and whose quadrature_gap to horizon T is within
+    QUADRATURE_TOL, else the last rung's.  The climb starts at the bottom
+    rung, or where the mass budget took measure above DEFAULT_NODES, at
+    its node count (measure itself past the ladder); a gap that is not
+    finite stops it, and the solve then names the failure."""
+    floor = measure.nodes if measure.nodes > spectrum.DEFAULT_NODES else 0
+    rungs = [k for k in spectrum.NODE_LADDER if k >= floor]
+    for nodes in rungs or [measure.nodes]:
+        try:
+            rule = (measure if nodes == measure.nodes
+                    else spectrum.mp_measure(measure.r, nodes))
+        except NumericalError:
+            continue    # misses the mass budget
+        gap = quadrature_gap(spec, rule, T, R, R_tilde)
+        if not gap > QUADRATURE_TOL:
+            break
+    return rule, gap
+
+
 def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
-            n=None, spectral=None, validate=False):
+            n=None, spectral=None, validate=False, size_rule=False):
     """End-to-end deterministic loss prediction for an algorithm on a measure.
 
     mode selects the SDANA route: 'ode' (exact two-time kernel) or 'conv'
@@ -561,7 +609,10 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     passed to replace the theoretical forcing with the realized one.
     validate reruns the convolution solve by Picard iteration and records
     the disagreement in the diagnostics.  A grid step at which the march
-    is singular raises NumericalError before any integration.
+    is singular raises NumericalError before any integration.  An MP
+    measure's quadrature_gap to the horizon is recorded as well; with
+    size_rule the solve first takes the node count from the ladder
+    instead (_sized_rule), and the solution's meta names the rule taken.
     """
     if mode is not None:
         mode = MODES.get(mode, mode)
@@ -571,6 +622,15 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     check_scales(R, R_tilde)
     spec = params.kernel_spec(n=n, mode=mode)
     grid = time_grid(T, h)
+    # refuse a singular march before the forcing: every route's on-diagonal
+    # kernel value is K_t(t) = g2^2 int lam^2 dmu
+    _march_divisor(h, spec.gamma2**2 * measure.integrate(np.square))
+    gap = None
+    if measure.kind == spectrum.MP_KIND and spectral is None:
+        if size_rule:
+            measure, gap = _sized_rule(measure, spec, grid[-1], R, R_tilde)
+        else:
+            gap = quadrature_gap(spec, measure, grid[-1], R, R_tilde)
     lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
     kern = None
     if spec.mode == "ode_exact":
@@ -584,9 +644,6 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             weights = np.bincount(at[:split], weights, len(nodes))
             coef = np.bincount(at[split:], coef, len(nodes))
         kern = kernels.SdanaExactKernel(spec, nodes, weights)
-    # refuse a singular march before the forcing: every route's on-diagonal
-    # kernel value is K_t(t) = g2^2 int lam^2 dmu
-    _march_divisor(h, spec.gamma2**2 * measure.integrate(np.square))
     norm = analysis.kernel_norm(params, measure)
 
     if kern is not None:
@@ -619,6 +676,8 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         if validate:
             _validate_picard(sol, weighted, I_vals, grid, phi[::2])
     sol.kernel_norm = norm
+    if gap is not None:
+        sol.diagnostics["quadrature_gap"] = gap
     sol.meta = {"algo": params.name, "params": params.describe(),
                 "measure": json.loads(measure.to_json()), "R": R,
                 "R_tilde": R_tilde, "mode": spec.mode}

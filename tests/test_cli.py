@@ -596,6 +596,92 @@ def test_predict_sidecar_carries_solver_diagnostics(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the MP rule: sized to the horizon where --nodes is not given
+
+
+def test_ratio_near_one_climbs_the_mass_budget(tmp_path, capsys):
+    # r = 0.95 misses MASS_TOL at 200 nodes (it exited 2); every command
+    # climbs to 400, and predict then takes the first rung from there
+    # whose rule agrees with the 3N rule: 400 nodes are 3.1e-11 of F(0)
+    # from 1,200 (psi is off by 6.1e-11 of sup psi against 3,200 nodes),
+    # so it takes 800
+    out = tmp_path / "s.json"
+    assert run_cli(["spectrum", "--r", "0.95", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["measure"]["nodes"] == 400
+    out = tmp_path / "a.json"
+    assert run_cli(["analyze", "--algo", "sgd", "--r", "0.95",
+                    "--out", str(out)]) == 0
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(["predict", "--algo", "sgd", "--r", "0.95",
+                            "--T", "10", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+    side = json.loads(out.with_suffix(".json").read_text())
+    assert side["measure"]["nodes"] == 800
+    assert side["diagnostics"]["quadrature_gap"] <= volterra.QUADRATURE_TOL
+    code, _, err = run_cli(["spectrum", "--r", "0.999", "--out",
+                            str(tmp_path / "x.json")], capsys)
+    assert code == 2 and "at 1600 nodes" in err
+
+
+@pytest.mark.parametrize("algo", ["sgd", "sdahb"])
+def test_long_horizon_rule_matches_3200_nodes(algo, tmp_path):
+    # at r = 1 and T = 3000 the 200-node rule is off by 9e-6 of F's scale;
+    # the sized rule lands within 1e-9 of sup psi of a 3,200-node solve,
+    # whose F and I are summed over blocks of 200 nodes
+    out = tmp_path / "psi.csv"
+    assert run_cli(["predict", "--algo", algo, "--T", "3000", "--h", "0.25",
+                    "--out", str(out)]) == 0
+    sol = volterra.VolterraSolution.read(str(out))
+    assert sol.meta["measure"]["nodes"] > 200
+    assert sol.diagnostics["quadrature_gap"] <= volterra.QUADRATURE_TOL
+    spec = momentum.defaults(algo, spectrum.mp_measure(1.0)).kernel_spec()
+    fine = spectrum.mp_measure(1.0, 3200)
+    half = volterra._sweep_nodes(sol.grid, True)
+    F, I = np.zeros(half.size), np.zeros(half.size)
+    for lo in range(0, fine.nodes, 200):
+        lams, wts = fine.points[lo:lo + 200], fine.weights[lo:lo + 200]
+        F += (wts * (lams + 1.0)) @ kernels.forcing_matrix(spec, lams, half)
+        I += wts @ kernels.kernel_matrix(spec, lams, half)
+    ref = volterra.solve_convolution(F, I, sol.grid).psi
+    assert np.max(np.abs(sol.psi - ref)) <= 1e-9 * ref.max()
+
+
+def test_given_nodes_are_kept_and_a_wide_gap_warns(tmp_path, capsys):
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(["predict", "--algo", "sgd", "--nodes", "200",
+                            "--T", "3000", "--h", "0.25", "--out", str(out)],
+                           capsys)
+    assert code == 0
+    side = json.loads(out.with_suffix(".json").read_text())
+    assert side["measure"]["nodes"] == 200
+    assert side["diagnostics"]["quadrature_gap"] > volterra.QUADRATURE_TOL
+    assert err.startswith("warning:") and "--nodes" in err
+    code, _, err = run_cli(["predict", "--algo", "sgd", "--nodes", "200",
+                            "--T", "300", "--out", str(out)], capsys)
+    assert code == 0 and err == ""
+
+
+def test_sidecar_measure_round_trips_to_the_rule(tmp_path):
+    # the sidecar's measure rebuilds the rule the solve took, bit for bit;
+    # compare's sidecar names it too
+    out = tmp_path / "psi.csv"
+    assert run_cli(["predict", "--algo", "sdana", "--r", "2", "--T", "60",
+                    "--out", str(out)]) == 0
+    side = json.loads(out.with_suffix(".json").read_text())
+    mu = spectrum.SpectralMeasure.from_json(json.dumps(side["measure"]))
+    want = spectrum.mp_measure(2.0, 50)
+    assert mu.nodes == 50 and mu.r == 2.0
+    assert np.array_equal(mu.points, want.points)
+    assert np.array_equal(mu.weights, want.weights)
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare", "--algo", "sdahb", "--n", "64", "--d", "128",
+                    "--epochs", "2", "--seeds", "2", "--out", str(out)]) == 0
+    side = json.loads(out.with_suffix(".json").read_text())
+    assert side["measure"]["nodes"] == 50
+    assert side["diagnostics"]["quadrature_gap"] <= volterra.QUADRATURE_TOL
+
+
+# ---------------------------------------------------------------------------
 # fuzzing: every flag set exits 0, 1 or 2, never with a traceback
 
 # sizes and counts stay small, since nothing refuses an oversized job

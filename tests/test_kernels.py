@@ -84,6 +84,20 @@ def test_sgd_kernel_closed_form():
                        rtol=1e-14, atol=0.0)
 
 
+def test_sgd_forcing_matches_mpmath():
+    # against 40-digit mpmath at the same float gamma, lam and t, out to
+    # t = 300: the largest relative error measured is 7.55e-14 (at
+    # t = 286.25), the conditioning of exp at an argument near -546
+    t = np.linspace(0.0, 300.0, 241)
+    spec = momentum.sgd(0.7).kernel_spec()
+    got = kernels.forcing_matrix(spec, [1.3], t)[0]
+    rate = 2 * mpmath.mpf(spec.gamma2) * mpmath.mpf(1.3)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(g) / (mpmath.exp(-rate * mpmath.mpf(x)) / 2)
+                        - 1) for g, x in zip(got, t))
+    assert worst <= 1.5e-13
+
+
 def test_sgd_forcing_tail_has_no_false_zeros():
     # the r = 4 SGD forcing F(t) = sum_i c_i exp(-2 gamma lam_i t)/2 over the
     # MP nodes, summed in mpmath from the same floats: no value may read 0
@@ -382,6 +396,71 @@ def test_sdana_conv_kernel_at_turning_point(lam):
     spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="convolution_approx")
     got = kernels.kernel_matrix(spec, [lam], tau)[0]
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
+
+
+def _bit_cases():
+    """(g1, g2, Phi, lams) per family: SGD, SDAHB (critical, s = 0, at
+    lam = 0.5), SHB at n = 1000, the mixed variant and SDANA's Phi = 0
+    kernel; each lams mixes oscillating, overdamped and SGD-like nodes
+    with nodes at and within 1e-9 of the turning point, out of order."""
+    shb = momentum.shb(0.0005, 0.001).kernel_spec(n=1000)
+    sdana = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="convolution_approx")
+    cases = {"sgd": (0.0, 0.7, 0.0), "sdahb": (0.5, 0.0, 1.0),
+             "shb": (shb.gamma1, shb.gamma2, shb.theta),
+             "mixed": _FAMILIES["mixed"], "sdana": (sdana.gamma1, sdana.gamma2,
+                                                    0.0)}
+    rng = np.random.default_rng(3)
+    for name, (g1, g2, Phi) in cases.items():
+        lams = [0.05, 0.5, 2.5, 40.0, 900.0, 1e-6]
+        if g1 > 0.0:
+            star = _turning_point(g1, g2, Phi, 0.5 if g2 == 0.0 else 1.0)
+            lams += [star, star * (1 - 1e-9), star * (1 + 1e-9)]
+        yield name, g1, g2, Phi, rng.permutation(lams)
+
+
+@pytest.mark.parametrize("name,g1,g2,Phi,lams", list(_bit_cases()))
+def test_first_row_over_an_array_is_the_per_lam_rows(name, g1, g2, Phi,
+                                                      lams):
+    # one call over every lam has the bits of one call per lam, for F's
+    # row and the impulse row, on the uniform half-step grid (angle
+    # addition) and on scattered times (direct), and forcing_matrix and
+    # kernel_matrix square those same rows
+    scattered = np.array([0.0, 1e-6, 0.37, 2.0, 45.0, 299.0])
+    spec = const_spec(g1, g2, Phi)
+    for x in (_LATTICE, scattered):
+        lattice = kernels._lattice(x)
+        for impulse in (False, True):
+            rows = kernels._first_row(lams, g1, g2, Phi, lattice, impulse)
+            one = np.array([kernels._first_row([lam], g1, g2, Phi, lattice,
+                                               impulse)[0] for lam in lams])
+            assert np.array_equal(rows, one, equal_nan=True), (name, impulse)
+        F = kernels.forcing_matrix(spec, lams, x)
+        m11 = kernels._first_row(lams, g1, g2, Phi, lattice)
+        assert np.array_equal(F, 0.5 * m11 * m11)
+
+
+def test_horizon_columns_are_the_matrices_columns():
+    # constant Phi and SDANA's conv kernel: the matrices' values at the
+    # same times; the exact route's carried columns match its forcing and
+    # its kernel born at 0 to the Magnus step's accuracy at h = 0.05
+    lams = np.array([0.05, 0.7, 2.5, 3.9])
+    t = np.array([0.0, 0.5, 1.0, 2.0, 8.0])
+    for spec in (momentum.sgd(0.7).kernel_spec(),
+                 momentum.sdahb(0.8, 1.5).kernel_spec()):
+        G, K0 = kernels.horizon_columns(spec, lams, t)
+        assert np.array_equal(G, kernels.forcing_matrix(spec, lams, t))
+        assert np.array_equal(K0, kernels.kernel_matrix(spec, lams, t))
+    conv = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="convolution_approx")
+    G, K0 = kernels.horizon_columns(conv, lams, t, h=0.05)
+    assert np.array_equal(K0, kernels.kernel_matrix(conv, lams, t))
+    assert np.allclose(G, kernels.forcing_matrix(conv, lams, t), rtol=1e-12,
+                       atol=0.0)
+    exact = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
+    G, K0 = kernels.horizon_columns(exact, lams, t, h=0.05)
+    assert np.allclose(G, kernels.forcing_matrix(exact, lams, t), rtol=1e-12)
+    want = np.array([oracle_kernel(lam, 0.25, 1.0, lambda s: 4.0 / (1.0 + s),
+                                   0.0, t) for lam in lams])
+    assert np.allclose(K0, want, rtol=1e-5, atol=0.0)
 
 
 # --------------------------------------------------- matrix builders

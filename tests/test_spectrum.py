@@ -149,3 +149,32 @@ def test_json_has_expected_keys(mp1):
     obj = json.loads(mp1.to_json())
     assert obj["kind"] == "marchenko_pastur"
     assert obj["r"] == 1.0
+
+
+def test_mp_measure_climbs_to_the_mass_budget():
+    # without a node count the rule is DEFAULT_NODES, or the first rung of
+    # the ladder above it that meets MASS_TOL; past the last rung it raises
+    assert spectrum.mp_measure(2.0).nodes == spectrum.DEFAULT_NODES
+    mu = spectrum.mp_measure(0.95)
+    assert mu.nodes == 400
+    assert abs(mu.zero_mass + mu.weights.sum() - 1.0) <= spectrum.MASS_TOL
+    with pytest.raises(NumericalError, match="at 200 nodes"):
+        spectrum.mp_measure(0.95, nodes=200)
+    with pytest.raises(NumericalError, match="at 1600 nodes"):
+        spectrum.mp_measure(0.999)
+
+
+def test_mp_rule_is_the_measures_and_holds_the_third_rule():
+    # mp_measure's nodes and weights are mp_rule's; the 3N rule holds the
+    # N rule's nodes, every third from the second, at a third the weight,
+    # to rounding: within 3 ulp of the bulk's center, and a weight error
+    # of 1e-15 of the mass in all
+    eps = np.finfo(float).eps
+    for r, nodes in ((0.5, 50), (1.0, 200), (2.0, 1600)):
+        mu = spectrum.mp_measure(r, nodes=nodes)
+        lam, wts = spectrum.mp_rule(r, nodes)
+        assert np.array_equal(mu.points, lam)
+        assert np.array_equal(mu.weights, wts)
+        lam3, wts3 = spectrum.mp_rule(r, 3 * nodes)
+        assert np.max(np.abs(lam3[1::3] - lam)) <= 3 * eps * (1 + 1 / r)
+        assert np.sum(np.abs(3.0 * wts3[1::3] - wts)) <= 1e-15

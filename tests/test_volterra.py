@@ -769,3 +769,79 @@ def test_build_forcing_from_spectral_matches_initial_loss():
 def test_sidecar_path_naming():
     assert volterra.sidecar_path("a/b.csv") == "a/b.json"
     assert volterra.sidecar_path("a/b.dat") == "a/b.dat.json"
+
+
+# ----------------------------------------------- the MP rule sized to T
+
+# the benchmark's MP predictions: (algo, given parameters, r, T, n, the
+# rule the ladder takes)
+_SIZED = [("sgd", {}, 1.0, 300.0, None, 200),
+          ("sdahb", {}, 1.0, 300.0, None, 200),
+          ("shb", {"gamma": 0.002, "theta": 0.002}, 1.0, 300.0, 1000, 200),
+          ("sgd", {}, 0.5, 300.0, None, 50),
+          ("sdana", {}, 1.0, 100.0, None, 100),
+          ("sdana", {}, 2.0, 60.0, None, 50)]
+
+
+@pytest.mark.parametrize("algo,given,r,T,n,want", _SIZED)
+def test_sized_rule_keeps_the_200_node_curve(algo, given, r, T, n, want):
+    # the rule the ladder takes agrees with the 3N rule to
+    # QUADRATURE_TOL, and its psi is the 200-node psi to 1e-12 of sup psi;
+    # where the ladder takes 200 nodes, bit for bit
+    base = spectrum.mp_measure(r)
+    params = momentum.defaults(algo, base, **given)
+    sized = volterra.predict(base, params, T, n=n, size_rule=True)
+    assert sized.meta["measure"]["nodes"] == want
+    assert sized.diagnostics["quadrature_gap"] <= volterra.QUADRATURE_TOL
+    ref = volterra.predict(spectrum.mp_measure(r, 200), params, T, n=n)
+    assert np.max(np.abs(sized.psi - ref.psi)) <= 1e-12 * ref.psi.max()
+    if want == 200:
+        assert sized.psi.tobytes() == ref.psi.tobytes()
+        assert sized.forcing.tobytes() == ref.forcing.tobytes()
+
+
+def test_quadrature_gap_reads_the_hard_edge_horizon(mp1):
+    # at r = 1 the bulk touches 0: 200 nodes resolve T = 300 but not
+    # T = 3000, and 400 resolve both
+    spec = momentum.defaults("sgd", mp1).kernel_spec()
+    assert volterra.quadrature_gap(spec, mp1, 300.0) <= 1e-12
+    assert volterra.quadrature_gap(spec, mp1, 3000.0) > 1e-6
+    wide = spectrum.mp_measure(1.0, 400)
+    assert volterra.quadrature_gap(spec, wide, 3000.0) <= 1e-12
+
+
+def test_rule_check_leaves_the_assembly_calls_to_the_solve(monkeypatch, mp1):
+    # the check evaluates its own columns: the solve alone calls
+    # forcing_matrix, kernel_matrix and SdanaExactKernel.advance
+    calls = {"forcing_matrix": 0, "kernel_matrix": 0, "advance": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(kernels, "forcing_matrix")
+    counted(kernels, "kernel_matrix")
+    counted(kernels.SdanaExactKernel, "advance")
+    sdahb = momentum.defaults("sdahb", mp1)
+    volterra.predict(mp1, sdahb, 30.0, size_rule=True)
+    assert calls == {"forcing_matrix": 1, "kernel_matrix": 1, "advance": 0}
+    calls.update(forcing_matrix=0, kernel_matrix=0)
+    sol = volterra.predict(mp1, momentum.defaults("sdana", mp1), 10.0,
+                           size_rule=True)
+    assert calls == {"forcing_matrix": 0, "kernel_matrix": 0,
+                     "advance": 2 * (len(sol.grid) - 1)}
+
+
+def test_given_rule_is_kept_and_its_gap_reported(mp1):
+    # without size_rule the measure's own rule solves, and its gap is
+    # still in the diagnostics; a discrete measure has none
+    params = momentum.defaults("sgd", mp1)
+    sol = volterra.predict(spectrum.mp_measure(1.0, 50), params, 300.0)
+    assert sol.meta["measure"]["nodes"] == 50
+    assert sol.diagnostics["quadrature_gap"] > 1e-6
+    esm = spectrum.esm_from_eigenvalues([0.5, 1.0, 2.0])
+    sol = volterra.predict(esm, params, 5.0, size_rule=True)
+    assert "quadrature_gap" not in sol.diagnostics

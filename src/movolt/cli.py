@@ -240,9 +240,9 @@ def cmd_predict(cfg):
                            size_rule=cfg["nodes"] is None)
     _warn_quadrature(sol)
     if sol.diagnostics.get("picard_note"):
-        print("warning: Picard validation did not contract (%s); keeping "
-              "the marching solution" % sol.diagnostics["picard_note"],
-              file=sys.stderr)
+        print("warning: Picard iteration did not settle from the marching "
+              "solution (%s); keeping the marching solution"
+              % sol.diagnostics["picard_note"], file=sys.stderr)
     out = cfg["out"] or "predict.csv"
     sol.meta = _echo(cfg, {"command": "predict", **sol.meta})
     sol.write(out)

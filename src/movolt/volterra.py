@@ -70,7 +70,7 @@ class VolterraSolution:
     """psi on a grid together with the forcing it answered to."""
 
     def __init__(self, grid, forcing, psi, kernel_norm=None, method="marching",
-                 diagnostics=None, meta=None):
+                 diagnostics=None, meta=None, passes=()):
         self.grid = np.asarray(grid, dtype=float)
         self.forcing = np.asarray(forcing, dtype=float)
         self.psi = np.asarray(psi, dtype=float)
@@ -78,6 +78,9 @@ class VolterraSolution:
         self.method = method
         self.diagnostics = diagnostics or {}
         self.meta = meta or {}
+        # a convolution solve's psi of each pass, coarse first, before the
+        # Richardson step, in the variable solved
+        self.passes = passes
 
     @property
     def h(self):
@@ -238,7 +241,7 @@ def _finalize_psi(psi, context):
 
 
 def solve_convolution(F, I_vals, grid, method="marching", refine=True,
-                      weight=1.0):
+                      weight=1.0, start=None):
     """Solve psi = F + I * psi on a uniform grid (trapezoid weights).
 
     Marching: one forward pass, exact for the trapezoid discretization.
@@ -253,6 +256,9 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     unknown, weight * psi_0 (the SDANA convolution route's phi), weight on
     the same nodes puts the refinement gap and the residual in psi_0's
     units: each is divided by weight on its nodes before its max is taken.
+    The solution keeps each pass's psi in passes, coarse first.  Given
+    those as start, Picard sweeps each pass from its array instead of
+    from F; it settles at the same fixed point from any start.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = _sweep_nodes(grid, refine)
@@ -261,27 +267,45 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     weight = np.broadcast_to(weight, nodes.shape)
     h = _uniform_step(grid)
     diagnostics = {}
-    if len(nodes) == len(grid):
-        psi = _solve_conv_core(F, I_vals, h, method, diagnostics, weight)
-    else:
-        # the coarse pass first, so that a failure names the grid's own step
-        psi = _solve_conv_core(F[::2], I_vals[::2], h, method)
-        fine_psi = _solve_conv_core(F, I_vals, 0.5 * h, method, diagnostics,
-                                    weight)
-        psi = _richardson(psi, fine_psi[::2], diagnostics, weight[::2])
+    strides = (1,) if len(nodes) == len(grid) else (2, 1)
+    start = _pass_starts(start, method, [nodes[::s] for s in strides])
+    # the coarse pass first, so that a failure names the grid's own step;
+    # the pass on every node reports the diagnostics
+    passes = [_solve_conv_core(F[::s], I_vals[::s], h * s / strides[0], method,
+                               diagnostics if s == 1 else None, weight[::s], x0)
+              for s, x0 in zip(strides, start)]
+    psi = passes[-1]
+    if len(passes) == 2:
+        psi = _richardson(passes[0], psi[::2], diagnostics, weight[::2])
         F = F[::2]
     psi = _finalize_psi(psi, "convolution solve")
-    return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics)
+    return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics,
+                            passes=passes)
 
 
-def _on_nodes(values, nodes, name):
+def _on_nodes(values, nodes, name,
+              sweep="the solve sweeps (the half-step grid when it refines)"):
     """values as a float array, which must hold one sample per node."""
     values = np.asarray(values, dtype=float)
     if len(values) != len(nodes):
-        raise ValueError("%s must be sampled on the %d nodes the solve sweeps "
-                         "(the half-step grid when it refines), got %d values"
-                         % (name, len(nodes), len(values)))
+        raise ValueError("%s must be sampled on the %d nodes %s, got %d values"
+                         % (name, len(nodes), sweep, len(values)))
     return values
+
+
+def _pass_starts(start, method, passes):
+    """Picard's start for each pass from its nodes: start's arrays, or
+    None for each (a cold start from F) without one."""
+    if start is None:
+        return [None] * len(passes)
+    if method != "picard":
+        raise ValueError("start seeds a Picard solve; method %r takes none"
+                         % (method,))
+    if len(start) != len(passes):
+        raise ValueError("start must hold one array per pass the solve "
+                         "sweeps (%d), got %d" % (len(passes), len(start)))
+    return [_on_nodes(x, p, "start", "its pass sweeps")
+            for x, p in zip(start, passes)]
 
 
 def _richardson(psi, on_grid, diagnostics, weight=1.0):
@@ -305,9 +329,10 @@ def _march_divisor(h, K0):
     return denom
 
 
-def _solve_conv_core(F, I_vals, h, method, diagnostics=None, weight=1.0):
-    """psi of one pass; a diagnostics dict takes the pass's residual, over
-    weight, and Picard sweep count."""
+def _solve_conv_core(F, I_vals, h, method, diagnostics=None, weight=1.0,
+                     start=None):
+    """psi of one pass, by Picard from start if one is given; a diagnostics
+    dict takes the pass's residual, over weight, and Picard sweep count."""
     denom = _march_divisor(h, I_vals[0])
     I_hat = None
     if method == "picard" or diagnostics is not None:
@@ -315,7 +340,7 @@ def _solve_conv_core(F, I_vals, h, method, diagnostics=None, weight=1.0):
     if method == "marching":
         psi = _march_convolution(F, I_vals, h, denom)
     elif method == "picard":
-        psi, iters = _picard_convolution(F, I_vals, h, I_hat)
+        psi, iters = _picard_convolution(F, I_vals, h, I_hat, start)
         if diagnostics is not None:
             diagnostics["picard_iters"] = iters
     else:
@@ -430,12 +455,12 @@ def _nonfinite_at(step, h):
         % (step, step * h))
 
 
-def _picard_convolution(F, I_vals, h, I_hat):
+def _picard_convolution(F, I_vals, h, I_hat, start=None):
     # relative to the forcing once it exceeds 1 (the phi-conjugated SDANA
     # forcing grows like t^theta); a contracting kernel keeps psi on F's
     # scale, a non-contracting one outgrows it and stays unconverged
     tol = PICARD_TOL * max(1.0, float(np.max(np.abs(F))))
-    psi = F.copy()
+    psi = F if start is None else start
     for it in range(1, PICARD_MAX_ITERS + 1):
         nxt = F + _trapezoid_convolve(I_vals, psi, h, I_hat)
         if not np.all(np.isfinite(nxt)):
@@ -607,9 +632,10 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     SGD/SHB/SDAHB use their closed kernels ('closed').  SHB needs n to map
     onto its dimension-adjusted parameters.  A spectral problem may be
     passed to replace the theoretical forcing with the realized one.
-    validate reruns the convolution solve by Picard iteration and records
-    the disagreement in the diagnostics.  A grid step at which the march
-    is singular raises NumericalError before any integration.  An MP
+    validate reruns the convolution solve by Picard iteration, started
+    from the march's passes, and records the disagreement in the
+    diagnostics.  A grid step at which the march is singular raises
+    NumericalError before any integration.  An MP
     measure's quadrature_gap to the horizon is recorded as well; with
     size_rule the solve first takes the node count from the ladder
     instead (_sized_rule), and the solution's meta names the rule taken.
@@ -671,10 +697,11 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             raise NumericalError(
                 "kernel norm %.6g >= 1: the loss grows without bound; a "
                 "smaller --h resolves more of its growth" % norm)
+        passes = sol.passes
         sol = VolterraSolution(grid, F[::2], sol.psi / phi[::2],
                                method=sol.method, diagnostics=sol.diagnostics)
         if validate:
-            _validate_picard(sol, weighted, I_vals, grid, phi[::2])
+            _validate_picard(sol, weighted, I_vals, grid, phi[::2], passes)
     sol.kernel_norm = norm
     if gap is not None:
         sol.diagnostics["quadrature_gap"] = gap
@@ -684,11 +711,15 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
     return sol
 
 
-def _validate_picard(sol, F, I_vals, grid, deconjugate):
-    """Cross-check the marching solution against Picard; non-contraction is
-    reported, not fatal (marching needs no smallness assumption)."""
+def _validate_picard(sol, F, I_vals, grid, deconjugate, passes):
+    """Cross-check the marching solution against Picard started from the
+    march's passes; a Picard failure is reported, not fatal (marching needs
+    no smallness assumption).  Where the march is the discrete fixed point,
+    the first sweep moves it by its residual, so picard_iters reads 1; a
+    larger count means the march was off, and picard_delta says by how
+    much."""
     try:
-        alt = solve_convolution(F, I_vals, grid, method="picard")
+        alt = solve_convolution(F, I_vals, grid, method="picard", start=passes)
         alt_psi = alt.psi / deconjugate
         sol.diagnostics["picard_iters"] = alt.diagnostics["picard_iters"]
         sol.diagnostics["picard_delta"] = float(

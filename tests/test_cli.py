@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from movolt import cli, kernels, lsq, momentum, spectrum, volterra
+from movolt.errors import NumericalError
 
 
 def run_cli(argv, capsys=None):
@@ -593,6 +594,24 @@ def test_predict_sidecar_carries_solver_diagnostics(tmp_path):
     assert "NaN" not in out.with_suffix(".json").read_text()
     diag = volterra.VolterraSolution.read(str(out)).diagnostics
     assert diag["residual"] is None and diag["refinement_gap"] >= 0.0
+
+
+def test_predict_warns_where_picard_leaves_the_march(tmp_path, capsys,
+                                                   monkeypatch):
+    # a non-finite iterate is stood in for; the march's curve is kept
+    def runaway(*args):
+        raise NumericalError("Picard iterate 2 is not finite; the iteration "
+                             "cannot settle")
+    monkeypatch.setattr(volterra, "_picard_convolution", runaway)
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(
+        ["predict", "--algo", "sgd", "--T", "5", "--out", str(out)], capsys)
+    assert code == 0
+    assert err.startswith("warning: Picard iteration did not settle from the "
+                          "marching solution (Picard iterate 2 is not finite")
+    assert "keeping the marching solution" in err
+    diag = volterra.VolterraSolution.read(str(out)).diagnostics
+    assert diag["picard_delta"] is None and "picard_note" in diag
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,34 @@ def test_marching_and_picard_agree_tightly():
     assert np.max(np.abs(a.psi - b.psi)) < 1e-8
 
 
+@pytest.mark.parametrize("refine", [True, False])
+def test_warm_and_cold_picard_reach_one_fixed_point(refine):
+    grid, _ = grid_and_ones()
+    nodes = sweep_nodes(grid) if refine else grid
+    F, I = np.ones_like(nodes), 0.5 * np.exp(-nodes)
+    march = volterra.solve_convolution(F, I, grid, refine=refine)
+    assert len(march.passes) == (2 if refine else 1)
+    cold = volterra.solve_convolution(F, I, grid, method="picard",
+                                      refine=refine)
+    warm = volterra.solve_convolution(F, I, grid, method="picard",
+                                      refine=refine, start=march.passes)
+    tol = 2 * volterra.PICARD_TOL * max(1.0, np.max(np.abs(F)))
+    assert np.max(np.abs(warm.psi - cold.psi)) <= tol
+    assert warm.diagnostics["picard_iters"] == 1
+    with pytest.raises(ValueError, match=r"start must be sampled on the %d "
+                       r"nodes its pass sweeps, got %d values"
+                       % (len(nodes), len(nodes) - 1)):
+        volterra.solve_convolution(F, I, grid, method="picard", refine=refine,
+                                   start=march.passes[:-1]
+                                   + [march.passes[-1][:-1]])
+    with pytest.raises(ValueError, match="one array per pass"):
+        volterra.solve_convolution(F, I, grid, method="picard", refine=refine,
+                                   start=march.passes + march.passes)
+    with pytest.raises(ValueError, match="seeds a Picard solve"):
+        volterra.solve_convolution(F, I, grid, refine=refine,
+                                   start=march.passes)
+
+
 def test_refinement_improves_order():
     # plain trapezoid is O(h^2); the extrapolated solve must gain at
     # least two extra orders on the closed-form instance
@@ -642,6 +670,28 @@ def test_predict_validates_with_picard(mp2):
     sol = volterra.predict(mp2, momentum.sgd(0.7), T=10.0, validate=True)
     assert "picard_delta" in sol.diagnostics
     assert sol.diagnostics["picard_delta"] < 1e-7
+
+
+def test_predict_picard_settles_at_once_on_the_march(mp2):
+    sol = volterra.predict(mp2, momentum.sgd(0.7), T=5.0, validate=True)
+    diag = sol.diagnostics
+    assert diag["picard_iters"] == 1
+    assert diag["picard_delta"] <= 10 * diag["residual"]
+
+
+def test_predict_picard_catches_a_wrong_march(mp2, monkeypatch):
+    delta = 1e-6
+    march = volterra._march_convolution
+
+    def shifted(*args):
+        psi = march(*args)
+        psi[len(psi) // 2:] += delta
+        return psi
+
+    monkeypatch.setattr(volterra, "_march_convolution", shifted)
+    sol = volterra.predict(mp2, momentum.sgd(0.7), T=5.0, validate=True)
+    assert sol.diagnostics["picard_delta"] == pytest.approx(delta, rel=0.01)
+    assert sol.diagnostics["picard_iters"] > 1
 
 
 def test_predict_sdana_conv_picard_settles_on_conjugated_scale(mp1):

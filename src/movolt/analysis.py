@@ -1,12 +1,16 @@
 """Closed-form convergence analysis of the momentum kernels.
 
-Everything here works on the continuous-time parameters (gamma1, gamma2,
-theta) of the kernel and a spectral measure: the kernel mass ||I|| (whose
-position relative to 1 decides convergence), the limiting loss plateau,
-the Malthusian exponent lambda* solving int e^{x tau} I(tau) dtau = 1
-(the linear convergence rate when it exists), closed lower/upper rate
-bounds, and the polynomial decay exponents at a hard spectral edge.
-rate_report is the one report that gathers them all.
+Everything here reads the one law of kernels.KernelSpec: every method's
+kernel is lam^2 rho^2, rho the first row of exp(tau B) applied to the
+impulse (-g2, 1), B = [[-g2 lam, -g1], [lam, -Phi]], Phi = conv_Phi.
+Three closed forms of it serve every method: kernel_norm ||I||, whose
+position relative to 1 decides convergence and the limiting loss plateau;
+laplace F(x), whose root of F(x) = 1 is the Malthusian exponent lambda*
+(the linear convergence rate when it exists); and forcing_rate, the decay
+of the slowest forcing mode, which tops out the root search.  A Family row
+holds only what the law does not give, the paper's rate bounds and the
+polynomial decay exponents at a hard spectral edge.  rate_report is the
+one report that gathers them all.
 """
 
 import collections
@@ -14,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .spectrum import MP_KIND
 
 BISECTION_ITERS = 200
@@ -23,44 +28,55 @@ EDGE_ATOM_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------
-# Closed forms per kernel family, in the continuous parameters
-# (gamma1, gamma2, theta)
+# Closed forms of the kernel law (gamma1, gamma2, Phi)
 # ----------------------------------------------------------------------
 
-def _laplace_sgd(x, gamma1, gamma2, theta, measure):
-    lam = measure.points
-    den = 2.0 * gamma2 * lam - x
-    if np.any(den <= 0.0):
-        return np.inf
-    return float(np.sum(measure.weights * gamma2**2 * lam**2 / den))
+def kernel_norm(params, measure):
+    """||I|| = int_0^inf I(tau) dtau = g2 m/2 + (g1/2) int lam/(g2 lam + Phi)
+    dmu over lam > 0, the second term skipped at g1 = 0.  SHB's n-scalings
+    cancel in it (gamma*m/(2 theta) either way), so it is read at n = 1."""
+    spec = params.kernel_spec(1)
+    g1, g2, lam = spec.gamma1, spec.gamma2, measure.points
+    norm = 0.5 * g2 * measure.trace_moment()
+    if g1 != 0.0:
+        norm += 0.5 * g1 * float(np.sum(measure.weights * lam
+                                        / (g2 * lam + spec.conv_Phi)))
+    return norm
 
 
-def _laplace_heavy_ball(x, gamma1, gamma2, theta, measure):
-    lam = measure.points
-    first = theta - x
-    second = x**2 - 2.0 * theta * x + 4.0 * gamma1 * lam
-    if first <= 0.0 or np.any(second <= 0.0):
-        return np.inf
-    return float(np.sum(measure.weights * 2.0 * gamma1**2 * lam**2
-                        / (first * second)))
+def laplace(x, spec, measure):
+    """F(x) = int_0^inf e^{x tau} I(tau) dtau = sum w lam^2 J, inf where it
+    diverges.  J is the squared H2 norm of e^{x tau/2} rho(tau) =
+    e1^T exp(tau A) (-g2, 1), A = B + (x/2) I: with a = x/2 - g2 lam and
+    d = x/2 - Phi, J = (g2^2 det + (g1 - d g2)^2)/(-2 tr det), finite only
+    where tr = a + d < 0 < det = a d + g1 lam.  At g1 = 0 omega never
+    reaches rho: rho = -g2 e^{a tau}, J = g2^2/(-2 a), finite where a < 0."""
+    g1, g2, lam = spec.gamma1, spec.gamma2, measure.points
+    a = 0.5 * x - g2 * lam
+    if g1 == 0.0:
+        if np.any(a >= 0.0):
+            return np.inf
+        J = g2**2 / (-2.0 * a)
+    else:
+        d = 0.5 * x - spec.conv_Phi
+        tr, det = a + d, a * d + g1 * lam
+        if np.any(tr >= 0.0) or np.any(det <= 0.0):
+            return np.inf
+        J = (g2**2 * det + (g1 - d * g2)**2) / (-2.0 * tr * det)
+    return float(np.sum(measure.weights * lam**2 * J))
 
 
-def _laplace_sdana(x, gamma1, gamma2, theta, measure):
-    lam = measure.points
-    shifted = gamma2 * lam - x
-    omega = 4.0 * gamma1 - gamma2**2 * lam
-    quad = shifted**2 + lam * omega
-    if np.any(shifted <= 0.0) or np.any(quad <= 0.0):
-        return np.inf
-    num = (gamma2**2 * shifted**2 + gamma2 * (omega - 2.0 * gamma1) * shifted
-           + 2.0 * gamma1**2)
-    return float(np.sum(measure.weights * lam**2 * num / (quad * shifted)))
-
-
-def _sdana_rate(g1, g2, theta, lam):
-    if 4.0 * g1 - g2**2 * lam >= 0.0:
-        return g2 * lam
-    return g2 * lam - np.sqrt(g2**2 * lam**2 - 4.0 * g1 * lam)
+def forcing_rate(spec, lam):
+    """Decay rate of the slowest forcing mode G = m11^2/2 at eigenvalue lam:
+    -2 slow, twice the first row's slow exponent from kernels.row_exponents,
+    -2 m where the row oscillates or is critical (disc <= 0), and 2 g2 lam
+    at g1 = 0, where only the -g2 lam mode reaches the first row."""
+    g1, g2 = spec.gamma1, spec.gamma2
+    if g1 == 0.0:
+        return 2.0 * g2 * lam
+    m, _, _, disc, _, slow = kernels.row_exponents([lam], g1, g2,
+                                                   spec.conv_Phi)
+    return float(-2.0 * np.where(disc <= 0.0, m, slow)[0])
 
 
 def _gd_upper_bound(lam, m):
@@ -68,41 +84,25 @@ def _gd_upper_bound(lam, m):
 
 
 class Family(NamedTuple):
-    """The closed forms of one kernel family.  norm and laplace take
-    (g1, g2, theta, measure) after the tilt x; the rates and the lower
-    bound (g1, g2, theta, lam_min); the upper bound (lam_min, m)."""
+    """The paper's rate bounds and hard-edge exponents for one kernel
+    family, which the kernel law does not give: the lower bound takes
+    (g1, g2, theta, lam_min), the upper bound (lam_min, m)."""
 
-    norm: Callable            # ||I|| = int_0^inf I(tau) dtau
-    laplace: Callable         # F(x) = int e^{x tau} I(tau) dtau
-    forcing_rate: Callable    # decay of the slowest forcing mode
     lower_bound: Callable
     upper_bound: Callable
     poly_exponents: tuple     # hard-edge (loss, distance) decay exponents
-    cap: Callable = None      # top of the Malthusian root search, if not
-                              # the forcing rate
 
 
 SGD = Family(
-    norm=lambda g1, g2, theta, mu: 0.5 * g2 * mu.trace_moment(),
-    laplace=_laplace_sgd,
-    forcing_rate=lambda g1, g2, theta, lam: 2.0 * g2 * lam,
     lower_bound=lambda g1, g2, theta, lam: g2 * lam,
     upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
 
 HEAVY_BALL = Family(
-    norm=lambda g1, g2, theta, mu: g1 * mu.trace_moment() / (2.0 * theta),
-    laplace=_laplace_heavy_ball,
-    forcing_rate=lambda g1, g2, theta, lam: (
-        theta - np.sqrt(max(theta**2 - 4.0 * g1 * lam, 0.0))),
     lower_bound=lambda g1, g2, theta, lam: (
         g1 * lam * theta / (2.0 * g1 * lam + theta**2)),
     upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
 
 SDANA = Family(
-    norm=lambda g1, g2, theta, mu: (g1 * (1.0 - mu.zero_mass) / (2.0 * g2)
-                                    + 0.5 * g2 * mu.trace_moment()),
-    laplace=_laplace_sdana, forcing_rate=_sdana_rate,
-    cap=lambda g1, g2, theta, lam: g2 * lam,
     lower_bound=lambda g1, g2, theta, lam: (
         3.0 * g1 * g2 * lam / (2.0 * g2**2 * lam + 4.0 * g1)),
     upper_bound=lambda lam, m: min(lam / m, 0.5), poly_exponents=(-3.0, -1.0))
@@ -112,14 +112,6 @@ SDANA = Family(
 # Analysis of (algorithm, measure)
 # ----------------------------------------------------------------------
 
-def kernel_norm(params, measure):
-    """||I|| = int_0^inf I(tau) dtau in closed form.  SHB's n-scalings
-    cancel in it (gamma*m/(2 theta) either way), so it is read at n = 1."""
-    spec = params.kernel_spec(1)
-    return params.algo.family.norm(spec.gamma1, spec.gamma2, spec.theta,
-                                   measure)
-
-
 def limiting_loss(norm, zero_mass, R_tilde):
     """Plateau value R_tilde * mu({0}) / (2 (1 - ||I||)); needs ||I|| < 1."""
     if norm >= 1.0:
@@ -128,8 +120,8 @@ def limiting_loss(norm, zero_mass, R_tilde):
 
 
 def malthusian_exponent(params, measure, n=None):
-    """Root lambda* of F(x) = 1 on (0, cap), or None when absent (the
-    report's malthusian_note says why)."""
+    """Root lambda* of F(x) = 1 on (0, forcing rate), or None when absent
+    (the report's malthusian_note says why)."""
     return rate_report(params, measure, n=n).malthusian
 
 
@@ -185,7 +177,6 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
     exponents instead.
     """
     fam, spec = params.algo.family, params.kernel_spec(n)
-    g1, g2, theta = spec.gamma1, spec.gamma2, spec.theta
     lam_min, lam_max = measure.support_edges()
     m = measure.trace_moment()
     norm = kernel_norm(params, measure)
@@ -196,12 +187,11 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
         note = "absent: spectrum touches zero (no exponential regime)"
         eff = lower = upper = 0.0
     else:
-        rate = fam.forcing_rate(g1, g2, theta, lam_min)
-        cap = fam.cap(g1, g2, theta, lam_min) if fam.cap else rate
-        root, note = _malthusian(
-            lambda x: fam.laplace(x, g1, g2, theta, measure), cap, norm)
+        rate = forcing_rate(spec, lam_min)
+        root, note = _malthusian(lambda x: laplace(x, spec, measure), rate,
+                                 norm)
         eff = rate if root is None else root
-        lower = fam.lower_bound(g1, g2, theta, lam_min)
+        lower = fam.lower_bound(spec.gamma1, spec.gamma2, spec.theta, lam_min)
         upper = fam.upper_bound(lam_min, m)
     if not convergent:
         eff = lower = upper = None

@@ -67,6 +67,12 @@ class KernelSpec:
         """'const' (Phi = theta) for closed_form, else 'power'."""
         return "const" if self.mode == "closed_form" else "power"
 
+    @property
+    def conv_Phi(self):
+        """The constant Phi of the convolution kernel: theta for
+        closed_form, else 0, SDANA's late-time limit."""
+        return self.theta if self.phi_kind == "const" else 0.0
+
     def phi(self, t):
         """phi at times t: e^{theta t} or (1+t)^theta."""
         if self.phi_kind == "const":
@@ -168,21 +174,7 @@ def _row_blocks(lams, g1, g2, Phi, lattice, impulse=False):
     w = g1 = 0), critical (s = 0) or hyperbolic.
     """
     x = lattice[0]
-    lams = np.asarray(lams, dtype=float)
-    m = -0.5 * (g2 * lams + Phi)
-    u = 0.5 * (Phi - g2 * lams)
-    p = -g1 * lams
-    disc = u * u + p
-    # near the turning point the two terms cancel: evaluate disc exactly
-    near = np.flatnonzero(16.0 * np.abs(disc) < u * u - p).tolist()
-    if near:
-        Phi_, g1_, g2_ = Fraction(Phi), Fraction(g1), Fraction(g2)
-    for i in near:
-        lam = Fraction(lams[i])
-        disc[i] = float((Phi_ - g2_ * lam) ** 2 / 4 - g1_ * lam)
-    s = np.sqrt(np.abs(disc))
-    # m - s < 0 unless lam = Phi = 0, where m + s = 0
-    slow = _divide(lams * (g2 * Phi + g1), m - s, m < s)
+    m, u, p, disc, s, slow = row_exponents(lams, g1, g2, Phi)
     w = np.where(u < 0.0, _divide(p, s - u, u < 0.0), s + u)
     c = np.where(u < 0.0, _divide(g1 * slow, s - u, u < 0.0), g2 * w + g1)
     osc = disc < 0.0
@@ -218,6 +210,27 @@ def _row_blocks(lams, g1, g2, Phi, lattice, impulse=False):
         for lo in range(start, stop, step):
             at = slice(lo, min(lo + step, stop))
             yield at, rows(branch[start], at)
+
+
+def row_exponents(lams, g1, g2, Phi):
+    """(m, u, p, disc, s, slow) of _row_blocks for each lam of the array
+    lams, slow = m + s the first row's slow exponent."""
+    lams = np.asarray(lams, dtype=float)
+    m = -0.5 * (g2 * lams + Phi)
+    u = 0.5 * (Phi - g2 * lams)
+    p = -g1 * lams
+    disc = u * u + p
+    # near the turning point the two terms cancel: evaluate disc exactly
+    near = np.flatnonzero(16.0 * np.abs(disc) < u * u - p).tolist()
+    if near:
+        Phi_, g1_, g2_ = Fraction(Phi), Fraction(g1), Fraction(g2)
+    for i in near:
+        lam = Fraction(lams[i])
+        disc[i] = float((Phi_ - g2_ * lam) ** 2 / 4 - g1_ * lam)
+    s = np.sqrt(np.abs(disc))
+    # m - s < 0 unless lam = Phi = 0, where m + s = 0
+    slow = _divide(lams * (g2 * Phi + g1), m - s, m < s)
+    return m, u, p, disc, s, slow
 
 
 def _divide(num, den, where):
@@ -398,18 +411,14 @@ def forcing_matrix(spec, lams, grid, h=PROPAGATOR_STEP):
 def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
     matrix: lam^2 times rho^2 from kernel_ic, rho = m12 - g2 m11 taken
-    from _first_row in the form where nothing cancels.
-
-    Phi = theta for constant schedules.  For SDANA this is the idealized
-    convolution kernel, the late-time limit Phi = 0 (the exact kernel is
-    two-time and handled by SdanaExactKernel instead).
-    """
+    from _first_row at Phi = spec.conv_Phi in the form where nothing
+    cancels.  For SDANA that is the idealized late-time kernel; the exact
+    kernel is two-time and handled by SdanaExactKernel instead."""
     lams = np.asarray(lams, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    g1, g2 = spec.gamma1, spec.gamma2
-    Phi = spec.theta if spec.phi_kind == "const" else 0.0
     out = np.empty((lams.size, taus.size))
-    for at, rho in _row_blocks(lams, g1, g2, Phi, _lattice(taus), True):
+    for at, rho in _row_blocks(lams, spec.gamma1, spec.gamma2, spec.conv_Phi,
+                               _lattice(taus), True):
         lam = lams[at, None]
         np.multiply(lam * lam * rho, rho, out=out[at])
     return out
@@ -462,8 +471,7 @@ def horizon_columns(spec, lams, t, h=1.0):
         if exact:
             K0 = lams[:, None] ** 2 * first[:, 1].T
     if K0 is None:
-        Phi = spec.theta if spec.phi_kind == "const" else 0.0
-        rho = _first_row(lams, g1, g2, Phi, lattice, impulse=True)
+        rho = _first_row(lams, g1, g2, spec.conv_Phi, lattice, impulse=True)
         K0 = lams[:, None] * lams[:, None] * rho * rho
     return G, K0
 

@@ -41,7 +41,7 @@ class Algorithm(NamedTuple):
     continuous: Callable      # (p, n) -> (gamma1, gamma2, theta)
     defaults: Callable = None     # (m, given p) -> default parameter row
     modes: tuple = ("closed_form",)   # valid solve modes, the default first
-    family: analysis.Family = None    # closed-form analysis
+    family: analysis.Family = None    # rate bounds, hard-edge exponents
 
 
 def _shb_continuous(p, n):

@@ -270,9 +270,9 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     strides = (1,) if len(nodes) == len(grid) else (2, 1)
     start = _pass_starts(start, method, [nodes[::s] for s in strides])
     # the coarse pass first, so that a failure names the grid's own step;
-    # the pass on every node reports the diagnostics
+    # the pass on every node reports the residual
     passes = [_solve_conv_core(F[::s], I_vals[::s], h * s / strides[0], method,
-                               diagnostics if s == 1 else None, weight[::s], x0)
+                               diagnostics, weight[::s], x0, s == 1)
               for s, x0 in zip(strides, start)]
     psi = passes[-1]
     if len(passes) == 2:
@@ -329,23 +329,24 @@ def _march_divisor(h, K0):
     return denom
 
 
-def _solve_conv_core(F, I_vals, h, method, diagnostics=None, weight=1.0,
-                     start=None):
-    """psi of one pass, by Picard from start if one is given; a diagnostics
-    dict takes the pass's residual, over weight, and Picard sweep count."""
+def _solve_conv_core(F, I_vals, h, method, diagnostics, weight, start,
+                     residual):
+    """psi of one pass, by Picard from start if one is given.  diagnostics
+    takes the largest Picard sweep count of the passes and, with residual
+    set, the pass's residual over weight."""
     denom = _march_divisor(h, I_vals[0])
     I_hat = None
-    if method == "picard" or diagnostics is not None:
+    if method == "picard" or residual:
         I_hat = np.fft.rfft(I_vals, _fft_size(2 * len(I_vals) - 1))
     if method == "marching":
         psi = _march_convolution(F, I_vals, h, denom)
     elif method == "picard":
         psi, iters = _picard_convolution(F, I_vals, h, I_hat, start)
-        if diagnostics is not None:
-            diagnostics["picard_iters"] = iters
+        diagnostics["picard_iters"] = max(iters,
+                                          diagnostics.get("picard_iters", 0))
     else:
         raise ValueError("unknown solver method %r" % (method,))
-    if diagnostics is not None:
+    if residual:
         resid = psi - F - _trapezoid_convolve(I_vals, psi, h, I_hat)
         diagnostics["residual"] = float(np.max(np.abs(resid / weight)))
     return psi
@@ -715,9 +716,9 @@ def _validate_picard(sol, F, I_vals, grid, deconjugate, passes):
     """Cross-check the marching solution against Picard started from the
     march's passes; a Picard failure is reported, not fatal (marching needs
     no smallness assumption).  Where the march is the discrete fixed point,
-    the first sweep moves it by its residual, so picard_iters reads 1; a
-    larger count means the march was off, and picard_delta says by how
-    much."""
+    the first sweep moves it by its residual, so picard_iters, the larger
+    count of the two passes, reads 1; a larger count means the march was
+    off in either pass, and picard_delta says by how much."""
     try:
         alt = solve_convolution(F, I_vals, grid, method="picard", start=passes)
         alt_psi = alt.psi / deconjugate

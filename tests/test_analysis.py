@@ -4,6 +4,8 @@ Independent anchors:
 
 * kernel norms integrate the actual convolution kernel with np.trapezoid
 * Laplace transforms integrate e^{x tau} * kernel with scipy.quad
+* forcing rates are checked against hand formulas and against B's slowest
+  eigenvalue in 50-digit mpmath
 * the single-atom SGD Malthusian root is solvable by hand:
   F(x) = gamma^2 lam^2 / (2 gamma lam - x) = 1  =>
   lambda* = 2 gamma lam - gamma^2 lam^2   (atom at lam, weight 1)
@@ -11,6 +13,7 @@ Independent anchors:
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -96,14 +99,22 @@ def test_limiting_loss_formula():
 # -------------------------------------------------- Laplace transform
 
 def test_laplace_at_zero_equals_norm(mp2):
-    for params, F0 in (
-            (momentum.sgd(0.8), analysis.SGD.laplace(0.0, 0.0, 0.8, 0.0, mp2)),
-            (momentum.sdahb(1.2, 2.0),
-             analysis.HEAVY_BALL.laplace(0.0, 1.2, 0.0, 2.0, mp2)),
-            (momentum.sdana(0.25, 1.0, 4.0),
-             analysis.SDANA.laplace(0.0, 0.25, 1.0, 4.0, mp2))):
+    for params in (momentum.sgd(0.8), momentum.sdahb(1.2, 2.0),
+                   momentum.sdana(0.25, 1.0, 4.0)):
+        F0 = analysis.laplace(0.0, params.kernel_spec(), mp2)
         assert F0 == pytest.approx(analysis.kernel_norm(params, mp2),
                                    rel=1e-12)
+
+
+def _quad_laplace(x, spec, lam, upper):
+    """int_0^upper e^{x tau} K(tau) dtau of kernel_matrix's kernel at one
+    atom lam, by scipy.quad."""
+    want, err = scipy.integrate.quad(
+        lambda t: np.exp(x * t) * float(kernels.kernel_matrix(
+            spec, [lam], [t])[0, 0]),
+        0.0, upper, limit=400)
+    assert err < 1e-8
+    return want
 
 
 @pytest.mark.parametrize("x", [0.0, 0.05, 0.12])
@@ -115,7 +126,7 @@ def test_laplace_sgd_matches_scipy_quad(x):
         * np.exp(-2.0 * gamma * lam * t),
         0.0, np.inf)
     assert err < 1e-6
-    got = analysis.SGD.laplace(x, 0.0, gamma, 0.0, mu)
+    got = analysis.laplace(x, momentum.sgd(gamma).kernel_spec(), mu)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -124,12 +135,8 @@ def test_laplace_sdahb_matches_scipy_quad(x):
     lam, g1, theta = 1.1, 0.9, 2.3
     mu = atom(lam)
     spec = momentum.sdahb(g1, theta).kernel_spec()
-    want, err = scipy.integrate.quad(
-        lambda t: np.exp(x * t) * float(kernels.kernel_matrix(
-            spec, [lam], [t])[0, 0]),
-        0.0, 200.0, limit=400)
-    assert err < 1e-8
-    got = analysis.HEAVY_BALL.laplace(x, g1, 0.0, theta, mu)
+    want = _quad_laplace(x, spec, lam, 200.0)
+    got = analysis.laplace(x, spec, mu)
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -138,12 +145,18 @@ def test_laplace_sdana_matches_scipy_quad(x):
     lam, g1, g2, theta = 0.9, 0.25, 1.0, 4.0
     mu = atom(lam)
     spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="convolution_approx")
-    want, err = scipy.integrate.quad(
-        lambda t: np.exp(x * t) * float(kernels.kernel_matrix(
-            spec, [lam], [t])[0, 0]),
-        0.0, 300.0, limit=400)
-    assert err < 1e-8
-    got = analysis.SDANA.laplace(x, g1, g2, theta, mu)
+    want = _quad_laplace(x, spec, lam, 300.0)
+    got = analysis.laplace(x, spec, mu)
+    assert got == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.05])
+def test_laplace_mixed_law_matches_scipy_quad(x):
+    # g1, g2 > 0 at constant Phi > 0: a law no named method has
+    lam = 0.9
+    spec = kernels.KernelSpec(0.6, 0.5, 1.5, "closed_form")
+    want = _quad_laplace(x, spec, lam, 200.0)
+    got = analysis.laplace(x, spec, atom(lam))
     assert got == pytest.approx(want, rel=1e-7)
 
 
@@ -151,7 +164,8 @@ def test_laplace_blows_up_past_cap():
     lam, gamma = 1.0, 0.5
     mu = atom(lam)
     cap = 2.0 * gamma * lam
-    assert analysis.SGD.laplace(cap * 1.01, 0.0, gamma, 0.0, mu) == np.inf
+    spec = momentum.sgd(gamma).kernel_spec()
+    assert analysis.laplace(cap * 1.01, spec, mu) == np.inf
 
 
 # ------------------------------------------------------- Malthusian
@@ -171,8 +185,8 @@ def test_malthusian_root_satisfies_fixed_point(mp2):
     params = momentum.sgd(1.9)
     root = analysis.malthusian_exponent(params, mp2)
     assert root is not None
-    assert analysis.SGD.laplace(root, 0.0, 1.9, 0.0, mp2) == pytest.approx(
-        1.0, abs=1e-9)
+    assert analysis.laplace(root, params.kernel_spec(), mp2) == \
+        pytest.approx(1.0, abs=1e-9)
 
 
 def test_malthusian_absent_on_hard_edge(mp1):
@@ -199,25 +213,42 @@ def test_malthusian_absent_when_not_convergent(mp2):
 
 def test_forcing_rate_formulas(mp2):
     lam = mp2.support_edges()[0]
-    assert analysis.SGD.forcing_rate(0.0, 0.8, 0.0, lam) == pytest.approx(
-        2 * 0.8 * lam)
+    spec = momentum.sgd(0.8).kernel_spec()
+    assert analysis.forcing_rate(spec, lam) == pytest.approx(2 * 0.8 * lam)
     g1, theta = 1.2, 2.0
     want = theta - np.sqrt(theta**2 - 4 * g1 * lam)
-    assert analysis.HEAVY_BALL.forcing_rate(g1, 0.0, theta, lam) == \
-        pytest.approx(want)
+    spec = momentum.sdahb(g1, theta).kernel_spec()
+    assert analysis.forcing_rate(spec, lam) == pytest.approx(want)
     g1, g2 = 0.25, 1.0
     # omega(lam_min) = 4 g1 - g2^2 lam_min >= 0 here: oscillatory branch
     assert 4 * g1 - g2**2 * lam >= 0
-    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, lam) == \
-        pytest.approx(g2 * lam)
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec()
+    assert analysis.forcing_rate(spec, lam) == pytest.approx(g2 * lam)
 
 
 def test_forcing_rate_sdana_overdamped_branch():
     g1, g2 = 0.1, 1.0
     lam = 4.0  # large eigenvalue pushes omega < 0
     want = g2 * lam - np.sqrt(g2**2 * lam**2 - 4 * g1 * lam)
-    assert analysis.SDANA.forcing_rate(g1, g2, 4.0, lam) == \
-        pytest.approx(want)
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec()
+    assert analysis.forcing_rate(spec, lam) == pytest.approx(want)
+
+
+@pytest.mark.parametrize("params, lam", [
+    (momentum.sdahb(2.0, 2.0), 2e-12),        # heavy ball, g1 = theta = 2
+    (momentum.sdana(0.1, 1.0, 4.0), 1e6),     # SDANA, overdamped
+])
+def test_forcing_rate_matches_50_digits(params, lam):
+    # -2 Re of B's slowest eigenvalue, -(tr + sqrt(tr^2 - 4 det)), where
+    # theta - sqrt(theta^2 - 4 g1 lam) and its SDANA analogue cancel
+    spec = params.kernel_spec()
+    with mpmath.workdps(50):
+        g1, g2, Phi, lam_ = (mpmath.mpf(v) for v in (
+            spec.gamma1, spec.gamma2, spec.conv_Phi, lam))
+        tr, det = -(g2 * lam_ + Phi), lam_ * (g2 * Phi + g1)
+        want = float(-(tr + mpmath.sqrt(tr * tr - 4 * det)))
+    got = analysis.forcing_rate(spec, lam)
+    assert abs(got - want) <= 2 * np.spacing(want)
 
 
 def test_effective_rate_prefers_malthusian(mp2):
@@ -228,7 +259,7 @@ def test_effective_rate_prefers_malthusian(mp2):
     slow = momentum.sgd(0.05)
     assert analysis.malthusian_exponent(slow, mp2) is None
     assert analysis.rate_report(slow, mp2).effective_rate == pytest.approx(
-        analysis.SGD.forcing_rate(0.0, 0.05, 0.0, mp2.support_edges()[0]))
+        analysis.forcing_rate(slow.kernel_spec(), mp2.support_edges()[0]))
 
 
 def test_effective_rate_between_bounds_at_defaults():

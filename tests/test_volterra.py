@@ -694,6 +694,26 @@ def test_predict_picard_catches_a_wrong_march(mp2, monkeypatch):
     assert sol.diagnostics["picard_iters"] > 1
 
 
+def test_predict_picard_counts_the_coarse_pass(mp2, monkeypatch):
+    # a march off in its coarse pass only: Picard re-settles that pass, and
+    # picard_iters reports the larger of the two passes' counts
+    coarse = len(volterra.time_grid(5.0))
+    march = volterra._march_convolution
+
+    def shifted(*args):
+        psi = march(*args)
+        if len(psi) == coarse:
+            psi[len(psi) // 2:] += 1e-6
+        return psi
+
+    monkeypatch.setattr(volterra, "_march_convolution", shifted)
+    sol = volterra.predict(mp2, momentum.sgd(0.7), T=5.0, validate=True)
+    assert sol.diagnostics["picard_iters"] > 1
+    # the Richardson step carries a third of the coarse shift
+    assert sol.diagnostics["picard_delta"] == pytest.approx(1e-6 / 3,
+                                                            rel=0.01)
+
+
 def test_predict_sdana_conv_picard_settles_on_conjugated_scale(mp1):
     # the phi-conjugated forcing grows like t^4, so its round-off floor sits
     # above an absolute 1e-10; the relative test lets Picard settle

@@ -48,7 +48,7 @@ def laplace(x, spec, measure):
     """F(x) = int_0^inf e^{x tau} I(tau) dtau = sum w lam^2 J, inf where it
     diverges.  J is the squared H2 norm of e^{x tau/2} rho(tau) =
     e1^T exp(tau A) (-g2, 1), A = B + (x/2) I: with a = x/2 - g2 lam and
-    d = x/2 - Phi, J = (g2^2 det + (g1 - d g2)^2)/(-2 tr det), finite only
+    d = x/2 - Phi, J = (g2^2 + (g1 - d g2)^2/det)/(-2 tr), finite only
     where tr = a + d < 0 < det = a d + g1 lam.  At g1 = 0 omega never
     reaches rho: rho = -g2 e^{a tau}, J = g2^2/(-2 a), finite where a < 0."""
     g1, g2, lam = spec.gamma1, spec.gamma2, measure.points
@@ -62,7 +62,8 @@ def laplace(x, spec, measure):
         tr, det = a + d, a * d + g1 * lam
         if np.any(tr >= 0.0) or np.any(det <= 0.0):
             return np.inf
-        J = (g2**2 * det + (g1 - d * g2)**2) / (-2.0 * tr * det)
+        q = g1 - d * g2
+        J = (g2**2 + q * (q / det)) / (-2.0 * tr)
     return float(np.sum(measure.weights * lam**2 * J))
 
 
@@ -83,6 +84,14 @@ def _gd_upper_bound(lam, m):
     return 4.0 * lam / m
 
 
+def _heavy_ball_lower_bound(g1, g2, theta, lam):
+    """g1 lam theta/(2 g1 lam + theta^2), divided through by theta where
+    theta^2 leaves double range."""
+    if abs(theta) > kernels.SQRT_MAX:
+        return g1 * lam / (2.0 * g1 * lam / theta + theta)
+    return g1 * lam * theta / (2.0 * g1 * lam + theta**2)
+
+
 class Family(NamedTuple):
     """The paper's rate bounds and hard-edge exponents for one kernel
     family, which the kernel law does not give: the lower bound takes
@@ -98,8 +107,7 @@ SGD = Family(
     upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
 
 HEAVY_BALL = Family(
-    lower_bound=lambda g1, g2, theta, lam: (
-        g1 * lam * theta / (2.0 * g1 * lam + theta**2)),
+    lower_bound=_heavy_ball_lower_bound,
     upper_bound=_gd_upper_bound, poly_exponents=(-1.5, -0.5))
 
 SDANA = Family(
@@ -171,10 +179,10 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
     effective rate is lambda* when it exists, else the decay rate of the
     slowest forcing mode (the two regimes of the renewal analysis).  A
     report that is not convergent (||I|| >= 1) has no decay: its rates,
-    bounds and plateau are None.  At a hard edge (lambda_min within
-    EDGE_ATOM_TOL of 0; MP at r = 1) there is no exponential regime: every
-    rate and bound is 0, and an MP measure gets the family's polynomial
-    exponents instead.
+    bounds and plateau are None, and its bounds are not evaluated.  At a
+    hard edge (lambda_min within EDGE_ATOM_TOL of 0; MP at r = 1) there is
+    no exponential regime: every rate and bound is 0, and an MP measure
+    gets the family's polynomial exponents instead.
     """
     fam, spec = params.algo.family, params.kernel_spec(n)
     lam_min, lam_max = measure.support_edges()
@@ -191,8 +199,10 @@ def rate_report(params, measure, R_tilde=1.0, n=None):
         root, note = _malthusian(lambda x: laplace(x, spec, measure), rate,
                                  norm)
         eff = rate if root is None else root
-        lower = fam.lower_bound(spec.gamma1, spec.gamma2, spec.theta, lam_min)
-        upper = fam.upper_bound(lam_min, m)
+        if convergent:
+            lower = fam.lower_bound(spec.gamma1, spec.gamma2, spec.theta,
+                                    lam_min)
+            upper = fam.upper_bound(lam_min, m)
     if not convergent:
         eff = lower = upper = None
     return AnalysisReport(

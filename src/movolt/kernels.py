@@ -219,23 +219,35 @@ def row_exponents(lams, g1, g2, Phi):
     m = -0.5 * (g2 * lams + Phi)
     u = 0.5 * (Phi - g2 * lams)
     p = -g1 * lams
-    disc = u * u + p
+    # past SQRT_MAX, u^2 leaves double range: there disc = u^2 (1 + p/u^2)
+    # is infinite, with its sign, and s = |u| sqrt|1 + p/u^2|
+    wide = np.abs(u) > SQRT_MAX
+    uu = np.multiply(u, u, out=np.full(u.shape, np.inf), where=~wide)
+    disc = uu + p
     # near the turning point the two terms cancel: evaluate disc exactly
-    near = np.flatnonzero(16.0 * np.abs(disc) < u * u - p).tolist()
+    near = np.flatnonzero(np.abs(disc) < 0.0625 * (uu - p)).tolist()
     if near:
         Phi_, g1_, g2_ = Fraction(Phi), Fraction(g1), Fraction(g2)
     for i in near:
         lam = Fraction(lams[i])
         disc[i] = float((Phi_ - g2_ * lam) ** 2 / 4 - g1_ * lam)
     s = np.sqrt(np.abs(disc))
+    if wide.any():
+        ratio = 1.0 + p[wide] / u[wide] / u[wide]
+        disc[wide] = np.copysign(np.inf, ratio)
+        s[wide] = np.abs(u[wide]) * np.sqrt(np.abs(ratio))
     # m - s < 0 unless lam = Phi = 0, where m + s = 0
     slow = _divide(lams * (g2 * Phi + g1), m - s, m < s)
     return m, u, p, disc, s, slow
 
 
-def _divide(num, den, where):
-    """num/den where where holds, else 0, with no division elsewhere."""
-    return np.divide(num, den, out=np.zeros(np.shape(den)), where=where)
+# the largest |u| whose square is a finite double
+SQRT_MAX = np.sqrt(np.finfo(float).max)
+
+
+def _divide(num, den, where, fill=0.0):
+    """num/den where where holds, else fill, with no division elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(den), fill), where=where)
 
 
 # ----------------------------------------------------------------------
@@ -259,9 +271,8 @@ def _magnus_exp(lam, spec, t, h):
     each entry has shape (K,) + lam.shape.
 
     With Omega = m I + N, N^2 = disc I, M = e^m (cosh(s) I + sinh(s)/s N)
-    for disc = s^2 > 0, with cos and sin when disc < 0.  The hyperbolic
-    branch is written with e^(m + s) and expm1(-2 s) so that it does not
-    overflow where e^m cosh(s) is finite; sinc covers disc = 0.
+    for disc = s^2 > 0, with cos and sin when disc < 0.  Each branch is
+    evaluated on its own entries only, _hyperbolic and _trigonometric.
     """
     lam = np.asarray(lam, dtype=float)
     t, h = (np.reshape(v, np.shape(v) + (1,) * lam.ndim) for v in (t, h))
@@ -276,14 +287,26 @@ def _magnus_exp(lam, spec, t, h):
     u = 0.5 * (o11 - o22)
     disc = u * u + o12 * o21
     s = np.sqrt(np.abs(disc))
+    hyper = disc > 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        grow = 0.5 * np.exp(m + s)
-        hyper = disc > 0.0
-        cos = np.where(hyper, grow * (1.0 + np.exp(-2.0 * s)),
-                       np.exp(m) * np.cos(s))
-        sin = np.where(hyper, -grow * np.expm1(-2.0 * s) / s,
-                       np.exp(m) * np.sinc(s / np.pi))
+        cos, sin = np.empty(s.shape), np.empty(s.shape)
+        for at, branch in ((hyper, _hyperbolic), (~hyper, _trigonometric)):
+            cos[at], sin[at] = branch(m[at], s[at])
     return cos + sin * u, sin * o12, sin * o21, cos - sin * u
+
+
+def _hyperbolic(m, s):
+    """(e^m cosh(s), e^m sinh(s)/s) for s > 0, from e^(m + s) and one
+    expm1(-2 s), so that neither overflows where e^m cosh(s) is finite."""
+    grow = 0.5 * np.exp(m + s)
+    em = np.expm1(-2.0 * s)
+    return grow * (2.0 + em), -grow * em / s
+
+
+def _trigonometric(m, s):
+    """(e^m cos(s), e^m sin(s)/s), with sin(s)/s = 1 at s = 0."""
+    scale = np.exp(m)
+    return scale * np.cos(s), scale * _divide(np.sin(s), s, s != 0.0, 1.0)
 
 
 def _moment_maps(lam, spec, t, h):

@@ -528,47 +528,62 @@ def _march_separable(F, K, nodes, stride):
     K(0) = agg @ ic[0]).  A StateForcing's state rides in the same stack,
     component-major: state[:, p] is pass p's, state[:, -1] the forcing's.
     kernels.block_maps takes the kernel's maps of kernels.MAP_BLOCK
-    intervals at a time, and advance applies one per interval.  Each node
-    checks the forcing first; and as when the forcing was integrated before
-    the march, a forcing failure anywhere on the grid outranks a march
-    failure: the look-ahead carries the forcing's state on through the
-    same block maps.
+    intervals at a time, and advance applies one per interval.  At each
+    node one product np.dot(state[0], W) gives every pass's kernel sum,
+    from W's column agg, and the forcing, from its column of the halved
+    coef; the live passes, pass 0 and at every second node pass 1, take
+    their psi in Python floats and their impulses ic psi in one array
+    op.  Each node checks the forcing first; and as when the forcing was
+    integrated before the march, a forcing failure anywhere on the grid
+    outranks a march failure: the look-ahead carries the forcing's state
+    on through the same block maps.
     """
     h = _uniform_step(nodes)
     strides = (1, 2)[:stride]
+    steps = [s * h for s in strides]
     ode = isinstance(F, StateForcing)
     ic, agg = K.ic, K.agg
     state = np.zeros(ic.shape[:1] + (stride + ode,) + ic.shape[1:])
     maps = kernels.block_maps(K.maps, nodes)
+    W = agg[:, None]
     if ode:
         state[:, -1] = kernels.forcing_ic(K.lams)
         # G is half of rho^2: the half goes into coef once
         forcing = F._replace(coef=0.5 * F.coef)
+        W = np.stack([agg, forcing.coef], axis=1)
         F = np.empty(len(nodes))
         F[0] = (_forcing_at(K, forcing, state[:, -1], nodes[0])
                 if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
-    denoms = [_march_divisor(s * h, float(agg @ ic[0])) for s in strides]
-    state[:, :stride] = 0.5 * ic[:, None] * F[0]
+    denoms = [_march_divisor(step, float(agg @ ic[0])) for step in steps]
+    impulse = ic[:, None]   # broadcast over the passes
+    state[:, :stride] = 0.5 * impulse * F[0]
+    psi = np.empty((stride, 1))     # the live passes' new values
     # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
         for k, Q in enumerate(maps, 1):
             state = K.advance(state, nodes[k - 1], nodes[k], Q)
+            sums = np.dot(state[0], W).tolist()
             if ode:
-                F[k] = _forcing_at(K, forcing, state[:, -1], nodes[k])
-            for p, s in enumerate(strides):
-                if k % s:
-                    continue
-                psi, i = psis[p], k // s
-                psi[i] = (F[k] + s * h * float(agg @ state[0, p])) / denoms[p]
-                if not np.isfinite(psi[i]):
+                f = forcing.const + sums[-1][1]
+                if not math.isfinite(f):
+                    raise kernels.nonfinite_forcing(nodes[k], K.spec)
+                F[k] = f
+            else:
+                f = F[k]
+            # the passes live at node k are a prefix: pass 1 at even k
+            live = 2 if stride == 2 and k % 2 == 0 else 1
+            for p in range(live):
+                value = (f + steps[p] * sums[p][0]) / denoms[p]
+                if not math.isfinite(value):
                     # a forcing failure further on outranks this one
                     u = state[:, -1]
                     for j, Q in enumerate(maps if ode else (), k + 1):
                         u = K.advance(u, nodes[j - 1], nodes[j], Q)
                         _forcing_at(K, forcing, u, nodes[j])
-                    raise _nonfinite_at(i, s * h)
-                state[:, p] += ic * psi[i]
+                    raise _nonfinite_at(k >> p, steps[p])
+                psis[p][k >> p] = psi[p] = value
+            state[:, :live] += impulse * psi[:live]
     return F, psis
 
 
@@ -685,7 +700,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         # the SDANA approximation is solved in the phi-conjugated variable;
         # the closed forms already are in the physical one
         if spec.mode == "convolution_approx":
-            phi = spec.phi(half)
+            phi = _conjugating_phi(spec, half)
         else:
             phi = np.ones_like(half)
         I_vals = build_convolution_kernel(measure, spec, half)
@@ -710,6 +725,20 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
                 "measure": json.loads(measure.to_json()), "R": R,
                 "R_tilde": R_tilde, "mode": spec.mode}
     return sol
+
+
+def _conjugating_phi(spec, t):
+    """phi = (1+t)^theta at times t, the conv route's conjugating weight;
+    raises where it leaves double range, theta ln(1 + t) > ln(max float)."""
+    with np.errstate(over="ignore"):
+        phi = spec.phi(t)
+    if not np.all(np.isfinite(phi)):
+        raise NumericalError(
+            "--mode conv solves for phi psi with phi = (1+t)^theta, which "
+            "leaves double range by t = %.6g at --theta %g: lower --theta "
+            "or --T, or use --mode ode, which solves without it"
+            % (t[int(np.argmin(np.isfinite(phi)))], spec.theta))
+    return phi
 
 
 def _validate_picard(sol, F, I_vals, grid, deconjugate, passes):

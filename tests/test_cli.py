@@ -177,6 +177,21 @@ def test_predict_refuses_singular_march_before_forcing(tmp_path, capsys, mode):
     assert not out.exists()
 
 
+def test_predict_conv_phi_out_of_range_points_to_ode(tmp_path, capsys):
+    # theta ln(1 + T) > 709: the conv route's weight phi = (1+t)^theta
+    # leaves double range, and the exit names the flags that set it and
+    # the route that solves without it
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(["predict", "--algo", "sdana", "--mode", "conv",
+                            "--theta", "200", "--T", "60", "--out", str(out)],
+                           capsys)
+    assert code == 2
+    assert err.startswith("numerical failure: --mode conv ")
+    assert "--theta 200" in err and "--T" in err and "--mode ode" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_tiny_ratio_above_the_floor_reaches_the_march(tmp_path, capsys):
     # r = 1e-150 is above spectrum.MIN_RATIO: the measure builds, and the
     # march at the default h is singular (K(0) near 1/r)
@@ -244,6 +259,37 @@ def test_analyze_infinite_kernel_norm_is_strict_json(tmp_path, capsys):
     assert shown == on_disk["report"]
     assert shown["kernel_norm"] is None
     assert shown["convergent"] is False
+
+
+def test_analyze_huge_theta_heavy_ball_is_finite(tmp_path):
+    # theta^2 and (theta/2)^2 leave double range, the report does not:
+    # ||I|| = gamma m/(2 theta) = 0.05 and the forcing rate is about
+    # 2 gamma lam_min/theta
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--algo", "sdahb", "--gamma", "1e199",
+                    "--theta", "1e200", "--r", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["kernel_norm"] == pytest.approx(0.05, rel=1e-14)
+    assert rep["convergent"] is True
+    lam_min = rep["lam_min"]
+    assert rep["effective_rate"] == pytest.approx(0.2 * lam_min, rel=1e-14)
+    assert rep["rate_lower_bound"] == pytest.approx(0.1 * lam_min, rel=1e-14)
+    for key in ("limiting_loss", "rate_upper_bound"):
+        assert math.isfinite(rep[key])
+
+
+def test_analyze_huge_gamma_heavy_ball_is_not_convergent(tmp_path):
+    # ||I|| = gamma m/(2 theta) = 5e199: the report says not convergent,
+    # with no bounds, where the lower bound's gamma lam theta overflows
+    out = tmp_path / "report.json"
+    assert run_cli(["analyze", "--algo", "sdahb", "--gamma", "1e300",
+                    "--theta", "1e100", "--r", "2", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["convergent"] is False
+    assert rep["kernel_norm"] == pytest.approx(5e199, rel=1e-14)
+    for key in ("effective_rate", "rate_lower_bound", "rate_upper_bound",
+                "limiting_loss"):
+        assert rep[key] is None
 
 
 def test_analyze_hard_edge_with_underflowing_theta(tmp_path):

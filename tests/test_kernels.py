@@ -619,6 +619,146 @@ def test_moment_maps_of_a_block(K, spec):
         assert one.tobytes() == Q[:, :, k:k + 1].tobytes()
 
 
+def _magnus_omega(lam, spec, t, h):
+    """(m, u, o12, o21, disc) of the Magnus step's Omega = m I + N, formed
+    as kernels._magnus_exp forms them."""
+    lam = np.asarray(lam, dtype=float)
+    t, h = (np.reshape(v, np.shape(v) + (1,) * lam.ndim) for v in (t, h))
+    P1 = spec.Phi(t + (0.5 - kernels._GAUSS) * h)
+    P2 = spec.Phi(t + (0.5 + kernels._GAUSS) * h)
+    kappa = np.sqrt(3.0) / 12.0 * h * h * (P2 - P1)
+    o11 = -h * spec.gamma2 * lam
+    o12 = -spec.gamma1 * (h + kappa)
+    o21 = lam * (h - kappa)
+    o22 = -0.5 * h * (P1 + P2)
+    u = 0.5 * (o11 - o22)
+    return 0.5 * (o11 + o22), u, o12, o21, u * u + o12 * o21
+
+
+def magnus_exp_oracle(lam, spec, t, h):
+    """The entries of the Magnus step's exp(Omega) with both branches taken
+    on every entry and picked by np.where, sin(s)/s from np.sinc."""
+    m, u, o12, o21, disc = _magnus_omega(lam, spec, t, h)
+    s = np.sqrt(np.abs(disc))
+    grow = 0.5 * np.exp(m + s)
+    hyper = disc > 0.0
+    cos = np.where(hyper, grow * (1.0 + np.exp(-2.0 * s)),
+                   np.exp(m) * np.cos(s))
+    sin = np.where(hyper, -grow * np.expm1(-2.0 * s) / s,
+                   np.exp(m) * np.sinc(s / np.pi))
+    return cos + sin * u, sin * o12, sin * o21, cos - sin * u
+
+
+def assert_magnus_is_oracle(lam, spec, t, h):
+    """_magnus_exp against magnus_exp_oracle: non-finite at the same
+    places, and elsewhere within 4 ulp of the largest finite entry of the
+    same step and lam.  Returns the step's disc."""
+    with np.errstate(all="ignore"):
+        got = np.array(kernels._magnus_exp(lam, spec, t, h))
+        want = np.array(magnus_exp_oracle(lam, spec, t, h))
+        disc = _magnus_omega(lam, spec, t, h)[-1]
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = np.max(np.where(finite, np.abs(want), 0.0), axis=0)
+    bound = 4.0 * np.finfo(float).eps * np.broadcast_to(scale, want.shape)
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound[finite])
+    return np.broadcast_to(disc, got.shape[1:])
+
+
+_SDANA_SPEC = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
+
+
+@pytest.mark.parametrize("spec,lam,t,h,branches", [
+    # SDANA's sweep: every block of steps mixes both branches
+    (_SDANA_SPEC, np.append(0.0, np.geomspace(1e-3, 1e4, 60)),
+     0.025 * np.arange(16), 0.025, "mixed"),
+    (_SDANA_SPEC, spectrum.mp_measure(2.0).points, 10.0 + 0.05 * np.arange(7),
+     np.full(7, 0.05), "mixed"),
+    # g1 = 0: disc = u^2
+    (const_spec(0.0, 1.0, 0.5), np.linspace(0.6, 40.0, 30),
+     0.1 * np.arange(3), 0.1, "hyperbolic"),
+    # heavy ball at small theta: disc < 0 past theta^2/(4 g1)
+    (const_spec(1.0, 0.0, 0.1), np.linspace(0.01, 10.0, 30),
+     0.1 * np.arange(3), 0.1, "trigonometric"),
+    (_SDANA_SPEC, np.linspace(0.1, 1.1, 20),
+     50.0 + 0.05 * np.arange(4), 0.05, "trigonometric"),
+], ids=["sdana-sweep", "sdana-mp2", "hyperbolic", "trigonometric",
+        "sdana-trigonometric"])
+def test_magnus_exp_matches_oracle(spec, lam, t, h, branches):
+    # each branch is evaluated on its own entries, or on the whole array
+    # where the step is uniform; the entries are the oracle's to rounding
+    disc = assert_magnus_is_oracle(lam, spec, t, h)
+    hyper = disc > 0.0
+    assert {"mixed": hyper.any() and not hyper.all(),
+            "hyperbolic": hyper.all(),
+            "trigonometric": not hyper.any()}[branches]
+
+
+def test_magnus_exp_at_zero_disc():
+    # g2 = 0, theta = 2, g1 = lam = 1: u = h and o12 o21 = -h^2 exactly,
+    # so disc = 0 and exp(Omega) = e^m (I + N); alone, and beside both
+    # branches in one call
+    spec, h = const_spec(1.0, 0.0, 2.0), 0.05
+    disc = assert_magnus_is_oracle(np.array([1.0]), spec, [0.0], [h])
+    assert np.all(disc == 0.0)
+    got = np.ravel(kernels._magnus_exp(np.array([1.0]), spec, [0.0], [h]))
+    want = np.exp(-h) * np.array([1.0 + h, -h, h, 1.0 - h])
+    assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    disc = assert_magnus_is_oracle(np.array([0.5, 1.0, 2.0]), spec,
+                                   [0.0, 0.3], [h, h])
+    assert np.array_equal(np.sign(disc[0]), [1.0, 0.0, -1.0])
+
+
+def test_magnus_exp_large_s_stays_finite():
+    # m = -lam/2 and s close to lam/2 past 709: e^m and cosh(s) leave
+    # double range, e^m cosh(s) does not
+    spec = const_spec(0.01, 1.0, 0.0)
+    lam = np.array([1420.0, 2000.0, 1e4])
+    disc = assert_magnus_is_oracle(lam, spec, [0.0], [1.0])
+    assert np.all(disc > 0.0)
+    m11, m12, m21, m22 = kernels._magnus_exp(lam, spec, [0.0], [1.0])
+    for entry in (m11, m12, m21, m22):
+        assert np.all(np.isfinite(entry))
+    assert np.all((0.0 < m22) & (m22 < 1.0))
+
+
+@pytest.mark.parametrize("spec,lam,t,h", [
+    # theta = 1e300: the commutator term leaves double range
+    (momentum.sdana(0.25, 1.0, 1e300).kernel_spec(),
+     np.linspace(0.0, 5.0, 9), 0.025 * np.arange(3), 0.025),
+    # lam = 1e300: u^2 overflows, disc is infinite
+    (const_spec(0.25, 1.0, 4.0), np.array([0.5, 3.0, 1e300]), [0.0], [1.0]),
+    # a negative rate: e^m overflows in both branches, and only in the
+    # steps that are long enough
+    (const_spec(1.0, 0.0, -800.0), np.array([0.01, 1.0, 1e6]),
+     [0.0, 1.0], [0.5, 2.0]),
+], ids=["theta", "lam", "growth"])
+def test_magnus_exp_overflow_places(spec, lam, t, h):
+    # an overflow gives non-finite entries at the oracle's places, and
+    # finite ones at the oracle's entries elsewhere
+    assert_magnus_is_oracle(lam, spec, t, h)
+    with np.errstate(all="ignore"):
+        entries = np.array(magnus_exp_oracle(lam, spec, t, h))
+    assert not np.all(np.isfinite(entries))
+
+
+_EDGE = 2.0 * kernels.SQRT_MAX
+
+
+@pytest.mark.parametrize("theta", [_EDGE, np.nextafter(_EDGE, np.inf), 1e200])
+def test_row_exponents_where_u_squared_leaves_double_range(theta):
+    # heavy ball with u = theta/2 at SQRT_MAX, whose square is the largest
+    # finite double, and past it, where disc = u^2 + p is +inf: s =
+    # |u| sqrt|1 + p/u^2| and the slow exponent det B/(m - s), here
+    # -g1 lam/theta to rounding, stay finite
+    lams, g1 = np.array([0.1, 2.0]), 1e199
+    m, u, p, disc, s, slow = kernels.row_exponents(lams, g1, 0.0, theta)
+    assert np.all(disc > 0.0)
+    assert np.all(np.isinf(disc)) == (theta > _EDGE)
+    assert np.allclose(s, 0.5 * theta, rtol=1e-15, atol=0.0)
+    assert np.allclose(slow, -g1 * lams / theta, rtol=1e-15, atol=0.0)
+
+
 def test_one_state_march_is_the_trapezoid_sum():
     # the separable march carries one state per node; it must solve the
     # trapezoid system psi_i = F_i + h sum_j w_j K(s_j, t_i) psi_j, with

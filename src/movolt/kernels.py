@@ -16,23 +16,24 @@ the unit residual (1, 0, 0) at t = 0; the kernel is K_s = lam^2 S_0 from
 kernel_ic, the gradient-noise impulse (rho, omega) = (-g2, 1), i.e.
 S = (g2^2, -g2, 1), at t = s.  Both initial states are constants.
 
-There are two evaluators.  For constant Phi, both initial states are
-rank one, e0 e0^T and v v^T with v = (-g2, 1), so with (m11, m12) the first
-row of exp(x B) a lag x later, G = m11^2/2 and K = lam^2 (m12 - g2 m11)^2.
-_first_row evaluates that row in closed form for SGD (Phi = 0), SHB, SDAHB
-and the mixed g1/g2 variant (Phi = theta), and SDANA's late-time
-convolution kernel (Phi = 0).  Where that row oscillates, e^(m x) times
+There are two evaluators, each in one place.  For constant Phi, both
+initial states are rank one, e0 e0^T and v v^T with v = (-g2, 1), so with
+(m11, m12) the first row of exp(x B) a lag x later, G = m11^2/2 and
+K = lam^2 (m12 - g2 m11)^2.  _row_blocks evaluates that row in closed
+form for SGD (Phi = 0), SHB, SDAHB and the mixed g1/g2 variant
+(Phi = theta), and SDANA's late-time convolution kernel (Phi = 0), and
+_squares squares it.  Where that row oscillates, e^(m x) times
 a cos(s x) + b sin(s x), a uniform grid takes cos and sin only at every
 _FINE-th point and at the first _FINE offsets, and _wave combines the two
 tables by angle addition, to within 4 eps (|a| + |b|)(1 + s x); the real
 exponentials are evaluated at every point.  SDANA's power schedule
 Phi(t) = theta/(1+t) is carried by moment maps, S -> M S M^T per step, M
 the closed-form 2x2 exponential of a fourth-order Magnus step of B.  The
---mode conv forcing and the exact kernel's sweep (its look-ahead too) take
-the 3x3 maps of MAP_BLOCK intervals at a time from block_maps, each block
-from one interval_maps call.
-horizon_columns gives G and the kernel born at 0 at a few times, from the
-same evaluators, for the check that sizes an MP rule to the horizon.
+--mode conv forcing (_carried_columns) and the exact kernel's sweep (its
+look-ahead too) take the 3x3 maps of a block of intervals at a time from
+block_maps, each block from one interval_maps call.  horizon_columns
+gives G and the kernel born at 0 at a few times from _squares and
+_carried_columns, for the check that sizes an MP rule to the horizon.
 States are component-major, (3, ..., n_lam), so that a step is one einsum
 over the component axis.  Every state stays O(1): there is no
 phi(t)^2 ~ t^(2 theta) growth anywhere.
@@ -134,19 +135,6 @@ def _wave(a, b, s, lattice):
     return out.reshape(out.shape[:-2] + (-1,))[..., :x.size]
 
 
-def _first_row(lams, g1, g2, Phi, lattice, impulse=False):
-    """m11, the first entry of exp(x B) at constant Phi, for each lam of
-    the array lams on a _lattice of x >= 0, one row per lam; with impulse
-    set, rho = m12 - g2 m11 instead, the first row applied to kernel_ic's
-    impulse (-g2, 1).  The rows come from _row_blocks, where each lam takes
-    its branch by itself, so a row has the same bits in any array of
-    lams."""
-    out = np.empty((np.size(lams), lattice[0].size))
-    for at, rows in _row_blocks(lams, g1, g2, Phi, lattice, impulse):
-        out[at] = rows
-    return out
-
-
 # values per block of _row_blocks: a row or two of a long grid, whose
 # temporaries stay in cache, and every row of a short one
 ROW_BLOCK = 1 << 14
@@ -155,7 +143,11 @@ _OSC, _SGD, _FLAT, _HYPER = range(4)
 
 
 def _row_blocks(lams, g1, g2, Phi, lattice, impulse=False):
-    """(slice, rows) blocks of _first_row, of about ROW_BLOCK values each.
+    """(slice, rows) blocks of the first row of exp(x B) at constant Phi,
+    for each lam of the array lams on a _lattice of x >= 0, of about
+    ROW_BLOCK values each: m11, or with impulse set rho = m12 - g2 m11,
+    the first row applied to kernel_ic's impulse (-g2, 1).  Each lam takes
+    its branch by itself, so a row has the same bits in any array of lams.
 
     With m = -(g2 lam + Phi)/2, u = (Phi - g2 lam)/2 and p = -g1 lam,
     B = m I + N with N^2 = disc I, disc = u^2 + p, so for s = sqrt|disc|
@@ -403,48 +395,65 @@ def nonfinite_forcing(t, spec):
 # Measure-vectorized evaluation (used by the volterra module)
 # ----------------------------------------------------------------------
 
+def _squares(spec, lams, lattice, impulse=False):
+    """The squares of _row_blocks' rows at Phi = spec.conv_Phi on a
+    _lattice, as an (n_lam, n_x) matrix: G = (0.5 m11) m11 from
+    forcing_ic or, with impulse set, K = ((lam lam) rho) rho from
+    kernel_ic."""
+    out = np.empty((lams.size, lattice[0].size))
+    for at, row in _row_blocks(lams, spec.gamma1, spec.gamma2, spec.conv_Phi,
+                               lattice, impulse):
+        if impulse:
+            lam = lams[at, None]
+            np.multiply(lam * lam * row, row, out=out[at])
+        else:
+            np.multiply(0.5 * row, row, out=out[at])
+    return out
+
+
+def _carried_columns(spec, lams, state, steps, h, size=MAP_BLOCK, keep=None):
+    """Yields state[0] of moment states (3, ..., n_lam) at steps[0], then
+    carried through the block_maps of interval_maps in Magnus steps of at
+    most h, at each later time of steps where keep holds (every one
+    without keep).  An overflow shows up as non-finite values."""
+    yield state[0]
+    maps = block_maps(lambda t: interval_maps(lams, spec, t, h), steps, size)
+    for k, Q in enumerate(maps, 1):
+        state = _carry(state, Q)
+        if keep is None or keep[k]:
+            yield state[0]
+
+
 def forcing_matrix(spec, lams, grid, h=PROPAGATOR_STEP):
     """G^(lam_i)(t_j) as an (n_lam, n_t) matrix: half of rho^2 from
-    forcing_ic, G = m11^2/2 for constant Phi = theta, else carried through
-    the block_maps of interval_maps in Magnus steps of at most h.  The
-    first non-finite power-schedule value raises nonfinite_forcing naming
-    its time."""
+    forcing_ic, the _squares of m11 for constant Phi = theta, else the
+    _carried_columns of the grid in Magnus steps of at most h.  The first
+    non-finite power-schedule value raises nonfinite_forcing naming its
+    time."""
     lams = np.asarray(lams, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    out = np.empty((lams.size, grid.size))
     if spec.phi_kind == "const":
-        for at, m11 in _row_blocks(lams, spec.gamma1, spec.gamma2,
-                                   spec.theta, _lattice(grid)):
-            np.multiply(0.5 * m11, m11, out=out[at])
-        return out
+        return _squares(spec, lams, _lattice(grid))
     # SDANA: every node's state carried together, one interval at a time
-    u = forcing_ic(lams)
-    out[:, 0] = u[0]
+    out = np.empty((lams.size, grid.size))
     # an overflow shows up as a non-finite column, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        maps = block_maps(lambda t: interval_maps(lams, spec, t, h), grid)
-        for i, Q in enumerate(maps, 1):
-            u = _carry(u, Q)
-            out[:, i] = u[0]
-            if not np.all(np.isfinite(out[:, i])):
+        columns = _carried_columns(spec, lams, forcing_ic(lams), grid, h)
+        for i, column in enumerate(columns):
+            out[:, i] = column
+            if not np.all(np.isfinite(column)):
                 raise nonfinite_forcing(grid[i], spec)
     return 0.5 * out
 
 
 def kernel_matrix(spec, lams, taus):
     """Convolution kernel values K^(lam_i)(tau_j) as an (n_lam, n_tau)
-    matrix: lam^2 times rho^2 from kernel_ic, rho = m12 - g2 m11 taken
-    from _first_row at Phi = spec.conv_Phi in the form where nothing
+    matrix: lam^2 times rho^2 from kernel_ic, the _squares of
+    rho = m12 - g2 m11 at Phi = spec.conv_Phi in the form where nothing
     cancels.  For SDANA that is the idealized late-time kernel; the exact
     kernel is two-time and handled by SdanaExactKernel instead."""
     lams = np.asarray(lams, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty((lams.size, taus.size))
-    for at, rho in _row_blocks(lams, spec.gamma1, spec.gamma2, spec.conv_Phi,
-                               _lattice(taus), True):
-        lam = lams[at, None]
-        np.multiply(lam * lam * rho, rho, out=out[at])
-    return out
+    return _squares(spec, lams, _lattice(taus), impulse=True)
 
 
 # intervals times nodes per interval_maps call of horizon_columns: a
@@ -457,46 +466,37 @@ HORIZON_BLOCK = 3200
 def horizon_columns(spec, lams, t, h=1.0):
     """(G, K0), each an (n_lam, n_t) matrix: the forcing G^(lam) and the
     kernel K_0^(lam) born at s = 0, at times t that start at 0 and
-    increase.  Constant Phi and SDANA's convolution kernel take them from
-    one _first_row call each, the rows forcing_matrix and kernel_matrix
-    square, so they are those matrices' values bit for bit; a
-    power schedule carries forcing_ic and, for the exact two-time kernel,
-    kernel_ic through the interval_maps of a grid of steps of at most h
-    that holds every t, HORIZON_BLOCK values at a time.  A state that
-    overflows gives non-finite values."""
+    increase, from the evaluators of forcing_matrix and kernel_matrix
+    but not through them, so a traced solve times only its own assembly.
+    Constant Phi and SDANA's convolution kernel take them from _squares,
+    so they are those matrices' values bit for bit; a power schedule takes
+    the _carried_columns of forcing_ic and, for the exact two-time kernel,
+    kernel_ic, stacked, on a grid of steps of at most h that holds every
+    t, HORIZON_BLOCK values at a time.  A state that overflows gives
+    non-finite values."""
     lams = np.asarray(lams, dtype=float)
     t = np.asarray(t, dtype=float)
     lattice = _lattice(t)
-    g1, g2 = spec.gamma1, spec.gamma2
-    K0 = None
     if spec.phi_kind == "const":
-        m11 = _first_row(lams, g1, g2, spec.theta, lattice)
-        G = 0.5 * m11 * m11
+        G = _squares(spec, lams, lattice)
     else:
         exact = spec.mode == "ode_exact"
-        state = np.stack([forcing_ic(lams), kernel_ic(lams, g2)][:1 + exact],
-                         axis=1)
+        state = np.stack([forcing_ic(lams), kernel_ic(lams, spec.gamma2)]
+                         [:1 + exact], axis=1)
+        # sorted and deduplicated by hand: np.unique imports numpy.ma,
+        # which adds about 1 MB to a process's peak RSS
         steps = np.sort(np.append(t, np.arange(0.0, t[-1], h)))
         steps = steps[np.diff(steps, prepend=-1.0) > 0.0]
         keep = np.zeros(steps.size, dtype=bool)
         keep[np.searchsorted(steps, t)] = True
-        keep = keep.tolist()
-        first = [state[0]]
         with np.errstate(over="ignore", invalid="ignore"):
-            maps = block_maps(lambda ts: interval_maps(lams, spec, ts, h),
-                              steps, max(1, HORIZON_BLOCK // lams.size))
-            for k, Q in enumerate(maps, 1):
-                state = _carry(state, Q)
-                if keep[k]:
-                    first.append(state[0])
-        first = np.array(first)
+            first = np.array(list(_carried_columns(
+                spec, lams, state, steps, h,
+                max(1, HORIZON_BLOCK // lams.size), keep.tolist())))
         G = 0.5 * first[:, 0].T
         if exact:
-            K0 = lams[:, None] ** 2 * first[:, 1].T
-    if K0 is None:
-        rho = _first_row(lams, g1, g2, spec.conv_Phi, lattice, impulse=True)
-        K0 = lams[:, None] * lams[:, None] * rho * rho
-    return G, K0
+            return G, lams[:, None] ** 2 * first[:, 1].T
+    return G, _squares(spec, lams, lattice, impulse=True)
 
 
 class SdanaExactKernel:

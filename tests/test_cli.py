@@ -799,7 +799,8 @@ def _flag_sets():
 
 @settings(max_examples=300, deadline=3000)
 @given(job=_flag_sets(), via_config=st.booleans())
-# the default gamma = theta/m overflows u^2 in kernels._first_row; and
+# the default gamma = theta/m takes u^2 past double range in
+# kernels.row_exponents (its wide-u branch); and
 # at r = 1 (lambda_min = 0) theta^2 underflows, where the rate bounds are 0
 @example(job=("predict", {"algo": "sdahb", "theta": 1e300, "T": 1.0}, None),
          via_config=False)

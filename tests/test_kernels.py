@@ -421,22 +421,18 @@ def _bit_cases():
 @pytest.mark.parametrize("name,g1,g2,Phi,lams", list(_bit_cases()))
 def test_first_row_over_an_array_is_the_per_lam_rows(name, g1, g2, Phi,
                                                       lams):
-    # one call over every lam has the bits of one call per lam, for F's
-    # row and the impulse row, on the uniform half-step grid (angle
-    # addition) and on scattered times (direct), and forcing_matrix and
-    # kernel_matrix square those same rows
+    # one call over every lam has the bits of one call per lam, for the
+    # squares of F's row and of the impulse row, forcing_matrix's and
+    # kernel_matrix's, on the uniform half-step grid (angle addition) and
+    # on scattered times (direct)
     scattered = np.array([0.0, 1e-6, 0.37, 2.0, 45.0, 299.0])
     spec = const_spec(g1, g2, Phi)
     for x in (_LATTICE, scattered):
-        lattice = kernels._lattice(x)
-        for impulse in (False, True):
-            rows = kernels._first_row(lams, g1, g2, Phi, lattice, impulse)
-            one = np.array([kernels._first_row([lam], g1, g2, Phi, lattice,
-                                               impulse)[0] for lam in lams])
+        for impulse, matrix in ((False, kernels.forcing_matrix),
+                                (True, kernels.kernel_matrix)):
+            rows = matrix(spec, lams, x)
+            one = np.array([matrix(spec, [lam], x)[0] for lam in lams])
             assert np.array_equal(rows, one, equal_nan=True), (name, impulse)
-        F = kernels.forcing_matrix(spec, lams, x)
-        m11 = kernels._first_row(lams, g1, g2, Phi, lattice)
-        assert np.array_equal(F, 0.5 * m11 * m11)
 
 
 def test_horizon_columns_are_the_matrices_columns():
@@ -455,9 +451,21 @@ def test_horizon_columns_are_the_matrices_columns():
     assert np.array_equal(K0, kernels.kernel_matrix(conv, lams, t))
     assert np.allclose(G, kernels.forcing_matrix(conv, lams, t), rtol=1e-12,
                        atol=0.0)
+    # on the grid of steps of at most h that holds every t, the power
+    # schedule's columns are the carrier's, bit for bit: the forcing's
+    # through forcing_matrix and the exact kernel's carried alone
+    steps = np.unique(np.append(t, np.arange(0.0, t[-1], 0.05)))
+    at = np.searchsorted(steps, t)
+    assert np.array_equal(
+        G, kernels.forcing_matrix(conv, lams, steps, h=0.05)[:, at])
     exact = momentum.sdana(0.25, 1.0, 4.0).kernel_spec()
     G, K0 = kernels.horizon_columns(exact, lams, t, h=0.05)
     assert np.allclose(G, kernels.forcing_matrix(exact, lams, t), rtol=1e-12)
+    assert np.array_equal(
+        G, kernels.forcing_matrix(exact, lams, steps, h=0.05)[:, at])
+    S0 = np.array(list(kernels._carried_columns(
+        exact, lams, kernels.kernel_ic(lams, exact.gamma2), steps, 0.05)))
+    assert np.array_equal(K0, lams[:, None] ** 2 * S0[at].T)
     want = np.array([oracle_kernel(lam, 0.25, 1.0, lambda s: 4.0 / (1.0 + s),
                                    0.0, t) for lam in lams])
     assert np.allclose(K0, want, rtol=1e-5, atol=0.0)

@@ -21,7 +21,6 @@ import numpy as np
 from . import kernels
 from .spectrum import MP_KIND
 
-BISECTION_ITERS = 200
 # smallest positive eigenvalue at or below this counts as a hard edge,
 # where every decay rate and bound is 0
 EDGE_ATOM_TOL = 1e-12
@@ -148,15 +147,16 @@ def _malthusian(F, cap, norm):
     if fhi < 1.0:
         return None, ("absent: F(cap)=%.4f < 1, forcing-dominated regime"
                       % fhi)
-    lo = 0.0
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
+    # halve until no double lies strictly inside the bracket (a nan ends
+    # it at once); the midpoint of that bracket is the root
+    lo, mid = 0.0, 0.5 * hi
+    while lo < mid < hi:
         if F(mid) < 1.0:
             lo = mid
         else:
             hi = mid
-    root = 0.5 * (lo + hi)
-    return float(root), "root residual %.3g" % abs(F(root) - 1.0)
+        mid = 0.5 * (lo + hi)
+    return float(mid), "root residual %.3g" % abs(F(mid) - 1.0)
 
 
 class AnalysisReport(collections.namedtuple("AnalysisReport", (

@@ -78,8 +78,8 @@ class VolterraSolution:
         self.method = method
         self.diagnostics = diagnostics or {}
         self.meta = meta or {}
-        # a convolution solve's psi of each pass, coarse first, before the
-        # Richardson step, in the variable solved
+        # a solve's psi of each pass, coarse first, before the Richardson
+        # step, in the weighted unknown of a weighted convolution solve
         self.passes = passes
 
     @property
@@ -247,18 +247,19 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     Marching: one forward pass, exact for the trapezoid discretization.
     Picard: fixed-point iteration of the same discrete system, retained as
     an independent validation oracle (requires the iteration to contract;
-    stops at sup-change < PICARD_TOL * max(1, sup|F|)).  With refine
+    stops at sup-change < PICARD_TOL * max(1, sup|weight F|)).  With refine
     (default) the solve is repeated on the half-step grid and Richardson
     extrapolation removes the O(h^2) term, raising the order to ~4; the
-    coarse/fine gap is reported as an error estimate.  F and I_vals are
-    sampled on _sweep_nodes(grid, refine): the half-step grid (length
-    2*len(grid) - 1) when refining, else grid.  Where psi is a weighted
-    unknown, weight * psi_0 (the SDANA convolution route's phi), weight on
-    the same nodes puts the refinement gap and the residual in psi_0's
-    units: each is divided by weight on its nodes before its max is taken.
-    The solution keeps each pass's psi in passes, coarse first.  Given
-    those as start, Picard sweeps each pass from its array instead of
-    from F; it settles at the same fixed point from any start.
+    coarse/fine gap is reported as an error estimate.  F, I_vals and a
+    non-scalar weight are sampled on _sweep_nodes(grid, refine): the
+    half-step grid (length 2*len(grid) - 1) when refining, else grid.
+    The passes solve for u = weight psi (the SDANA convolution route's
+    phi psi), u = weight F + I * u; the solution divides u by weight again
+    and holds psi and F, with the refinement gap and the residual in psi's
+    units.  It keeps each pass's u in passes, coarse first.  Given those
+    as start, with the same weight, Picard sweeps each pass from its array
+    instead of from weight F; it settles at the same fixed point from any
+    start.
     """
     grid = np.asarray(grid, dtype=float)
     nodes = _sweep_nodes(grid, refine)
@@ -271,16 +272,46 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
     start = _pass_starts(start, method, [nodes[::s] for s in strides])
     # the coarse pass first, so that a failure names the grid's own step;
     # the pass on every node reports the residual
-    passes = [_solve_conv_core(F[::s], I_vals[::s], h * s / strides[0], method,
-                               diagnostics, weight[::s], x0, s == 1)
-              for s, x0 in zip(strides, start)]
-    psi = passes[-1]
-    if len(passes) == 2:
-        psi = _richardson(passes[0], psi[::2], diagnostics, weight[::2])
-        F = F[::2]
-    psi = _finalize_psi(psi, "convolution solve")
-    return VolterraSolution(grid, F, psi, method=method, diagnostics=diagnostics,
-                            passes=passes)
+    passes = []
+    for s, x0 in zip(strides, start):
+        f, I, step = weight[::s] * F[::s], I_vals[::s], h * s / strides[0]
+        denom = _march_divisor(step, I[0])
+        I_hat = (np.fft.rfft(I, _fft_size(2 * len(I) - 1))
+                 if method == "picard" or s == 1 else None)
+        if method == "marching":
+            psi = _march_convolution(f, I, step, denom)
+        elif method == "picard":
+            psi, iters = _picard_convolution(f, I, step, I_hat, x0)
+            diagnostics["picard_iters"] = max(
+                iters, diagnostics.get("picard_iters", 0))
+        else:
+            raise ValueError("unknown solver method %r" % (method,))
+        if s == 1:
+            resid = psi - f - _trapezoid_convolve(I, psi, step, I_hat)
+            diagnostics["residual"] = float(np.max(np.abs(resid / weight)))
+        passes.append(psi)
+    return _refined(grid, F, passes, diagnostics, "convolution solve",
+                    method, weight)
+
+
+def _refined(grid, F, passes, diagnostics, context, method="marching",
+             weight=1.0):
+    """The solution of both solvers from the forcing F on the nodes they
+    sweep and their passes, coarse first.  Two passes take the Richardson
+    step (4 psi_half - psi) / 3 on the grid, written as psi_half +
+    (psi_half - psi) / 3 so that a node where both passes agree keeps its
+    value, and record their gap over weight as refinement_gap.  psi then
+    passes _finalize_psi's guards and is divided by weight."""
+    stride = len(passes)
+    weight = np.broadcast_to(weight, F.shape)[::stride]
+    psi = passes[-1][::stride]
+    if stride == 2:
+        gap = psi - passes[0]
+        diagnostics["refinement_gap"] = float(np.max(np.abs(gap / weight)))
+        psi = psi + gap / 3.0
+    psi = _finalize_psi(psi, context) / weight
+    return VolterraSolution(grid, F[::stride], psi, method=method,
+                            diagnostics=diagnostics, passes=passes)
 
 
 def _on_nodes(values, nodes, name,
@@ -308,16 +339,6 @@ def _pass_starts(start, method, passes):
             for x, p in zip(start, passes)]
 
 
-def _richardson(psi, on_grid, diagnostics, weight=1.0):
-    """Extrapolate away the O(h^2) term of a solve psi given the half-step
-    solve's values on the same nodes: (4 psi_half - psi) / 3, written as
-    psi_half + (psi_half - psi) / 3 so that a node where both passes agree
-    keeps its value.  The gap over weight is recorded as refinement_gap."""
-    gap = on_grid - psi
-    diagnostics["refinement_gap"] = float(np.max(np.abs(gap / weight)))
-    return on_grid + gap / 3.0
-
-
 def _march_divisor(h, K0):
     """1 - (h/2) K0, the trapezoid march's divisor at grid step h and
     on-diagonal kernel value K0; raises NumericalError unless positive."""
@@ -327,29 +348,6 @@ def _march_divisor(h, K0):
                              "h = %.6g, K(0) = %.6g; reduce the grid step --h "
                              "below 2/K(0) = %.6g" % (h, K0, 2.0 / K0))
     return denom
-
-
-def _solve_conv_core(F, I_vals, h, method, diagnostics, weight, start,
-                     residual):
-    """psi of one pass, by Picard from start if one is given.  diagnostics
-    takes the largest Picard sweep count of the passes and, with residual
-    set, the pass's residual over weight."""
-    denom = _march_divisor(h, I_vals[0])
-    I_hat = None
-    if method == "picard" or residual:
-        I_hat = np.fft.rfft(I_vals, _fft_size(2 * len(I_vals) - 1))
-    if method == "marching":
-        psi = _march_convolution(F, I_vals, h, denom)
-    elif method == "picard":
-        psi, iters = _picard_convolution(F, I_vals, h, I_hat, start)
-        diagnostics["picard_iters"] = max(iters,
-                                          diagnostics.get("picard_iters", 0))
-    else:
-        raise ValueError("unknown solver method %r" % (method,))
-    if residual:
-        resid = psi - F - _trapezoid_convolve(I_vals, psi, h, I_hat)
-        diagnostics["residual"] = float(np.max(np.abs(resid / weight)))
-    return psi
 
 
 def _uniform_step(grid):
@@ -486,7 +484,9 @@ def solve_general(F, kernel, grid, refine=True):
     one solve per (s, t) pair.
     refine also marches the half-step grid and Richardson-extrapolates,
     matching solve_convolution's accuracy; one forward sweep of the
-    half-step grid advances the states of both passes together.
+    half-step grid advances the states of both passes together.  Both
+    solvers end in the same _refined step, and their solutions keep each
+    pass's psi in passes, coarse first.
 
     F is the forcing sampled on the nodes the march sweeps,
     _sweep_nodes(grid, refine), or a StateForcing: the forcing and the
@@ -499,13 +499,8 @@ def solve_general(F, kernel, grid, refine=True):
     if not isinstance(F, StateForcing):
         F = _on_nodes(F, nodes, "F")
     F, passes = _march_separable(F, kernel, nodes, stride)
-    diagnostics = {"residual": float("nan")}
-    psi = passes[-1]
-    if stride == 2:
-        psi = _richardson(psi, passes[0][::2], diagnostics)
-    psi = _finalize_psi(psi, "general solve")
-    return VolterraSolution(grid, F[::stride], psi, method="marching",
-                            diagnostics=diagnostics)
+    return _refined(grid, F, passes[::-1], {"residual": float("nan")},
+                    "general solve")
 
 
 def _sweep_nodes(grid, refine):
@@ -519,7 +514,8 @@ def _sweep_nodes(grid, refine):
 def _march_separable(F, K, nodes, stride):
     """Trapezoid-march nodes and, with stride 2, every second node too, in
     one forward sweep; returns the forcing on nodes and each pass's psi,
-    the finest first.
+    the finest first: pass p marches every 2^p-th node (solve_general
+    stores them coarse first).
 
     The state dynamics are linear and every birth starts from the same
     ic, so one state per pass carries its trapezoid sum, ic psi_0 / 2 plus
@@ -674,7 +670,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         else:
             gap = quadrature_gap(spec, measure, grid[-1], R, R_tilde)
     lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
-    kern = None
+    norm = analysis.kernel_norm(params, measure)
     if spec.mode == "ode_exact":
         nodes, weights = measure.points, measure.weights
         if spectral is not None:
@@ -686,9 +682,6 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             weights = np.bincount(at[:split], weights, len(nodes))
             coef = np.bincount(at[split:], coef, len(nodes))
         kern = kernels.SdanaExactKernel(spec, nodes, weights)
-    norm = analysis.kernel_norm(params, measure)
-
-    if kern is not None:
         start = None if spectral is None else spectral.f0
         sol = solve_general(StateForcing(coef, const, start), kern, grid)
     else:
@@ -697,27 +690,23 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             F = build_forcing_from_spectral(spectral, spec, half)
         else:
             F = build_forcing(measure, spec, R, R_tilde, half)
-        # the SDANA approximation is solved in the phi-conjugated variable;
-        # the closed forms already are in the physical one
-        if spec.mode == "convolution_approx":
-            phi = _conjugating_phi(spec, half)
-        else:
-            phi = np.ones_like(half)
+        # the SDANA approximation is solved for phi psi; the closed forms
+        # for psi itself
+        phi = (_conjugating_phi(spec, half)
+               if spec.mode == "convolution_approx" else 1.0)
         I_vals = build_convolution_kernel(measure, spec, half)
-        weighted = phi * F
         try:
-            sol = solve_convolution(weighted, I_vals, grid, weight=phi)
+            sol = solve_convolution(F, I_vals, grid, weight=phi)
         except NumericalError:
             if norm < 1.0:
                 raise
             raise NumericalError(
                 "kernel norm %.6g >= 1: the loss grows without bound; a "
                 "smaller --h resolves more of its growth" % norm)
-        passes = sol.passes
-        sol = VolterraSolution(grid, F[::2], sol.psi / phi[::2],
-                               method=sol.method, diagnostics=sol.diagnostics)
         if validate:
-            _validate_picard(sol, weighted, I_vals, grid, phi[::2], passes)
+            _validate_picard(sol, F, I_vals, grid, phi)
+    # the passes served the cross-check; predict's caller keeps the curve
+    sol.passes = ()
     sol.kernel_norm = norm
     if gap is not None:
         sol.diagnostics["quadrature_gap"] = gap
@@ -741,19 +730,19 @@ def _conjugating_phi(spec, t):
     return phi
 
 
-def _validate_picard(sol, F, I_vals, grid, deconjugate, passes):
-    """Cross-check the marching solution against Picard started from the
-    march's passes; a Picard failure is reported, not fatal (marching needs
-    no smallness assumption).  Where the march is the discrete fixed point,
-    the first sweep moves it by its residual, so picard_iters, the larger
-    count of the two passes, reads 1; a larger count means the march was
-    off in either pass, and picard_delta says by how much."""
+def _validate_picard(sol, F, I_vals, grid, weight):
+    """Cross-check the marching solution against Picard on its weight, from
+    the march's passes; a Picard failure is reported, not fatal (marching
+    needs no smallness assumption).  Where the march is the discrete fixed
+    point, the first sweep moves it by its residual, so picard_iters, the
+    larger count of the two passes, reads 1; a larger count means the
+    march was off in either pass, and picard_delta says by how much."""
     try:
-        alt = solve_convolution(F, I_vals, grid, method="picard", start=passes)
-        alt_psi = alt.psi / deconjugate
+        alt = solve_convolution(F, I_vals, grid, method="picard",
+                                weight=weight, start=sol.passes)
         sol.diagnostics["picard_iters"] = alt.diagnostics["picard_iters"]
         sol.diagnostics["picard_delta"] = float(
-            np.max(np.abs(alt_psi - sol.psi)))
+            np.max(np.abs(alt.psi - sol.psi)))
     except NumericalError as exc:
         sol.diagnostics["picard_delta"] = None
         sol.diagnostics["picard_note"] = str(exc)

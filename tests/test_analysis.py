@@ -189,6 +189,46 @@ def test_malthusian_root_satisfies_fixed_point(mp2):
         pytest.approx(1.0, abs=1e-9)
 
 
+def _bisected_200_times(F, cap):
+    """The root search with 200 fixed halvings of (0, cap (1 - 1e-12))."""
+    lo, hi = 0.0, cap * (1.0 - 1e-12)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if F(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_malthusian_bisection_stops_where_200_halvings_settle():
+    # the bisection stops once the bracket holds no double inside it; on
+    # every law of this sweep with a root, that root is bit for bit the
+    # one 200 halvings reach
+    found = set()
+    for r in (1.5, 2.0, 4.0, 8.0):
+        mu = spectrum.mp_measure(r)
+        lam_min = mu.support_edges()[0]
+        for name in ("sgd", "sdahb", "sdana"):
+            base = momentum.defaults(name, mu).describe()
+            del base["name"]
+            for step in np.geomspace(0.02, 4.0, 12):
+                for tilt in ((0.5, 1.0, 2.0) if "theta" in base else (1.0,)):
+                    params = momentum.defaults(name, mu, **{
+                        k: v * (tilt if k == "theta" else step)
+                        for k, v in base.items()})
+                    root = analysis.malthusian_exponent(params, mu)
+                    if root is None:
+                        continue
+                    spec = params.kernel_spec()
+                    want = _bisected_200_times(
+                        lambda x: analysis.laplace(x, spec, mu),
+                        analysis.forcing_rate(spec, lam_min))
+                    assert root == want, (name, r, step, tilt)
+                    found.add(name)
+    assert found == {"sgd", "sdahb", "sdana"}
+
+
 def test_malthusian_absent_on_hard_edge(mp1):
     got = analysis.malthusian_exponent(momentum.sgd(1.0), mp1)
     assert got is None

@@ -795,15 +795,49 @@ def test_predict_sdana_conv_picard_settles_on_conjugated_scale(mp1):
 
 
 def test_solve_convolution_reports_diagnostics_over_the_weight():
-    # a power-of-two weight scales every sum exactly: dividing it out again
-    # must give the unweighted solve's diagnostics bit for bit
+    # a power-of-two weight scales every sum exactly: the weighted solve
+    # takes the physical F, marches weight * F and divides weight out
+    # again, so it must give the unweighted solve's psi, forcing and
+    # diagnostics bit for bit
     grid, _ = grid_and_ones(T=20.0)
     nodes = sweep_nodes(grid)
     F, I = 1.0 + np.exp(-nodes), 0.5 * np.exp(-nodes)
-    want = volterra.solve_convolution(F, I, grid).diagnostics
-    got = volterra.solve_convolution(1024.0 * F, I, grid,
-                                     weight=1024.0).diagnostics
-    assert got == want
+    want = volterra.solve_convolution(F, I, grid)
+    got = volterra.solve_convolution(F, I, grid, weight=1024.0)
+    assert np.array_equal(got.psi, want.psi)
+    assert np.array_equal(got.forcing, want.forcing)
+    assert got.diagnostics == want.diagnostics
+    # its passes stay in the weighted unknown
+    for g, w in zip(got.passes, want.passes):
+        assert np.array_equal(g, 1024.0 * w)
+
+
+def _richardson_step(passes):
+    coarse, fine = passes
+    return fine[::2] + (fine[::2] - coarse) / 3.0
+
+
+def test_both_solvers_store_passes_coarse_first():
+    # N coarse values, then 2N - 1 half-step ones, and the refined psi is
+    # the one Richardson step of those two passes on either solver
+    grid, _ = grid_and_ones(T=5.0)
+    nodes = sweep_nodes(grid)
+    mu = spectrum.mp_measure(1.0, nodes=40)
+    spec = momentum.defaults("sdana", mu).kernel_spec()
+    F = volterra.build_forcing(mu, spec, 1.0, 1.0, nodes)
+    conv = volterra.solve_convolution(F, 0.5 * np.exp(-nodes), grid)
+    ode = volterra.solve_general(
+        F, kernels.SdanaExactKernel(spec, mu.points, mu.weights), grid)
+    for sol in (conv, ode):
+        assert [len(p) for p in sol.passes] == [len(grid), len(nodes)]
+        assert np.array_equal(sol.psi, _richardson_step(sol.passes))
+        assert sol.diagnostics["refinement_gap"] == np.max(
+            np.abs(sol.passes[1][::2] - sol.passes[0]))
+    unrefined = volterra.solve_general(
+        F[::2], kernels.SdanaExactKernel(spec, mu.points, mu.weights), grid,
+        refine=False)
+    assert [len(p) for p in unrefined.passes] == [len(grid)]
+    assert np.array_equal(unrefined.psi, unrefined.passes[0])
 
 
 def test_predict_sdana_conv_diagnostics_in_loss_units(mp1):

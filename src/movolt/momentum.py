@@ -159,47 +159,46 @@ def defaults(name, measure, **given):
 
 
 class Trajectory:
-    """Loss samples over epoch time, single-run or ensemble-aggregated.
-    An ensemble of two or more runs also carries se, the standard error
-    of its mean at each time (sample std / sqrt(runs))."""
+    """Loss samples over epoch time, summarized over an ensemble of runs or
+    paths: the mean and the 10% and 90% quantiles at each time (one run
+    gives mean = q10 = q90 = that run).  An ensemble of two or more also
+    carries se, the standard error of its mean at each time (sample std /
+    sqrt(runs))."""
 
-    def __init__(self, times, values=None, mean=None, q10=None, q90=None,
-                 diverged=False, meta=None, se=None):
+    def __init__(self, times, mean, q10, q90, diverged=False, meta=None,
+                 se=None):
         self.times = np.asarray(times, dtype=float)
-        self.values = None if values is None else np.asarray(values, dtype=float)
-        self.mean = None if mean is None else np.asarray(mean, dtype=float)
-        self.q10 = None if q10 is None else np.asarray(q10, dtype=float)
-        self.q90 = None if q90 is None else np.asarray(q90, dtype=float)
+        self.mean = np.asarray(mean, dtype=float)
+        self.q10 = np.asarray(q10, dtype=float)
+        self.q90 = np.asarray(q90, dtype=float)
         self.se = None if se is None else np.asarray(se, dtype=float)
         self.diverged = bool(diverged)
         self.meta = meta or {}
 
-    @property
-    def is_ensemble(self):
-        return self.mean is not None
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
-            if self.is_ensemble:
-                fh.write("t,mean,q10,q90\n")
-                for row in zip(self.times, self.mean, self.q10, self.q90):
-                    fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
-            else:
-                fh.write("t,value\n")
-                for row in zip(self.times, self.values):
-                    fh.write("%.17g,%.17g\n" % row)
+            fh.write("t,mean,q10,q90\n")
+            for row in zip(self.times, self.mean, self.q10, self.q90):
+                fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
 
     @staticmethod
     def from_csv(path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if header[:2] == ["t", "value"]:
-            return Trajectory(data[:, 0], values=data[:, 1])
-        if header == ["t", "mean", "q10", "q90"]:
-            return Trajectory(data[:, 0], mean=data[:, 1], q10=data[:, 2],
-                              q90=data[:, 3])
-        raise ValueError("unrecognized trajectory header %r" % (header,))
+        if header != ["t", "mean", "q10", "q90"]:
+            raise ValueError("unrecognized trajectory header %r" % (header,))
+        return Trajectory(*data.T)
+
+
+def _ensemble(times, losses, diverged, meta):
+    """The Trajectory of a (runs x times) loss matrix."""
+    se = (losses.std(axis=0, ddof=1) / np.sqrt(len(losses))
+          if len(losses) > 1 else None)
+    return Trajectory(times, losses.mean(axis=0),
+                      np.quantile(losses, 0.10, axis=0),
+                      np.quantile(losses, 0.90, axis=0),
+                      diverged=diverged, meta=meta, se=se)
 
 
 def _sample_steps(n, epochs, samples_per_epoch):
@@ -213,7 +212,8 @@ def _sample_steps(n, epochs, samples_per_epoch):
 
 
 def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
-    """One trajectory of the momentum method; deterministic given seed.
+    """One run of the momentum method, as the ensemble Trajectory of that
+    one run (mean = q10 = q90 = its losses); deterministic given seed.
 
     Row indices are drawn uniformly with replacement from a stream keyed
     on (seed, run-tag), independent of the problem's own generator.  The
@@ -305,11 +305,11 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
         vals[recorded] = f
         recorded += 1
     flush()
-    return Trajectory(ks[:recorded] / n, values=vals[:recorded],
-                      diverged=diverged_at is not None,
-                      meta={"algo": params.describe(), "n": n, "d": d,
-                            "seed": seed, "epochs": epochs,
-                            "diverged_at": diverged_at})
+    return _ensemble(ks[:recorded] / n, vals[None, :recorded],
+                     diverged_at is not None,
+                     {"algo": params.describe(), "n": n, "d": d,
+                      "seed": seed, "epochs": epochs,
+                      "diverged_at": diverged_at})
 
 
 def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0):
@@ -327,22 +327,15 @@ def run_ensemble(problem_spec, params, epochs, n_seeds, base_seed=0):
 
 
 def aggregate(runs):
-    """Combine single-run trajectories; divergence truncates to the shared
-    prefix and poisons the flag rather than being dropped silently.  The
-    meta's diverged_at lists each run's stopping step (None if it ran to
-    the end)."""
-    diverged = any(r.diverged for r in runs)
+    """The ensemble of single runs (as run returns them) over their
+    mean losses; divergence truncates to the shared prefix and poisons the
+    flag rather than being dropped silently.  The meta's diverged_at lists
+    each run's stopping step (None if it ran to the end)."""
     m = min(len(r.times) for r in runs)
-    times = runs[0].times[:m]
-    mat = np.stack([r.values[:m] for r in runs])
-    se = (mat.std(axis=0, ddof=1) / np.sqrt(len(runs)) if len(runs) > 1
-          else None)
     meta = dict(runs[0].meta, n_seeds=len(runs),
                 diverged_at=[r.meta.get("diverged_at") for r in runs])
-    return Trajectory(times, mean=mat.mean(axis=0),
-                      q10=np.quantile(mat, 0.10, axis=0),
-                      q90=np.quantile(mat, 0.90, axis=0),
-                      diverged=diverged, meta=meta, se=se)
+    return _ensemble(runs[0].times[:m], np.stack([r.mean[:m] for r in runs]),
+                     any(r.diverged for r in runs), meta)
 
 
 def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
@@ -430,14 +423,11 @@ def simulate_homogenized(spectral, params, T, dt, seed, n_paths=1,
             losses[:, k] = f
         for fut in ahead:       # draws past a divergence: raise their errors
             fut.result()
-    meta = {"algo": params.describe(), "n": n, "dt": dt, "seed": seed,
-            "n_paths": n_paths}
-    mean = losses.mean(axis=0)
-    mean[0] = spectral.f0   # a mean of equal starts can round away from them
-    traj = Trajectory(times, mean=mean,
-                      q10=np.quantile(losses, 0.10, axis=0),
-                      q90=np.quantile(losses, 0.90, axis=0),
-                      diverged=diverged, meta=meta)
+    traj = _ensemble(times, losses, diverged,
+                     {"algo": params.describe(), "n": n, "dt": dt,
+                      "seed": seed, "n_paths": n_paths})
+    # a mean of equal starts can round away from them
+    traj.mean[0] = spectral.f0
     if return_paths:
         return traj, losses
     return traj

@@ -40,7 +40,6 @@ def test_simulate_writes_csv_and_sidecar(tmp_path):
                     "--epochs", "2", "--seeds", "3", "--out", str(out)])
     assert code == 0
     traj = momentum.Trajectory.from_csv(str(out))
-    assert traj.is_ensemble
     # sample times are quantized to whole steps of size 1/n
     assert traj.times[0] <= 1.0 / momentum.SAMPLES_PER_EPOCH
     assert traj.times[-1] == pytest.approx(2.0)
@@ -341,7 +340,7 @@ def test_compare_joins_on_nearest_grid_point(tmp_path):
     runs = [momentum.run(lsq.generate_gaussian(256, 256, 1.0, 1.0, s),
                          momentum.sgd(meta["params"]["gamma"]), 2, s)
             for s in range(3)]
-    mat = np.stack([r.values for r in runs])
+    mat = np.stack([r.mean for r in runs])
     mcse = mat.std(axis=0, ddof=1) / np.sqrt(3)
     want = np.max(np.abs(rows["mean"] - rows["psi"]) / mcse)
     assert meta["stats"]["max_dev_mcse"] == pytest.approx(want, rel=1e-9)

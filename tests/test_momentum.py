@@ -27,7 +27,7 @@ def test_sgd_single_sample_is_plain_gradient_descent():
         iterates.append(x)
     # one sample per epoch: run evaluates each iterate as a batch of one
     hand = [lsq.losses(p, np.array([x]))[0] for x in iterates]
-    assert np.array_equal(traj.values, hand)  # bitwise
+    assert np.array_equal(traj.mean, hand)  # bitwise
 
 
 def test_recursion_matches_hand_loop_all_algorithms():
@@ -59,7 +59,7 @@ def test_recursion_matches_hand_loop_all_algorithms():
         X = np.array([got[int(k)] for k in ks])
         hand = np.concatenate([lsq.losses(p, X[j:j + 20])
                                for j in range(0, len(X), 20)])
-        assert np.array_equal(traj.values, hand), params.name
+        assert np.array_equal(traj.mean, hand), params.name
 
 
 @pytest.mark.parametrize("n,gamma,theta", [(64, 1.8 / 64, 2.0 / 64),
@@ -71,7 +71,7 @@ def test_shb_is_sdahb_at_n_gamma_n_theta_bitwise(n, gamma, theta):
     a = momentum.run(p, momentum.sdahb(n * gamma, n * theta), epochs=2,
                      seed=11)
     b = momentum.run(p, momentum.shb(gamma, theta), epochs=2, seed=11)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.mean, b.mean)
 
 
 def test_defaults_table(mp1):
@@ -129,8 +129,8 @@ def test_run_deterministic_and_seed_sensitive():
     a = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=42)
     b = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=42)
     c = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=43)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
+    assert np.array_equal(a.mean, b.mean)
+    assert not np.array_equal(a.mean, c.mean)
 
 
 def test_sample_times_are_epoch_fractions():
@@ -147,7 +147,7 @@ def test_divergence_sets_flag_and_truncates():
     traj = momentum.run(p, momentum.sgd(500.0), epochs=2, seed=0)
     assert traj.diverged
     assert len(traj.times) < 40
-    assert np.all(np.isfinite(traj.values))
+    assert np.all(np.isfinite(traj.mean))
 
 
 def _per_sample_run(p, params, epochs, seed):
@@ -198,7 +198,7 @@ def test_run_stops_where_the_per_sample_loop_stops(n, d, params,
     assert traj.diverged == (stop is not None)
     assert traj.meta["diverged_at"] == stop
     assert np.array_equal(traj.times, times)
-    np.testing.assert_allclose(traj.values, vals, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(traj.mean, vals, rtol=1e-13, atol=0)
 
 
 def test_divergence_bound_is_silent_when_it_overflows():
@@ -218,7 +218,7 @@ def test_divergence_bound_is_silent_when_it_overflows():
             traj = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=4)
         assert stop is None and not traj.diverged
         assert np.array_equal(traj.times, times)
-        assert np.array_equal(traj.values, vals)
+        assert np.array_equal(traj.mean, vals)
 
 
 @pytest.mark.parametrize("params", [momentum.sgd(0.5),
@@ -249,7 +249,6 @@ def test_run_ensemble_aggregates_quantiles():
     agg = momentum.run_ensemble({"n": 40, "d": 20, "R": 1.0, "R_tilde": 1.0},
                                 momentum.sgd(0.8), epochs=1, n_seeds=8,
                                 base_seed=3)
-    assert agg.is_ensemble
     assert np.all(agg.q10 <= agg.mean + 1e-12)
     assert np.all(agg.mean <= agg.q90 + 1e-12)
     assert len(agg.times) == 20
@@ -272,11 +271,21 @@ def test_aggregate_standard_error():
     p = lsq.generate_gaussian(40, 20, 1.0, 1.0, seed=2)
     runs = [momentum.run(p, momentum.sgd(0.5), epochs=1, seed=s)
             for s in range(5)]
-    mat = np.stack([r.values for r in runs])
+    mat = np.stack([r.mean for r in runs])
     agg = momentum.aggregate(runs)
     assert np.allclose(agg.se, mat.std(axis=0, ddof=1) / np.sqrt(5),
                        rtol=1e-14, atol=0)
     assert momentum.aggregate(runs[:1]).se is None
+
+
+def test_run_is_an_ensemble_of_one():
+    p = lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=1)
+    r = momentum.run(p, momentum.sdahb(1.0, 2.0), epochs=1, seed=0)
+    assert np.array_equal(r.q10, r.mean) and np.array_equal(r.q90, r.mean)
+    assert r.se is None
+    agg = momentum.aggregate([r])
+    for key in ("times", "mean", "q10", "q90"):
+        assert np.array_equal(getattr(agg, key), getattr(r, key)), key
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
@@ -286,15 +295,21 @@ def test_trajectory_csv_roundtrip(tmp_path):
     traj.to_csv(f)
     back = momentum.Trajectory.from_csv(f)
     assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.values, traj.values)
+    assert np.array_equal(back.mean, traj.mean)
     agg = momentum.run_ensemble({"n": 20, "d": 10, "R": 1.0, "R_tilde": 1.0},
                                 momentum.sgd(0.5), epochs=1, n_seeds=3)
     g = tmp_path / "ens.csv"
     agg.to_csv(g)
     back = momentum.Trajectory.from_csv(g)
-    assert back.is_ensemble
     assert np.array_equal(back.mean, agg.mean)
     assert np.array_equal(back.q90, agg.q90)
+
+
+def test_trajectory_csv_refuses_single_value_header(tmp_path):
+    f = tmp_path / "single.csv"
+    f.write_text("t,value\n0.05,1.5\n")
+    with pytest.raises(ValueError, match="'t', 'value'"):
+        momentum.Trajectory.from_csv(f)
 
 
 @settings(max_examples=15, deadline=None)
@@ -305,7 +320,7 @@ def test_shb_sdahb_equivalence_property(n, gamma, theta, seed):
     p = lsq.generate_gaussian(n, n // 2, 1.0, 1.0, seed=seed)
     a = momentum.run(p, momentum.sdahb(gamma, theta), epochs=1, seed=seed)
     b = momentum.run(p, momentum.shb(gamma / n, theta / n), epochs=1, seed=seed)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.mean, b.mean)
     assert a.diverged == b.diverged
 
 
@@ -336,8 +351,19 @@ def test_homogenized_multipath_returns_quantiles():
         sp, momentum.sgd(0.5), T=0.2, dt=0.01, seed=2, n_paths=6,
         return_paths=True)
     assert paths.shape == (6, 21)
-    assert traj.is_ensemble
     assert np.all(traj.q10 <= traj.q90 + 1e-15)
+
+
+def test_homogenized_standard_error():
+    p = lsq.generate_gaussian(40, 20, 1.0, 1.0, seed=8)
+    sp = lsq.to_spectral(p)
+    traj, paths = momentum.simulate_homogenized(
+        sp, momentum.sgd(0.5), T=0.2, dt=0.01, seed=2, n_paths=6,
+        return_paths=True)
+    assert np.array_equal(traj.se, paths.std(axis=0, ddof=1) / np.sqrt(6))
+    one = momentum.simulate_homogenized(sp, momentum.sgd(0.5), T=0.2,
+                                        dt=0.01, seed=2)
+    assert one.se is None
 
 
 def test_homogenized_tracks_discrete_sgd_loosely():

@@ -32,7 +32,7 @@ def test_every_record_runs_through_every_consumer(name, mp2, tmp_path,
     traj = momentum.run(lsq.generate_gaussian(N, 2 * N, 1.0, 1.0, seed=1),
                         params, epochs=1.0, seed=0)
     assert not traj.diverged and len(traj.times) == momentum.SAMPLES_PER_EPOCH
-    assert np.all(np.isfinite(traj.values))
+    assert np.all(np.isfinite(traj.mean))
 
     spec = params.kernel_spec(N)
     assert ((spec.gamma1, spec.gamma2, spec.theta)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, analysis, lsq, momentum, spectrum, volterra
+from . import __version__, analysis, kernels, lsq, momentum, spectrum, volterra
 from .errors import NumericalError
 
 _ALGO = ("simulate", "predict", "analyze", "compare")   # run an algorithm
@@ -58,7 +58,7 @@ _FLAGS = {
     "h": _Flag("number", _SOLVES, volterra.DEFAULT_H,
                help="Volterra grid step"),
     "T": _Flag("number", _SOLVES, 10.0, help="Volterra horizon (epochs)"),
-    "mode": _Flag("text", _SOLVES, choices=tuple(volterra.MODES)),
+    "mode": _Flag("text", _SOLVES, choices=kernels.MODES),
     "data": _Flag("text", _MEASURED, help="CSV file with the design matrix"),
     "target_col": _Flag("column", _MEASURED,
                         help="target column (index or header name) in --data"),
@@ -353,9 +353,8 @@ def _write_svg(out, series, band=None, width=640, height=420):
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     if band is not None:
         ys_all = np.concatenate([ys_all, band.q10, band.q90])
-    pos = ys_all[ys_all > 0]
-    if pos.size == 0:
-        raise ValueError("nothing positive to draw on a log axis")
+    # nothing positive (an all-zero curve) draws the frame over one decade
+    pos = ys_all[ys_all > 0] if np.any(ys_all > 0) else np.ones(1)
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     if x1 <= x0:
         x1 = x0 + 1.0

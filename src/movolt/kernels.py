@@ -46,16 +46,18 @@ import numpy as np
 
 from .errors import NumericalError
 
+MODES = ("closed", "ode", "conv")     # the solve routes, as --mode names them
+
 
 @dataclass
 class KernelSpec:
-    """An algorithm's continuous-time law plus the evaluation mode.
+    """An algorithm's continuous-time law plus its solve route.
 
     gamma1/gamma2 are the diffusion parameters; theta is the averaging
-    rate of phi, e^{theta t} for the closed-form (constant-Phi) records
-    and (1+t)^theta, SDANA's power schedule, for the others.
-    AlgoParams.kernel_spec builds it from an algorithm's record and checks
-    the mode there.
+    rate of phi, e^{theta t} on the 'closed' route (constant Phi) and
+    (1+t)^theta, SDANA's power schedule, on 'ode' and 'conv'.  mode is one
+    of MODES; AlgoParams.kernel_spec builds the spec from an algorithm's
+    record and checks the mode there.
     """
 
     gamma1: float
@@ -65,13 +67,13 @@ class KernelSpec:
 
     @property
     def phi_kind(self):
-        """'const' (Phi = theta) for closed_form, else 'power'."""
-        return "const" if self.mode == "closed_form" else "power"
+        """'const' (Phi = theta) on the closed route, else 'power'."""
+        return "const" if self.mode == "closed" else "power"
 
     @property
     def conv_Phi(self):
-        """The constant Phi of the convolution kernel: theta for
-        closed_form, else 0, SDANA's late-time limit."""
+        """The constant Phi of the convolution kernel: theta on
+        the closed route, else 0, SDANA's late-time limit."""
         return self.theta if self.phi_kind == "const" else 0.0
 
     def phi(self, t):
@@ -480,7 +482,7 @@ def horizon_columns(spec, lams, t, h=1.0):
     if spec.phi_kind == "const":
         G = _squares(spec, lams, lattice)
     else:
-        exact = spec.mode == "ode_exact"
+        exact = spec.mode == "ode"
         state = np.stack([forcing_ic(lams), kernel_ic(lams, spec.gamma2)]
                          [:1 + exact], axis=1)
         # sorted and deduplicated by hand: np.unique imports numpy.ma,
@@ -519,8 +521,8 @@ class SdanaExactKernel:
     """
 
     def __init__(self, spec, lams, weights, h=PROPAGATOR_STEP):
-        if spec.mode != "ode_exact":
-            raise ValueError("SdanaExactKernel needs an ode_exact spec")
+        if spec.mode != "ode":
+            raise ValueError("SdanaExactKernel needs an ode spec")
         self.spec = spec
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)

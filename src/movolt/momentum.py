@@ -40,7 +40,7 @@ class Algorithm(NamedTuple):
     names: tuple              # parameter names, in constructor order
     continuous: Callable      # (p, n) -> (gamma1, gamma2, theta)
     defaults: Callable = None     # (m, given p) -> default parameter row
-    modes: tuple = ("closed_form",)   # valid solve modes, the default first
+    modes: tuple = ("closed",)    # its kernels.MODES, the default first
     family: analysis.Family = None    # rate bounds, hard-edge exponents
 
 
@@ -69,7 +69,7 @@ ALGORITHMS = {a.name: a for a in (
               lambda p, n: (p["gamma1"], p["gamma2"], p["theta"]),
               defaults=lambda m, p: {"gamma1": 1.0 / (4.0 * m),
                                      "gamma2": 1.0 / m, "theta": 4.0},
-              modes=("ode_exact", "convolution_approx"),
+              modes=("ode", "conv"),
               family=analysis.SDANA),
 )}
 
@@ -102,13 +102,16 @@ class AlgoParams:
         return self.kernel_spec(n).discrete(n, k)
 
     def kernel_spec(self, n=None, mode=None):
-        """The continuous-time law (SHB needs n) in the given solve mode."""
+        """The continuous-time law (SHB needs n) on solve route mode."""
         # a single-mode record has constant phi, where every route is exact
+        if mode is not None and mode not in kernels.MODES:
+            raise ValueError("unknown solve mode %r; pick %s"
+                             % (mode, ", ".join(kernels.MODES)))
         modes = self.algo.modes
         mode = mode if mode and len(modes) > 1 else modes[0]
         if mode not in modes:
             raise ValueError("mode %r unavailable for %s (allowed: %s)"
-                             % (mode, self.name, modes))
+                             % (mode, self.name, ", ".join(modes)))
         g1, g2, theta = self.algo.continuous(self.params, n)
         return kernels.KernelSpec(float(g1), float(g2), float(theta), mode)
 

@@ -41,10 +41,6 @@ _MARCH_BLOCK = 128
 StateForcing = collections.namedtuple("StateForcing", "coef const start",
                                       defaults=(None,))
 
-# predict's mode names (the CLI's --mode choices) and the routes they pick
-MODES = {"closed": "closed_form", "ode": "ode_exact",
-         "conv": "convolution_approx"}
-
 
 def time_grid(T, h=DEFAULT_H):
     """Uniform grid 0, h, 2h, ..., ending at (the nearest multiple of h to) T."""
@@ -69,13 +65,12 @@ def time_grid(T, h=DEFAULT_H):
 class VolterraSolution:
     """psi on a grid together with the forcing it answered to."""
 
-    def __init__(self, grid, forcing, psi, kernel_norm=None, method="marching",
-                 diagnostics=None, meta=None, passes=()):
+    def __init__(self, grid, forcing, psi, kernel_norm=None, diagnostics=None,
+                 meta=None, passes=()):
         self.grid = np.asarray(grid, dtype=float)
         self.forcing = np.asarray(forcing, dtype=float)
         self.psi = np.asarray(psi, dtype=float)
         self.kernel_norm = kernel_norm
-        self.method = method
         self.diagnostics = diagnostics or {}
         self.meta = meta or {}
         # a solve's psi of each pass, coarse first, before the Richardson
@@ -100,8 +95,7 @@ class VolterraSolution:
         """CSV plus a metadata JSON sidecar next to it."""
         self.to_csv(path)
         side = sidecar_path(path)
-        write_json(side, {"h": self.h, "method": self.method,
-                          "kernel_norm": self.kernel_norm,
+        write_json(side, {"h": self.h, "kernel_norm": self.kernel_norm,
                           "diagnostics": self.diagnostics, **self.meta})
         return side
 
@@ -119,7 +113,6 @@ class VolterraSolution:
                 meta = json.load(fh)
         return VolterraSolution(data[:, 0], data[:, 1], data[:, 2],
                                 kernel_norm=meta.get("kernel_norm"),
-                                method=meta.get("method", "marching"),
                                 diagnostics=meta.get("diagnostics"), meta=meta)
 
 
@@ -290,12 +283,10 @@ def solve_convolution(F, I_vals, grid, method="marching", refine=True,
             resid = psi - f - _trapezoid_convolve(I, psi, step, I_hat)
             diagnostics["residual"] = float(np.max(np.abs(resid / weight)))
         passes.append(psi)
-    return _refined(grid, F, passes, diagnostics, "convolution solve",
-                    method, weight)
+    return _refined(grid, F, passes, diagnostics, "convolution solve", weight)
 
 
-def _refined(grid, F, passes, diagnostics, context, method="marching",
-             weight=1.0):
+def _refined(grid, F, passes, diagnostics, context, weight=1.0):
     """The solution of both solvers from the forcing F on the nodes they
     sweep and their passes, coarse first.  Two passes take the Richardson
     step (4 psi_half - psi) / 3 on the grid, written as psi_half +
@@ -310,8 +301,8 @@ def _refined(grid, F, passes, diagnostics, context, method="marching",
         diagnostics["refinement_gap"] = float(np.max(np.abs(gap / weight)))
         psi = psi + gap / 3.0
     psi = _finalize_psi(psi, context) / weight
-    return VolterraSolution(grid, F[::stride], psi, method=method,
-                            diagnostics=diagnostics, passes=passes)
+    return VolterraSolution(grid, F[::stride], psi, diagnostics=diagnostics,
+                            passes=passes)
 
 
 def _on_nodes(values, nodes, name,
@@ -639,24 +630,20 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             n=None, spectral=None, validate=False, size_rule=False):
     """End-to-end deterministic loss prediction for an algorithm on a measure.
 
-    mode selects the SDANA route: 'ode' (exact two-time kernel) or 'conv'
-    (convolution approximation, solved in the phi-conjugated variable);
-    SGD/SHB/SDAHB use their closed kernels ('closed').  SHB needs n to map
-    onto its dimension-adjusted parameters.  A spectral problem may be
-    passed to replace the theoretical forcing with the realized one.
-    validate reruns the convolution solve by Picard iteration, started
-    from the march's passes, and records the disagreement in the
-    diagnostics.  A grid step at which the march is singular raises
-    NumericalError before any integration.  An MP
+    mode, of kernels.MODES, selects the SDANA route: 'ode' (exact two-time
+    kernel) or 'conv' (convolution approximation, solved in the
+    phi-conjugated variable); SGD/SHB/SDAHB take their closed kernels
+    ('closed') whatever it says, and meta's mode names the route taken.
+    SHB needs n to map onto its dimension-adjusted parameters.  A spectral
+    problem may be passed to replace the theoretical forcing with the
+    realized one.  validate reruns the convolution solve by Picard
+    iteration, started from the march's passes, and records the
+    disagreement in the diagnostics.  A grid step at which the march is
+    singular raises NumericalError before any integration.  An MP
     measure's quadrature_gap to the horizon is recorded as well; with
     size_rule the solve first takes the node count from the ladder
     instead (_sized_rule), and the solution's meta names the rule taken.
     """
-    if mode is not None:
-        mode = MODES.get(mode, mode)
-        if mode not in MODES.values():
-            raise ValueError("unknown solve mode %r; pick closed, ode or conv"
-                             % (mode,))
     check_scales(R, R_tilde)
     spec = params.kernel_spec(n=n, mode=mode)
     grid = time_grid(T, h)
@@ -671,7 +658,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             gap = quadrature_gap(spec, measure, grid[-1], R, R_tilde)
     lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
     norm = analysis.kernel_norm(params, measure)
-    if spec.mode == "ode_exact":
+    if spec.mode == "ode":
         nodes, weights = measure.points, measure.weights
         if spectral is not None:
             # each distinct value of both node sets once, its weight and
@@ -692,8 +679,7 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             F = build_forcing(measure, spec, R, R_tilde, half)
         # the SDANA approximation is solved for phi psi; the closed forms
         # for psi itself
-        phi = (_conjugating_phi(spec, half)
-               if spec.mode == "convolution_approx" else 1.0)
+        phi = _conjugating_phi(spec, half) if spec.mode == "conv" else 1.0
         I_vals = build_convolution_kernel(measure, spec, half)
         try:
             sol = solve_convolution(F, I_vals, grid, weight=phi)

@@ -87,7 +87,7 @@ def test_criterion_03_kernel_norms_and_thresholds():
         worst_exact = max(worst_exact,
                           abs(analysis.kernel_norm(params, mu) - want))
         taus = volterra.time_grid(400.0, 0.02)
-        kspec = params.kernel_spec(mode="convolution_approx"
+        kspec = params.kernel_spec(mode="conv"
                                    if params.name == "sdana" else None)
         I = volterra.build_convolution_kernel(mu, kspec, taus)
         worst_quad = max(worst_quad,
@@ -195,7 +195,7 @@ def test_criterion_08_kernel_identities_and_propagator_order():
             # mapped to continuous parameters, so draw those directly
             g1 = float(rng.uniform(0.05, 3.0))
             th = float(rng.uniform(0.1, 4.0))
-            spec = kernels.KernelSpec(g1, 0.0, th, "closed_form")
+            spec = kernels.KernelSpec(g1, 0.0, th, "closed")
             worst_closed = max(
                 worst_closed,
                 abs(float(kernels.forcing_matrix(spec, [lam], [0.0])[0, 0])

@@ -29,7 +29,7 @@ def atom(lam):
 def numeric_kernel_mass(params, measure, T=400.0, h=0.02, n=None):
     """||I|| by direct trapezoid integration of the stationary kernel."""
     taus = volterra.time_grid(T, h)
-    spec = params.kernel_spec(n=n, mode="convolution_approx"
+    spec = params.kernel_spec(n=n, mode="conv"
                               if params.name == "sdana" else None)
     I = volterra.build_convolution_kernel(measure, spec, taus)
     return float(np.trapezoid(I, taus))
@@ -144,7 +144,7 @@ def test_laplace_sdahb_matches_scipy_quad(x):
 def test_laplace_sdana_matches_scipy_quad(x):
     lam, g1, g2, theta = 0.9, 0.25, 1.0, 4.0
     mu = atom(lam)
-    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="convolution_approx")
+    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="conv")
     want = _quad_laplace(x, spec, lam, 300.0)
     got = analysis.laplace(x, spec, mu)
     assert got == pytest.approx(want, rel=1e-7)
@@ -154,7 +154,7 @@ def test_laplace_sdana_matches_scipy_quad(x):
 def test_laplace_mixed_law_matches_scipy_quad(x):
     # g1, g2 > 0 at constant Phi > 0: a law no named method has
     lam = 0.9
-    spec = kernels.KernelSpec(0.6, 0.5, 1.5, "closed_form")
+    spec = kernels.KernelSpec(0.6, 0.5, 1.5, "closed")
     want = _quad_laplace(x, spec, lam, 200.0)
     got = analysis.laplace(x, spec, atom(lam))
     assert got == pytest.approx(want, rel=1e-7)

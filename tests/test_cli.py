@@ -13,6 +13,7 @@ import pathlib
 import shlex
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -84,6 +85,29 @@ def test_simulate_svg(tmp_path):
     assert code == 0
     svg = out.with_suffix(".svg").read_text()
     assert "<svg" in svg and "polyline" in svg and "polygon" in svg
+
+
+# the solving commands' plots: predict, compare, and an all-zero curve,
+# which draws the frame over one decade and no point
+_SVG = {"predict": ["predict", "--algo", "sgd", "--T", "2"],
+        "compare": ["compare", "--algo", "sgd", "--n", "64", "--d", "32",
+                    "--epochs", "1", "--seeds", "2"],
+        "zero": ["predict", "--algo", "sgd", "--R", "0", "--Rtilde", "0",
+                 "--T", "5"]}
+
+
+@pytest.mark.parametrize("case", sorted(_SVG))
+def test_solve_svg(tmp_path, capsys, case):
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(_SVG[case] + ["--svg", "--out", str(out)], capsys)
+    assert code == 0, err
+    svg = out.with_suffix(".svg").read_text()
+    root = ET.fromstring(svg)
+    assert root.tag.endswith("svg") and "polyline" in svg
+    points = [p.get("points") for p in root.iter()
+              if p.tag.endswith("polyline")]
+    assert all(points) == (case != "zero")
+    assert ("polygon" in svg) == (case == "compare")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +198,34 @@ def test_predict_refuses_singular_march_before_forcing(tmp_path, capsys, mode):
     k0 = g2**2 * mu.integrate(np.square)
     assert "--h below 2/K(0) = %.6g" % (2.0 / k0) in err
     assert not out.exists()
+
+
+def test_predict_refuses_a_route_the_algorithm_lacks(tmp_path, capsys):
+    out = tmp_path / "psi.csv"
+    code, _, err = run_cli(["predict", "--algo", "sdana", "--mode", "closed",
+                            "--T", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == ("error: mode 'closed' unavailable for sdana "
+                   "(allowed: ode, conv)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algo,mode,route", [("sdana", "ode", "ode"),
+                                             ("sdana", "conv", "conv"),
+                                             ("sdana", None, "ode"),
+                                             ("sgd", "conv", "closed"),
+                                             ("sgd", None, "closed")])
+def test_predict_sidecar_names_the_route_taken(tmp_path, algo, mode, route):
+    # the sidecar's mode is the route taken, in --mode's names, beside the
+    # config echo of the mode given; a single-mode method takes its one
+    out = tmp_path / "psi.csv"
+    given = ["--mode", mode] if mode else []
+    assert run_cli(["predict", "--algo", algo, "--T", "1", "--out", str(out)]
+                   + given) == 0
+    meta = json.loads(out.with_suffix(".json").read_text())
+    assert meta["mode"] == route
+    assert meta["config"].get("mode") == mode
+    assert "method" not in meta
 
 
 def test_predict_conv_phi_out_of_range_points_to_ode(tmp_path, capsys):

@@ -50,7 +50,7 @@ def oracle_kernel(lam, gamma1, gamma2, Phi, s, grid):
 
 
 def const_spec(gamma1, gamma2, theta):
-    return kernels.KernelSpec(gamma1, gamma2, theta, "closed_form")
+    return kernels.KernelSpec(gamma1, gamma2, theta, "closed")
 
 
 def closed_forcing(lam, gamma1, gamma2, theta, grid):
@@ -196,7 +196,7 @@ def test_sdana_conv_kernel_is_late_time_limit():
     s = 60.0
     tau = np.linspace(0.0, 3.0, 31)
     want = oracle_kernel(lam, g1, g2, lambda t: theta / (1.0 + t), s, s + tau)
-    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="convolution_approx")
+    spec = momentum.sdana(g1, g2, theta).kernel_spec(mode="conv")
     got = kernels.kernel_matrix(spec, [lam], tau)[0]
     assert np.allclose(got, want, rtol=0.15, atol=5e-3)
 
@@ -367,7 +367,7 @@ def test_sdana_conv_kernel_birth_identities(lam):
     # at tau = 0 the stationary kernel starts from the two-time kernel's
     # initial data (kernel_ic): K(0) = g2^2 lam^2, K'(0) = 2 g2 lam^2 (g1 - g2^2 lam)
     g1, g2, eps = 0.25, 1.0, 1e-5
-    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="convolution_approx")
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="conv")
     K = lambda tau: float(kernels.kernel_matrix(spec, [lam], [tau])[0, 0])
     assert K(0.0) == pytest.approx(g2**2 * lam**2, rel=1e-8)
     slope = (K(eps) - K(-eps)) / (2.0 * eps)
@@ -393,7 +393,7 @@ def test_sdana_conv_kernel_at_turning_point(lam):
     # u(0) = -g2 and u'(0) + a u(0) = g2^2 lam / 2 - g1
     u = np.exp(-a * tau) * (-g2 * cos_ + (0.5 * g2**2 * lam - g1) * sin_)
     want = lam**2 * u**2
-    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="convolution_approx")
+    spec = momentum.sdana(g1, g2, 4.0).kernel_spec(mode="conv")
     got = kernels.kernel_matrix(spec, [lam], tau)[0]
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(want)
 
@@ -404,7 +404,7 @@ def _bit_cases():
     kernel; each lams mixes oscillating, overdamped and SGD-like nodes
     with nodes at and within 1e-9 of the turning point, out of order."""
     shb = momentum.shb(0.0005, 0.001).kernel_spec(n=1000)
-    sdana = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="convolution_approx")
+    sdana = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="conv")
     cases = {"sgd": (0.0, 0.7, 0.0), "sdahb": (0.5, 0.0, 1.0),
              "shb": (shb.gamma1, shb.gamma2, shb.theta),
              "mixed": _FAMILIES["mixed"], "sdana": (sdana.gamma1, sdana.gamma2,
@@ -446,7 +446,7 @@ def test_horizon_columns_are_the_matrices_columns():
         G, K0 = kernels.horizon_columns(spec, lams, t)
         assert np.array_equal(G, kernels.forcing_matrix(spec, lams, t))
         assert np.array_equal(K0, kernels.kernel_matrix(spec, lams, t))
-    conv = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="convolution_approx")
+    conv = momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="conv")
     G, K0 = kernels.horizon_columns(conv, lams, t, h=0.05)
     assert np.array_equal(K0, kernels.kernel_matrix(conv, lams, t))
     assert np.allclose(G, kernels.forcing_matrix(conv, lams, t), rtol=1e-12,

@@ -176,6 +176,18 @@ def test_load_csv_errors(tmp_path):
         lsq.load_csv(path)  # no target designated
     with pytest.raises(ValueError):
         lsq.load_csv(path, target_col="missing")
+    # each refusal of the reader and of the column split, by its message
+    for text, target, why in [
+            ("a,b,y\n1,2,3\n4,5\n", "y", "ragged row 3: 2 cells, expected 3"),
+            ("a,b,y\n1,2,3\n4,x,6\n", "y", "non-numeric cell in row 3"),
+            ("", "y", "empty file"),
+            ("a,b,y\n", "y", "no data rows"),
+            ("1,2\n3,4\n", 2, "target column 2 out of range"),
+            ("1,2\n3,4\n", -3, "target column -3 out of range"),
+            ("y\n1\n2\n", "y", "no feature columns left")]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=why):
+            lsq.load_csv(path, target_col=target)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

@@ -124,6 +124,28 @@ def test_continuous_parameter_map():
     assert spec.phi_kind == "power" and spec.theta == 4.0
 
 
+@pytest.mark.parametrize("params", [momentum.sgd(0.7),
+                                    momentum.sdana(0.25, 1.0, 4.0)])
+def test_kernel_spec_takes_the_route_names_only(params):
+    # kernels.MODES is the one list of route names, also for a
+    # single-mode record, which ignores a known name; the long names of
+    # earlier releases are refused like any other
+    for mode in ('closed_form', 'ode_exact', 'convolution_approx', ''):
+        with pytest.raises(ValueError, match="unknown solve mode %r; pick "
+                           "closed, ode, conv" % (mode,)):
+            params.kernel_spec(mode=mode)
+    for mode in params.algo.modes:
+        assert params.kernel_spec(mode=mode).mode == mode
+
+
+def test_kernel_spec_names_the_routes_a_record_allows():
+    with pytest.raises(ValueError, match=r"mode 'closed' unavailable for "
+                       r"sdana \(allowed: ode, conv\)"):
+        momentum.sdana(0.25, 1.0, 4.0).kernel_spec(mode="closed")
+    for mode in ("ode", "conv"):
+        assert momentum.sgd(0.7).kernel_spec(mode=mode).mode == "closed"
+
+
 def test_run_deterministic_and_seed_sensitive():
     p = lsq.generate_gaussian(20, 10, 1.0, 1.0, seed=1)
     a = momentum.run(p, momentum.sgd(0.5), epochs=2, seed=42)

@@ -38,7 +38,7 @@ def test_every_record_runs_through_every_consumer(name, mp2, tmp_path,
     assert ((spec.gamma1, spec.gamma2, spec.theta)
             == record.continuous(params.params, N))
     assert spec.mode == record.modes[0]
-    assert spec.phi_kind == ("const" if record.modes == ("closed_form",)
+    assert spec.phi_kind == ("const" if record.modes == ("closed",)
                              else "power")
 
     sol = volterra.predict(mp2, params, T=2.0, n=N)

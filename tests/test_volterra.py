@@ -130,7 +130,6 @@ def test_exponential_kernel_closed_form_picard():
     sol = volterra.solve_convolution(F, I, grid, method="picard")
     want = 2.0 - np.exp(-0.5 * grid)
     assert np.max(np.abs(sol.psi - want)) < 5e-7
-    assert sol.method == "picard"
     assert sol.diagnostics["picard_iters"] > 0
 
 
@@ -727,7 +726,7 @@ def test_predict_sdana_exact_vs_stationary_smoke(mp1):
     i0 = np.searchsorted(exact.grid, 15.0)
     rel = np.abs(exact.psi[i0:] - conv.psi[i0:]) / exact.psi[i0:]
     assert np.max(rel) < 0.25
-    assert exact.meta["mode"] == "ode_exact"
+    assert exact.meta["mode"] == "ode"
 
 
 def test_predict_forcing_value_at_zero(mp4):
@@ -878,7 +877,7 @@ def test_solution_write_read_roundtrip(tmp_path, mp2):
     side = volterra.sidecar_path(path)
     assert side.endswith(".json")
     blob = json.loads(open(side).read())
-    for key in ("algo", "params", "measure", "h", "method", "kernel_norm"):
+    for key in ("algo", "params", "measure", "h", "mode", "kernel_norm"):
         assert key in blob
     assert blob["algo"] == "sgd"
     assert blob["h"] == pytest.approx(volterra.DEFAULT_H)
@@ -973,6 +972,28 @@ def test_sized_rule_keeps_the_200_node_curve(algo, given, r, T, n, want):
     if want == 200:
         assert sized.psi.tobytes() == ref.psi.tobytes()
         assert sized.forcing.tobytes() == ref.forcing.tobytes()
+
+
+def test_sized_rule_skips_a_rung_off_the_mass_budget():
+    # at r = 0.8 the 50-node rule misses MASS_TOL, so the climb passes it
+    # by: the rule taken is the first rung that meets both the mass budget
+    # and the gap
+    base = spectrum.mp_measure(0.8)
+    params = momentum.defaults("sgd", base)
+    with pytest.raises(NumericalError, match="at 50 nodes"):
+        spectrum.mp_measure(0.8, 50)
+    spec, T = params.kernel_spec(), 10.0
+
+    def meets_both(nodes):
+        try:
+            rule = spectrum.mp_measure(0.8, nodes)
+        except NumericalError:
+            return False
+        return volterra.quadrature_gap(spec, rule, T) <= volterra.QUADRATURE_TOL
+    want = next(k for k in spectrum.NODE_LADDER if meets_both(k))
+    sol = volterra.predict(base, params, T, size_rule=True)
+    assert sol.meta["measure"]["nodes"] == want
+    assert sol.diagnostics["quadrature_gap"] <= volterra.QUADRATURE_TOL
 
 
 def test_quadrature_gap_reads_the_hard_edge_horizon(mp1):

@@ -32,8 +32,9 @@ EDGE_ATOM_TOL = 1e-12
 
 def kernel_norm(params, measure):
     """||I|| = int_0^inf I(tau) dtau = g2 m/2 + (g1/2) int lam/(g2 lam + Phi)
-    dmu over lam > 0, the second term skipped at g1 = 0.  SHB's n-scalings
-    cancel in it (gamma*m/(2 theta) either way), so it is read at n = 1."""
+    dmu over lam > 0, the second term skipped at g1 = 0, where it is 0 but
+    lam/(g2 lam) overflows at a subnormal g2.  SHB's n-scalings cancel in
+    it (gamma*m/(2 theta) either way), so it is read at n = 1."""
     spec = params.kernel_spec(1)
     g1, g2, lam = spec.gamma1, spec.gamma2, measure.points
     norm = 0.5 * g2 * measure.trace_moment()

@@ -96,11 +96,6 @@ class AlgoParams:
                 algo.name, ", ".join(algo.names), ", ".join(sorted(params))))
         self.params = _checked(algo.name, {k: params[k] for k in algo.names})
 
-    def discrete(self, n, k):
-        """(Gamma1, Gamma2, Delta(k)) of the recursion at problem size n,
-        read from the continuous-time law at n."""
-        return self.kernel_spec(n).discrete(n, k)
-
     def kernel_spec(self, n=None, mode=None):
         """The continuous-time law (SHB needs n) on solve route mode."""
         # a single-mode record has constant phi, where every route is exact
@@ -236,7 +231,7 @@ def run(problem, params, epochs, seed, samples_per_epoch=SAMPLES_PER_EPOCH):
                          "%r" % (1.0 / min(n, samples_per_epoch), n, epochs))
     ks = _sample_steps(n, epochs, samples_per_epoch)
     total = int(ks[-1])
-    g1, g2, deltas = params.discrete(n, np.arange(1, total + 1))
+    g1, g2, deltas = params.kernel_spec(n).discrete(n, np.arange(1, total + 1))
     deltas = np.broadcast_to(deltas, (total,))
     if deltas.size and (deltas.min() < 0.0 or deltas.max() > 1.0):
         theta = params.params["theta"]   # Delta(k) is linear in theta

@@ -656,9 +656,9 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
             measure, gap = _sized_rule(measure, spec, grid[-1], R, R_tilde)
         else:
             gap = quadrature_gap(spec, measure, grid[-1], R, R_tilde)
-    lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
     norm = analysis.kernel_norm(params, measure)
     if spec.mode == "ode":
+        lams, coef, const = _forcing_terms(measure, R, R_tilde, spectral)
         nodes, weights = measure.points, measure.weights
         if spectral is not None:
             # each distinct value of both node sets once, its weight and

@@ -40,6 +40,11 @@ def numeric_kernel_mass(params, measure, T=400.0, h=0.02, n=None):
 def test_kernel_norm_sgd_closed_form(mp2):
     got = analysis.kernel_norm(momentum.sgd(0.8), mp2)
     assert got == pytest.approx(0.8 * mp2.trace_moment() / 2.0, rel=1e-12)
+    # at a subnormal step the gamma1 = 0 term is skipped: lam/(g2 lam)
+    # would overflow, and 0 times it is no number
+    with np.errstate(all="raise"):
+        tiny = analysis.kernel_norm(momentum.sgd(1e-320), mp2)
+    assert tiny == 0.5 * 1e-320 * mp2.trace_moment()
 
 
 def test_kernel_norm_sdahb_closed_form(mp2):

@@ -85,6 +85,17 @@ def test_simulate_svg(tmp_path):
     assert code == 0
     svg = out.with_suffix(".svg").read_text()
     assert "<svg" in svg and "polyline" in svg and "polygon" in svg
+    # one sample time: the x axis spans one unit from it, and the curve is
+    # one point
+    code = run_cli(["simulate", "--algo", "sdahb", "--n", "20", "--d", "10",
+                    "--epochs", "0.05", "--seeds", "1", "--svg",
+                    "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 2
+    root = ET.fromstring(out.with_suffix(".svg").read_text())
+    points = [p.get("points") for p in root.iter()
+              if p.tag.endswith("polyline")]
+    assert len(points) == 1 and len(points[0].split()) == 1
 
 
 # the solving commands' plots: predict, compare, and an all-zero curve,
@@ -436,6 +447,21 @@ def test_compare_extends_grid_to_cover_all_samples(tmp_path):
     assert rows["t"][-1] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("span", [["--epochs", "10.15"],
+                                  ["--epochs", "0.15", "--T", "0.15"]])
+def test_compare_refuses_samples_past_the_grid(span, tmp_path, capsys):
+    # at n = 10 the last sample step rounds m*n/20 half up to even, so the
+    # last sample time is epochs + 0.05, past a grid that ends at epochs
+    out = tmp_path / "cmp.csv"
+    code, _, err = run_cli(["compare", "--algo", "sgd", "--n", "10",
+                            "--d", "5", "--seeds", "1", "--out", str(out)]
+                           + span, capsys)
+    assert code == 1
+    assert err == ("error: trajectory times fall outside the prediction "
+                   "grid; increase --T\n")
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -567,6 +593,15 @@ def test_config_invalid_json_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(["predict", "--config", str(cfg)], capsys)
     assert code == 1
     assert "error" in err
+    # a file that is not an object, and a value outside a flag's choices
+    for text, why in [
+            ("[1]", "config must be a flat JSON object"),
+            ('{"measure": "foo"}', "config key 'measure' must be one of mp, "
+                                   "esm, csv, got 'foo'")]:
+        cfg.write_text(text)
+        code, _, err = run_cli(["predict", "--config", str(cfg)], capsys)
+        assert code == 1
+        assert err == "error: %s\n" % why
 
 
 # ---------------------------------------------------------------------------
@@ -795,6 +830,11 @@ def test_sidecar_measure_round_trips_to_the_rule(tmp_path):
     side = json.loads(out.with_suffix(".json").read_text())
     assert side["measure"]["nodes"] == 50
     assert side["diagnostics"]["quadrature_gap"] <= volterra.QUADRATURE_TOL
+    # and keeps what its prediction reports: the route and every trust number
+    assert side["mode"] == "closed"
+    assert set(side["diagnostics"]) == {"quadrature_gap", "refinement_gap",
+                                        "residual"}
+    assert side["diagnostics"]["residual"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------

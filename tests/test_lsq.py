@@ -70,6 +70,14 @@ def test_losses_exact_zero_residual():
                                rtol=1e-13, atol=0)
 
 
+def test_problem_refuses_mismatched_lengths():
+    A = np.ones((3, 2))
+    with pytest.raises(ValueError, match="b must have length n"):
+        lsq.LsqProblem(A, np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="x0 must have length d"):
+        lsq.LsqProblem(A, np.zeros(3), np.zeros(3))
+
+
 def test_esm_matches_eigvalsh():
     p = lsq.generate_gaussian(30, 18, 1.0, 1.0, seed=5)
     eigs = np.linalg.eigvalsh(p.A @ p.A.T)

@@ -47,7 +47,7 @@ def test_recursion_matches_hand_loop_all_algorithms():
         y = np.zeros(p.d)
         got = {}
         for k in range(1, total + 1):
-            g1, g2, delta = params.discrete(n, k)
+            g1, g2, delta = params.kernel_spec(n).discrete(n, k)
             row = p.A[idx[k - 1]]
             g = (row @ x - p.b[idx[k - 1]]) * row
             y = (1.0 - delta) * y + g1 * g
@@ -87,12 +87,15 @@ def test_defaults_table(mp1):
     assert d.params["theta"] == 4.0
     with pytest.raises(ValueError):
         momentum.defaults("shb", mp1)
+    with pytest.raises(ValueError, match="^unknown algorithm 'adam'; choose "
+                       "sgd, shb, sdahb, sdana$"):
+        momentum.algorithm("adam")
 
 
 def test_schedule_values():
     n = 100
     ks = np.array([1, 10, 50])
-    delta = lambda params: params.discrete(n, ks)[2]
+    delta = lambda params: params.kernel_spec(n).discrete(n, ks)[2]
     # SGD's law has theta = 0; with Gamma1 = 0 its buffer never moves
     assert np.all(delta(momentum.sgd(0.5)) == 0.0)
     assert np.all(delta(momentum.shb(0.1, 0.3)) == 0.3)
@@ -184,7 +187,7 @@ def _per_sample_run(p, params, epochs, seed):
     y = np.zeros(p.d)
     times, vals = [], []
     for k in range(1, total + 1):
-        g1, g2, delta = params.discrete(n, k)
+        g1, g2, delta = params.kernel_spec(n).discrete(n, k)
         row = p.A[idx[k - 1]]
         g = (row @ x - p.b[idx[k - 1]]) * row
         y = (1.0 - delta) * y + g1 * g

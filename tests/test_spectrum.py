@@ -124,6 +124,17 @@ def test_support_edges_skip_empty_atoms():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         spectrum.SpectralMeasure("discrete", [1.0, 2.0], [1.2, -0.2], 0.0)
+    # an unknown kind, mismatched arrays and a point that is not positive
+    for args, why in [
+            (("atoms", [1.0], [1.0], 0.0), "unknown measure kind 'atoms'"),
+            (("discrete", [1.0, 2.0], [1.0], 0.0),
+             "points and weights must be matching 1-d arrays"),
+            (("discrete", [[1.0]], [[1.0]], 0.0),
+             "points and weights must be matching 1-d arrays"),
+            (("discrete", [0.0, 2.0], [0.5, 0.5], 0.0),
+             "support points must be strictly positive")]:
+        with pytest.raises(ValueError, match=why):
+            spectrum.SpectralMeasure(*args)
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,7 +71,7 @@ def test_discrete_map_is_the_kernel_specs_law(name, n, mp2):
     params = row(name, mp2)
     spec = params.kernel_spec(n)
     ks = np.arange(1, 10 * n + 1)
-    g1, g2, delta = params.discrete(n, ks)
+    g1, g2, delta = spec.discrete(n, ks)
     assert n * g1 == pytest.approx(spec.gamma1, rel=1e-14, abs=0.0)
     assert g2 == spec.gamma2
     np.testing.assert_allclose(n * np.broadcast_to(delta, ks.shape),

@@ -168,6 +168,8 @@ def test_warm_and_cold_picard_reach_one_fixed_point(refine):
     with pytest.raises(ValueError, match="seeds a Picard solve"):
         volterra.solve_convolution(F, I, grid, refine=refine,
                                    start=march.passes)
+    with pytest.raises(ValueError, match="^unknown solver method 'newton'$"):
+        volterra.solve_convolution(F, I, grid, method="newton", refine=refine)
 
 
 def test_refinement_improves_order():
@@ -885,6 +887,11 @@ def test_solution_write_read_roundtrip(tmp_path, mp2):
     assert np.allclose(back.psi, sol.psi)
     assert np.allclose(back.forcing, sol.forcing)
     assert back.meta["algo"] == "sgd"
+    # a trajectory CSV is not a solution
+    path.write_text("t,mean,q10,q90\n0,1,1,1\n")
+    with pytest.raises(ValueError, match=r"^expected header t,F,psi, got "
+                       r"\['t', 'mean', 'q10', 'q90'\]$"):
+        volterra.VolterraSolution.read(path)
 
 
 def test_sidecar_is_strict_json(tmp_path):

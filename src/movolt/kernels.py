@@ -29,14 +29,17 @@ tables by angle addition, to within 4 eps (|a| + |b|)(1 + s x); the real
 exponentials are evaluated at every point.  SDANA's power schedule
 Phi(t) = theta/(1+t) is carried by moment maps, S -> M S M^T per step, M
 the closed-form 2x2 exponential of a fourth-order Magnus step of B.  The
---mode conv forcing (_carried_columns) and the exact kernel's sweep (its
-look-ahead too) take the 3x3 maps of a block of intervals at a time from
-block_maps, each block from one interval_maps call.  horizon_columns
-gives G and the kernel born at 0 at a few times from _squares and
-_carried_columns, for the check that sizes an MP rule to the horizon.
-States are component-major, (3, ..., n_lam), so that a step is one einsum
-over the component axis.  Every state stays O(1): there is no
-phi(t)^2 ~ t^(2 theta) growth anywhere.
+--mode conv forcing (_carried_columns) takes the 3x3 maps of a block of
+intervals at a time from block_maps, each block from one interval_maps
+call.  The exact kernel's sweep takes each interval's 2x2 map, the
+product of its Magnus steps, from interval_exps, a chunk of intervals a
+call (SdanaExactKernel.maps), and carries its states across a block of
+intervals per advance, through the product of their maps.
+horizon_columns gives G and the kernel born at 0 at a few times from
+_squares and _carried_columns, for the check that sizes an MP rule to
+the horizon.  States are component-major, (3, ..., n_lam), so that a
+step is one einsum over the component axis.  Every state stays O(1):
+there is no phi(t)^2 ~ t^(2 theta) growth anywhere.
 """
 
 from dataclasses import dataclass
@@ -339,19 +342,67 @@ def _carry(state, Q):
     return state
 
 
-def interval_maps(lams, spec, t, h_max):
-    """The moment maps of the intervals between consecutive times t, all
-    from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries a
-    state from t[k] to t[k + 1] in max(1, ceil((t[k + 1] - t[k])/h_max))
-    equal Magnus steps, each S -> M S M^T."""
+def _substeps(t, h_max):
+    """(counts, starts, h): the Magnus steps between consecutive times t,
+    max(1, ceil((t[k + 1] - t[k])/h_max)) equal ones per interval, their
+    start times and their lengths."""
     t = np.asarray(t, dtype=float)
     dt = t[1:] - t[:-1]
     counts = np.maximum(1, np.ceil(dt / h_max - 1e-12)).astype(int)
+    if counts.max(initial=1) == 1:
+        return counts, t[:-1], dt
     h = np.repeat(dt / counts, counts)
     ends = np.cumsum(counts)
     k = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
-    Q = _moment_maps(lams, spec, np.repeat(t[:-1], counts) + k * h, h)
+    return counts, np.repeat(t[:-1], counts) + k * h, h
+
+
+def interval_maps(lams, spec, t, h_max):
+    """The moment maps of the intervals between consecutive times t, all
+    from one _moment_maps call: the k-th, (3, 3, steps, n_lam), carries a
+    state from t[k] to t[k + 1] in the _substeps of h_max, each
+    S -> M S M^T."""
+    counts, starts, h = _substeps(t, h_max)
+    Q = _moment_maps(lams, spec, starts, h)
+    ends = np.cumsum(counts)
     return [Q[:, :, a - n:a] for a, n in zip(ends.tolist(), counts.tolist())]
+
+
+# Magnus steps times nodes per _magnus_exp call of interval_exps and per
+# interval_maps call of horizon_columns.  The exact sweep's maps calls
+# hold 4 values per step, so each array stays near 100 KB, which a
+# long-running process takes from its heap; at 205 KB the benchmark's
+# process faulted fresh pages in at every call.  At 16 intervals of 300
+# nodes a horizon_columns call, the sdana-ode benchmark's peak RSS read
+# about 0.5 MB higher
+STEP_BLOCK = 3200
+
+
+def interval_exps(lams, spec, t, h_max):
+    """The 2x2 maps of the intervals between consecutive times t, shape
+    (n_int, 2, 2) + lams.shape: the k-th carries (rho, omega) from t[k] to
+    t[k + 1], the product of its _substeps of h_max, later steps on the
+    left.  The steps come from _magnus_exp calls of at most STEP_BLOCK
+    values each.  An overflow shows up as non-finite entries."""
+    lams = np.asarray(lams, dtype=float)
+    counts, starts, h = _substeps(t, h_max)
+    steps = np.empty((len(starts), 2, 2) + lams.shape)
+    piece = max(1, STEP_BLOCK // max(lams.size, 1))
+    for lo in range(0, len(starts), piece):
+        at = slice(lo, lo + piece)
+        m11, m12, m21, m22 = _magnus_exp(lams, spec, starts[at], h[at])
+        steps[at, 0, 0], steps[at, 0, 1] = m11, m12
+        steps[at, 1, 0], steps[at, 1, 1] = m21, m22
+    if len(counts) == len(starts):
+        return steps
+    first = np.cumsum(counts) - counts
+    out = steps[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, int(counts.max())):
+            at = np.flatnonzero(counts > k)
+            out[at] = np.einsum("irj...,ijc...->irc...", steps[first[at] + k],
+                                out[at])
+    return out
 
 
 # intervals whose moment maps block_maps takes from one call of maps.
@@ -458,13 +509,6 @@ def kernel_matrix(spec, lams, taus):
     return _squares(spec, lams, _lattice(taus), impulse=True)
 
 
-# intervals times nodes per interval_maps call of horizon_columns: a
-# MAP_BLOCK block of a 200-node sweep.  At 16 intervals of 300 nodes a
-# call, the sdana-ode benchmark's peak RSS read about 0.5 MB higher, in
-# the same time
-HORIZON_BLOCK = 3200
-
-
 def horizon_columns(spec, lams, t, h=1.0):
     """(G, K0), each an (n_lam, n_t) matrix: the forcing G^(lam) and the
     kernel K_0^(lam) born at s = 0, at times t that start at 0 and
@@ -474,7 +518,7 @@ def horizon_columns(spec, lams, t, h=1.0):
     so they are those matrices' values bit for bit; a power schedule takes
     the _carried_columns of forcing_ic and, for the exact two-time kernel,
     kernel_ic, stacked, on a grid of steps of at most h that holds every
-    t, HORIZON_BLOCK values at a time.  A state that overflows gives
+    t, STEP_BLOCK values at a time.  A state that overflows gives
     non-finite values."""
     lams = np.asarray(lams, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -494,30 +538,35 @@ def horizon_columns(spec, lams, t, h=1.0):
         with np.errstate(over="ignore", invalid="ignore"):
             first = np.array(list(_carried_columns(
                 spec, lams, state, steps, h,
-                max(1, HORIZON_BLOCK // lams.size), keep.tolist())))
+                max(1, STEP_BLOCK // lams.size), keep.tolist())))
         G = 0.5 * first[:, 0].T
         if exact:
             return G, lams[:, None] ** 2 * first[:, 1].T
     return G, _squares(spec, lams, lattice, impulse=True)
 
 
+# a moment state (rho^2, rho omega, omega^2) as the entries of its
+# symmetric 2x2 form, and back
+_SYMMETRIC = np.array([0, 1, 1, 2])
+_MOMENTS = np.array([0, 1, 3])
+
+
 class SdanaExactKernel:
     """Separable representation of the exact two-time SDANA kernel.
 
-    Its data are ic, the nodes' moment states at their birth, kernel_ic's
-    state, the same for every birth time s, and agg, the weights times
+    Its data are impulse, the gradient-noise impulse (rho, omega) =
+    (-g2, 1) of every node, shape (2, n_lam), the same for every birth
+    time s; ic, its moment state, kernel_ic's; and agg, the weights times
     lam^2.  K_s(t), aggregated over the spectral measure, is agg @ state[0]
-    once the states born at s are carried to t through interval maps.
-    The Volterra marcher exploits this: it keeps one
-    moment state per node and march pass, injects the trapezoid impulse
-    weight*ic*psi_j at each grid node, and advances everything together:
-    O(grid) Magnus steps in total instead of one solve per (s, t) pair.
-    The forcing's states start from forcing_ic and ride in the same stack:
-    one advance per half-step interval carries the forcing and both march
-    passes.  States are component-major, (3, ..., n_lam); maps gives
-    interval_maps of a block of intervals, and advance applies one of
-    them.  h is the longest Magnus step taken in one piece,
-    PROPAGATOR_STEP unless given.
+    once the states born at s are carried to t, or agg @ (e0^T M v)^2 with
+    M the 2x2 map from s to t and v the impulse.  The Volterra marcher
+    exploits this: it keeps one moment state per node and march pass,
+    carried across a block of nodes at a time, and solves each block's
+    nodes from the in-block kernel: O(grid) Magnus steps in total instead
+    of one solve per (s, t) pair.  maps gives the 2x2 interval_exps of a
+    run of intervals, and advance carries a stack of moment states through
+    one 2x2 map, an interval's or a block's product of them.  h is the
+    longest Magnus step taken in one piece, PROPAGATOR_STEP unless given.
     """
 
     def __init__(self, spec, lams, weights, h=PROPAGATOR_STEP):
@@ -527,14 +576,21 @@ class SdanaExactKernel:
         self.lams = np.asarray(lams, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.h = h
+        self.impulse = np.stack([np.full(self.lams.shape, -spec.gamma2),
+                                 np.ones(self.lams.shape)])
         self.ic = kernel_ic(self.lams, spec.gamma2)
         self.agg = self.weights * self.lams**2
 
     def maps(self, t):
-        """interval_maps of the intervals between consecutive times t."""
-        return interval_maps(self.lams, self.spec, t, self.h)
+        """interval_exps of the intervals between consecutive times t: the
+        k-th entry, (2, 2, n_lam), is the map from t[k] to t[k + 1]."""
+        return interval_exps(self.lams, self.spec, t, self.h)
 
     def advance(self, state, t0, t1, maps):
         """Carry moment states of shape (3, ..., n_lam) from t0 to t1 through
-        maps, the interval's entry of self.maps."""
-        return _carry(state, maps)
+        maps, the 2x2 map M from t0 to t1 of shape (2, 2, n_lam): an entry
+        of self.maps, or the product of consecutive entries.  S -> M S M^T
+        is one einsum on the symmetric 2x2 form of S."""
+        S = state.take(_SYMMETRIC, axis=0).reshape((2, 2) + state.shape[1:])
+        S = np.einsum("rc...,cd...,sd...->rs...", maps, S, maps)
+        return S.reshape((4,) + S.shape[2:]).take(_MOMENTS, axis=0)

@@ -190,7 +190,11 @@ def esm_from_eigenvalues(eigenvalues):
     merge into a single weighted atom.
     """
     eigs = fold_zeros(eigenvalues)
-    positive = eigs[eigs > 0.0]
-    vals, counts = np.unique(positive, return_counts=True)
+    # sorted and merged by hand: np.unique imports numpy.ma, which adds
+    # about 1 MB to a process's peak RSS
+    positive = np.sort(eigs[eigs > 0.0])
+    starts = np.flatnonzero(np.diff(positive, prepend=0.0) > 0.0)
+    vals = positive[starts]
+    counts = np.diff(starts, append=positive.size)
     return SpectralMeasure(DISCRETE_KIND, vals, counts / eigs.size,
                            (eigs.size - positive.size) / eigs.size)

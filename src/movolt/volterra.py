@@ -9,7 +9,8 @@ contributions of every spectral node and K is the interaction kernel.
 For SGD/SHB/SDAHB (and the SDANA convolution approximation) the kernel is
 convolution type, K_s(t) = I(t - s), and one trapezoid-marching pass
 solves the discretized equation exactly; the exact SDANA kernel is
-two-time and is marched with a per-node moment state instead.
+two-time and is marched a block of nodes at a time with a per-node
+moment state instead.
 """
 
 import collections
@@ -467,12 +468,14 @@ def _picard_convolution(F, I_vals, h, I_hat, start=None):
 def solve_general(F, kernel, grid, refine=True):
     """Solve psi(t) = F(t) + int_0^t K_s(t) psi(s) ds by trapezoid marching.
 
-    kernel is a separable-state object exposing ic, agg, maps and advance
-    (the exact SDANA kernel): K_s(t) is agg @ state[0] for the per-node
-    states born at s in ic, the same for every s, and carried from s to t
-    by advance(state, t0, t1, maps), each interval through its entry of
-    maps(nodes), so the march keeps one state per spectral node instead of
-    one solve per (s, t) pair.
+    kernel is a separable-state object exposing impulse, ic, agg, maps and
+    advance (the exact SDANA kernel): K_s(t) is agg @ (e0^T M v)^2 for the
+    per-node impulses v born at s in impulse, the same for every s, with
+    M the 2x2 map from s to t, the product of maps(nodes)' entries over
+    the intervals between; ic is the impulses' moment state and
+    advance(state, t0, t1, M) carries moment states through M, so that
+    K_s(t) is agg @ state[0] for ic carried from s to t.  The march keeps
+    one state per spectral node instead of one solve per (s, t) pair.
     refine also marches the half-step grid and Richardson-extrapolates,
     matching solve_convolution's accuracy; one forward sweep of the
     half-step grid advances the states of both passes together.  Both
@@ -502,6 +505,28 @@ def _sweep_nodes(grid, refine):
     return grid[0] + 0.5 * _uniform_step(grid) * np.arange(2 * len(grid) - 1)
 
 
+# half-step nodes per block of the separable march, even so that every
+# block starts on a node of the coarse pass: each block takes one
+# triangular solve of its nodes and one advance of the carried states
+_SWEEP_BLOCK = 8
+# intervals whose blocks the separable march prepares together; a
+# multiple of _SWEEP_BLOCK.  The chunk's buffers take about 12 KB per
+# interval at 100 nodes: with 128-interval chunks, a little faster, the
+# sdana-ode benchmark's peak RSS read 2.0 MB above the node-by-node
+# march's, and with 64 0.9 MB
+_SWEEP_CHUNK = 64
+
+# what the separable march needs of one block of nodes lo+1 .. lo+L that
+# psi does not enter: the readout rows, (L, 3 n_lam), of the states
+# carried from lo; solve and offset, which give the block's psi, pass 0's
+# then pass 1's, as solve @ sums.ravel() + offset from the readout sums
+# (L, columns of the stack); each pass's impulses, born at its nodes and
+# carried to the block's end, (nodes, 3 n_lam); the 2x2 map across the
+# block; and its intervals' 2x2 maps, for _node_by_node
+_Block = collections.namedtuple("_Block",
+                                "lo rows solve offset impulses carry maps")
+
+
 def _march_separable(F, K, nodes, stride):
     """Trapezoid-march nodes and, with stride 2, every second node too, in
     one forward sweep; returns the forcing on nodes and each pass's psi,
@@ -514,16 +539,26 @@ def _march_separable(F, K, nodes, stride):
     current node (the half weight at j = i sits in the divisor, with
     K(0) = agg @ ic[0]).  A StateForcing's state rides in the same stack,
     component-major: state[:, p] is pass p's, state[:, -1] the forcing's.
-    kernels.block_maps takes the kernel's maps of kernels.MAP_BLOCK
-    intervals at a time, and advance applies one per interval.  At each
-    node one product np.dot(state[0], W) gives every pass's kernel sum,
-    from W's column agg, and the forcing, from its column of the halved
-    coef; the live passes, pass 0 and at every second node pass 1, take
-    their psi in Python floats and their impulses ic psi in one array
-    op.  Each node checks the forcing first; and as when the forcing was
-    integrated before the march, a forcing failure anywhere on the grid
-    outranks a march failure: the look-ahead carries the forcing's state
-    on through the same block maps.
+    The sweep goes a block of _SWEEP_BLOCK nodes at a time, the separable
+    kernel's counterpart of the block recursion of Hairer, Lubich &
+    Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  At a block's nodes
+    one readout of the carried states gives the forcing and each pass's
+    history; the births inside the block enter through the in-block
+    kernel, and the block's psi is one product with the inverse of its
+    lower-triangular trapezoid system, both passes at once.  One advance
+    then carries the stack across the block, and one product per pass
+    adds the block's impulses, carried to its end.  _sweep_blocks
+    prepares everything psi does not enter ahead, from the kernel's maps
+    of _SWEEP_CHUNK intervals at a time.
+
+    A block whose psi or carried states read a value that is not finite,
+    or psi one large enough that its history might not be, is marched
+    again node by node (_node_by_node), so that a failure is named where
+    the per-node march names it: at its first node, the forcing first,
+    then pass 0 before pass 1.  As when the forcing was integrated before
+    the march, a forcing failure anywhere on the grid outranks a march
+    failure: the look-ahead carries the forcing's state on through the
+    later blocks.
     """
     h = _uniform_step(nodes)
     strides = (1, 2)[:stride]
@@ -531,47 +566,248 @@ def _march_separable(F, K, nodes, stride):
     ode = isinstance(F, StateForcing)
     ic, agg = K.ic, K.agg
     state = np.zeros(ic.shape[:1] + (stride + ode,) + ic.shape[1:])
-    maps = kernels.block_maps(K.maps, nodes)
-    W = agg[:, None]
+    # the readout of each column of the stack: rows @ weighted gives each
+    # pass's carried history and the forcing's G at a block's nodes
+    readout = np.stack([agg] * (stride + ode))
+    weighted = np.empty((len(readout),) + ic.shape)
+    # the forcing known before the sweep, the blocks' part of psi that the
+    # readout does not give
+    forcing, known = None, F
     if ode:
         state[:, -1] = kernels.forcing_ic(K.lams)
         # G is half of rho^2: the half goes into coef once
         forcing = F._replace(coef=0.5 * F.coef)
-        W = np.stack([agg, forcing.coef], axis=1)
+        readout[-1] = forcing.coef
+        known = np.full(len(nodes), forcing.const)
         F = np.empty(len(nodes))
         F[0] = (_forcing_at(K, forcing, state[:, -1], nodes[0])
                 if forcing.start is None else forcing.start)
     psis = [np.full(len(nodes[::s]), F[0]) for s in strides]
     denoms = [_march_divisor(step, float(agg @ ic[0])) for step in steps]
-    impulse = ic[:, None]   # broadcast over the passes
-    state[:, :stride] = 0.5 * impulse * F[0]
-    psi = np.empty((stride, 1))     # the live passes' new values
+    state[:, :stride] = 0.5 * ic[:, None] * F[0]
+    blocks = _sweep_blocks(K, nodes, known, ode, steps, denoms)
+    # a block with psi this large may hold a history, before the step and
+    # the divisor, that is not finite: such a block, and one whose carried
+    # states are not, is marched again node by node
+    bound = min(1e-8 * min(steps) * np.finfo(float).max, 1e150) ** 2
     # an overflow shows up as a non-finite F or psi, which raises at its node
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, Q in enumerate(maps, 1):
-            state = K.advance(state, nodes[k - 1], nodes[k], Q)
-            sums = np.dot(state[0], W).tolist()
-            if ode:
-                f = forcing.const + sums[-1][1]
-                if not math.isfinite(f):
-                    raise kernels.nonfinite_forcing(nodes[k], K.spec)
-                F[k] = f
+        for block in blocks:
+            lo, hi = block.lo, block.lo + len(block.rows)
+            np.multiply(state.transpose(1, 0, 2), readout[:, None],
+                        out=weighted)
+            sums = block.rows @ weighted.reshape(len(readout), -1).T
+            new = block.solve @ sums.ravel() + block.offset
+            square = new @ new
+            new = [new[:hi - lo], new[hi - lo:]][:stride]
+            end = K.advance(state, nodes[lo], nodes[hi], block.carry)
+            for p, x in enumerate(new):
+                end[:, p] += (x @ block.impulses[p]).reshape(ic.shape)
+            if square <= bound and math.isfinite(end.sum()):
+                if ode:
+                    F[lo + 1:hi + 1] = forcing.const + sums[:, -1]
             else:
-                f = F[k]
-            # the passes live at node k are a prefix: pass 1 at even k
-            live = 2 if stride == 2 and k % 2 == 0 else 1
-            for p in range(live):
-                value = (f + steps[p] * sums[p][0]) / denoms[p]
-                if not math.isfinite(value):
-                    # a forcing failure further on outranks this one
-                    u = state[:, -1]
-                    for j, Q in enumerate(maps if ode else (), k + 1):
-                        u = K.advance(u, nodes[j - 1], nodes[j], Q)
-                        _forcing_at(K, forcing, u, nodes[j])
-                    raise _nonfinite_at(k >> p, steps[p])
-                psis[p][k >> p] = psi[p] = value
-            state[:, :live] += impulse * psi[:live]
+                new, end, failure = _node_by_node(K, block, state, F, forcing,
+                                                  steps, denoms, nodes)
+                if failure is not None:
+                    if ode:
+                        _look_ahead(K, forcing, end[:, -1:], blocks, nodes)
+                    raise failure
+            for p, x in enumerate(new):
+                psis[p][(lo >> p) + 1:(lo >> p) + 1 + len(x)] = x
+            state = end
     return F, psis
+
+
+def _sweep_blocks(K, nodes, F, ode, steps, denoms):
+    """The _Block of every block of the separable march over nodes, in
+    order: _SWEEP_BLOCK nodes each, and the last block the rest; F is the
+    forcing on the nodes, const on an ode route.  Each chunk of
+    _SWEEP_CHUNK intervals prepares its blocks together (_chunk_blocks),
+    in buffers that every chunk reuses: a chunk is prepared once the last
+    one's blocks are done with.  Its maps come from K.maps calls of whole
+    blocks and at most kernels.STEP_BLOCK values each: in the benchmark's
+    process, a chunk's maps in one array (205 KB at 100 nodes) came from
+    the system afresh at every call, 50 page faults a chunk."""
+    count = len(nodes) - 1
+    size = _SWEEP_BLOCK
+    blocks = -(-min(count, _SWEEP_CHUNK) // size)
+    n = K.impulse.shape[1]
+    # work["maps"][i, :, :, b]: the map of block b's i-th interval
+    work = {"maps": np.empty((size, 2, 2, blocks, n)),
+            "x": np.empty((2, 2, size + 1, blocks * n)),
+            "rows": np.empty((blocks, size, 3, n)),
+            "impulses": np.empty((blocks, size, 3, n)),
+            "kern": np.empty((size, size, blocks))}
+    piece = min(_SWEEP_CHUNK,
+                max(size, kernels.STEP_BLOCK // n // size * size))
+    for lo in range(0, count, _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, count)
+        for a in range(lo, hi, piece):
+            maps = K.maps(nodes[a:min(a + piece, hi) + 1])
+            # the piece's whole blocks, then the short last block's maps
+            first, (whole, rest) = (a - lo) // size, divmod(len(maps), size)
+            work["maps"][:, :, :, first:first + whole] = maps[
+                :whole * size].reshape(whole, size, 2, 2, n).transpose(
+                    1, 2, 3, 0, 4)
+            if rest:
+                work["maps"][:rest, :, :, first + whole] = maps[whole * size:]
+        whole, rest = divmod(hi - lo, size)
+        for first, length, number in ((0, size, whole), (whole, rest, 1)):
+            if length and number:
+                # blocks and nodes on one axis: block 0's nodes, 1's, ...
+                blocked = work["maps"][:length, :, :, first:first + number]
+                yield from _chunk_blocks(
+                    K, blocked.reshape(length, 2, 2, -1), lo + first * size,
+                    number, F, ode, steps, denoms, work)
+
+
+def _chunk_blocks(K, blocked, lo, count, F, ode, steps, denoms, work):
+    """The _Blocks of count consecutive blocks from node lo, blocked[i]
+    the maps of their i-th intervals, all blocks at once, in the buffers
+    of work; F is the forcing on the nodes, const on an ode route.
+
+    One forward recurrence over the blocks' nodes carries the 2x2 map
+    from a block's start (its columns, the readout rows' source) and
+    each in-block birth's impulse, node by node, to the block's end: no
+    map is inverted.  At node i the impulse born at node j < i gives the
+    in-block kernel agg @ (e0^T M v)^2, and at the end each birth's
+    moment state."""
+    size = len(blocked)
+    n = blocked.shape[-1] // count
+    # x[:, c]: column c of the map from a block's start, for c < 2, else
+    # the impulse born at its in-block node c - 1; each step writes the
+    # other of the two buffers.  The impulse born at the block's end is
+    # the kernel's impulse itself
+    x = work["x"][:, :, :size + 1, :count * n]
+    x[:, :, :2] = np.eye(2)[:, :, None]
+    x[:, :, 2:] = np.tile(K.impulse, count)[:, None]
+    # rows[b, i]: (p00^2, 2 p00 p01, p01^2), the first row (p00, p01) of
+    # the map to in-block node i read out on moment states
+    rows = work["rows"][:count, :size]
+    row = rows.transpose(1, 2, 0, 3)
+    # kern[i, j, b]: block b's kernel at node i from the birth at node j
+    kern = work["kern"][:size, :size, :count]
+    kern[...] = 0.0
+    for i, m in enumerate(blocked):
+        new = x[1 - i % 2, :, :i + 2]
+        np.einsum("rcz,ckz->rkz", m, x[i % 2, :, :i + 2], out=new)
+        row[i, :2] = new[0, :2].reshape(2, count, n)
+        np.matmul(np.square(new[0, 2:]).reshape(i, count, n), K.agg,
+                  out=kern[i, :i])
+    np.square(row[:, 1], out=row[:, 2])
+    row[:, 1] *= row[:, 0]
+    row[:, 1] *= 2.0
+    np.square(row[:, 0], out=row[:, 0])
+    end = x[size % 2]
+    born = end[:, 2:].reshape(2, size - 1, count, n).transpose(0, 2, 1, 3)
+    impulses = work["impulses"][:count, :size]
+    for c, (r, s) in enumerate(((0, 0), (0, 1), (1, 1))):
+        np.multiply(born[r], born[s], out=impulses[:, :-1, c])
+    impulses[:, -1] = K.ic
+    kern = kern.transpose(2, 0, 1)
+    solve, offset = _block_solves(kern, F[lo + 1:lo + 1 + count * size],
+                                  ode, steps, denoms)
+    for b in range(count):
+        impulse = impulses[b].reshape(size, -1)
+        at = slice(b * n, (b + 1) * n)
+        yield _Block(lo + b * size, rows[b].reshape(size, -1), solve[b],
+                     offset[b], (impulse, impulse[1::2]), end[:, :2, at],
+                     blocked[:, :, :, at])
+
+
+def _block_solves(kern, F, ode, steps, denoms):
+    """(solve, offset) of blocks with in-block kernels kern, (count, L, L),
+    and forcing F at their nodes (const on an ode route): the psi of a
+    block's nodes, pass 0's then pass 1's every second one, is
+    solve @ sums.ravel() + offset, where sums[i, p] is pass p's carried
+    history at node i and, on an ode route, sums[i, -1] the forcing's G.
+    Pass p's psi solves (denom I - step kern) psi = F + step sums[:, p]
+    (+ sums[:, -1]) on its nodes, and the inverse is
+    _unit_lower_inverse's."""
+    count, size = kern.shape[:2]
+    F = F.reshape(count, size)
+    q = len(steps) + ode
+    strides = (1, 2)[:len(steps)]
+    solve = np.zeros((count, sum(size // s for s in strides), size, q))
+    offset = np.empty(solve.shape[:2])
+    top = 0
+    for p, (s, step, denom) in enumerate(zip(strides, steps, denoms)):
+        at, on = slice(top, top + size // s), slice(s - 1, None, s)
+        inverse = _unit_lower_inverse(step / denom * kern[:, on, on]) / denom
+        solve[:, at, on, p] = step * inverse
+        if ode:
+            solve[:, at, on, -1] = inverse
+        offset[:, at] = (inverse @ F[:, on, None])[..., 0]
+        top += size // s
+    return solve.reshape(count, top, -1), offset
+
+
+def _unit_lower_inverse(N):
+    """(I - N)^-1 for a stack of strictly lower-triangular matrices N:
+    N^size = 0, so it is (I + N)(I + N^2)(I + N^4)... to N^(size - 1);
+    where N >= 0, as the separable march's is, no term cancels."""
+    eye = np.eye(N.shape[-1])
+    inv = eye + N
+    for _ in range(1, (N.shape[-1] - 1).bit_length()):
+        N = N @ N
+        inv = inv @ (eye + N)
+    return inv
+
+
+def _node_by_node(K, block, state, F, forcing, steps, denoms, nodes):
+    """The march across block one node at a time from the carried stack
+    state, each interval through its own map: at each node the forcing,
+    const + coef @ G on an ode route (forcing not None), and then each
+    live pass's psi = (F + step agg @ state[0]) / denom, whose impulse
+    ic psi its state then takes.  A block whose fast solve read a value
+    that is not finite, or nearly so, is marched again this way, so that
+    a failure is named where the march states it.  Raises
+    nonfinite_forcing at the first non-finite forcing and writes F on an
+    ode route; returns (each pass's psi, the stack at the block's end,
+    None), or with the _nonfinite_at error of the first node, pass 0
+    before pass 1, whose psi is not finite in place of None, the stack's
+    forcing still carried to the end."""
+    strides = (1, 2)[:len(steps)]
+    new = [np.empty(len(range(s - 1, len(block.maps), s))) for s in strides]
+    failure = None
+    for i, M in enumerate(block.maps):
+        k = block.lo + i + 1
+        state = K.advance(state, nodes[k - 1], nodes[k], M)
+        if forcing is not None:
+            f = forcing.const + forcing.coef @ state[0, -1]
+            if not math.isfinite(f):
+                raise kernels.nonfinite_forcing(nodes[k], K.spec)
+            if F is not None:
+                F[k] = f
+        else:
+            f = F[k]
+        for p, s in enumerate(strides):
+            if failure is not None or k % s:
+                continue
+            value = (f + steps[p] * (K.agg @ state[0, p])) / denoms[p]
+            if not math.isfinite(value):
+                failure = _nonfinite_at(k >> p, steps[p])
+                continue
+            new[p][(i + 1) // s - 1] = value
+            state[:, p] += K.ic * value
+    return new, state, failure
+
+
+def _look_ahead(K, forcing, u, blocks, nodes):
+    """Carries the forcing's state u, (3, 1, n_lam), from the start of the
+    next of blocks across it and every later one, and raises
+    nonfinite_forcing at the first node where the forcing is not finite;
+    a block that reads a value that is not finite, or carries one, is
+    stepped again node by node to name that node."""
+    for block in blocks:
+        G = block.rows @ (u[:, 0] * forcing.coef).ravel()
+        end = K.advance(u, nodes[block.lo], nodes[block.lo + len(block.rows)],
+                        block.carry)
+        if not (math.isfinite(G.sum()) and math.isfinite(end.sum())):
+            _, end, _ = _node_by_node(K, block, u, None, forcing, (), (),
+                                      nodes)
+        u = end
 
 
 def _forcing_at(K, forcing, u, t):
@@ -662,9 +898,14 @@ def predict(measure, params, T, R=1.0, R_tilde=1.0, h=DEFAULT_H, mode=None,
         nodes, weights = measure.points, measure.weights
         if spectral is not None:
             # each distinct value of both node sets once, its weight and
-            # forcing coefficient summed onto it
-            nodes, at = np.unique(np.concatenate([nodes, lams]),
-                                  return_inverse=True)
+            # forcing coefficient summed onto it; sorted and deduplicated by
+            # hand, as np.unique imports numpy.ma (about 1 MB of peak RSS)
+            both = np.concatenate([nodes, lams])
+            order = np.argsort(both)
+            first = np.diff(both[order], prepend=-np.inf) > 0.0
+            nodes = both[order][first]
+            at = np.empty(len(both), dtype=np.intp)
+            at[order] = np.cumsum(first) - 1
             split = len(measure.points)
             weights = np.bincount(at[:split], weights, len(nodes))
             coef = np.bincount(at[split:], coef, len(nodes))

@@ -50,20 +50,25 @@ def trapezoid_convolve_oracle(I_vals, psi, h):
 
 class HalfExpKernel:
     """K_s(t) = exp(-(t - s))/2 in the separable-state form solve_general
-    takes: one node whose state decays like the kernel."""
+    takes: one node whose impulse (1, 0) decays by exp(-(t - s)/2), so
+    that its moment state decays like the kernel."""
 
+    impulse = np.array([[1.0], [0.0]])
     ic = np.array([[1.0], [0.0], [0.0]])
     agg = np.array([0.5])
 
     def maps(self, t):
-        return np.exp(-np.diff(t))
+        decay = np.exp(-0.5 * np.diff(t))
+        return decay[:, None, None, None] * np.eye(2)[:, :, None]
 
-    def advance(self, state, t0, t1, decay):
-        return state * decay
+    def advance(self, state, t0, t1, maps):
+        return state * maps[0, 0] ** 2
 
 
 B = volterra._MARCH_BLOCK
-B_MAPS = kernels.MAP_BLOCK
+# the separable march's nodes per block, and intervals per maps call
+B_SWEEP = volterra._SWEEP_BLOCK
+C_SWEEP = volterra._SWEEP_CHUNK
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, B - 1, B, B + 1, 2 * B + 1,
@@ -218,6 +223,34 @@ def test_general_solver_closed_form_refined():
 
 # ------------------------------------------------------- failure modes
 
+@pytest.mark.parametrize("agg", [2.0, 30.0])
+def test_blocked_march_fails_where_the_node_by_node_march_does(agg):
+    # psi grows from 1e300 until the trapezoid history agg @ state[0],
+    # before the step and the divisor, overflows while psi is still
+    # finite; the blocked march names the node the node-by-node march
+    # first reads a non-finite value at (agg = 30 overflows in its first
+    # block, agg = 2 some hundred nodes on)
+    K = HalfExpKernel()
+    K.agg = np.array([agg])
+    h = 0.05
+    grid = h * np.arange(801)
+    F = np.full(len(grid), 1e300)
+    denom = 1.0 - 0.5 * h * agg
+    state, psi = 0.5 * K.ic * F[0], F[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(grid)):
+            state = K.advance(state, grid[k - 1], grid[k],
+                              K.maps(grid[k - 1:k + 1])[0])
+            psi = (F[k] + h * (K.agg @ state[0])) / denom
+            if not np.isfinite(psi):
+                break
+            state = state + K.ic * psi
+    assert k < len(grid) - 1
+    with pytest.raises(NumericalError,
+                       match=r"non-finite at grid step %d " % k):
+        volterra.solve_general(F, K, grid, refine=False)
+
+
 def test_nonfinite_forcing_rejected():
     grid, _ = grid_and_ones(T=2.0)
     F = np.ones_like(sweep_nodes(grid))
@@ -317,12 +350,15 @@ def test_separable_march_nan_forcing_names_the_step():
 def test_separable_march_overflow_fails_fast():
     # gamma1 = 200 is far past the SDANA threshold: the exact-kernel march
     # overflows early and must stop there, with no RuntimeWarning leaking
-    # from the propagated states
+    # from the propagated states.  The blocks it fails in are marched
+    # again node by node, so the failure is named where the node-by-node
+    # march named it: grid step 638 of the half-step pass
     mu = spectrum.mp_measure(1.0)
     with pytest.raises(NumericalError, match="non-finite") as info:
         volterra.predict(mu, momentum.sdana(200.0, 1.0, 4.0), T=60.0)
     step = int(re.search(r"grid step (\d+)", str(info.value)).group(1))
     assert step * volterra.DEFAULT_H < 60.0
+    assert "grid step 638 (t = t0 + 15.95);" in str(info.value)
 
 
 @pytest.mark.parametrize("mode", ["ode", "conv"])
@@ -339,7 +375,7 @@ def test_sdana_forcing_integration_fails_fast(mode):
 
 def per_pass_march(F, K, grid):
     """One pass of the separable trapezoid march, advanced grid point to
-    grid point on its own, each interval's map from its own interval_maps
+    grid point on its own, each interval's map from its own interval_exps
     call."""
     h = grid[1] - grid[0]
     K0 = K.agg @ K.ic[0]
@@ -348,18 +384,19 @@ def per_pass_march(F, K, grid):
     state = 0.5 * K.ic * psi[0]
     for i in range(1, len(grid)):
         t = grid[i - 1:i + 1]
-        Q = kernels.interval_maps(K.lams, K.spec, t, K.h)[0]
-        state = K.advance(state, t[0], t[1], Q)
+        M = kernels.interval_exps(K.lams, K.spec, t, K.h)[0]
+        state = K.advance(state, t[0], t[1], M)
         psi[i] = (F[i] + h * (K.agg @ state[0])) / (1.0 - 0.5 * h * K0)
         state = state + K.ic * psi[i]
     return psi
 
 
 def sweep_oracle(F, K, nodes, stride):
-    """_march_separable's sweep with a loop over the passes at each node:
-    one dot per pass and one for the forcing, each value a numpy scalar
-    checked with np.isfinite, and each live pass's impulse added on its
-    own.  Returns (forcing on nodes, each pass's psi, the finest first)."""
+    """The separable march node by node, with a loop over the passes at
+    each node: one advance per interval, one dot per pass and one for the
+    forcing, each value a numpy scalar checked with np.isfinite, and each
+    live pass's impulse added on its own.  Returns (forcing on nodes, each
+    pass's psi, the finest first)."""
     h = volterra._uniform_step(nodes)
     strides = (1, 2)[:stride]
     ode = isinstance(F, volterra.StateForcing)
@@ -390,14 +427,10 @@ def sweep_oracle(F, K, nodes, stride):
     return F, psis
 
 
-@pytest.mark.parametrize("sampled", [False, True], ids=["state", "sampled"])
-@pytest.mark.parametrize("refine", [False, True])
-@pytest.mark.parametrize("case", ["mp", "realized"])
-def test_sweep_matches_sweep_oracle(case, refine, sampled, monkeypatch):
-    # the sweep on the kernel and StateForcing that predict builds (on the
-    # merged node sets in the realized case), at stride 1 and 2, with the
-    # StateForcing or with the forcing it gives sampled on the nodes, is
-    # the oracle's to within 1e-15 of sup psi
+def _built_by_predict(monkeypatch, case):
+    """(F, K, grid) of the exact route's solve that predict builds at
+    T = 20 from the MP measure or, realized, on two problems' merged
+    nodes."""
     if case == "mp":
         measure, spectral = spectrum.mp_measure(1.0), None
     else:
@@ -412,7 +445,40 @@ def test_sweep_matches_sweep_oracle(case, refine, sampled, monkeypatch):
     monkeypatch.setattr(volterra, "solve_general", capture)
     volterra.predict(measure, momentum.defaults("sdana", measure), T=20.0,
                      mode="ode", spectral=spectral)
-    (F, K, grid), = built
+    (built,) = built
+    return built
+
+
+@pytest.mark.parametrize("n", [B_SWEEP - 1, B_SWEEP, B_SWEEP + 1,
+                               2 * B_SWEEP + 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("h", [0.05, 0.2])
+@pytest.mark.parametrize("case", ["mp", "realized"])
+def test_blocked_march_matches_sweep_oracle(case, h, stride, n, monkeypatch):
+    # n intervals: one block short of B_SWEEP nodes, one block, one node
+    # past it, and two blocks and a node; at h = 0.2 each interval of the
+    # half-step grid takes two Magnus steps.  The blocked march is the
+    # node-by-node oracle to within 1e-15 of sup psi, forcing and passes
+    F, K, _ = _built_by_predict(monkeypatch, case)
+    nodes = h / stride * np.arange(n + 1)
+    want_F, want = sweep_oracle(F, K, nodes, stride)
+    got_F, got = volterra._march_separable(F, K, nodes, stride)
+    assert np.max(np.abs(got_F - want_F)) <= 1e-15 * np.max(np.abs(want_F))
+    assert len(got) == len(want) == stride
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-15 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["state", "sampled"])
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("case", ["mp", "realized"])
+def test_sweep_matches_sweep_oracle(case, refine, sampled, monkeypatch):
+    # the sweep on the kernel and StateForcing that predict builds (on the
+    # merged node sets in the realized case), at stride 1 and 2, with the
+    # StateForcing or with the forcing it gives sampled on the nodes, is
+    # the oracle's to within 1e-15 of sup psi
+    F, K, grid = _built_by_predict(monkeypatch, case)
     nodes = volterra._sweep_nodes(grid, refine)
     stride = 2 if refine else 1
     want_F, want = sweep_oracle(F, K, nodes, stride)
@@ -489,7 +555,8 @@ def test_exact_kernel_nodes_are_distinct(monkeypatch):
 
 def assert_sweep_is_per_pass(K, n):
     """On a grid of n steps of 0.05 the unrefined sweep is the per-pass
-    march exactly, and the refined one the per-pass Richardson value: the
+    march to within 1e-15 of sup psi (the blocked march sums in another
+    order), and the refined one the per-pass Richardson value: the
     coarse pass takes the half-step substeps, which moves psi by far less
     than 1e-8 of its sup."""
     grid = 0.05 * np.arange(n + 1)
@@ -498,7 +565,8 @@ def assert_sweep_is_per_pass(K, n):
                                     K.spec, 1.0, 1.0, half)
     F = F_half[::2]
     got = volterra.solve_general(F, K, grid, refine=False).psi
-    assert np.array_equal(got, per_pass_march(F, K, grid))
+    want = per_pass_march(F, K, grid)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
     got = volterra.solve_general(F_half, K, grid).psi
     coarse = per_pass_march(F, K, grid)
     want = (4.0 * per_pass_march(F_half, K, half)[::2] - coarse) / 3.0
@@ -514,13 +582,14 @@ def test_sweep_matches_per_pass_marches():
 
 
 @pytest.mark.parametrize("h_max", [None, 0.02])
-@pytest.mark.parametrize("n", [B_MAPS - 1, B_MAPS, B_MAPS + 1,
-                               2 * B_MAPS + 1])
+@pytest.mark.parametrize("n", [2 * B_SWEEP - 1, 2 * B_SWEEP, 2 * B_SWEEP + 1,
+                               4 * B_SWEEP + 1])
 def test_sweep_across_map_blocks(n, h_max):
-    # the sweep takes its maps B_MAPS intervals at a time: across every
-    # block boundary, with one step per interval or three, it is the
-    # per-pass march bitwise, and refined it is the per-pass Richardson
-    # value.  h_max None is the default step, PROPAGATOR_STEP
+    # the sweep goes B_SWEEP nodes a block and takes its maps C_SWEEP
+    # intervals a call: across block boundaries, with one step per
+    # interval or three, it is the per-pass march to within 1e-15 of sup
+    # psi, and refined it is the per-pass Richardson value.  h_max None is
+    # the default step, PROPAGATOR_STEP
     h_max = kernels.PROPAGATOR_STEP if h_max is None else h_max
     mu = spectrum.mp_measure(1.0, nodes=40)
     spec = momentum.defaults("sdana", mu).kernel_spec()
@@ -535,7 +604,7 @@ def test_sweep_across_map_blocks(n, h_max):
     # the unrefined sweep's n intervals, then the refined sweep's 2n
     want = []
     for m in (n, 2 * n):
-        want += [B_MAPS] * (m // B_MAPS) + [m % B_MAPS] * (m % B_MAPS > 0)
+        want += [C_SWEEP] * (m // C_SWEEP) + [m % C_SWEEP] * (m % C_SWEEP > 0)
     assert asked == want
 
 
@@ -543,8 +612,10 @@ class FailingKernel(kernels.SdanaExactKernel):
     """The exact kernel with two failures injected: the march passes'
     states go infinite on reaching t_march, and the forcing's state goes
     NaN on reaching t_forcing.  The sweep advances a stack (3, passes +
-    forcing, n_lam), the outranking check the forcing's (3, n_lam) alone.
-    asked records the intervals of each maps call."""
+    forcing, n_lam) across a block at a time and, where it reads a
+    non-finite value, across each interval of that block; the outranking
+    check advances the forcing's (3, 1, n_lam) alone.  asked records the
+    intervals of each maps call."""
 
     def __init__(self, spec, lams, weights, t_march, t_forcing):
         super().__init__(spec, lams, weights)
@@ -580,12 +651,12 @@ def test_forcing_failure_further_on_outranks_the_march(t_forcing, message):
     grid = volterra.time_grid(5.0)
     with pytest.raises(NumericalError, match=message):
         volterra.solve_general(volterra.StateForcing(coef, const), K, grid)
-    # the look-ahead past node 40 takes its maps in blocks, as the sweep
-    # does, up to the block holding the last node it reaches: the forcing
+    # the look-ahead past node 40 takes its maps in chunks, as the sweep
+    # does, up to the chunk holding the last node it reaches: the forcing
     # failure's (node 120) or the last of the 200 intervals
     last = 120 if t_forcing < np.inf else 200
-    blocks = [min(B_MAPS, 200 - lo) for lo in range(0, 200, B_MAPS)]
-    assert K.asked == blocks[:-(-last // B_MAPS)]
+    chunks = [min(C_SWEEP, 200 - lo) for lo in range(0, 200, C_SWEEP)]
+    assert K.asked == chunks[:-(-last // C_SWEEP)]
 
 
 @pytest.mark.parametrize("mode", ["ode", "conv"])
@@ -1034,8 +1105,9 @@ def test_rule_check_leaves_the_assembly_calls_to_the_solve(monkeypatch, mp1):
     calls.update(forcing_matrix=0, kernel_matrix=0)
     sol = volterra.predict(mp1, momentum.defaults("sdana", mp1), 10.0,
                            size_rule=True)
+    # one advance per block of the half-step grid's intervals
     assert calls == {"forcing_matrix": 0, "kernel_matrix": 0,
-                     "advance": 2 * (len(sol.grid) - 1)}
+                     "advance": -(-2 * (len(sol.grid) - 1) // B_SWEEP)}
 
 
 def test_given_rule_is_kept_and_its_gap_reported(mp1):
